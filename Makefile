@@ -11,9 +11,9 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-.PHONY: ci vet lint fmt-check build test test-daemon test-mps test-faults cover bench-smoke bench-check bench profile
+.PHONY: ci vet lint fmt-check build test test-daemon test-mps test-faults fuzz-smoke cover bench-smoke bench-check bench profile
 
-ci: vet build test test-mps test-faults bench-smoke
+ci: vet build test test-mps test-faults fuzz-smoke bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -83,6 +83,20 @@ FAULT_PKGS := ./internal/lp/ ./internal/sched/ ./internal/milp/ ./internal/annea
 test-faults:
 	$(GO) test -race -run '$(FAULT_TESTS)' $(FAULT_PKGS)
 
+# A few seconds of coverage-guided fuzzing per target, seeded from real
+# journals and bases: FuzzJournalResume feeds arbitrary bytes after a valid
+# journal header to the daemon's restore (no panic, resume exactly at the
+# whole valid records, torn tail truncated), FuzzDecodeBasis feeds
+# lp.DecodeBasis (reject with ErrBasisEncoding or re-encode to the same
+# bytes).  New corpus entries stay in the Go build cache; a failing input
+# is written under the package's testdata/fuzz/ for `go test` to replay.
+# Minimization is capped so the budget goes to fuzzing.
+FUZZ_FLAGS = -run '^$$' -fuzztime 5s -fuzzminimizetime 1s -parallel 2
+
+fuzz-smoke:
+	$(GO) test $(FUZZ_FLAGS) -fuzz '^FuzzJournalResume$$' ./internal/plan/
+	$(GO) test $(FUZZ_FLAGS) -fuzz '^FuzzDecodeBasis$$' ./internal/lp/
+
 # Coverage run: go test prints the per-package totals, the merged profile
 # lands in coverage.out (uploaded as a build artifact by the CI workflow),
 # and the final line is the whole-repo total.
@@ -109,8 +123,10 @@ cover:
 # BenchmarkPlannerTick measures the continuous planner's steady-state warm
 # tick (streamed ingest + RHS rewrite + warm re-solve + publish) — the
 # latency a plannerd client sees on POST /tick — and fails if a measured
-# tick falls back cold.
-BENCH_SMOKE := ^(BenchmarkCalibration|BenchmarkEvaluateSteadyState|BenchmarkEvaluateDeltaMove|BenchmarkLPResolve|BenchmarkLPBounded|BenchmarkLPPricing|BenchmarkLPPresolve|BenchmarkEmulDay|BenchmarkPlannerTick)$$
+# tick falls back cold.  BenchmarkPlannerTickJournal is the same tick with
+# the tick journal on, measured after 1000 warm-up ticks, so a per-tick
+# persistence cost that grows with uptime shows up here.
+BENCH_SMOKE := ^(BenchmarkCalibration|BenchmarkEvaluateSteadyState|BenchmarkEvaluateDeltaMove|BenchmarkLPResolve|BenchmarkLPBounded|BenchmarkLPPricing|BenchmarkLPPresolve|BenchmarkEmulDay|BenchmarkPlannerTick|BenchmarkPlannerTickJournal)$$
 
 bench-smoke:
 	$(GO) test -bench='$(BENCH_SMOKE)' -benchtime=1x -run '^$$' .

@@ -3,6 +3,8 @@ package greencloud_test
 import (
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -333,6 +335,47 @@ func BenchmarkPlannerTick(b *testing.B) {
 			b.Fatal("steady-state tick fell back cold")
 		}
 	}
+}
+
+// BenchmarkPlannerTickJournal is BenchmarkPlannerTick with the tick
+// journal on (Config.SnapshotPath in a temp dir), measured after 1000
+// warm-up ticks: the append costs the same whatever the daemon's uptime,
+// so this matches a young daemon's tick plus one small write.  It reports
+// the journal bytes each measured tick appended.
+func BenchmarkPlannerTickJournal(b *testing.B) {
+	path := filepath.Join(b.TempDir(), "plan.snap")
+	d, err := plan.New(plan.Config{Trace: plan.TraceSpec{}, SnapshotPath: path})
+	if err != nil {
+		b.Fatalf("build daemon: %v", err)
+	}
+	defer d.Close()
+	for i := 0; i < 1000; i++ {
+		if _, err := d.Tick(plan.TickRequest{}); err != nil {
+			b.Fatalf("warmup tick: %v", err)
+		}
+	}
+	base := d.PlanView().CumLPStats.ColdFallbacks
+	before, err := os.Stat(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		view, err := d.Tick(plan.TickRequest{})
+		if err != nil {
+			b.Fatalf("tick: %v", err)
+		}
+		if view.CumLPStats.ColdFallbacks != base || view.SnapshotError != "" {
+			b.Fatalf("steady-state tick fell back cold or failed to persist: %q", view.SnapshotError)
+		}
+	}
+	b.StopTimer()
+	after, err := os.Stat(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(after.Size()-before.Size())/float64(b.N), "journal_B/op")
 }
 
 // BenchmarkEmulScale measures the emulation at production scale — 2000 VMs

@@ -16,12 +16,27 @@
 //	POST /whatif  — price a hypothetical siting in an interactive session
 //	GET  /healthz — liveness
 //
-// With -snapshot, the daemon persists a checksummed snapshot after every
-// tick and, on startup, resumes from an existing one: the plan stream
+// With -snapshot, the file is the daemon's tick journal: a header line
+// ("GNPJ1" and the trace digest) followed by one length-framed, CRC-32C
+// checksummed binary record per tick — its streamed weather changes,
+// migration schedule, solver statistics, plan summary and warm basis.  A
+// tick appends one record with one write(2), so persistence costs the same
+// at tick 10 and tick 10000.  On startup the daemon replays the records (no
+// LP work), rebuilds the /plan view from them and resumes: the plan stream
 // continues bit-identically to an uninterrupted daemon and the first
-// post-restart solve starts warm from the persisted basis.  A corrupt or
-// foreign snapshot is logged and ignored.  SIGINT/SIGTERM shut down
-// cleanly: in-flight requests finish, new work is refused.
+// post-restart solve starts warm from the journaled basis.  A record cut
+// short or failing its checksum — a crash mid-append — is a torn tail: it
+// and everything after it is truncated and the daemon resumes at the last
+// whole record.  A file with a missing or damaged header, another trace's
+// digest, or the old GNPS1 snapshot format is logged and replaced by a
+// fresh journal, and the daemon starts cold.  Appends are not fsynced: a
+// process crash loses nothing, a host crash may lose the last records the
+// kernel had not written back.  SIGINT/SIGTERM shut down cleanly:
+// in-flight requests finish, new work is refused.
+//
+// Request bodies are capped at 1 MiB (413 beyond), and the server bounds
+// how long a client may take to send a request and how long an idle
+// keep-alive connection is held.
 package main
 
 import (
@@ -40,6 +55,17 @@ import (
 	"greencloud/internal/plan"
 )
 
+// Server timeouts.  A request's header and body are tiny, so the read
+// bounds only cut off stalled or trickling clients; the idle bound is long
+// enough that a client ticking hourly, or a benchmark pausing between
+// phases, keeps its keep-alive connection.  There is no write timeout: a
+// /tick response waits on the solve, which the trace's LP budget bounds.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Hour
+)
+
 func main() {
 	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "plannerd:", err)
@@ -50,7 +76,7 @@ func main() {
 func run() error {
 	var (
 		addr     = flag.String("addr", "127.0.0.1:0", "listen address (port 0 picks a free port)")
-		snapshot = flag.String("snapshot", "", "snapshot file: written after every tick, resumed from on start")
+		snapshot = flag.String("snapshot", "", "tick journal: appended to after every tick, resumed from on start")
 		spec     plan.TraceSpec
 	)
 	flag.IntVar(&spec.Sites, "sites", 0, "location catalog size (0 = default)")
@@ -78,6 +104,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	defer func() {
+		if err := d.Close(); err != nil {
+			logger.Printf("closing snapshot %s: %v", *snapshot, err)
+		}
+	}()
 	if resumed, warm := d.Resumed(); resumed {
 		logger.Printf("resumed from snapshot %s at tick %d (warm=%v)", *snapshot, d.PlanView().Tick, warm)
 	}
@@ -91,7 +122,12 @@ func run() error {
 	fmt.Printf("plannerd: listening on %s\n", ln.Addr())
 	os.Stdout.Sync()
 
-	srv := &http.Server{Handler: d.Handler()}
+	srv := &http.Server{
+		Handler:           d.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 

@@ -210,7 +210,7 @@
 // (BenchmarkPlannerTick gates it, with allocs, in BENCH_SMOKE).
 //
 // Concurrency model: one mutex serializes the tick path (runner stepping +
-// snapshot writes); the serving state is an immutable-once-published
+// journal appends); the serving state is an immutable-once-published
 // PlanView swapped behind an RWMutex, so GET /plan never waits on an
 // in-flight solve.  What-if queries run on per-session core.Evaluators —
 // distinct sessions price candidates in parallel, repeated queries within a
@@ -218,20 +218,35 @@
 // session table.  Shutdown is cooperative via context.Context: SIGTERM
 // stops new work, in-flight requests finish.
 //
-// Durability: after every tick the daemon atomically rewrites a versioned,
-// FNV-checksummed snapshot — the trace identity, the per-tick migration
-// schedule log, the streamed adjustments in effect, the current warm basis
-// (lp.Basis.MarshalBinary, itself a checksummed binary format) and the
-// serving view.  A restarted daemon replays the schedule log against a
-// fresh trace start (pure fleet/GDFS bookkeeping, no LP work — the same
-// event-sourcing trick the emulation determinism tests use), installs the
-// decoded basis and resumes: the continued tick stream is bit-identical to
-// a daemon that was never stopped and its first solve starts warm.  A
-// missing, truncated, corrupted or foreign-trace snapshot is rejected as a
-// unit and the daemon starts cold from the trace beginning — never
-// half-restored.  `make test-daemon` (CI's daemon-smoke job) pins all of
-// this through the real binary: HTTP ticks bit-identical to a batch
-// emul.Runner, SIGKILL mid-stream, warm resume from the snapshot.
+// Durability: the -snapshot file is an append-only tick journal
+// (internal/plan/journal.go).  A header line carries the magic GNPJ1 and
+// the trace digest; each applied tick then appends one record framed by
+// its length and a CRC-32C, whose compact binary body holds the tick's
+// streamed green-scale changes, its migration schedule as trace indices,
+// its lp.Stats, plan summary and scheduler time, and the post-tick warm
+// basis (lp.Basis.AppendBinary, itself a checksummed format).  A tick is
+// one positioned write(2) from a reused buffer on a file the daemon keeps
+// open — no temp file, no rename, and the same bytes at tick 10 and tick
+// 10000.  A restarted daemon streams the records: it applies each record's
+// scale changes, replays its schedule against a fresh trace start (pure
+// fleet/GDFS bookkeeping, no LP work — the same event-sourcing trick the
+// emulation determinism tests use), folds the tick into the serving view
+// with the accounting a live tick uses, and installs the last record's
+// basis; the continued tick stream is bit-identical to a daemon that was
+// never stopped and its first solve starts warm.  The first record that is
+// short, fails its checksum or does not decode is a torn tail (a crash
+// mid-append): it and everything after it is truncated and the daemon
+// resumes at the last whole record.  An empty file, a damaged header,
+// another trace's digest or the old GNPS1 whole-state snapshot format is
+// refused as a unit: logged, replaced by a fresh journal, cold start.
+// Appends are not fsynced, so a host crash can lose the records the kernel
+// had not yet written back; restore still replays every tick since the
+// trace start, so its cost grows with uptime.  `make test-daemon` (CI's
+// daemon-smoke job) pins all of this through the real binary: HTTP ticks
+// bit-identical to a batch emul.Runner, SIGKILL mid-stream, warm resume
+// from the journal.  On the serving edge, /tick and /whatif bodies are
+// capped at 1 MiB and plannerd's http.Server bounds header, request and
+// idle-connection time.
 //
 // # Failure semantics: budgets, recovery, degradation
 //
@@ -291,7 +306,5 @@
 // Bland) on the scheduler-shaped partition LP and reports pivots/op next
 // to ns/op.  `make profile` writes CPU and heap profiles of
 // BenchmarkSchedulerComputeTime — the end-to-end optimization loop — into
-// the gitignored profile/ directory for `go tool pprof`.  See DESIGN.md
-// for the experiment index and EXPERIMENTS.md for measured-versus-paper
-// results.
+// the gitignored profile/ directory for `go tool pprof`.
 package greencloud

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
 )
 
@@ -21,12 +20,14 @@ import (
 //	uvarint nDevex,  then per entry:  kind byte, uvarint idx, float64 bits (LE)
 //	8-byte FNV-1a 64 checksum of everything above
 //
-// DecodeBasis validates the magic, the checksum, every identity kind, the
-// finiteness of every devex weight and that the buffer is consumed exactly,
-// so a truncated or corrupted snapshot is rejected with ErrBasisEncoding
-// rather than installed; and because installBasis re-validates identities
-// against the live model anyway, even a stale-but-well-formed basis can
-// cost at most a cold fallback, never correctness.
+// DecodeBasis validates the magic, the checksum, every identity kind, that
+// every varint is minimally encoded, the finiteness of every devex weight
+// and that the buffer is consumed exactly, so anything it accepts
+// re-encodes to the same bytes and a truncated or corrupted snapshot is
+// rejected with ErrBasisEncoding rather than installed; and because
+// installBasis re-validates identities against the live model anyway, even
+// a stale-but-well-formed basis can cost at most a cold fallback, never
+// correctness.
 
 // ErrBasisEncoding is returned by DecodeBasis for data that is not a valid
 // basis snapshot (wrong magic, truncation, checksum mismatch, out-of-range
@@ -43,24 +44,44 @@ func (b *Basis) MarshalBinary() ([]byte, error) {
 	if b == nil {
 		return nil, fmt.Errorf("%w: nil basis", ErrBasisEncoding)
 	}
-	if len(b.devexCols) != len(b.devexW) {
-		return nil, fmt.Errorf("%w: devex identity/weight length mismatch", ErrBasisEncoding)
+	return b.AppendBinary(make([]byte, 0, 4+10*(len(b.cols)+len(b.upper))+18*len(b.devexW)+8))
+}
+
+// AppendBinary appends the MarshalBinary encoding to dst, so a caller that
+// persists a basis every tick can reuse one buffer.  On error dst is
+// returned unchanged.
+func (b *Basis) AppendBinary(dst []byte) ([]byte, error) {
+	if b == nil {
+		return dst, fmt.Errorf("%w: nil basis", ErrBasisEncoding)
 	}
-	buf := make([]byte, 0, 4+10*(len(b.cols)+len(b.upper))+18*len(b.devexW)+8)
-	buf = append(buf, basisMagic[:]...)
+	if len(b.devexCols) != len(b.devexW) {
+		return dst, fmt.Errorf("%w: devex identity/weight length mismatch", ErrBasisEncoding)
+	}
+	start := len(dst)
+	buf := append(dst, basisMagic[:]...)
 	buf = appendIdents(buf, b.cols)
 	buf = appendIdents(buf, b.upper)
 	buf = binary.AppendUvarint(buf, uint64(len(b.devexCols)))
 	for k, cid := range b.devexCols {
 		if math.IsInf(b.devexW[k], 0) || math.IsNaN(b.devexW[k]) {
-			return nil, fmt.Errorf("%w: non-finite devex weight", ErrBasisEncoding)
+			return buf[:start], fmt.Errorf("%w: non-finite devex weight", ErrBasisEncoding)
 		}
 		buf = appendIdent(buf, cid)
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(b.devexW[k]))
 	}
-	h := fnv.New64a()
-	h.Write(buf)
-	return h.Sum(buf), nil
+	return binary.BigEndian.AppendUint64(buf, fnv64a(buf[start:])), nil
+}
+
+// fnv64a is FNV-1a 64 (hash/fnv's New64a) without the hash.Hash
+// allocation, so AppendBinary stays allocation-free.
+func fnv64a(data []byte) uint64 {
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
+	for _, c := range data {
+		h ^= uint64(c)
+		h *= prime64
+	}
+	return h
 }
 
 // DecodeBasis decodes a snapshot produced by MarshalBinary.  The returned
@@ -74,9 +95,7 @@ func DecodeBasis(data []byte) (*Basis, error) {
 		return nil, fmt.Errorf("%w: bad magic", ErrBasisEncoding)
 	}
 	payload, sum := data[:len(data)-8], data[len(data)-8:]
-	h := fnv.New64a()
-	h.Write(payload)
-	if binary.BigEndian.Uint64(sum) != h.Sum64() { // fnv's Sum appends big-endian
+	if binary.BigEndian.Uint64(sum) != fnv64a(payload) {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrBasisEncoding)
 	}
 	r := payload[4:]
@@ -133,7 +152,7 @@ func appendIdent(buf []byte, cid colIdent) []byte {
 // remaining (each encoded entry occupies at least minEntryBytes), so a
 // corrupted length cannot drive a huge allocation.
 func decodeCount(r []byte, minEntryBytes int) (int, []byte, error) {
-	v, n := binary.Uvarint(r)
+	v, n := uvarint(r)
 	if n <= 0 {
 		return 0, nil, fmt.Errorf("%w: bad length prefix", ErrBasisEncoding)
 	}
@@ -142,6 +161,17 @@ func decodeCount(r []byte, minEntryBytes int) (int, []byte, error) {
 		return 0, nil, fmt.Errorf("%w: implausible entry count %d", ErrBasisEncoding, v)
 	}
 	return int(v), r, nil
+}
+
+// uvarint is binary.Uvarint restricted to the minimal encoding AppendUvarint
+// writes (a multi-byte varint never ends in a zero byte), so every accepted
+// input re-encodes to the bytes it was decoded from.
+func uvarint(r []byte) (uint64, int) {
+	v, n := binary.Uvarint(r)
+	if n > 1 && r[n-1] == 0 {
+		return 0, 0
+	}
+	return v, n
 }
 
 func decodeIdents(r []byte) ([]colIdent, []byte, error) {
@@ -169,7 +199,7 @@ func decodeIdent(r []byte) (colIdent, []byte, error) {
 	if kind < identStruct || kind > identArt {
 		return colIdent{}, nil, fmt.Errorf("%w: unknown identity kind %d", ErrBasisEncoding, kind)
 	}
-	idx, n := binary.Uvarint(r[1:])
+	idx, n := uvarint(r[1:])
 	if n <= 0 || idx > math.MaxInt32 {
 		return colIdent{}, nil, fmt.Errorf("%w: bad identity index", ErrBasisEncoding)
 	}

@@ -2,6 +2,7 @@ package lp
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"testing"
@@ -10,7 +11,7 @@ import (
 // codecProblem builds a bound-heavy LP whose optimal basis carries at-upper
 // statuses and (under devex) learned weights, so the codec round-trip
 // exercises every section of the encoding.
-func codecProblem(t *testing.T, seed int64) *Problem {
+func codecProblem(t testing.TB, seed int64) *Problem {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	p := NewProblem(Minimize)
@@ -148,4 +149,96 @@ func TestBasisCodecRejectsCorrupt(t *testing.T) {
 	if _, err := (*Basis)(nil).MarshalBinary(); !errors.Is(err, ErrBasisEncoding) {
 		t.Fatal("nil basis marshalled")
 	}
+}
+
+// TestBasisAppendBinary pins AppendBinary against MarshalBinary: the same
+// bytes after any prefix, nothing appended on error, and no allocation once
+// the destination has room.
+func TestBasisAppendBinary(t *testing.T) {
+	basis := codecBasis(t)
+	enc, err := basis.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := []byte("prefix")
+	got, err := basis.AppendBinary(append([]byte(nil), prefix...))
+	if err != nil || !bytes.Equal(got, append(append([]byte(nil), prefix...), enc...)) {
+		t.Fatalf("AppendBinary after a prefix: %v", err)
+	}
+	if _, err := (*Basis)(nil).AppendBinary(prefix); !errors.Is(err, ErrBasisEncoding) {
+		t.Fatal("nil basis appended")
+	}
+	buf := make([]byte, 0, 2*len(enc))
+	if allocs := testing.AllocsPerRun(20, func() {
+		buf, _ = basis.AppendBinary(buf[:0])
+	}); allocs != 0 {
+		t.Fatalf("AppendBinary into a sized buffer: %v allocs, want 0", allocs)
+	}
+}
+
+// TestBasisDecodeRejectsNonMinimalVarint: a varint padded with a zero
+// continuation byte decodes to the same number but would re-encode shorter,
+// so it is rejected even under a valid checksum.
+func TestBasisDecodeRejectsNonMinimalVarint(t *testing.T) {
+	payload := append([]byte(nil), basisMagic[:]...)
+	payload = append(payload, 0x80, 0x00, 0, 0) // nRows = 0 padded, nUpper, nDevex
+	data := binary.BigEndian.AppendUint64(payload, fnv64a(payload))
+	if _, err := DecodeBasis(data); !errors.Is(err, ErrBasisEncoding) {
+		t.Fatalf("non-minimal varint accepted (err=%v)", err)
+	}
+}
+
+// codecBasis is the optimal basis of the first solvable codecProblem.
+func codecBasis(t testing.TB) *Basis {
+	for seed := int64(1); seed <= 32; seed++ {
+		sol, err := codecProblem(t, seed).Solve()
+		if err == nil && sol.Basis() != nil {
+			return sol.Basis()
+		}
+	}
+	t.Fatal("no optimal instance found to snapshot")
+	return nil
+}
+
+// FuzzDecodeBasis: DecodeBasis either rejects its input with
+// ErrBasisEncoding or accepts an encoding that MarshalBinary reproduces
+// byte for byte.  Each input is tried as is and with its trailing checksum
+// recomputed, so mutations reach the structural decoder instead of dying
+// at the checksum.  Seeded with real optimal bases.
+func FuzzDecodeBasis(f *testing.F) {
+	for seed := int64(1); seed <= 8; seed++ {
+		sol, err := codecProblem(f, seed).Solve()
+		if err != nil || sol.Basis() == nil {
+			continue
+		}
+		enc, err := sol.Basis().MarshalBinary()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(enc)
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		check := func(data []byte) {
+			b, err := DecodeBasis(data)
+			if err != nil {
+				if !errors.Is(err, ErrBasisEncoding) {
+					t.Fatalf("decode error %v does not wrap ErrBasisEncoding", err)
+				}
+				return
+			}
+			enc, err := b.MarshalBinary()
+			if err != nil {
+				t.Fatalf("decoded basis does not re-encode: %v", err)
+			}
+			if !bytes.Equal(enc, data) {
+				t.Fatalf("re-encoding differs:\n in  %x\n out %x", data, enc)
+			}
+		}
+		check(data)
+		if len(data) >= 8 {
+			payload := data[:len(data)-8]
+			check(binary.BigEndian.AppendUint64(append([]byte(nil), payload...), fnv64a(payload)))
+		}
+	})
 }

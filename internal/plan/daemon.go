@@ -9,25 +9,24 @@ import (
 	"greencloud/internal/emul"
 	"greencloud/internal/location"
 	"greencloud/internal/lp"
-	"greencloud/internal/sched"
-	"greencloud/internal/vm"
 )
 
 // Config configures a Daemon.
 type Config struct {
 	// Trace is the emulated trace the daemon plans against.
 	Trace TraceSpec
-	// SnapshotPath, when non-empty, is where the daemon persists a
-	// versioned snapshot after every tick (written atomically:
-	// temp + rename), and where New looks for one to resume from.
+	// SnapshotPath, when non-empty, is the daemon's tick journal: New
+	// resumes from it, and every tick appends one record to it (see
+	// journal.go for the format).
 	SnapshotPath string
 	// Ctx, when non-nil, is the daemon's base context: once cancelled the
 	// daemon refuses new ticks and what-if queries, the clean-shutdown
 	// contract a serving process needs (the PR 6 plumbing bounds the
 	// in-flight solve via the trace's LP timeout).
 	Ctx context.Context
-	// Logf, when non-nil, receives operational log lines (snapshot
-	// rejections, persistence failures).  The default discards them.
+	// Logf, when non-nil, receives operational log lines (journal
+	// rejections, torn tails, persistence failures).  The default
+	// discards them.
 	Logf func(format string, args ...any)
 }
 
@@ -40,8 +39,8 @@ type Totals struct {
 	Migrations   int     `json:"migrations"`
 }
 
-// PlanView is the daemon's serving state: what GET /plan returns and what a
-// snapshot carries so a restarted daemon serves the same answer.  All
+// PlanView is the daemon's serving state: what GET /plan returns, and what
+// a restarted daemon rebuilds from its journal to serve the same answer.  All
 // fields are value copies — a PlanView never aliases runner scratch.
 type PlanView struct {
 	// Tick is the number of ticks applied since the trace began (survives
@@ -88,13 +87,6 @@ type TickRequest struct {
 	GreenScale map[string]float64 `json:"green_scale,omitempty"`
 }
 
-// moveRec is one VM move in the snapshot's replay log.
-type moveRec struct {
-	VM   string `json:"vm"`
-	From string `json:"from"`
-	To   string `json:"to"`
-}
-
 // Daemon is the continuous planner.  It owns one emul.Runner (the trace,
 // fleet and warm partition LP) and serializes ticks; the serving state is a
 // read-mostly PlanView behind an RWMutex, so GET /plan never waits on a
@@ -105,15 +97,22 @@ type Daemon struct {
 	logf    func(string, ...any)
 	trace   emul.Config
 	catalog *location.Catalog
-	vmByID  map[string]vm.VM
+	names   []string
+	dcIndex map[string]int
+	vmIndex map[string]int
 
-	// tickMu serializes the tick path (runner stepping + snapshot
-	// writes); mu guards the serving state swapped in at the end of each
+	// tickMu serializes the tick path (runner stepping + journal
+	// appends); mu guards the serving state swapped in at the end of each
 	// tick.  Lock order: tickMu before mu.
-	tickMu  sync.Mutex
-	runner  *emul.Runner
-	moveLog [][]moveRec
-	scales  map[string]float64
+	tickMu sync.Mutex
+	runner *emul.Runner
+	// scale is the green scale in effect per datacenter; journaled is the
+	// scale as of the last journal record, so each record carries only
+	// the changes.
+	scale, journaled []float64
+	changes          []scaleChange
+	sum              tickSummary
+	journal          *journal
 
 	mu   sync.RWMutex
 	view PlanView
@@ -129,13 +128,16 @@ var (
 )
 
 // New builds a daemon for the configured trace.  If Config.SnapshotPath
-// names a readable, valid snapshot of the same trace, the daemon resumes
-// from it: the recorded migration schedules are replayed against a fresh
-// trace start (no LP work), the persisted basis is installed, and the
-// persisted serving state is restored — so the first post-restart solve is
-// warm and the tick stream continues bit-identically to a daemon that was
-// never stopped.  A missing, corrupt, truncated or mismatched snapshot is
-// logged and ignored: the daemon starts clean and cold.
+// names a journal of the same trace, the daemon resumes from it: each
+// record's scale changes and migration schedule are replayed against a
+// fresh trace start (no LP work), the serving view is rebuilt by folding
+// the replayed ticks, and the last record's basis is installed — so the
+// first post-restart solve is warm and the tick stream continues
+// bit-identically to a daemon that was never stopped.  A torn tail is
+// truncated to the last whole record; a journal that is empty, damaged,
+// of the old GNPS1 format or of another trace is logged and replaced, and
+// the daemon starts cold.  New fails only if the file cannot be opened,
+// read or written.
 func New(cfg Config) (*Daemon, error) {
 	traceCfg, cat, err := cfg.Trace.Build()
 	if err != nil {
@@ -145,15 +147,19 @@ func New(cfg Config) (*Daemon, error) {
 	if err != nil {
 		return nil, err
 	}
+	names := runner.Datacenters()
 	d := &Daemon{
-		cfg:     cfg,
-		ctx:     cfg.Ctx,
-		logf:    cfg.Logf,
-		trace:   traceCfg,
-		catalog: cat,
-		runner:  runner,
-		scales:  make(map[string]float64),
-		vmByID:  make(map[string]vm.VM, len(traceCfg.VMs)),
+		cfg:       cfg,
+		ctx:       cfg.Ctx,
+		logf:      cfg.Logf,
+		trace:     traceCfg,
+		catalog:   cat,
+		runner:    runner,
+		names:     names,
+		dcIndex:   make(map[string]int, len(names)),
+		vmIndex:   make(map[string]int, len(traceCfg.VMs)),
+		scale:     make([]float64, len(names)),
+		journaled: make([]float64, len(names)),
 	}
 	if d.ctx == nil {
 		d.ctx = context.Background()
@@ -161,35 +167,53 @@ func New(cfg Config) (*Daemon, error) {
 	if d.logf == nil {
 		d.logf = func(string, ...any) {}
 	}
-	for _, machine := range traceCfg.VMs {
-		d.vmByID[machine.ID] = machine
+	for i, name := range names {
+		d.dcIndex[name] = i
+	}
+	for i, machine := range traceCfg.VMs {
+		d.vmIndex[machine.ID] = i
 	}
 	d.sessions.init(d)
 
-	if err := runner.Start(); err != nil {
+	if err := d.coldStart(); err != nil {
 		return nil, err
 	}
-	d.view = PlanView{Datacenters: runner.Datacenters()}
 	if cfg.SnapshotPath != "" {
-		if err := d.resumeFromSnapshot(cfg.SnapshotPath); err != nil {
-			d.logf("plannerd: snapshot %s rejected, starting cold: %v", cfg.SnapshotPath, err)
-			// Reject half-applied state: restart the trace from scratch
-			// (green scales survive Start, so reset them explicitly).
-			for _, name := range runner.Datacenters() {
-				if err := runner.SetGreenScale(name, 1); err != nil {
-					return nil, err
-				}
-			}
-			if err := runner.Start(); err != nil {
-				return nil, err
-			}
-			d.runner.SetWarmBasis(nil)
-			d.moveLog = nil
-			d.scales = make(map[string]float64)
-			d.view = PlanView{Datacenters: runner.Datacenters()}
+		if err := d.openJournal(cfg.SnapshotPath); err != nil {
+			return nil, fmt.Errorf("plan: journal %s: %w", cfg.SnapshotPath, err)
 		}
 	}
 	return d, nil
+}
+
+// coldStart resets the daemon to the trace beginning: runner restarted with
+// every green scale back at 1, no warm basis, an empty serving view.
+func (d *Daemon) coldStart() error {
+	for i, name := range d.names {
+		if err := d.runner.SetGreenScale(name, 1); err != nil {
+			return err
+		}
+		d.scale[i], d.journaled[i] = 1, 1
+	}
+	if err := d.runner.Start(); err != nil {
+		return err
+	}
+	// The views own their names: d.names drives journal decoding and
+	// replay, so a caller editing a returned view must not reach it.
+	d.view = PlanView{Datacenters: append([]string(nil), d.names...)}
+	return nil
+}
+
+// Close closes the journal.  The daemon must not tick afterwards.
+func (d *Daemon) Close() error {
+	d.tickMu.Lock()
+	defer d.tickMu.Unlock()
+	if d.journal == nil {
+		return nil
+	}
+	err := d.journal.f.Close()
+	d.journal = nil
+	return err
 }
 
 // PlanView returns a copy of the current serving state.
@@ -209,8 +233,8 @@ func (d *Daemon) Resumed() (resumed, warm bool) {
 
 // Tick applies the next trace hour: ingest the request's streamed updates,
 // re-plan incrementally (warm SolveFrom on the structure-cached partition
-// LP), execute the resulting migration schedule, persist a snapshot and
-// publish the new serving state, which is also returned.
+// LP), execute the resulting migration schedule, append the tick to the
+// journal and publish the new serving state, a copy of which is returned.
 func (d *Daemon) Tick(req TickRequest) (PlanView, error) {
 	if err := d.ctx.Err(); err != nil {
 		return PlanView{}, fmt.Errorf("%w: %v", ErrShuttingDown, err)
@@ -220,8 +244,16 @@ func (d *Daemon) Tick(req TickRequest) (PlanView, error) {
 
 	for name, scale := range req.GreenScale {
 		if err := d.runner.SetGreenScale(name, scale); err != nil {
+			// All or nothing: put back the scales already applied (each
+			// was accepted before, so restoring it cannot fail).
+			for i, s := range d.scale {
+				_ = d.runner.SetGreenScale(d.names[i], s)
+			}
 			return PlanView{}, err
 		}
+	}
+	for name, scale := range req.GreenScale {
+		d.scale[d.dcIndex[name]] = scale
 	}
 
 	tick, err := d.runner.Step()
@@ -229,99 +261,90 @@ func (d *Daemon) Tick(req TickRequest) (PlanView, error) {
 		return PlanView{}, err
 	}
 
-	// Record the schedule for snapshot replay, then build the new view.
-	moves := make([]moveRec, len(tick.Moves))
-	for i, mv := range tick.Moves {
-		moves[i] = moveRec{VM: mv.VM.ID, From: mv.From, To: mv.To}
+	d.changes = d.changes[:0]
+	for i, s := range d.scale {
+		if s != d.journaled[i] {
+			d.changes = append(d.changes, scaleChange{dc: i, scale: s})
+			d.journaled[i] = s
+		}
 	}
-	d.moveLog = append(d.moveLog, moves)
-	for name, scale := range req.GreenScale {
-		if scale == 1 {
-			delete(d.scales, name)
-		} else {
-			d.scales[name] = scale
+	sum := &d.sum
+	sum.stats, sum.nanos, sum.degraded = tick.LPStats, tick.SchedulerNanos, tick.Degraded
+	sum.brownKWh, sum.migratedKW = tick.Plan.BrownKWh, tick.Plan.MigratedKW
+	sum.targetKW = sum.targetKW[:0]
+	for _, row := range tick.Plan.LoadKW {
+		kw := 0.0
+		if len(row) > 0 {
+			kw = row[0]
+		}
+		sum.targetKW = append(sum.targetKW, kw)
+	}
+
+	var persistErr error
+	if j := d.journal; j != nil {
+		j.pending, persistErr = d.appendRecord(j.pending, tick, d.changes, sum, d.runner.WarmBasis())
+		if err := j.flush(); err != nil {
+			persistErr = err
+		}
+		if persistErr != nil {
+			d.logf("plannerd: snapshot append failed: %v", persistErr)
 		}
 	}
 
 	d.mu.Lock()
-	prev := d.view
-	next := d.buildView(prev, tick)
+	next := d.view
+	// Published views are immutable: fold into fresh slices.
+	next.LastRecords, next.TargetLoadKW = nil, nil
+	foldTick(&next, tick, sum)
+	if len(d.changes) > 0 {
+		next.GreenScale = d.scaleMap()
+	}
+	next.SnapshotError = ""
+	if persistErr != nil {
+		next.SnapshotError = persistErr.Error()
+	}
 	d.view = next
 	d.mu.Unlock()
-
-	if d.cfg.SnapshotPath != "" {
-		if err := d.writeSnapshot(d.cfg.SnapshotPath); err != nil {
-			d.logf("plannerd: snapshot write failed: %v", err)
-			d.mu.Lock()
-			d.view.SnapshotError = err.Error()
-			next = copyView(d.view)
-			d.mu.Unlock()
-		}
-	}
-	return next, nil
+	return copyView(next), nil
 }
 
-// buildView folds one tick into the serving state.  Callers hold d.mu.
-func (d *Daemon) buildView(prev PlanView, tick *emul.Tick) PlanView {
-	next := prev
-	next.Tick = prev.Tick + 1
-	next.AbsHour = tick.AbsHour
-	next.Datacenters = d.runner.Datacenters()
-	next.LastRecords = append([]emul.HourRecord(nil), tick.Records...)
-	next.LastLPStats = tick.LPStats
-	next.CumLPStats = prev.CumLPStats
-	next.CumLPStats.Add(tick.LPStats)
-	next.Degraded = tick.Degraded
-	next.SnapshotError = ""
-	if tick.Plan != nil {
-		next.TargetLoadKW = make([]float64, len(tick.Plan.LoadKW))
-		for i, row := range tick.Plan.LoadKW {
-			if len(row) > 0 {
-				next.TargetLoadKW[i] = row[0]
-			}
-		}
-		next.PlanBrownKWh = tick.Plan.BrownKWh
-		next.MigratedKW = tick.Plan.MigratedKW
-	}
-	next.Totals = prev.Totals
-	next.Totals.Migrations += tick.Migrations
+// foldTick folds one tick into the serving view — the accounting a live
+// Tick and a journal restore share, so a restored view is the view the
+// crashed daemon served.
+func foldTick(v *PlanView, tick *emul.Tick, sum *tickSummary) {
+	v.Tick++
+	v.AbsHour = tick.AbsHour
+	v.LastRecords = append(v.LastRecords[:0], tick.Records...)
+	v.LastLPStats = sum.stats
+	v.CumLPStats.Add(sum.stats)
+	v.Degraded = sum.degraded
+	v.TargetLoadKW = append(v.TargetLoadKW[:0], sum.targetKW...)
+	v.PlanBrownKWh = sum.brownKWh
+	v.MigratedKW = sum.migratedKW
+	v.Totals.Migrations += tick.Migrations
 	for i := range tick.Records {
 		rec := &tick.Records[i]
 		demandKW := rec.LoadKW + rec.PUEOverheadKW + rec.MigrationKW
-		next.Totals.DemandKWh += demandKW
-		next.Totals.BrownKWh += rec.BrownKW
-		next.Totals.GreenKWh += demandKW - rec.BrownKW
-		next.Totals.MigrationKWh += rec.MigrationKW
+		v.Totals.DemandKWh += demandKW
+		v.Totals.BrownKWh += rec.BrownKW
+		v.Totals.GreenKWh += demandKW - rec.BrownKW
+		v.Totals.MigrationKWh += rec.MigrationKW
 	}
-	if len(d.scales) > 0 {
-		next.GreenScale = make(map[string]float64, len(d.scales))
-		for k, v := range d.scales {
-			next.GreenScale[k] = v
-		}
-	} else {
-		next.GreenScale = nil
-	}
-	return next
 }
 
-// replayLog reconstructs runner state from a snapshot's move log: each
-// recorded schedule is re-executed without planning.  The runner must be
-// freshly Started.
-func (d *Daemon) replayLog(log [][]moveRec) error {
-	for i, recs := range log {
-		moves := make([]sched.Migration, len(recs))
-		for j, rec := range recs {
-			machine, ok := d.vmByID[rec.VM]
-			if !ok {
-				return fmt.Errorf("plan: snapshot tick %d references unknown VM %q", i, rec.VM)
+// scaleMap is the serving form of the scales in effect: datacenters off
+// scale 1, or nil.
+func (d *Daemon) scaleMap() map[string]float64 {
+	var m map[string]float64
+	for i, s := range d.scale {
+		if s != 1 {
+			if m == nil {
+				m = make(map[string]float64)
 			}
-			moves[j] = sched.Migration{VM: machine, From: rec.From, To: rec.To}
-		}
-		if _, err := d.runner.Replay(moves); err != nil {
-			return fmt.Errorf("plan: snapshot replay tick %d: %w", i, err)
+			m[d.names[i]] = s
 		}
 	}
-	return nil
+	return m
 }
 
 func copyView(v PlanView) PlanView {

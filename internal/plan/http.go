@@ -15,7 +15,8 @@ import (
 //	                returns a WhatIfResponse
 //	GET  /healthz — liveness: "ok\n" while the daemon accepts work
 //
-// All bodies and responses are JSON.  The handler is safe for concurrent
+// All bodies and responses are JSON; request bodies are capped at
+// maxBodyBytes (413 beyond it).  The handler is safe for concurrent
 // use; /plan and /whatif never wait on an in-flight solve.
 func (d *Daemon) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -70,12 +71,22 @@ func (d *Daemon) Handler() http.Handler {
 	return mux
 }
 
-// readJSON decodes a request body, answering 400 on malformed input.
+// maxBodyBytes bounds a /tick or /whatif request body.  Real bodies are a
+// few hundred bytes (a scale per datacenter, a candidate list); the cap
+// keeps one client from making the daemon buffer an unbounded stream.
+const maxBodyBytes = 1 << 20
+
+// readJSON decodes a request body of at most maxBodyBytes, answering 413
+// when it is larger and 400 on malformed input.
 func readJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		status := http.StatusBadRequest
+		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, status, map[string]string{"error": err.Error()})
 		return false
 	}
 	return true

@@ -99,6 +99,41 @@ func TestHTTPRoundTrip(t *testing.T) {
 	}
 }
 
+// TestHTTPOversizedBody: a /tick or /whatif body past maxBodyBytes is
+// refused with 413 and the JSON error body, and the daemon state is
+// untouched.
+func TestHTTPOversizedBody(t *testing.T) {
+	d, err := New(Config{Trace: testSpec()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(d.Handler())
+	defer srv.Close()
+
+	// A valid request padded with whitespace past the cap, so only the
+	// size can be at fault.
+	big := append([]byte(`{"green_scale":{}`), bytes.Repeat([]byte(" "), maxBodyBytes)...)
+	big = append(big, '}')
+	for _, path := range []string{"/tick", "/whatif"} {
+		resp, err := srv.Client().Post(srv.URL+path, "application/json", bytes.NewReader(big))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body map[string]string
+		decodeErr := json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: status %d, want 413", path, resp.StatusCode)
+		}
+		if decodeErr != nil || body["error"] == "" {
+			t.Fatalf("%s: 413 without a JSON error body (%v): %v", path, decodeErr, body)
+		}
+	}
+	if v := d.PlanView(); v.Tick != 0 {
+		t.Fatalf("oversized tick advanced the daemon to tick %d", v.Tick)
+	}
+}
+
 // TestWhatIfSessions pins session semantics: per-session evaluators answer
 // deterministically, a session survives across queries, close works, and the
 // spec knobs apply at session creation.

@@ -7,7 +7,7 @@
 // serves the current plan over a small HTTP/JSON API.
 //
 // See doc.go at the repository root ("# Serving") for the architecture,
-// the snapshot format and the warm-resume contract.
+// the tick journal and the warm-resume contract.
 package plan
 
 import (
@@ -84,8 +84,8 @@ func (ts TraceSpec) withDefaults() TraceSpec {
 }
 
 // Digest is a stable identity for the spec (defaults applied), stored in
-// snapshots so a daemon never resumes state recorded under a different
-// trace.
+// the tick journal's header so a daemon never resumes state recorded under
+// a different trace.
 func (ts TraceSpec) Digest() string {
 	ts = ts.withDefaults()
 	h := fnv.New64a()

@@ -284,8 +284,13 @@ func (s *Scheduler) Partition(dcs []DatacenterState, totalLoadKW float64) (*Plan
 // ~30% SchedulerComputeTime regression, so the row stayed.)
 func (s *Scheduler) buildPartitionLP(n, horizon int) error {
 	prob := lp.NewProblem(lp.Minimize)
+	if s.lpProb != nil {
+		// A basis of the previous shape is meaningless here.  On the first
+		// build the basis is kept: it was installed by SetWarmBasis (a
+		// restarted planner resuming warm), not carried from another shape.
+		s.basis = nil
+	}
 	s.lpProb, s.lpN, s.lpHorizon = nil, 0, 0
-	s.basis = nil
 	s.loadV = makeVarGrid(n, horizon)
 	s.migV = makeVarGrid(n, horizon)
 	s.brownV = makeVarGrid(n, horizon)

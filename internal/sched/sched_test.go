@@ -3,6 +3,7 @@ package sched
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"greencloud/internal/lp"
@@ -123,6 +124,43 @@ func TestPartitionWarmResolveMatchesFresh(t *testing.T) {
 				t.Fatalf("plan[%d][%d]: warm %v, cold %v", d, h, warm.LoadKW[d][h], cold.LoadKW[d][h])
 			}
 		}
+	}
+}
+
+// TestPartitionInstalledBasisSurvivesFirstBuild pins the restart path: a
+// fresh scheduler given a carried basis through SetWarmBasis before its
+// first round (a planner resuming from persisted state) solves that round
+// warm from it — bit-identical to the scheduler that carried the basis —
+// instead of the first LP build discarding it.
+func TestPartitionInstalledBasisSurvivesFirstBuild(t *testing.T) {
+	opts := Options{HorizonHours: 24, MigrationFraction: 0.1}
+	round2 := threeDCs(24)
+	round2[0].CurrentLoadKW = 80
+	round2[1].CurrentLoadKW = 190
+
+	carried := New(opts)
+	if _, err := carried.Partition(threeDCs(24), 270); err != nil {
+		t.Fatal(err)
+	}
+	basis := carried.WarmBasis()
+	want, err := carried.Partition(round2, 250)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	resumed := New(opts)
+	resumed.SetWarmBasis(basis)
+	got, err := resumed.Partition(round2, 250)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws, gs := want.LPStats, got.LPStats
+	ws.PresolveNanos, gs.PresolveNanos = 0, 0
+	if gs != ws {
+		t.Fatalf("resumed round did different LP work: %+v, carried %+v", gs, ws)
+	}
+	if got.BrownKWh != want.BrownKWh || !reflect.DeepEqual(got.LoadKW, want.LoadKW) {
+		t.Fatal("resumed round planned differently from the carried one")
 	}
 }
 
