@@ -1,7 +1,8 @@
 # CI entry points.  `make ci` is what a pipeline should run: static vetting,
 # a full build, the test suite under the race detector (the annealing chains
-# and the sweep engine are concurrent), and a one-shot benchmark smoke that
-# fails loudly if the zero-allocation evaluator or an experiment regresses.
+# and the sweep engine are concurrent), every example run end to end, and a
+# one-shot benchmark smoke that fails loudly if the zero-allocation evaluator
+# or an experiment regresses.
 
 GO ?= go
 
@@ -11,9 +12,9 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-.PHONY: ci vet lint fmt-check build test test-daemon test-mps test-faults fuzz-smoke cover bench-smoke bench-check bench profile
+.PHONY: ci vet lint fmt-check build test test-daemon test-mps test-faults fuzz-smoke examples cover bench-smoke bench-check bench profile
 
-ci: vet build test test-mps test-faults fuzz-smoke bench-smoke
+ci: vet build test test-mps test-faults fuzz-smoke examples bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -96,6 +97,15 @@ FUZZ_FLAGS = -run '^$$' -fuzztime 5s -fuzzminimizetime 1s -parallel 2
 fuzz-smoke:
 	$(GO) test $(FUZZ_FLAGS) -fuzz '^FuzzJournalResume$$' ./internal/plan/
 	$(GO) test $(FUZZ_FLAGS) -fuzz '^FuzzDecodeBasis$$' ./internal/lp/
+
+# Run every program under examples/ end to end (each takes about a second);
+# a non-zero exit from any of them fails the target.  `go build` only proves
+# they compile, and their narratives call the library the way a user would.
+examples:
+	@for e in examples/*/; do \
+		echo "go run ./$$e"; \
+		$(GO) run ./$$e >/dev/null || exit 1; \
+	done
 
 # Coverage run: go test prints the per-package totals, the merged profile
 # lands in coverage.out (uploaded as a build artifact by the CI workflow),

@@ -379,10 +379,9 @@ func BenchmarkPlannerTickJournal(b *testing.B) {
 }
 
 // BenchmarkEmulScale measures the emulation at production scale — 2000 VMs
-// across 4 datacenters for 12 hours — which the payload-plane GDFS could not
-// touch (2000 VMs × 64 MiB of blocks would be 128 GiB of live byte slices);
-// on the metadata plane a replica is three scalars and the whole run
-// completes in seconds.
+// across 4 datacenters for 12 hours.  GDFS tracks each replica as three
+// scalars rather than its bytes (2000 VMs × 64 MiB of blocks would be
+// 128 GiB of live byte slices), so the whole run completes in seconds.
 func BenchmarkEmulScale(b *testing.B) {
 	r, err := emul.NewRunner(emulBenchConfig(b, 4, 2000, 12))
 	if err != nil {

@@ -157,22 +157,17 @@
 // migrates VMs over the emulated WAN and dirties each VM's disk blocks into
 // GDFS.  Two designs keep it at production scale:
 //
-//   - GDFS carries two interchangeable data planes.  The payload plane
-//     (gdfs.Worker) stores real block bytes — rpc/TCP serving runs on it,
-//     its buffers are pooled and created-but-unwritten blocks stay lazy
-//     zero pages.  The metadata plane (gdfs.MetaWorker) stores a replica as
-//     three scalars {version, length, digest}: writes bump versions,
-//     replication copies metadata, byte counters (BytesStored,
-//     pending-migration bytes, staleness, re-replication plans) are
-//     arithmetic.  The contract is that every externally visible counter is
-//     byte-for-byte identical across planes — same digest if and only if
-//     same content, same replica sets, same re-replication task lists —
-//     pinned by a randomized differential test that drives both planes
-//     through identical op schedules (internal/gdfs/meta_test.go).  The one
-//     deliberate gap: MetaWorker.ReadBlock returns gdfs.ErrMetadataOnly, so
-//     a cluster must be plane-homogeneous.  The emulation runs the metadata
-//     plane by default (emul.Config.DataPlane), which removes gigabytes of
-//     live block slices from a large fleet's working set.
+//   - GDFS keeps one store, the metadata plane (gdfs.MetaWorker): a
+//     replica is three scalars {version, length, digest}.  Writes bump
+//     versions, replication copies the record, and the byte counters
+//     (BytesStored, pending-migration bytes, staleness, re-replication
+//     plans) are arithmetic, so a large fleet holds no block bytes at all.
+//     The contract is that every externally visible counter equals that of
+//     a store holding real payload bytes — same digest if and only if same
+//     content, same replica sets, same re-replication task lists — pinned
+//     by a randomized differential test that drives MetaWorker and a
+//     test-only payload reference through identical op schedules
+//     (internal/gdfs/meta_test.go, payload_ref_test.go).
 //   - emul.Runner owns every per-run and per-hour buffer: green/PUE traces
 //     and forecast windows live in series.Blocks, predictors fill
 //     caller-provided slices (predict.Predictor.PredictInto), fleets are

@@ -83,12 +83,6 @@ type Config struct {
 	// Predictor selects the green-energy predictor ("perfect",
 	// "persistence" or "diurnal"; default "perfect", as in the paper).
 	Predictor string
-	// DataPlane selects the GDFS block-store backing the emulated disks:
-	// "" or "meta" is the metadata plane (a replica is {version, length,
-	// digest} scalars, no payload bytes ever materialize); "payload"
-	// stores real buffers, exercising the same store the rpc/TCP path
-	// uses.  Both planes produce bit-identical emulation results.
-	DataPlane string
 	// Parallelism caps the migration-execution pipeline's worker
 	// goroutines (0 = GOMAXPROCS, 1 = sequential).  Results are
 	// bit-identical at any setting: moves are sharded per destination and
@@ -279,11 +273,6 @@ func NewRunner(cfg Config) (*Runner, error) {
 	if cfg.Link.BandwidthMbps == 0 {
 		cfg.Link = wan.DefaultLink
 	}
-	switch cfg.DataPlane {
-	case "", "meta", "payload":
-	default:
-		return nil, fmt.Errorf("emul: unknown data plane %q", cfg.DataPlane)
-	}
 
 	n := len(cfg.Datacenters)
 	r := &Runner{cfg: cfg}
@@ -429,13 +418,7 @@ func (r *Runner) reset() error {
 			hosts = len(cfg.VMs) // enough for full replication of the fleet
 		}
 		r.managers[i] = nebula.NewUniformDatacenter(dc.Name, hosts)
-		var store gdfs.BlockStore
-		if cfg.DataPlane == "payload" {
-			store = gdfs.NewWorker(gdfs.WorkerID(dc.Name))
-		} else {
-			store = gdfs.NewMetaWorker(gdfs.WorkerID(dc.Name))
-		}
-		if err := r.cluster.AddWorker(store, dc.Name); err != nil {
+		if err := r.cluster.AddWorker(gdfs.NewMetaWorker(gdfs.WorkerID(dc.Name)), dc.Name); err != nil {
 			return err
 		}
 		client, err := r.cluster.NewClient(gdfs.WorkerID(dc.Name))

@@ -35,27 +35,6 @@ func sameResult(t *testing.T, label string, a, b *Result) {
 	}
 }
 
-// TestDataPlaneEquivalence pins the tentpole contract: the metadata plane
-// and the payload plane produce bit-identical emulation results — same
-// migrations, same migrated bytes, same energy, same trace.
-func TestDataPlaneEquivalence(t *testing.T) {
-	cfg := testConfig(t, 24)
-	cfg.DataPlane = "payload"
-	payload, err := Run(cfg)
-	if err != nil {
-		t.Fatalf("payload plane: %v", err)
-	}
-	cfg.DataPlane = "meta"
-	meta, err := Run(cfg)
-	if err != nil {
-		t.Fatalf("meta plane: %v", err)
-	}
-	if payload.Migrations == 0 {
-		t.Fatal("test config produced no migrations; equivalence is vacuous")
-	}
-	sameResult(t, "payload vs meta", payload, meta)
-}
-
 // TestParallelPipelineMatchesSequential pins the migration-execution
 // pipeline's determinism: per-destination sharding with an ordered merge
 // must make any parallelism level bit-identical to sequential execution.
@@ -95,12 +74,4 @@ func TestRunnerReuseAcrossRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameResult(t, "first vs second run", first, second)
-}
-
-func TestUnknownDataPlane(t *testing.T) {
-	cfg := testConfig(t, 2)
-	cfg.DataPlane = "quantum"
-	if _, err := Run(cfg); err == nil {
-		t.Error("unknown data plane should error")
-	}
 }

@@ -893,16 +893,11 @@ func (s *Suite) runEmulation(sol *core.Solution, hours int) (*emul.Result, error
 		})
 	}
 	return emul.Run(emul.Config{
-		Datacenters:  dcs,
-		VMs:          fleet,
-		StartHour:    24 * 172, // an arbitrary mid-year day
-		Hours:        hours,
-		HorizonHours: 24,
-		// The metadata plane tracks every replica as {version, length,
-		// digest} scalars — byte-for-byte equivalent counters to the
-		// payload plane (pinned by internal/gdfs's differential tests)
-		// without materializing gigabytes of block data per figure.
-		DataPlane:         "meta",
+		Datacenters:       dcs,
+		VMs:               fleet,
+		StartHour:         24 * 172, // an arbitrary mid-year day
+		Hours:             hours,
+		HorizonHours:      24,
 		MigrationFraction: 1,
 		Link:              wan.Link{BandwidthMbps: 100, LatencyMs: 90},
 	})

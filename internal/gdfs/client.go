@@ -1,34 +1,40 @@
 package gdfs
 
 import (
-	"errors"
 	"fmt"
 	"sync"
-	"time"
 )
 
-// Cluster bundles a master with the set of workers so clients and the
-// background re-replicator can reach every block store.  The stores may be
-// local (in-memory) or remote (rpc wrappers); the cluster does not care.
+// BlockStore is a worker's replica store, reduced to the operations the
+// cluster and its clients perform.  MetaWorker is the implementation; the
+// interface exists so the differential tests can plug a payload reference
+// store into the same Cluster code.
+type BlockStore interface {
+	// ID returns the worker's identity.
+	ID() WorkerID
+	// CreateBlock registers a freshly created all-zero block.
+	CreateBlock(id BlockID, size int64) error
+	// DirtyBlock records a whole-block overwrite of the given size.
+	DirtyBlock(id BlockID, size int64) error
+	// CopyBlock installs src's replica of the block (re-replication).
+	// src is a store of the same kind: a cluster is homogeneous.
+	CopyBlock(id BlockID, src BlockStore) error
+	// BytesStored returns the total bytes held.
+	BytesStored() int64
+}
+
+// Cluster bundles a master with the set of workers so clients and
+// re-replication can reach every block store.
 type Cluster struct {
 	master *Master
 
 	mu     sync.RWMutex
 	stores map[WorkerID]BlockStore
-
-	stopOnce sync.Once
-	stop     chan struct{}
-	done     chan struct{}
 }
 
 // NewCluster returns a cluster around the given master.
 func NewCluster(master *Master) *Cluster {
-	return &Cluster{
-		master: master,
-		stores: make(map[WorkerID]BlockStore),
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
-	}
+	return &Cluster{master: master, stores: make(map[WorkerID]BlockStore)}
 }
 
 // Master exposes the cluster's master.
@@ -56,38 +62,6 @@ func (c *Cluster) store(id WorkerID) (BlockStore, error) {
 	return s, nil
 }
 
-// StartReplicator launches the background re-replication loop, which
-// periodically asks the master for under-replicated blocks and copies them.
-// Stop it with StopReplicator.
-func (c *Cluster) StartReplicator(interval time.Duration) {
-	if interval <= 0 {
-		interval = 100 * time.Millisecond
-	}
-	go func() {
-		defer close(c.done)
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-ticker.C:
-				c.ReplicateOnce()
-			case <-c.stop:
-				return
-			}
-		}
-	}()
-}
-
-// StopReplicator stops the background loop and waits for it to exit.  It is
-// safe to call even if StartReplicator was never called.
-func (c *Cluster) StopReplicator() {
-	c.stopOnce.Do(func() { close(c.stop) })
-	select {
-	case <-c.done:
-	case <-time.After(2 * time.Second):
-	}
-}
-
 // ReplicateOnce performs one round of re-replication synchronously and
 // returns the number of blocks copied.
 func (c *Cluster) ReplicateOnce() int {
@@ -103,10 +77,6 @@ func (c *Cluster) ReplicateOnce() int {
 }
 
 // copyBlock copies one block between workers and commits the new replica.
-// It takes the cheapest path the two stores support: metadata-to-metadata
-// replication moves a BlockMeta record and no bytes; a borrowable source
-// lends its buffer to the destination's WriteBlock (one copy instead of
-// two); otherwise it falls back to ReadBlock+WriteBlock.
 func (c *Cluster) copyBlock(id BlockID, from, to WorkerID) error {
 	src, err := c.store(from)
 	if err != nil {
@@ -116,48 +86,18 @@ func (c *Cluster) copyBlock(id BlockID, from, to WorkerID) error {
 	if err != nil {
 		return err
 	}
-	if msrc, ok := src.(metaSource); ok {
-		if msink, ok := dst.(metaSink); ok {
-			m, ok := msrc.BlockMeta(id)
-			if !ok {
-				return fmt.Errorf("%w: block %d on worker %s", ErrBlockNotFound, id, from)
-			}
-			if err := msink.PutBlockMeta(id, m); err != nil {
-				return err
-			}
-			return c.master.CommitReplica(id, to)
-		}
-	}
-	if bsrc, ok := src.(borrowReader); ok {
-		if err := bsrc.borrowBlock(id, func(data []byte) error {
-			return dst.WriteBlock(id, data)
-		}); err != nil {
-			return err
-		}
-		return c.master.CommitReplica(id, to)
-	}
-	data, err := src.ReadBlock(id)
-	if err != nil {
-		return err
-	}
-	if err := dst.WriteBlock(id, data); err != nil {
+	if err := dst.CopyBlock(id, src); err != nil {
 		return err
 	}
 	return c.master.CommitReplica(id, to)
 }
 
 // Client is a GDFS client bound to one datacenter: writes go to the local
-// worker first, reads prefer the local replica.
-//
-// A Client is safe for concurrent use except DirtyBlock, whose reusable
-// zero buffer makes it single-goroutine (one client per emulation
-// datacenter, dirty writes issued from the hour loop).
+// worker and invalidate the remote replicas.  A Client is safe for
+// concurrent use.
 type Client struct {
 	cluster *Cluster
 	local   WorkerID
-	// zero is the reusable all-zero buffer DirtyBlock writes through
-	// payload stores, allocated once per client instead of per block.
-	zero []byte
 }
 
 // NewClient returns a client whose local worker is the given one.
@@ -169,9 +109,7 @@ func (c *Cluster) NewClient(local WorkerID) (*Client, error) {
 }
 
 // Create adds a file of the given size filled with zeroes, with its primary
-// replicas on the client's local worker.  Stores that support metadata
-// registration (all in-process stores) make this O(blocks), not O(bytes);
-// remote stores fall back to writing pooled zero buffers.
+// replicas on the client's local worker.
 func (cl *Client) Create(path string, size int64) (*FileInfo, error) {
 	fi, err := cl.cluster.master.Create(path, size, cl.local)
 	if err != nil {
@@ -181,36 +119,20 @@ func (cl *Client) Create(path string, size int64) (*FileInfo, error) {
 	if err != nil {
 		return nil, err
 	}
-	if bc, ok := store.(blockCreator); ok {
-		for i, id := range fi.Blocks {
-			if err := bc.CreateBlock(id, fi.BlockSizeAt(i)); err != nil {
-				return nil, err
-			}
-		}
-		return fi, nil
-	}
 	for i, id := range fi.Blocks {
-		if err := store.WriteBlock(id, cl.zeroBuf(fi.BlockSizeAt(i))); err != nil {
+		if err := store.CreateBlock(id, fi.BlockSizeAt(i)); err != nil {
 			return nil, err
 		}
 	}
 	return fi, nil
 }
 
-// zeroBuf returns an all-zero buffer of length n, reused across calls.
-func (cl *Client) zeroBuf(n int64) []byte {
-	if int64(len(cl.zero)) < n {
-		cl.zero = make([]byte, n)
-	}
-	return cl.zero[:n]
-}
-
 // DirtyBlock overwrites one whole block of a file at the local datacenter
-// through the write-invalidate protocol without the caller materializing
-// payload bytes: metadata-plane stores record a version bump, payload
-// stores receive the client's reusable zero buffer.  fi must come from
-// Create or Stat; the write always covers the whole block, so no remote
-// fetch is ever needed.  This is the emulation's dirty-write hot path.
+// through the write-invalidate protocol: the local replica records the
+// write, then the master invalidates every other replica.  fi must come
+// from Create or Stat; the write always covers the whole block, so no
+// remote fetch is ever needed.  This is the emulation's dirty-write hot
+// path.
 func (cl *Client) DirtyBlock(fi *FileInfo, index int) error {
 	if index < 0 || index >= len(fi.Blocks) {
 		return fmt.Errorf("gdfs: block index %d out of range for %s", index, fi.Path)
@@ -220,119 +142,10 @@ func (cl *Client) DirtyBlock(fi *FileInfo, index int) error {
 	if err != nil {
 		return err
 	}
-	size := fi.BlockSizeAt(index)
-	if bd, ok := store.(blockDirtier); ok {
-		if err := bd.DirtyBlock(id, size); err != nil {
-			return err
-		}
-	} else if err := store.WriteBlock(id, cl.zeroBuf(size)); err != nil {
+	if err := store.DirtyBlock(id, fi.BlockSizeAt(index)); err != nil {
 		return err
 	}
 	return cl.cluster.master.CommitWrite(id, cl.local)
-}
-
-// WriteBlock overwrites one block of a file through the write-invalidate
-// protocol: write locally, then invalidate remote replicas at the master.
-// If the local worker has no valid replica and the write does not cover the
-// whole block, the client first fetches a copy from another datacenter, as
-// described in the paper.
-func (cl *Client) WriteBlock(path string, index int, data []byte) error {
-	fi, err := cl.cluster.master.Stat(path)
-	if err != nil {
-		return err
-	}
-	if index < 0 || index >= len(fi.Blocks) {
-		return fmt.Errorf("gdfs: block index %d out of range for %s", index, path)
-	}
-	id := fi.Blocks[index]
-	store, err := cl.cluster.store(cl.local)
-	if err != nil {
-		return err
-	}
-
-	loc, err := cl.cluster.master.BlockLocations(id)
-	if err != nil {
-		return err
-	}
-	localValid := containsWorker(loc.Valid, cl.local)
-	partial := int64(len(data)) < loc.Size
-	if !localValid && partial {
-		if err := cl.fetchBlock(id, loc); err != nil {
-			return err
-		}
-	}
-
-	// Merge a partial write over the existing local content.
-	var buf []byte
-	if partial && store.HasBlock(id) {
-		existing, err := store.ReadBlock(id)
-		if err != nil {
-			return err
-		}
-		buf = existing
-		copy(buf, data)
-	} else {
-		buf = data
-	}
-	if err := store.WriteBlock(id, buf); err != nil {
-		return err
-	}
-	return cl.cluster.master.CommitWrite(id, cl.local)
-}
-
-// ReadBlock reads one block of a file, preferring the local replica and
-// falling back to any valid remote replica.
-func (cl *Client) ReadBlock(path string, index int) ([]byte, error) {
-	fi, err := cl.cluster.master.Stat(path)
-	if err != nil {
-		return nil, err
-	}
-	if index < 0 || index >= len(fi.Blocks) {
-		return nil, fmt.Errorf("gdfs: block index %d out of range for %s", index, path)
-	}
-	id := fi.Blocks[index]
-	loc, err := cl.cluster.master.BlockLocations(id)
-	if err != nil {
-		return nil, err
-	}
-	if containsWorker(loc.Valid, cl.local) {
-		store, err := cl.cluster.store(cl.local)
-		if err != nil {
-			return nil, err
-		}
-		return store.ReadBlock(id)
-	}
-	for _, w := range loc.Valid {
-		store, err := cl.cluster.store(w)
-		if err != nil {
-			continue
-		}
-		data, err := store.ReadBlock(id)
-		if err == nil {
-			return data, nil
-		}
-	}
-	return nil, fmt.Errorf("%w: block %d of %s", ErrNoValidReplica, id, path)
-}
-
-// fetchBlock pulls a valid replica of a block to the local worker and
-// registers it with the master.
-func (cl *Client) fetchBlock(id BlockID, loc *BlockInfo) error {
-	if len(loc.Valid) == 0 {
-		return fmt.Errorf("%w: block %d", ErrNoValidReplica, id)
-	}
-	var lastErr error
-	for _, w := range loc.Valid {
-		if err := cl.cluster.copyBlock(id, w, cl.local); err != nil {
-			lastErr = err
-			continue
-		}
-		return nil
-	}
-	if lastErr == nil {
-		lastErr = errors.New("gdfs: fetch failed")
-	}
-	return lastErr
 }
 
 // PendingMigrationBytes returns how many bytes of the file would have to be
@@ -340,13 +153,4 @@ func (cl *Client) fetchBlock(id BlockID, loc *BlockInfo) error {
 // whose replica there is stale or missing).
 func (cl *Client) PendingMigrationBytes(path string, dest WorkerID) (int64, error) {
 	return cl.cluster.master.StaleBytesOn(path, dest)
-}
-
-func containsWorker(list []WorkerID, id WorkerID) bool {
-	for _, w := range list {
-		if w == id {
-			return true
-		}
-	}
-	return false
 }

@@ -38,7 +38,6 @@ var (
 	ErrFileNotFound   = errors.New("gdfs: file not found")
 	ErrBlockNotFound  = errors.New("gdfs: block not found")
 	ErrWorkerNotFound = errors.New("gdfs: worker not registered")
-	ErrNoValidReplica = errors.New("gdfs: no valid replica available")
 	ErrClosed         = errors.New("gdfs: master is closed")
 )
 

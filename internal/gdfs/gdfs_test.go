@@ -1,18 +1,16 @@
 package gdfs
 
 import (
-	"bytes"
 	"errors"
 	"testing"
-	"time"
 )
 
 // newTestCluster builds a 3-datacenter in-memory cluster.
-func newTestCluster(t *testing.T) (*Cluster, []*Worker) {
+func newTestCluster(t *testing.T) (*Cluster, []*MetaWorker) {
 	t.Helper()
 	master := NewMaster(2)
 	cluster := NewCluster(master)
-	workers := []*Worker{NewWorker("dc-a"), NewWorker("dc-b"), NewWorker("dc-c")}
+	workers := []*MetaWorker{NewMetaWorker("dc-a"), NewMetaWorker("dc-b"), NewMetaWorker("dc-c")}
 	for _, w := range workers {
 		if err := cluster.AddWorker(w, string(w.ID())); err != nil {
 			t.Fatalf("AddWorker(%s): %v", w.ID(), err)
@@ -81,7 +79,7 @@ func TestMasterClosed(t *testing.T) {
 }
 
 func TestWriteInvalidatesRemoteReplicas(t *testing.T) {
-	cluster, _ := newTestCluster(t)
+	cluster, workers := newTestCluster(t)
 	clientA, err := cluster.NewClient("dc-a")
 	if err != nil {
 		t.Fatal(err)
@@ -107,9 +105,8 @@ func TestWriteInvalidatesRemoteReplicas(t *testing.T) {
 	}
 
 	// A write from dc-a invalidates the copy on the other datacenter.
-	payload := bytes.Repeat([]byte{0xAB}, int(fi.BlockSize))
-	if err := clientA.WriteBlock("/vm/disk", 0, payload); err != nil {
-		t.Fatalf("WriteBlock: %v", err)
+	if err := clientA.DirtyBlock(fi, 0); err != nil {
+		t.Fatalf("DirtyBlock: %v", err)
 	}
 	loc, err = cluster.Master().BlockLocations(fi.Blocks[0])
 	if err != nil {
@@ -122,18 +119,11 @@ func TestWriteInvalidatesRemoteReplicas(t *testing.T) {
 		t.Errorf("after write: stale replicas = %v, want the old copy", loc.Stale)
 	}
 
-	// Reads from a remote datacenter still see the new data via the valid
-	// replica.
-	clientB, err := cluster.NewClient("dc-b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := clientB.ReadBlock("/vm/disk", 0)
-	if err != nil {
-		t.Fatalf("remote ReadBlock: %v", err)
-	}
-	if !bytes.Equal(data, payload) {
-		t.Error("remote read returned stale data")
+	// The stale copy still holds the old version.
+	a, _ := workers[0].BlockMeta(fi.Blocks[0])
+	b, _ := workers[1].BlockMeta(fi.Blocks[0])
+	if a == b || a.Version != b.Version+1 {
+		t.Errorf("after write: dc-a %+v, dc-b %+v, want dc-b one version behind", a, b)
 	}
 
 	// Background re-replication repairs the stale copy.
@@ -144,43 +134,8 @@ func TestWriteInvalidatesRemoteReplicas(t *testing.T) {
 	if len(loc.Valid) != 2 {
 		t.Errorf("after re-replication: %d valid replicas, want 2", len(loc.Valid))
 	}
-}
-
-func TestPartialWriteFetchesBlockFirst(t *testing.T) {
-	cluster, workers := newTestCluster(t)
-	clientA, _ := cluster.NewClient("dc-a")
-	fi, err := clientA.Create("/vm/mem", 4<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Fill the block with a known pattern from dc-a.
-	full := bytes.Repeat([]byte{0x11}, int(fi.BlockSize))
-	if err := clientA.WriteBlock("/vm/mem", 0, full); err != nil {
-		t.Fatal(err)
-	}
-	// A partial write from dc-b must first fetch the valid copy, then merge.
-	clientB, _ := cluster.NewClient("dc-b")
-	patch := bytes.Repeat([]byte{0x22}, 1024)
-	if err := clientB.WriteBlock("/vm/mem", 0, patch); err != nil {
-		t.Fatalf("partial remote write: %v", err)
-	}
-	if !workers[1].HasBlock(fi.Blocks[0]) {
-		t.Fatal("dc-b should hold the block after its write")
-	}
-	data, err := clientB.ReadBlock("/vm/mem", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(data[:1024], patch) {
-		t.Error("patched bytes missing")
-	}
-	if data[2048] != 0x11 {
-		t.Error("partial write clobbered the rest of the block")
-	}
-	// dc-a's copy is now stale; only dc-b is valid.
-	loc, _ := cluster.Master().BlockLocations(fi.Blocks[0])
-	if len(loc.Valid) != 1 || loc.Valid[0] != "dc-b" {
-		t.Errorf("valid replicas = %v, want only dc-b", loc.Valid)
+	if b, _ = workers[1].BlockMeta(fi.Blocks[0]); a != b {
+		t.Errorf("after re-replication: dc-b %+v, want dc-a's %+v", b, a)
 	}
 }
 
@@ -206,7 +161,7 @@ func TestStaleBlocksDriveMigrationCost(t *testing.T) {
 		t.Errorf("pending to dc-c = %d, want full size %d", pending, fi.Size)
 	}
 	// Dirty one block; only that block is pending for dc-b.
-	if err := clientA.WriteBlock("/vm/disk", 1, bytes.Repeat([]byte{1}, int(fi.BlockSize))); err != nil {
+	if err := clientA.DirtyBlock(fi, 1); err != nil {
 		t.Fatal(err)
 	}
 	pending, _ = clientA.PendingMigrationBytes("/vm/disk", "dc-b")
@@ -215,142 +170,6 @@ func TestStaleBlocksDriveMigrationCost(t *testing.T) {
 	}
 	if _, _, err := cluster.Master().StaleBlocksOn("/missing", "dc-a"); !errors.Is(err, ErrFileNotFound) {
 		t.Errorf("want ErrFileNotFound, got %v", err)
-	}
-}
-
-func TestBackgroundReplicatorLoop(t *testing.T) {
-	cluster, _ := newTestCluster(t)
-	clientA, _ := cluster.NewClient("dc-a")
-	fi, err := clientA.Create("/vm/img", 4<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cluster.StartReplicator(5 * time.Millisecond)
-	defer cluster.StopReplicator()
-
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		loc, err := cluster.Master().BlockLocations(fi.Blocks[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(loc.Valid) >= 2 {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatal("background replicator did not reach the target replication factor in time")
-}
-
-func TestWorkerStore(t *testing.T) {
-	w := NewWorker("w1")
-	if w.ID() != "w1" {
-		t.Errorf("ID = %s", w.ID())
-	}
-	if _, err := w.ReadBlock(7); !errors.Is(err, ErrBlockNotFound) {
-		t.Errorf("want ErrBlockNotFound, got %v", err)
-	}
-	data := []byte{1, 2, 3}
-	if err := w.WriteBlock(7, data); err != nil {
-		t.Fatal(err)
-	}
-	data[0] = 99 // the store must have copied
-	got, err := w.ReadBlock(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != 1 {
-		t.Error("WriteBlock did not copy its input")
-	}
-	got[1] = 88
-	again, _ := w.ReadBlock(7)
-	if again[1] != 2 {
-		t.Error("ReadBlock did not copy its output")
-	}
-	if !w.HasBlock(7) || w.HasBlock(8) {
-		t.Error("HasBlock wrong")
-	}
-	if w.BytesStored() != 3 {
-		t.Errorf("BytesStored = %d", w.BytesStored())
-	}
-	if err := w.DeleteBlock(7); err != nil {
-		t.Fatal(err)
-	}
-	if w.HasBlock(7) {
-		t.Error("block still present after delete")
-	}
-}
-
-func TestRPCWorkerOverTCP(t *testing.T) {
-	// A cluster where one of the workers is reached over a real TCP socket.
-	master := NewMaster(2)
-	cluster := NewCluster(master)
-	local := NewWorker("dc-local")
-	if err := cluster.AddWorker(local, "local"); err != nil {
-		t.Fatal(err)
-	}
-
-	backend := NewWorker("dc-remote")
-	server, err := ServeWorker(backend, "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("ServeWorker: %v", err)
-	}
-	defer server.Close()
-
-	remote, err := DialWorker(server.Addr())
-	if err != nil {
-		t.Fatalf("DialWorker: %v", err)
-	}
-	defer remote.Close()
-	if remote.ID() != "dc-remote" {
-		t.Fatalf("remote ID = %s", remote.ID())
-	}
-	if err := cluster.AddWorker(remote, "remote"); err != nil {
-		t.Fatal(err)
-	}
-
-	client, err := cluster.NewClient("dc-local")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fi, err := client.Create("/over/tcp", 4<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := bytes.Repeat([]byte{0x42}, int(fi.BlockSize))
-	if err := client.WriteBlock("/over/tcp", 0, payload); err != nil {
-		t.Fatal(err)
-	}
-	// Replication copies the block across the socket to the remote worker.
-	if copied := cluster.ReplicateOnce(); copied == 0 {
-		t.Fatal("expected replication to the remote worker")
-	}
-	if !remote.HasBlock(fi.Blocks[0]) {
-		t.Fatal("remote worker does not hold the replica")
-	}
-	if remote.BytesStored() != fi.BlockSize {
-		t.Errorf("remote BytesStored = %d, want %d", remote.BytesStored(), fi.BlockSize)
-	}
-	// Reading from the remote side through a client local to it works too.
-	remoteClient, err := cluster.NewClient("dc-remote")
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := remoteClient.ReadBlock("/over/tcp", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(data, payload) {
-		t.Error("data read over TCP does not match")
-	}
-	if err := remote.DeleteBlock(fi.Blocks[0]); err != nil {
-		t.Errorf("DeleteBlock over RPC: %v", err)
-	}
-	if remote.HasBlock(fi.Blocks[0]) {
-		t.Error("block still present after remote delete")
-	}
-	if err := server.Close(); err != nil {
-		t.Errorf("second Close: %v", err)
 	}
 }
 
@@ -363,7 +182,7 @@ func TestUnderReplicatedPlanPrefersStaleHolders(t *testing.T) {
 	}
 	cluster.ReplicateOnce()
 	// Invalidate dc-b's copy by writing from dc-a.
-	if err := clientA.WriteBlock("/f", 0, bytes.Repeat([]byte{9}, int(fi.BlockSize))); err != nil {
+	if err := clientA.DirtyBlock(fi, 0); err != nil {
 		t.Fatal(err)
 	}
 	tasks := cluster.Master().UnderReplicated()

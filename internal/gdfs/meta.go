@@ -1,34 +1,27 @@
 package gdfs
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 )
 
-// ErrMetadataOnly is returned by MetaWorker.ReadBlock: the metadata plane
-// tracks what the paper measures (versions, lengths, staleness, transferred
-// bytes) and never holds payload bytes to serve.
-var ErrMetadataOnly = errors.New("gdfs: metadata-plane store holds no payload")
-
 // BlockMeta is a block replica reduced to scalars.  Two replicas hold the
 // same content iff their BlockMeta are equal: every mutation bumps Version,
-// and Digest is a deterministic function of the content (or, for synthetic
-// dirty writes, of the block identity and version).
+// and Digest is a deterministic function of the content — for a synthetic
+// dirty write, whose content is defined by the block identity and version,
+// a function of those two.
 type BlockMeta struct {
 	Version uint64
 	Length  int64
 	Digest  uint64
 }
 
-// MetaWorker is the metadata-plane BlockStore: a replica is a BlockMeta
-// record instead of a byte slice, and BytesStored is maintained
-// arithmetically.  It moves through the same master protocol (CommitWrite,
-// CommitReplica, UnderReplicated, StaleBlocksOn) as the payload Worker, so
-// every externally visible counter matches the payload plane byte for byte
-// — pinned by TestMetaPayloadEquivalence.  ReadBlock is the one deliberate
-// gap (ErrMetadataOnly): a metadata cluster must be homogeneous, since a
-// payload store cannot re-replicate from a metadata source.
+// MetaWorker is GDFS's block store: a replica is a BlockMeta record instead
+// of a byte slice, and BytesStored is maintained arithmetically.  Every
+// externally visible counter (BytesStored, replica sets, staleness,
+// re-replication plans, pending-migration bytes) matches a store of real
+// payload bytes driven through the same operations — pinned by
+// TestMetaPayloadEquivalence against a test-only payload reference.
 type MetaWorker struct {
 	id    WorkerID
 	mu    sync.RWMutex
@@ -36,13 +29,7 @@ type MetaWorker struct {
 	bytes int64
 }
 
-var (
-	_ BlockStore   = (*MetaWorker)(nil)
-	_ blockCreator = (*MetaWorker)(nil)
-	_ blockDirtier = (*MetaWorker)(nil)
-	_ metaSource   = (*MetaWorker)(nil)
-	_ metaSink     = (*MetaWorker)(nil)
-)
+var _ BlockStore = (*MetaWorker)(nil)
 
 // NewMetaWorker returns an empty metadata-plane worker.
 func NewMetaWorker(id WorkerID) *MetaWorker {
@@ -51,20 +38,6 @@ func NewMetaWorker(id WorkerID) *MetaWorker {
 
 // ID returns the worker's identity.
 func (w *MetaWorker) ID() WorkerID { return w.id }
-
-// digestBytes fingerprints payload content (FNV-1a) so a payload write
-// through the generic interface still lands with a content-derived digest.
-func digestBytes(data []byte) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, b := range data {
-		h = (h ^ uint64(b)) * prime64
-	}
-	return h
-}
 
 // dirtyDigest synthesizes the digest of a metadata-only whole-block
 // overwrite.  Replicas produced by copying this version carry the same
@@ -77,28 +50,21 @@ func dirtyDigest(id BlockID, version uint64) uint64 {
 }
 
 // zeroDigest is the digest of a never-written all-zero block of the given
-// size; it matches across planes only in being deterministic, which is all
-// the equivalence contract needs (digests are never compared across planes).
+// size.
 func zeroDigest(size int64) uint64 { return uint64(size) * 0xc2b2ae3d27d4eb4f }
 
-// WriteBlock records a payload write as metadata: version bump, new length,
-// content digest.
-func (w *MetaWorker) WriteBlock(id BlockID, data []byte) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	old := w.meta[id]
-	w.bytes += int64(len(data)) - old.Length
-	w.meta[id] = BlockMeta{Version: old.Version + 1, Length: int64(len(data)), Digest: digestBytes(data)}
-	return nil
+// put installs a replica record, accounting the bytes arithmetically.
+// The caller holds w.mu.
+func (w *MetaWorker) put(id BlockID, m BlockMeta) {
+	w.bytes += m.Length - w.meta[id].Length
+	w.meta[id] = m
 }
 
 // CreateBlock registers a fresh all-zero block of the given size.
 func (w *MetaWorker) CreateBlock(id BlockID, size int64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	old := w.meta[id]
-	w.bytes += size - old.Length
-	w.meta[id] = BlockMeta{Version: old.Version + 1, Length: size, Digest: zeroDigest(size)}
+	w.put(id, BlockMeta{Version: w.meta[id].Version + 1, Length: size, Digest: zeroDigest(size)})
 	return nil
 }
 
@@ -107,16 +73,26 @@ func (w *MetaWorker) CreateBlock(id BlockID, size int64) error {
 func (w *MetaWorker) DirtyBlock(id BlockID, size int64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	old := w.meta[id]
-	v := old.Version + 1
-	w.bytes += size - old.Length
-	w.meta[id] = BlockMeta{Version: v, Length: size, Digest: dirtyDigest(id, v)}
+	v := w.meta[id].Version + 1
+	w.put(id, BlockMeta{Version: v, Length: size, Digest: dirtyDigest(id, v)})
 	return nil
 }
 
-// ReadBlock always fails: see ErrMetadataOnly.
-func (w *MetaWorker) ReadBlock(id BlockID) ([]byte, error) {
-	return nil, fmt.Errorf("%w (block %d on worker %s)", ErrMetadataOnly, id, w.id)
+// CopyBlock installs src's replica record of the block.  src must be a
+// MetaWorker.
+func (w *MetaWorker) CopyBlock(id BlockID, src BlockStore) error {
+	msrc, ok := src.(*MetaWorker)
+	if !ok {
+		return fmt.Errorf("gdfs: worker %s cannot copy block %d from a %T", w.id, id, src)
+	}
+	m, ok := msrc.BlockMeta(id)
+	if !ok {
+		return fmt.Errorf("%w: block %d on worker %s", ErrBlockNotFound, id, msrc.id)
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.put(id, m)
+	return nil
 }
 
 // BlockMeta returns the replica's metadata record.
@@ -125,36 +101,6 @@ func (w *MetaWorker) BlockMeta(id BlockID) (BlockMeta, bool) {
 	defer w.mu.RUnlock()
 	m, ok := w.meta[id]
 	return m, ok
-}
-
-// PutBlockMeta installs a replica copied from another metadata store,
-// accounting the bytes arithmetically.
-func (w *MetaWorker) PutBlockMeta(id BlockID, m BlockMeta) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	old := w.meta[id]
-	w.bytes += m.Length - old.Length
-	w.meta[id] = m
-	return nil
-}
-
-// HasBlock reports whether the worker holds the block.
-func (w *MetaWorker) HasBlock(id BlockID) bool {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	_, ok := w.meta[id]
-	return ok
-}
-
-// DeleteBlock removes the block's replica if present.
-func (w *MetaWorker) DeleteBlock(id BlockID) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if m, ok := w.meta[id]; ok {
-		w.bytes -= m.Length
-		delete(w.meta, id)
-	}
-	return nil
 }
 
 // BytesStored returns the total bytes the worker accounts for.

@@ -1,18 +1,21 @@
 package gdfs
 
 import (
-	"errors"
+	"bytes"
 	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
 )
 
-// planePair is one cluster per data plane, driven through identical op
-// sequences so every externally visible counter can be compared.
+// planePair is one cluster of payload reference stores and one of
+// MetaWorkers, driven through identical op sequences so every externally
+// visible counter can be compared.
 type planePair struct {
 	payload, meta               *Cluster
 	payloadClients, metaClients []*Client
+	payloadStores               []*payloadStore
+	metaStores                  []*MetaWorker
 	workers                     []WorkerID
 }
 
@@ -25,10 +28,13 @@ func newPlanePair(t *testing.T, nWorkers, replication int) *planePair {
 	for i := 0; i < nWorkers; i++ {
 		id := WorkerID(fmt.Sprintf("dc-%d", i))
 		p.workers = append(p.workers, id)
-		if err := p.payload.AddWorker(NewWorker(id), string(id)); err != nil {
+		ps, ms := newPayloadStore(id), NewMetaWorker(id)
+		p.payloadStores = append(p.payloadStores, ps)
+		p.metaStores = append(p.metaStores, ms)
+		if err := p.payload.AddWorker(ps, string(id)); err != nil {
 			t.Fatal(err)
 		}
-		if err := p.meta.AddWorker(NewMetaWorker(id), string(id)); err != nil {
+		if err := p.meta.AddWorker(ms, string(id)); err != nil {
 			t.Fatal(err)
 		}
 		pc, err := p.payload.NewClient(id)
@@ -47,13 +53,14 @@ func newPlanePair(t *testing.T, nWorkers, replication int) *planePair {
 
 // check asserts the two planes agree on every externally visible counter:
 // per-worker BytesStored, per-block replica sets, the re-replication plan,
-// and pending-migration bytes for every (file, worker) pair.
+// and pending-migration bytes for every (file, worker) pair.  It also checks
+// the digest contract: the same workers hold a replica of each block on
+// both planes, and two replicas' payload bytes are equal exactly when their
+// BlockMeta records are.
 func (p *planePair) check(t *testing.T, label string) {
 	t.Helper()
-	for _, w := range p.workers {
-		ps, _ := p.payload.store(w)
-		ms, _ := p.meta.store(w)
-		if pb, mb := ps.BytesStored(), ms.BytesStored(); pb != mb {
+	for i, w := range p.workers {
+		if pb, mb := p.payloadStores[i].BytesStored(), p.metaStores[i].BytesStored(); pb != mb {
 			t.Fatalf("%s: worker %s BytesStored payload=%d meta=%d", label, w, pb, mb)
 		}
 	}
@@ -84,6 +91,7 @@ func (p *planePair) check(t *testing.T, label string) {
 			if fmt.Sprint(pl) != fmt.Sprint(ml) {
 				t.Fatalf("%s: block %d locations payload=%v meta=%v", label, id, pl, ml)
 			}
+			p.checkContent(t, label, id)
 		}
 		for wi, w := range p.workers {
 			pb, err := p.payloadClients[wi].PendingMigrationBytes(path, w)
@@ -96,6 +104,33 @@ func (p *planePair) check(t *testing.T, label string) {
 			}
 			if pb != mb {
 				t.Fatalf("%s: pending bytes to %s for %s payload=%d meta=%d", label, w, path, pb, mb)
+			}
+		}
+	}
+}
+
+// checkContent asserts "same BlockMeta ⇔ same payload bytes" for every
+// pair of workers holding a replica of the block.
+func (p *planePair) checkContent(t *testing.T, label string, id BlockID) {
+	t.Helper()
+	for i := range p.workers {
+		pi, pok := p.payloadStores[i].block(id)
+		mi, mok := p.metaStores[i].BlockMeta(id)
+		if pok != mok {
+			t.Fatalf("%s: block %d held on %s: payload=%v meta=%v", label, id, p.workers[i], pok, mok)
+		}
+		if !pok {
+			continue
+		}
+		for j := i + 1; j < len(p.workers); j++ {
+			pj, ok := p.payloadStores[j].block(id)
+			if !ok {
+				continue
+			}
+			mj, _ := p.metaStores[j].BlockMeta(id)
+			if sameBytes, sameMeta := bytes.Equal(pi, pj), mi == mj; sameBytes != sameMeta {
+				t.Fatalf("%s: block %d on %s and %s: equal bytes=%v but equal meta=%v (%+v vs %+v)",
+					label, id, p.workers[i], p.workers[j], sameBytes, sameMeta, mi, mj)
 			}
 		}
 	}
@@ -155,6 +190,30 @@ func TestMetaPayloadEquivalence(t *testing.T) {
 	}
 }
 
+// TestMetaPayloadFirstWriteElsewhere covers a state the random schedule
+// does not reach: a block's first write lands on a worker that never held
+// it while its creator still holds the zero block, so a version-1 dirty
+// replica and a version-1 zero replica coexist and must differ on both
+// planes.
+func TestMetaPayloadFirstWriteElsewhere(t *testing.T) {
+	p := newPlanePair(t, 2, 2)
+	pfi, err := p.payloadClients[0].Create("/vm/disk", DefaultBlockSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mfi, err := p.metaClients[0].Create("/vm/disk", DefaultBlockSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.payloadClients[1].DirtyBlock(pfi, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.metaClients[1].DirtyBlock(mfi, 0); err != nil {
+		t.Fatal(err)
+	}
+	p.check(t, "after the first write on dc-1")
+}
+
 // TestMetaPayloadEquivalenceConcurrent dirties disjoint files from
 // concurrent goroutines on both planes (run under -race by make test).
 // Per-file writers keep the final state deterministic, so the planes must
@@ -189,20 +248,11 @@ func TestMetaPayloadEquivalenceConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
+			// One writer per file through the shared per-datacenter
+			// clients; different files race only on the master's and the
+			// stores' locks, not on any block.
 			f := files[i]
-			// One writer per file with its own clients (DirtyBlock's zero
-			// buffer makes a Client single-goroutine); different files
-			// race only on the master's lock, not on any block.
-			pc, err := p.payload.NewClient(p.workers[f.home])
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			mc, err := p.meta.NewClient(p.workers[f.home])
-			if err != nil {
-				errs[i] = err
-				return
-			}
+			pc, mc := p.payloadClients[f.home], p.metaClients[f.home]
 			for round := 0; round < 20; round++ {
 				b := (i + round) % len(f.pfi.Blocks)
 				if err := pc.DirtyBlock(f.pfi, b); err != nil {
@@ -226,52 +276,4 @@ func TestMetaPayloadEquivalenceConcurrent(t *testing.T) {
 		t.Fatalf("ReplicateOnce payload=%d meta=%d", pc, mc)
 	}
 	p.check(t, "after concurrent dirtying")
-}
-
-// TestMetaWorkerReadIsMetadataOnly pins the one deliberate contract gap of
-// the metadata plane.
-func TestMetaWorkerReadIsMetadataOnly(t *testing.T) {
-	w := NewMetaWorker("dc-0")
-	if err := w.CreateBlock(1, 64); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.ReadBlock(1); !errors.Is(err, ErrMetadataOnly) {
-		t.Fatalf("want ErrMetadataOnly, got %v", err)
-	}
-}
-
-// TestWorkerCreateBlockLazyZero pins the payload worker's lazy zero blocks:
-// CreateBlock accounts the bytes without materializing them, and the first
-// ReadBlock returns real zeroes.
-func TestWorkerCreateBlockLazyZero(t *testing.T) {
-	w := NewWorker("dc-0")
-	if err := w.CreateBlock(1, 100); err != nil {
-		t.Fatal(err)
-	}
-	if got := w.BytesStored(); got != 100 {
-		t.Fatalf("BytesStored = %d, want 100", got)
-	}
-	data, err := w.ReadBlock(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(data) != 100 {
-		t.Fatalf("len = %d, want 100", len(data))
-	}
-	for i, b := range data {
-		if b != 0 {
-			t.Fatalf("byte %d = %d, want 0", i, b)
-		}
-	}
-	// borrowBlock must lend the shared zero payload without copying.
-	var borrowed int
-	if err := w.borrowBlock(1, func(data []byte) error {
-		borrowed = len(data)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if borrowed != 100 {
-		t.Fatalf("borrowed %d bytes, want 100", borrowed)
-	}
 }
