@@ -67,8 +67,8 @@ test-daemon:
 
 # The vendored-MPS interchange gate: cmd/lpsolve must reproduce the
 # committed reference objective of every instance under testdata/mps/ (see
-# testdata/mps/objectives.tsv), under both pricing rules, with presolve off,
-# and across a WriteMPS round trip.
+# testdata/mps/objectives.tsv), under all three pricing rules (devex,
+# dantzig, bland) and across a WriteMPS round trip.
 test-mps:
 	$(GO) test -run TestVendoredMPS -count=1 ./cmd/lpsolve/
 
@@ -127,16 +127,15 @@ cover:
 # that stops translating) in `make ci` instead of the full sweep.
 # BenchmarkCalibration is the machine-speed probe benchjson -calibrate
 # normalizes by, BenchmarkLPPricing keeps the pricing-rule A/B (and its
-# pivots/op metric) compiling and running, and BenchmarkLPPresolve keeps the
-# presolve on/off A/B (with its rows_removed/cols_removed metrics) alive —
-# each sub-benchmark at -benchtime=1x costs a few milliseconds.
+# pivots/op metric) compiling and running — each sub-benchmark at
+# -benchtime=1x costs a few milliseconds.
 # BenchmarkPlannerTick measures the continuous planner's steady-state warm
 # tick (streamed ingest + RHS rewrite + warm re-solve + publish) — the
 # latency a plannerd client sees on POST /tick — and fails if a measured
 # tick falls back cold.  BenchmarkPlannerTickJournal is the same tick with
 # the tick journal on, measured after 1000 warm-up ticks, so a per-tick
 # persistence cost that grows with uptime shows up here.
-BENCH_SMOKE := ^(BenchmarkCalibration|BenchmarkEvaluateSteadyState|BenchmarkEvaluateDeltaMove|BenchmarkLPResolve|BenchmarkLPBounded|BenchmarkLPPricing|BenchmarkLPPresolve|BenchmarkEmulDay|BenchmarkPlannerTick|BenchmarkPlannerTickJournal)$$
+BENCH_SMOKE := ^(BenchmarkCalibration|BenchmarkEvaluateSteadyState|BenchmarkEvaluateDeltaMove|BenchmarkLPResolve|BenchmarkLPBounded|BenchmarkLPPricing|BenchmarkEmulDay|BenchmarkPlannerTick|BenchmarkPlannerTickJournal)$$
 
 bench-smoke:
 	$(GO) test -bench='$(BENCH_SMOKE)' -benchtime=1x -run '^$$' .
@@ -166,7 +165,7 @@ bench:
 # the default is the scheduler's end-to-end compute time (the optimization
 # loop the paper's Fig. 14 measures; the entry point the devex/partial-pricing
 # work was profiled with), but any benchmark name works:
-#   make profile PROFILE_BENCH=LPPresolve
+#   make profile PROFILE_BENCH=LPResolve
 PROFILE_BENCH ?= SchedulerComputeTime
 
 profile:

@@ -481,122 +481,16 @@ func partitionLP(b *testing.B, nDC, horizon int, phase float64) *lp.Problem {
 // BenchmarkLPSolve measures a cold solve of the scheduler-shaped partition
 // LP (3 datacenters × 48 hours, 432 variables / 480 rows) — the from-scratch
 // path of the revised simplex: standardize, factorize the slack basis,
-// phase 1 + phase 2.  The presolve sub-benchmarks A/B the default reduction
-// pass against a raw solve of the same model.
+// phase 1 + phase 2.
 func BenchmarkLPSolve(b *testing.B) {
-	modes := []struct {
-		name string
-		mode lp.PresolveMode
-	}{
-		{"presolve", lp.PresolveAuto},
-		{"raw", lp.PresolveOff},
-	}
-	for _, m := range modes {
-		b.Run(m.name, func(b *testing.B) {
-			prob := partitionLP(b, lpBenchDCs, lpBenchHorizon, 0)
-			opts := lp.SolveOptions{Presolve: m.mode}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := prob.SolveWithOptions(opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// presolvableLP builds a model with deliberately removable structure — a
-// third of the columns fixed, singleton rows that only restate variable
-// bounds, redundant capacity rows and exact duplicate columns — around a
-// dense feasible core.  It is the shape presolve exists for: models
-// machine-generated from templates where most rows carry no information.
-func presolvableLP(b *testing.B) *lp.Problem {
-	b.Helper()
-	rng := rand.New(rand.NewSource(23))
-	const groups = 40
-	prob := lp.NewProblem(lp.Minimize)
-	var err error
-	coreVars := make([]lp.Var, 0, groups*2)
-	for g := 0; g < groups; g++ {
-		var x, d1, d2, fx lp.Var
-		if x, err = prob.AddVariable("x", 0, 10, 1+rng.Float64()); err != nil {
-			b.Fatal(err)
-		}
-		cost := 1 + rng.Float64()
-		if d1, err = prob.AddVariable("d1", 0, 4, cost); err != nil {
-			b.Fatal(err)
-		}
-		if d2, err = prob.AddVariable("d2", 0, 6, cost); err != nil { // exact duplicate of d1
-			b.Fatal(err)
-		}
-		if fx, err = prob.AddVariable("fx", 3, 3, rng.Float64()); err != nil { // fixed
-			b.Fatal(err)
-		}
-		coreVars = append(coreVars, x, d1)
-		// Singleton row restating x ≤ 8 (folds into the bound), a redundant
-		// cap and the duplicate-coupling row.
-		if err = prob.AddConstraint("sing", lp.LE, 16, lp.Term{Var: x, Coeff: 2}); err != nil {
-			b.Fatal(err)
-		}
-		if err = prob.AddConstraint("slack", lp.LE, 1000,
-			lp.Term{Var: x, Coeff: 1}, lp.Term{Var: fx, Coeff: 1}); err != nil {
-			b.Fatal(err)
-		}
-		if err = prob.AddConstraint("dup", lp.GE, 2+rng.Float64()*3,
-			lp.Term{Var: d1, Coeff: 1}, lp.Term{Var: d2, Coeff: 1}); err != nil {
+	prob := partitionLP(b, lpBenchDCs, lpBenchHorizon, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := prob.Solve(); err != nil {
 			b.Fatal(err)
 		}
 	}
-	// A dense core so the reduced model still has real simplex work.
-	for i := 0; i < groups/2; i++ {
-		terms := make([]lp.Term, 0, 8)
-		for k := 0; k < 8; k++ {
-			terms = append(terms, lp.Term{Var: coreVars[rng.Intn(len(coreVars))], Coeff: 0.5 + rng.Float64()})
-		}
-		if err = prob.AddConstraint("core", lp.GE, 1+rng.Float64()*4, terms...); err != nil {
-			b.Fatal(err)
-		}
-	}
-	return prob
-}
-
-// BenchmarkLPPresolve measures the presolve payoff on a reduction-heavy
-// model: the presolve arm reports what the pass removed (rows/cols per op)
-// so a reduction regression is visible even when wall-clock noise hides it,
-// and the raw arm solves the identical model with the pass disabled.
-func BenchmarkLPPresolve(b *testing.B) {
-	b.Run("presolve", func(b *testing.B) {
-		prob := presolvableLP(b)
-		var stats lp.Stats
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			sol, err := prob.Solve()
-			if err != nil {
-				b.Fatal(err)
-			}
-			stats = sol.Stats
-		}
-		b.ReportMetric(float64(stats.RowsRemoved), "rows_removed/op")
-		b.ReportMetric(float64(stats.ColsRemoved), "cols_removed/op")
-		b.ReportMetric(float64(stats.Pivots), "pivots/op")
-	})
-	b.Run("raw", func(b *testing.B) {
-		prob := presolvableLP(b)
-		opts := lp.SolveOptions{Presolve: lp.PresolveOff}
-		pivots := 0
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			sol, err := prob.SolveWithOptions(opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			pivots = sol.Stats.Pivots
-		}
-		b.ReportMetric(float64(pivots), "pivots/op")
-	})
 }
 
 // BenchmarkLPResolve measures the warm-started re-solve path that

@@ -26,7 +26,7 @@ func run() error {
 		full    = flag.Bool("full", false, "use the paper-scale catalog and search budgets (slow)")
 		seed    = flag.Int64("seed", 1, "random seed for the synthetic catalog")
 		timeout = flag.Duration("timeout", 0, "overall wall-clock budget (e.g. 5m); 0 means no limit. Experiments finished before the deadline are still printed.")
-		verbose = flag.Bool("v", false, "add solver-internals columns (LP pivots, presolve reductions, warm-start fallbacks) to the LP-backed tables")
+		verbose = flag.Bool("v", false, "add solver-internals columns (LP pivots, warm-start fallbacks) to the LP-backed tables")
 	)
 	flag.Parse()
 

@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	lpsolve [-presolve=off] [-pricing devex|dantzig|bland] [-write out.mps] [-v] model.mps
+//	lpsolve [-pricing devex|dantzig|bland] [-timeout d] [-write out.mps] [-v] model.mps
 //
 // With no file argument the model is read from standard input.
 package main
@@ -31,11 +31,10 @@ func main() {
 
 func run() error {
 	var (
-		presolve = flag.String("presolve", "on", "presolve mode: on or off")
-		pricing  = flag.String("pricing", "devex", "pricing rule: devex, dantzig or bland")
-		write    = flag.String("write", "", "re-emit the parsed model as MPS to this file ('-' for stdout) instead of solving")
-		timeout  = flag.Duration("timeout", 0, "solve deadline (e.g. 30s); 0 means none")
-		verbose  = flag.Bool("v", false, "print variable values and solve statistics")
+		pricing = flag.String("pricing", "devex", "pricing rule: devex, dantzig or bland")
+		write   = flag.String("write", "", "re-emit the parsed model as MPS to this file ('-' for stdout) instead of solving")
+		timeout = flag.Duration("timeout", 0, "solve deadline (e.g. 30s); 0 means none")
+		verbose = flag.Bool("v", false, "print variable values and solve statistics")
 	)
 	flag.Parse()
 
@@ -72,13 +71,6 @@ func run() error {
 	}
 
 	opts := lp.SolveOptions{}
-	switch *presolve {
-	case "on":
-	case "off":
-		opts.Presolve = lp.PresolveOff
-	default:
-		return fmt.Errorf("unknown -presolve %q", *presolve)
-	}
 	switch *pricing {
 	case "devex":
 		opts.Pricing = lp.PricingDevex
@@ -109,9 +101,7 @@ func run() error {
 	}
 	if *verbose {
 		st := sol.Stats
-		fmt.Printf("rows: %d  cols: %d  presolve removed: %d rows, %d cols (%.2fms)\n",
-			p.NumConstraints(), p.NumVariables(), st.RowsRemoved, st.ColsRemoved,
-			float64(st.PresolveNanos)/1e6)
+		fmt.Printf("rows: %d  cols: %d\n", p.NumConstraints(), p.NumVariables())
 		fmt.Printf("pivots: %d  bound flips: %d  refactorizations: %d  solve: %s\n",
 			st.Pivots, st.BoundFlips, st.Refactorizations, elapsed.Round(time.Microsecond))
 		if sol.Status == lp.Optimal {

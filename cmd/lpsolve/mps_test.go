@@ -65,8 +65,8 @@ func solveFile(t *testing.T, bin string, args ...string) float64 {
 
 // TestVendoredMPS pins the solver against the vendored public-domain
 // instances: every committed reference objective must be reproduced through
-// the real binary (the `make test-mps` gate), under both pricing rules, and
-// must survive a WriteMPS round trip.  The set exercises G/L/E rows,
+// the real binary (the `make test-mps` gate), under all three pricing rules,
+// and must survive a WriteMPS round trip.  The set exercises G/L/E rows,
 // OBJSENSE MAX, BOUNDS, RANGES and Beale's degenerate cycling example.
 func TestVendoredMPS(t *testing.T) {
 	dir := filepath.Join("..", "..", "testdata", "mps")
@@ -94,7 +94,7 @@ func TestVendoredMPS(t *testing.T) {
 			}
 			check("devex", solveFile(t, bin, path))
 			check("dantzig", solveFile(t, bin, "-pricing", "dantzig", path))
-			check("presolve off", solveFile(t, bin, "-presolve=off", path))
+			check("bland", solveFile(t, bin, "-pricing", "bland", path))
 
 			// Normalization round trip: re-emit with -write, solve the copy.
 			copyPath := filepath.Join(t.TempDir(), name+".mps")

@@ -59,7 +59,7 @@ type Solution struct {
 	// Feasible).
 	Violations []string
 	// ExactNodes and ExactLPStats are only set by SolveExact: the
-	// branch-and-bound node count and the aggregate simplex/presolve work
+	// branch-and-bound node count and the aggregate simplex work
 	// of its node relaxations.  The heuristic path leaves them zero.
 	ExactNodes   int
 	ExactLPStats lp.Stats

@@ -189,8 +189,8 @@ type Config struct {
 	// bit-identical to a run without one.
 	Ctx context.Context
 	// Verbose adds solver-internals columns to the LP-backed tables
-	// (sched-timing, heuristic-vs-exact): simplex pivots, warm-start cold
-	// fallbacks and what presolve removed.
+	// (sched-timing, heuristic-vs-exact): simplex pivots and warm-start
+	// cold fallbacks.
 	Verbose bool
 }
 
@@ -912,7 +912,7 @@ func (s *Suite) SchedulerTiming() (*Table, error) {
 		Columns: []string{"setup", "horizon(h)", "datacenters", "avg time (ms)"},
 	}
 	if s.cfg.Verbose {
-		t.Columns = append(t.Columns, "lp pivots", "presolve -rows/-cols", "cold fallbacks")
+		t.Columns = append(t.Columns, "lp pivots", "cold fallbacks")
 	}
 	for _, setup := range []struct {
 		name    string
@@ -956,7 +956,6 @@ func (s *Suite) SchedulerTiming() (*Table, error) {
 		if s.cfg.Verbose {
 			row = append(row,
 				strconv.Itoa(lpStats.Pivots),
-				fmt.Sprintf("%d/%d", lpStats.RowsRemoved, lpStats.ColsRemoved),
 				strconv.Itoa(lpStats.ColdFallbacks))
 		}
 		t.Rows = append(t.Rows, row)
@@ -984,7 +983,7 @@ func (s *Suite) HeuristicVsExact() (*Table, error) {
 		Columns: []string{"solver", "monthly cost ($M)", "datacenters", "runtime (ms)"},
 	}
 	if s.cfg.Verbose {
-		t.Columns = append(t.Columns, "nodes", "lp pivots", "presolve -rows/-cols", "cold fallbacks")
+		t.Columns = append(t.Columns, "nodes", "lp pivots", "cold fallbacks")
 	}
 	start := time.Now()
 	exact, err := core.SolveExact(cat, ids, spec, core.ExactOptions{MaxNodes: 50})
@@ -1011,9 +1010,8 @@ func (s *Suite) HeuristicVsExact() (*Table, error) {
 		exactRow = append(exactRow,
 			strconv.Itoa(exact.ExactNodes),
 			strconv.Itoa(st.Pivots),
-			fmt.Sprintf("%d/%d", st.RowsRemoved, st.ColsRemoved),
 			strconv.Itoa(st.ColdFallbacks))
-		heurRow = append(heurRow, "-", "-", "-", "-") // the heuristic path runs no LPs
+		heurRow = append(heurRow, "-", "-", "-") // the heuristic path runs no LPs
 	}
 	t.Rows = append(t.Rows, exactRow, heurRow)
 	return t, nil

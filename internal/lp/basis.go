@@ -37,30 +37,14 @@ type Basis struct {
 // weights arrive in sparse form — standard-form column indices paired with
 // their >1 values — so a warm solve that never materialized a dense weight
 // vector passes its carried entries through at O(entries), not O(columns).
-// The capture is always full-model-sized: when the solve ran on a
-// presolve-reduced form, each removed row's slot is seated with its own
-// slack/artificial (see presolveState.fillIdent) so the basis installs on
-// any later standardization — full or differently reduced — of the model.
 func (s *standard) captureBasis(basis []int, atUpper []bool, devexCols []int, devexW []float64) *Basis {
-	b := &Basis{cols: make([]colIdent, s.modelCons)}
-	if s.ps != nil {
-		for i := range b.cols {
-			if s.ps.rowDead[i] {
-				b.cols[i] = s.ps.fillIdent(i)
-			}
-		}
-	}
+	b := &Basis{cols: make([]colIdent, s.m)}
 	for i, bc := range basis {
-		b.cols[s.modelRow(i)] = s.colIDs[bc]
+		b.cols[i] = s.colIDs[bc]
 	}
 	for j := range atUpper {
 		if atUpper[j] {
 			b.upper = append(b.upper, s.colIDs[j])
-		}
-	}
-	if s.ps != nil {
-		for _, j := range s.ps.deadAtUpper {
-			b.upper = append(b.upper, colIdent{kind: identStruct, idx: j})
 		}
 	}
 	if len(devexCols) > 0 {
@@ -89,12 +73,8 @@ func (s *standard) captureBasis(basis []int, atUpper []bool, devexCols []int, de
 // solver's feasibility checks route any resulting mismatch to the dual
 // simplex or the cold fallback.  Weights degrade the same way: an identity
 // that no longer resolves is dropped.
-// A basis is always full-model-sized (one entry per model constraint); on a
-// presolve-reduced form only the surviving rows' entries are consulted —
-// entries for removed rows describe columns that no longer exist, which is
-// exactly why they are ignored rather than translated.
 func (s *standard) installBasis(w *Basis) ([]int, []bool, []int, []float64, bool) {
-	if w == nil || s.m == 0 || len(w.cols) != s.modelCons {
+	if w == nil || s.m == 0 || len(w.cols) != s.m {
 		return nil, nil, nil, nil, false
 	}
 	colOf := make(map[colIdent]int, s.nCols)
@@ -104,7 +84,7 @@ func (s *standard) installBasis(w *Basis) ([]int, []bool, []int, []float64, bool
 	basis := make([]int, s.m)
 	used := make([]bool, s.nCols)
 	for i := 0; i < s.m; i++ {
-		c, ok := colOf[w.cols[s.modelRow(i)]]
+		c, ok := colOf[w.cols[i]]
 		if !ok || used[c] {
 			return nil, nil, nil, nil, false
 		}
@@ -146,33 +126,14 @@ func (s *standard) installBasis(w *Basis) ([]int, []bool, []int, []float64, bool
 	return basis, atUpper, dvxCols, dvxW, true
 }
 
-// modelRow maps a standard-form row index to its model constraint index
-// (identity unless presolve removed rows).
-func (s *standard) modelRow(i int) int {
-	if s.rowOrig != nil {
-		return s.rowOrig[i]
-	}
-	return i
-}
-
-// emptyBasis is the capture for a rowless standard form: every model
-// constraint (all presolve-removed when modelCons > 0) is seated with its
-// fill slack/artificial, and columns parked at a finite nonzero upper bound
-// record their at-upper status, so even a fully-presolved solve hands back
-// a basis that warm-starts a later, less-reduced re-solve.
+// emptyBasis is the capture for a rowless standard form: no basic
+// columns, and columns parked at a finite nonzero upper bound record their
+// at-upper status.
 func (s *standard) emptyBasis(vals []float64) *Basis {
-	b := &Basis{cols: make([]colIdent, s.modelCons)}
-	for i := range b.cols {
-		b.cols[i] = s.ps.fillIdent(i)
-	}
+	b := &Basis{cols: []colIdent{}}
 	for j := 0; j < s.nTotal; j++ {
 		if u := s.upper[j]; u > 0 && !math.IsInf(u, 1) && vals[j] == u {
 			b.upper = append(b.upper, s.colIDs[j])
-		}
-	}
-	if s.ps != nil {
-		for _, j := range s.ps.deadAtUpper {
-			b.upper = append(b.upper, colIdent{kind: identStruct, idx: j})
 		}
 	}
 	return b

@@ -24,7 +24,7 @@ func TestBoundedStandardFormHasNoBoundRows(t *testing.T) {
 	if err := p.AddConstraint("c2", GE, 1, Term{Var(2), 1}, Term{Var(10), 1}); err != nil {
 		t.Fatal(err)
 	}
-	std, err := p.standardize(nil)
+	std, err := p.standardize()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -94,38 +94,6 @@
 // branch-and-bound node adds zero rows and restarts from its parent's
 // basis; internal/sched keeps one basis across scheduling rounds.
 //
-// # Presolve
-//
-// A reduction pass (presolve.go) runs ahead of standardization by default
-// (SolveOptions.Presolve; PresolveOff is the escape hatch) and strips the
-// model structure the simplex would otherwise grind through pivot by
-// pivot: empty rows (with infeasibility detection), singleton rows folded
-// into column bounds, forcing rows (activity bounds pin every variable),
-// redundant rows, fixed columns substituted into the objective and
-// right-hand sides, free and implied-free column singletons eliminated
-// together with their equality row, columns with no live entries parked at
-// their cheap bound, and exact duplicate columns merged.  Every removal
-// pushes an inverse action onto a postsolve stack, and recover() replays
-// that stack so Solution values are always model-space and model-feasible;
-// the objective is recomputed from the original costs, so presolve cost
-// transfers can never skew it.  Stats reports the work (RowsRemoved,
-// ColsRemoved, PresolveNanos — the latter being the one non-deterministic
-// Stats field).
-//
-// Presolve composes with warm starts rather than fighting them: a Basis is
-// always full-model-sized — rows removed by presolve are seated with their
-// own slack/artificial identities at capture — so a basis captured on a
-// reduced form installs on the full form, the reduced form, or any
-// differently-reduced form of the same model.  When a solve starts from a
-// warm basis, presolve switches to a protective mode that only tightens
-// bounds and removes nonbasic columns, never rows or basic columns, so the
-// warm basis matrix survives bit-identical and the milp node chains and
-// sched round chains stay on the dual-simplex restart path (pinned by
-// tests: zero cold fallbacks).  An untranslatable basis still just falls
-// back cold — presolve can cost a warm start, never correctness; the
-// differential suite solves every model presolve-on and presolve-off and
-// requires identical statuses and objectives.
-//
 // # MPS interchange
 //
 // WriteMPS and ReadMPS (mps.go) serialize Problems to the MPS format —
@@ -241,13 +209,6 @@ type Problem struct {
 	vars  []variable
 	cons  []constraint
 	scr   solveScratch
-
-	// structVer counts mutations of the constraint matrix itself — new
-	// variables or constraints, coefficient rewrites — as opposed to the
-	// bound/cost/rhs mutations of a warm re-solve chain.  Presolve keys its
-	// cached row/column mirror of the matrix on it (see solveScratch), so a
-	// SetRHS/SetBounds re-solve skips the O(nnz) rebuild.
-	structVer uint64
 }
 
 // NewProblem returns an empty problem with the given sense.
@@ -265,7 +226,6 @@ func (p *Problem) AddVariable(name string, lb, ub, cost float64) (Var, error) {
 		return -1, fmt.Errorf("lp: variable %q has upper bound %v below lower bound %v", name, ub, lb)
 	}
 	p.vars = append(p.vars, variable{name: name, lb: lb, ub: ub, cost: cost})
-	p.structVer++
 	return Var(len(p.vars) - 1), nil
 }
 
@@ -326,7 +286,6 @@ func (p *Problem) AddConstraint(name string, op Op, rhs float64, terms ...Term) 
 	copied := make([]Term, len(terms))
 	copy(copied, terms)
 	p.cons = append(p.cons, constraint{name: name, terms: copied, op: op, rhs: rhs})
-	p.structVer++
 	return nil
 }
 
@@ -357,7 +316,6 @@ func (p *Problem) SetCoeff(i int, v Var, coeff float64) error {
 	for k := range p.cons[i].terms {
 		if p.cons[i].terms[k].Var == v {
 			p.cons[i].terms[k].Coeff = coeff
-			p.structVer++
 			return nil
 		}
 	}
@@ -406,14 +364,15 @@ type Stats struct {
 	// file the weights were learned through, or the Bland stall latch
 	// releasing pricing back to devex.
 	DevexResets int
-	// RowsRemoved / ColsRemoved count the model constraints and variables
-	// the presolve pass eliminated ahead of standardization (both zero when
-	// SolveOptions.Presolve is off).
+	// RowsRemoved, ColsRemoved and PresolveNanos counted the work of a
+	// model reduction pass the solver no longer runs.  They stay in the
+	// struct so the plannerd journal format and its readers keep working.
+	//
+	// Deprecated: always zero.
 	RowsRemoved int
+	// Deprecated: always zero.
 	ColsRemoved int
-	// PresolveNanos is the wall-clock nanoseconds spent in the presolve
-	// pass.  It is the one non-deterministic Stats field; comparisons that
-	// expect bit-identical reruns should zero it first.
+	// Deprecated: always zero.
 	PresolveNanos int64
 }
 
@@ -451,10 +410,6 @@ type SolveOptions struct {
 	// Pricing selects the simplex pricing rule.  The zero value is
 	// PricingDevex; see the PricingRule constants in pricing.go.
 	Pricing PricingRule
-	// Presolve toggles the model reduction pass that runs ahead of
-	// standardization (presolve.go).  The zero value PresolveAuto runs it;
-	// PresolveOff solves the model exactly as built.
-	Presolve PresolveMode
 }
 
 // solveControl is the internal form of SolveOptions threaded into the
@@ -552,18 +507,7 @@ func (p *Problem) SolveFrom(warm *Basis) (*Solution, error) {
 // recovery actions along the way are reported in the Solution's Stats.
 func (p *Problem) SolveFromWithOptions(warm *Basis, opts SolveOptions) (*Solution, error) {
 	var stats Stats
-	var ps *presolveState
-	if opts.Presolve != PresolveOff {
-		start := time.Now()
-		ps = p.presolve(warm)
-		stats.PresolveNanos = time.Since(start).Nanoseconds()
-		stats.RowsRemoved = ps.rowsRemoved
-		stats.ColsRemoved = ps.colsRemoved
-		if ps.status == Infeasible {
-			return &Solution{Status: Infeasible, Stats: stats}, ErrInfeasible
-		}
-	}
-	std, err := p.standardize(ps)
+	std, err := p.standardize()
 	if err != nil {
 		return nil, err
 	}

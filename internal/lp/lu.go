@@ -79,13 +79,6 @@ func growInt32s(s []int32, n int) []int32 {
 	return s[:n]
 }
 
-func growBools(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
-	}
-	return s[:n]
-}
-
 // factorize computes P·B·Q = L·U for the basis given as column indices into
 // the standard form.
 func (f *luFactor) factorize(st *standard, basis []int) error {

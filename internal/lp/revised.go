@@ -1139,8 +1139,7 @@ func (s *standard) solve(warm *Basis, ctl *solveControl, stats *Stats) (Status, 
 	if s.m == 0 {
 		// No rows: every column sits at whichever of its bounds its cost
 		// prefers; a negative cost with no finite upper bound is an
-		// unbounded ray.  (Presolve can reach here with model constraints
-		// still on the books — emptyBasis seats their fill columns.)
+		// unbounded ray.
 		vals := make([]float64, s.nCols)
 		for j := 0; j < s.nTotal; j++ {
 			if s.c[j] < -epsilon {

@@ -71,16 +71,8 @@ type standard struct {
 	// variable j when it is doubly free (split x = x⁺ − x⁻), or -1.
 	negPart []int
 
-	// Presolve plumbing.  modelCons is the model's constraint count (== m
-	// when presolve removed nothing or did not run); rowOrig maps each
-	// standard-form row to its model constraint (nil means identity); colOf
-	// maps each model variable to its primary structural column (-1 when
-	// presolve eliminated it); ps is the reduction record recover replays
-	// and captureBasis consults for removed-row fill identities.
-	modelCons int
-	rowOrig   []int
-	colOf     []int
-	ps        *presolveState
+	// colOf maps each model variable to its primary structural column.
+	colOf []int
 
 	// Row-major mirror of the CSC nonzeros over the priced columns
 	// (j < nTotal), built lazily by buildRows for the pivot-update scatter.
@@ -120,35 +112,6 @@ type solveScratch struct {
 	carriedW    []float64
 	capturedIdx []int
 	capturedW   []float64
-
-	// Presolve working set (see Problem.presolve): the presolveState itself
-	// (its masks and working bounds live until the next solve — basis
-	// captures and postsolved values are copied out, never aliased), the
-	// warm-basis protection masks, the flat row/column mirrors of the model
-	// and the duplicate-column hash chains.
-	// preMatOK/preMatVer validate the cached mirror (preRowOff…preCVal)
-	// against the Problem's structVer, so a SetRHS/SetBounds warm re-solve
-	// reuses the mirror instead of re-aggregating the terms.
-	preMatOK   bool
-	preMatVer  uint64
-	ps         presolveState
-	preProtRow []bool
-	preProtCol []bool
-	preLock    []bool
-	preRowOff  []int
-	preRCol    []int
-	preRVal    []float64
-	preAcc     []float64
-	preSeen    []bool
-	preTouched []int
-	preColOff  []int
-	preCRow    []int
-	preCVal    []float64
-	preNext    []int
-	preLiveRow []int
-	preLiveCol []int
-	preDupHead map[uint64]int
-	preDupNext []int
 }
 
 // col returns column j's nonzeros.
@@ -232,25 +195,17 @@ func (s *standard) colDot(j int, y []float64) float64 {
 	return d
 }
 
-// standardize converts the model into computational standard form.  When ps
-// is non-nil the reduced model is built instead: presolve-removed rows and
-// columns are skipped (their substituted contributions already live in
-// ps.rhs), surviving columns use the presolve-tightened bounds and
-// transferred costs, and every colIdent — including slack/artificial row
-// identities — is expressed in model indices, so a Basis captured on the
-// reduced form installs on any later standardization and vice versa.
-func (p *Problem) standardize(ps *presolveState) (*standard, error) {
+// standardize converts the model into computational standard form.
+func (p *Problem) standardize() (*standard, error) {
 	n := len(p.vars)
 	std := &standard{
-		shift:     make([]float64, n),
-		mirror:    make([]bool, n),
-		negPart:   make([]int, n),
-		scr:       &p.scr,
-		modelCons: len(p.cons),
-		ps:        ps,
+		shift:   make([]float64, n),
+		mirror:  make([]bool, n),
+		negPart: make([]int, n),
+		scr:     &p.scr,
 	}
 
-	// Structural columns: one per surviving variable, plus one extra per
+	// Structural columns: one per variable, plus one extra per
 	// doubly-free variable (x = x⁺ − x⁻ when lb = −inf and ub = +inf).
 	// sgn[j] is the coefficient multiplier of variable j's primary column
 	// (−1 when mirrored).
@@ -260,23 +215,15 @@ func (p *Problem) standardize(ps *presolveState) (*standard, error) {
 	for j, v := range p.vars {
 		std.negPart[j] = -1
 		sgn[j] = 1
-		lb, ub := v.lb, v.ub
-		if ps != nil {
-			if ps.colDead[j] {
-				colOf[j] = -1
-				continue
-			}
-			lb, ub = ps.lb[j], ps.ub[j]
-		}
 		colOf[j] = col
 		switch {
-		case !math.IsInf(lb, -1):
-			std.shift[j] = lb
+		case !math.IsInf(v.lb, -1):
+			std.shift[j] = v.lb
 			col++
-		case !math.IsInf(ub, 1):
+		case !math.IsInf(v.ub, 1):
 			// lb = −∞, ub finite: mirror y = ub − x.
 			std.mirror[j] = true
-			std.shift[j] = ub
+			std.shift[j] = v.ub
 			sgn[j] = -1
 			col++
 		default:
@@ -301,24 +248,10 @@ func (p *Problem) standardize(ps *presolveState) (*standard, error) {
 		rhs    float64
 	}
 	rows := make([]row, 0, len(p.cons))
-	if ps != nil {
-		std.rowOrig = make([]int, 0, len(p.cons))
-	}
-	for ci, c := range p.cons {
-		rhs := c.rhs
-		if ps != nil {
-			if ps.rowDead[ci] {
-				continue
-			}
-			rhs = ps.rhs[ci]
-			std.rowOrig = append(std.rowOrig, ci)
-		}
-		r := row{coeffs: make(map[int]float64, len(c.terms)), op: c.op, rhs: rhs}
+	for _, c := range p.cons {
+		r := row{coeffs: make(map[int]float64, len(c.terms)), op: c.op, rhs: c.rhs}
 		for _, t := range c.terms {
 			j := int(t.Var)
-			if colOf[j] < 0 {
-				continue // eliminated column; its contribution is in ps.rhs
-			}
 			r.rhs -= t.Coeff * std.shift[j]
 			r.coeffs[colOf[j]] += sgn[j] * t.Coeff
 			if std.negPart[j] >= 0 {
@@ -383,44 +316,30 @@ func (p *Problem) standardize(ps *presolveState) (*standard, error) {
 		std.upper[j] = math.Inf(1)
 	}
 	for j, v := range p.vars {
-		if colOf[j] < 0 {
-			continue
-		}
-		lb, ub, cost := v.lb, v.ub, v.cost
-		if ps != nil {
-			lb, ub, cost = ps.lb[j], ps.ub[j], ps.cost[j]
-		}
-		std.c[colOf[j]] = sign * sgn[j] * cost
+		std.c[colOf[j]] = sign * sgn[j] * v.cost
 		if std.negPart[j] >= 0 {
-			std.c[std.negPart[j]] = -sign * cost
+			std.c[std.negPart[j]] = -sign * v.cost
 		}
-		if !math.IsInf(lb, -1) && !math.IsInf(ub, 1) {
-			std.upper[colOf[j]] = ub - lb
+		if !math.IsInf(v.lb, -1) && !math.IsInf(v.ub, 1) {
+			std.upper[colOf[j]] = v.ub - v.lb
 		}
 	}
 
-	// Column identities, always in model indices (rowOrig for rows) so a
-	// Basis survives any mix of presolved and full standardizations.
+	// Column identities, in model indices so a Basis survives
+	// re-standardization.
 	std.colIDs = make([]colIdent, std.nCols)
 	for j := range p.vars {
-		if colOf[j] < 0 {
-			continue
-		}
 		std.colIDs[colOf[j]] = colIdent{kind: identStruct, idx: j}
 		if std.negPart[j] >= 0 {
 			std.colIDs[std.negPart[j]] = colIdent{kind: identNeg, idx: j}
 		}
 	}
 	for i := range rows {
-		mi := i
-		if std.rowOrig != nil {
-			mi = std.rowOrig[i]
-		}
 		if s := std.slackOf[i]; s >= 0 {
-			std.colIDs[s] = colIdent{kind: identSlack, idx: mi}
+			std.colIDs[s] = colIdent{kind: identSlack, idx: i}
 		}
 		if a := std.artOf[i]; a >= 0 {
-			std.colIDs[a] = colIdent{kind: identArt, idx: mi}
+			std.colIDs[a] = colIdent{kind: identArt, idx: i}
 		}
 	}
 
@@ -481,16 +400,11 @@ func (p *Problem) standardize(ps *presolveState) (*standard, error) {
 	return std, nil
 }
 
-// recover maps standard-form column values back to the original variables,
-// then replays the postsolve stack to restore presolve-eliminated ones.
+// recover maps standard-form column values back to the original variables.
 func (s *standard) recover(values []float64) []float64 {
 	out := make([]float64, len(s.shift))
 	for j := range s.shift {
-		col := s.colOf[j]
-		if col < 0 {
-			continue // presolve-eliminated; postsolve fills it below
-		}
-		v := values[col]
+		v := values[s.colOf[j]]
 		switch {
 		case s.mirror[j]:
 			v = s.shift[j] - v
@@ -501,9 +415,6 @@ func (s *standard) recover(values []float64) []float64 {
 			v += s.shift[j]
 		}
 		out[j] = v
-	}
-	if s.ps != nil {
-		s.ps.postsolve(out)
 	}
 	return out
 }

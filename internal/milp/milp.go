@@ -129,11 +129,11 @@ type Solution struct {
 	// between the incumbent and the best open-node relaxation bound at the
 	// moment the search stopped (0 when Proven).
 	Gap float64
-	// LPStats aggregates the simplex and presolve work of every node
-	// relaxation solved during the search — including pruned and infeasible
-	// nodes, whose simplex work is real even though they produced no
-	// incumbent.  LPStats.ColdFallbacks counts warm starts that had to be
-	// abandoned; a healthy branch-and-bound run keeps it at zero beyond the
+	// LPStats aggregates the simplex work of every node relaxation solved
+	// during the search — including pruned and infeasible nodes, whose
+	// simplex work is real even though they produced no incumbent.
+	// LPStats.ColdFallbacks counts warm starts that had to be abandoned; a
+	// healthy branch-and-bound run keeps it at zero beyond the
 	// (intentionally cold) root node.
 	LPStats lp.Stats
 }
@@ -177,12 +177,6 @@ type Options struct {
 	// Pricing selects the simplex pricing rule for every node relaxation
 	// (the zero value is lp.PricingDevex).
 	Pricing lp.PricingRule
-	// Presolve toggles LP presolve on the node relaxations.  The zero value
-	// runs it: the root node solves cold and gets the full reduction, while
-	// warm-started child nodes re-tighten from their branch bounds without
-	// disturbing the parent basis, so the dual-simplex restart chain stays
-	// warm (lp.SolveOptions.Presolve).
-	Presolve lp.PresolveMode
 }
 
 func (o Options) withDefaults() Options {
@@ -218,7 +212,7 @@ func (p *Problem) Solve() (*Solution, error) { return p.SolveWithOptions(Options
 // SolveWithOptions runs branch and bound.
 func (p *Problem) SolveWithOptions(opts Options) (*Solution, error) {
 	opts = opts.withDefaults()
-	lpOpts := lp.SolveOptions{Deadline: opts.Deadline, Ctx: opts.Ctx, Pricing: opts.Pricing, Presolve: opts.Presolve}
+	lpOpts := lp.SolveOptions{Deadline: opts.Deadline, Ctx: opts.Ctx, Pricing: opts.Pricing}
 
 	if len(p.integers) == 0 {
 		sol, err := p.solveRelaxation(nil, nil, lpOpts)
@@ -241,7 +235,7 @@ func (p *Problem) SolveWithOptions(opts Options) (*Solution, error) {
 		nodesDone int
 		incumbent = math.Inf(1)
 		queue     []node
-		lpStats   lp.Stats // aggregate simplex/presolve work across every node
+		lpStats   lp.Stats // aggregate simplex work across every node
 	)
 	if p.sense == lp.Maximize {
 		incumbent = math.Inf(-1)

@@ -365,62 +365,62 @@ func TestBranchingAddsNoRows(t *testing.T) {
 	}
 }
 
-// TestPresolveKeepsNodeChainWarm pins the presolve/warm-start contract at
-// the milp layer: with LP presolve on (the default), a branching search
-// must reach the same optimum as with presolve off, and no node's
+// TestNodeChainStaysWarm pins the warm-start contract at the milp layer: a
+// branching search over a 16-item knapsack must reach the optimum a
+// brute-force enumeration of all 2^16 subsets finds, and no node's
 // warm-started relaxation may fall back to a cold solve — branch-bound
-// re-tightening under a warm basis has to preserve the parent's basis.
-func TestPresolveKeepsNodeChainWarm(t *testing.T) {
-	build := func() *Problem {
-		rng := rand.New(rand.NewSource(17))
-		p := NewProblem(lp.Maximize)
-		terms := make([]lp.Term, 0, 16)
-		for i := 0; i < 16; i++ {
-			v, err := p.AddBinaryVariable("item", 1+rng.Float64()*9)
-			if err != nil {
-				t.Fatal(err)
-			}
-			terms = append(terms, lp.Term{Var: v, Coeff: 1 + rng.Float64()*9})
-		}
-		if err := p.AddConstraint("capacity", lp.LE, 40, terms...); err != nil {
-			t.Fatal(err)
-		}
-		// A redundant cap and a fixed variable give the root presolve
-		// something to remove.
-		fixed, err := p.AddVariable("fixed", 2, 2, 1)
+// edits under a parent basis have to keep that basis installable.
+func TestNodeChainStaysWarm(t *testing.T) {
+	const items, capacity = 16, 40.0
+	rng := rand.New(rand.NewSource(17))
+	p := NewProblem(lp.Maximize)
+	value := make([]float64, items)
+	weight := make([]float64, items)
+	terms := make([]lp.Term, 0, items)
+	for i := range value {
+		value[i] = 1 + rng.Float64()*9
+		v, err := p.AddBinaryVariable("item", value[i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := p.AddConstraint("loose", lp.LE, 1000, append(terms, lp.Term{Var: fixed, Coeff: 1})...); err != nil {
-			t.Fatal(err)
+		weight[i] = 1 + rng.Float64()*9
+		terms = append(terms, lp.Term{Var: v, Coeff: weight[i]})
+	}
+	if err := p.AddConstraint("capacity", lp.LE, capacity, terms...); err != nil {
+		t.Fatal(err)
+	}
+	sol, err := p.SolveWithOptions(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	best := 0.0
+	for mask := 0; mask < 1<<items; mask++ {
+		v, w := 0.0, 0.0
+		for i := 0; i < items; i++ {
+			if mask&(1<<i) != 0 {
+				v += value[i]
+				w += weight[i]
+			}
 		}
-		return p
+		if w <= capacity && v > best {
+			best = v
+		}
 	}
-	on, err := build().SolveWithOptions(Options{})
-	if err != nil {
-		t.Fatalf("presolve-on solve: %v", err)
+	if math.Abs(sol.Objective-best) > 1e-9*best {
+		t.Errorf("objective %v, brute force %v", sol.Objective, best)
 	}
-	off, err := build().SolveWithOptions(Options{Presolve: lp.PresolveOff})
-	if err != nil {
-		t.Fatalf("presolve-off solve: %v", err)
+	if !sol.Proven {
+		t.Error("search did not close")
 	}
-	if on.Objective != off.Objective {
-		t.Errorf("objective %v presolve-on vs %v presolve-off", on.Objective, off.Objective)
+	if sol.Nodes <= 1 {
+		t.Fatalf("instance solved at the root (%d nodes); the warm-chain assertion needs branching", sol.Nodes)
 	}
-	if !on.Proven || !off.Proven {
-		t.Errorf("searches did not close: on=%v off=%v", on.Proven, off.Proven)
+	if sol.LPStats.ColdFallbacks != 0 {
+		t.Errorf("%d cold fallbacks across %d nodes; branch edits must keep parent bases installable (%+v)",
+			sol.LPStats.ColdFallbacks, sol.Nodes, sol.LPStats)
 	}
-	if on.Nodes <= 1 {
-		t.Fatalf("instance solved at the root (%d nodes); the warm-chain assertion needs branching", on.Nodes)
-	}
-	if on.LPStats.ColdFallbacks != 0 {
-		t.Errorf("%d cold fallbacks across %d nodes; branch re-tightening must keep parent bases installable (%+v)",
-			on.LPStats.ColdFallbacks, on.Nodes, on.LPStats)
-	}
-	if on.LPStats.RowsRemoved == 0 && on.LPStats.ColsRemoved == 0 {
-		t.Errorf("presolve removed nothing at the root (%+v); the instance was built with removable structure", on.LPStats)
-	}
-	if on.LPStats.Pivots == 0 {
-		t.Errorf("LPStats recorded no simplex work over %d nodes", on.Nodes)
+	if sol.LPStats.Pivots == 0 {
+		t.Errorf("LPStats recorded no simplex work over %d nodes", sol.Nodes)
 	}
 }

@@ -132,7 +132,6 @@ func requireSameTick(t *testing.T, i int, got, want PlanView) {
 		t.Fatalf("tick %d records differ:\n  resumed=%+v\n  ref    =%+v", i, g, w)
 	}
 	gs, ws := got.CumLPStats, want.CumLPStats
-	gs.PresolveNanos, ws.PresolveNanos = 0, 0
 	if got.Totals != want.Totals || gs != ws || !reflect.DeepEqual(got.GreenScale, want.GreenScale) {
 		t.Fatalf("tick %d: totals %+v / stats %+v / scales %v, want %+v / %+v / %v",
 			i, got.Totals, gs, got.GreenScale, want.Totals, ws, want.GreenScale)

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -181,6 +182,50 @@ func TestJournalRecordSizeFlat(t *testing.T) {
 	}
 	if late > 4096 {
 		t.Fatalf("record of %d B at tick %d", late, ticks)
+	}
+}
+
+// TestJournalUpgradeResume pins the upgrade path across solver changes:
+// testdata/default-8ticks.gnpj is an 8-tick journal of the default trace,
+// written by the build that still ran LP presolve (whose Stats carried
+// presolve counters).  A daemon restored from a copy of it must resume warm
+// at tick 8 and run 30 more ticks without a cold fallback, and its final
+// Totals must be bit-identical to the ones that build produced.
+func TestJournalUpgradeResume(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("testdata", "default-8ticks.gnpj"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "plan.snap")
+	if err := os.WriteFile(path, src, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d, err := New(Config{SnapshotPath: path, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	v := d.PlanView()
+	if !v.Resumed || !v.WarmResume || v.Tick != 8 {
+		t.Fatalf("restore: resumed=%v warm=%v tick=%d, want a warm resume at tick 8", v.Resumed, v.WarmResume, v.Tick)
+	}
+	for i := 0; i < 30; i++ {
+		if v, err = d.Tick(TickRequest{}); err != nil {
+			t.Fatal(err)
+		}
+		if v.LastLPStats.ColdFallbacks != 0 {
+			t.Fatalf("tick %d fell back cold", v.Tick)
+		}
+	}
+	got := []float64{v.Totals.GreenKWh, v.Totals.BrownKWh, v.Totals.DemandKWh, v.Totals.MigrationKWh}
+	want := []uint64{0x402a771d468a1c42, 0x3ff68cf583a7bee2, 0x402d48bbf6ff141e, 0x4003333333333332}
+	for k := range got {
+		if math.Float64bits(got[k]) != want[k] {
+			t.Errorf("totals[%d] = %v (%#x), want %v (%#x)", k, got[k], math.Float64bits(got[k]), math.Float64frombits(want[k]), want[k])
+		}
+	}
+	if v.Tick != 38 || v.Totals.Migrations != 40 {
+		t.Errorf("at tick %d with %d migrations, want tick 38 with 40", v.Tick, v.Totals.Migrations)
 	}
 }
 

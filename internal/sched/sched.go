@@ -83,11 +83,6 @@ type Options struct {
 	// Pricing selects the simplex pricing rule for the partition LP (the
 	// zero value is lp.PricingDevex).
 	Pricing lp.PricingRule
-	// Presolve toggles LP presolve on the partition LP (the zero value runs
-	// it).  The first round's cold solve gets the full reduction; warm
-	// rounds re-tighten after the per-round RHS/cost rewrites without
-	// disturbing the carried basis (lp.SolveOptions.Presolve).
-	Presolve lp.PresolveMode
 }
 
 func (o Options) withDefaults() Options {
@@ -199,8 +194,7 @@ type Plan struct {
 	DegradedReason string
 	// LPStats is the partition LP's solve statistics for this round (zero
 	// when the plan is degraded: a fallback plan did no simplex work worth
-	// reporting).  ColdFallbacks stays 0 on warm rounds; RowsRemoved and
-	// ColsRemoved show what presolve stripped.
+	// reporting).  ColdFallbacks stays 0 on warm rounds.
 	LPStats lp.Stats
 }
 
@@ -235,7 +229,7 @@ func (s *Scheduler) Partition(dcs []DatacenterState, totalLoadKW float64) (*Plan
 		return nil, err
 	}
 
-	lpOpts := lp.SolveOptions{Pricing: s.opts.Pricing, Presolve: s.opts.Presolve}
+	lpOpts := lp.SolveOptions{Pricing: s.opts.Pricing}
 	if s.opts.LPTimeout > 0 {
 		lpOpts.Deadline = time.Now().Add(s.opts.LPTimeout)
 	}

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"greencloud/internal/lp"
 	"greencloud/internal/vm"
 )
 
@@ -154,10 +153,8 @@ func TestPartitionInstalledBasisSurvivesFirstBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws, gs := want.LPStats, got.LPStats
-	ws.PresolveNanos, gs.PresolveNanos = 0, 0
-	if gs != ws {
-		t.Fatalf("resumed round did different LP work: %+v, carried %+v", gs, ws)
+	if got.LPStats != want.LPStats {
+		t.Fatalf("resumed round did different LP work: %+v, carried %+v", got.LPStats, want.LPStats)
 	}
 	if got.BrownKWh != want.BrownKWh || !reflect.DeepEqual(got.LoadKW, want.LoadKW) {
 		t.Fatal("resumed round planned differently from the carried one")
@@ -348,47 +345,38 @@ func TestPartitionCapacityBoundBinds(t *testing.T) {
 	}
 }
 
-// TestPartitionPresolveKeepsRoundsWarm pins the presolve/warm-start
-// contract at the scheduler layer: with presolve on (the default), every
-// round after the first must re-solve warm — zero cold fallbacks, never a
-// degraded plan — and produce the same partition as a presolve-off
-// scheduler fed the identical rounds.
-func TestPartitionPresolveKeepsRoundsWarm(t *testing.T) {
+// TestPartitionRoundsStayWarm pins the warm-start contract at the scheduler
+// layer: every round after the first must re-solve warm — zero cold
+// fallbacks, never a degraded plan — and plan the same brown energy as a
+// fresh scheduler solving that round cold.
+func TestPartitionRoundsStayWarm(t *testing.T) {
 	const horizon = 24
-	on := New(Options{HorizonHours: horizon, MigrationFraction: 0.1})
-	off := New(Options{HorizonHours: horizon, MigrationFraction: 0.1, Presolve: lp.PresolveOff})
+	opts := Options{HorizonHours: horizon, MigrationFraction: 0.1}
+	warm := New(opts)
 	for round := 0; round < 6; round++ {
-		dcs := threeDCs(horizon)
 		scale := 1 - 0.05*float64(round)
-		for d := range dcs {
-			for h := range dcs[d].GreenForecastKW {
-				dcs[d].GreenForecastKW[h] *= scale
-			}
-		}
 		load := 270 - 10*float64(round)
-		planOn, err := on.Partition(dcs, load)
+		plan, err := warm.Partition(threeDCsScaled(horizon, scale), load)
 		if err != nil {
-			t.Fatalf("round %d presolve-on: %v", round, err)
+			t.Fatalf("round %d: %v", round, err)
 		}
-		planOff, err := off.Partition(threeDCsScaled(horizon, scale), load)
-		_ = planOff
+		cold, err := New(opts).Partition(threeDCsScaled(horizon, scale), load)
 		if err != nil {
-			t.Fatalf("round %d presolve-off: %v", round, err)
+			t.Fatalf("round %d cold: %v", round, err)
 		}
-		if planOn.Degraded {
-			t.Fatalf("round %d degraded under presolve: %s", round, planOn.DegradedReason)
+		if plan.Degraded {
+			t.Fatalf("round %d degraded: %s", round, plan.DegradedReason)
 		}
-		if math.Abs(planOn.BrownKWh-planOff.BrownKWh) > 1e-6 {
-			t.Errorf("round %d: BrownKWh %v presolve-on vs %v presolve-off", round, planOn.BrownKWh, planOff.BrownKWh)
+		if math.Abs(plan.BrownKWh-cold.BrownKWh) > 1e-6 {
+			t.Errorf("round %d: BrownKWh %v warm vs %v cold", round, plan.BrownKWh, cold.BrownKWh)
 		}
-		if round > 0 && planOn.LPStats.ColdFallbacks != 0 {
-			t.Errorf("round %d fell back cold under presolve (%+v)", round, planOn.LPStats)
+		if round > 0 && plan.LPStats.ColdFallbacks != 0 {
+			t.Errorf("round %d fell back cold (%+v)", round, plan.LPStats)
 		}
 	}
 }
 
-// threeDCsScaled is threeDCs with every green forecast scaled, so the
-// presolve-off scheduler in the warm-round test sees the same inputs.
+// threeDCsScaled is threeDCs with every green forecast scaled.
 func threeDCsScaled(horizon int, scale float64) []DatacenterState {
 	dcs := threeDCs(horizon)
 	for d := range dcs {
