@@ -65,12 +65,13 @@ test:
 test-daemon:
 	$(GO) test -race -timeout 600s $(DAEMON_PKGS)
 
-# The vendored-MPS interchange gate: cmd/lpsolve must reproduce the
-# committed reference objective of every instance under testdata/mps/ (see
-# testdata/mps/objectives.tsv), under all three pricing rules (devex,
-# dantzig, bland) and across a WriteMPS round trip.
+# The vendored-MPS interchange gate: the real cmd/lpsolve binary must
+# reproduce the committed reference objective of every instance under
+# testdata/mps/ (see testdata/mps/objectives.tsv), also across a WriteMPS
+# round trip, and internal/lp's TestVendoredMPSReferenceRules holds the same
+# references under the test-only Dantzig and Bland pricing rules.
 test-mps:
-	$(GO) test -run TestVendoredMPS -count=1 ./cmd/lpsolve/
+	$(GO) test -run TestVendoredMPS -count=1 ./cmd/lpsolve/ ./internal/lp/
 
 # The fault-injection and resilience suites, run explicitly and under -race:
 # every rung of the lp recovery ladder (singular-basis repair, cold retry,
@@ -85,17 +86,19 @@ test-faults:
 	$(GO) test -race -run '$(FAULT_TESTS)' $(FAULT_PKGS)
 
 # A few seconds of coverage-guided fuzzing per target, seeded from real
-# journals and bases: FuzzJournalResume feeds arbitrary bytes after a valid
-# journal header to the daemon's restore (no panic, resume exactly at the
-# whole valid records, torn tail truncated), FuzzDecodeBasis feeds
-# lp.DecodeBasis (reject with ErrBasisEncoding or re-encode to the same
-# bytes).  New corpus entries stay in the Go build cache; a failing input
+# journals, bases and request bodies: FuzzJournalResume feeds arbitrary bytes
+# after a valid journal header to the daemon's restore (no panic, resume
+# exactly at the whole valid records, torn tail truncated), FuzzHandler
+# posts arbitrary bodies to plannerd's /tick and /whatif (no panic, no 5xx),
+# FuzzDecodeBasis feeds lp.DecodeBasis (reject with ErrBasisEncoding or
+# re-encode to the same bytes).  New corpus entries stay in the Go build cache; a failing input
 # is written under the package's testdata/fuzz/ for `go test` to replay.
 # Minimization is capped so the budget goes to fuzzing.
 FUZZ_FLAGS = -run '^$$' -fuzztime 5s -fuzzminimizetime 1s -parallel 2
 
 fuzz-smoke:
 	$(GO) test $(FUZZ_FLAGS) -fuzz '^FuzzJournalResume$$' ./internal/plan/
+	$(GO) test $(FUZZ_FLAGS) -fuzz '^FuzzHandler$$' ./internal/plan/
 	$(GO) test $(FUZZ_FLAGS) -fuzz '^FuzzDecodeBasis$$' ./internal/lp/
 
 # Run every program under examples/ end to end (each takes about a second);
@@ -120,22 +123,22 @@ cover:
 # tests, LPResolve exercises the warm-started revised-simplex path
 # (SetRHS + SolveFrom) end to end, and LPBounded exercises the
 # implicit-bound path (nonbasic-at-bound statuses, bound flips) on a
-# bound-heavy cold solve, and EmulDay runs one full emulation day on a
+# bound-heavy cold solve, LPSolve is the cold partition-LP solve with its
+# pivots/op metric, and EmulDay runs one full emulation day on a
 # reused Runner (metadata-plane GDFS + scratch reuse — the path that took
 # Fig. 15 from gigabytes of allocation to megabytes); running them here
 # catches a benchmark-only breakage (setup drift, catalog changes, a basis
 # that stops translating) in `make ci` instead of the full sweep.
 # BenchmarkCalibration is the machine-speed probe benchjson -calibrate
-# normalizes by, BenchmarkLPPricing keeps the pricing-rule A/B (and its
-# pivots/op metric) compiling and running — each sub-benchmark at
-# -benchtime=1x costs a few milliseconds.
+# normalizes by.  (The pricing-rule A/B, BenchmarkLPPricing, lives with the
+# reference rules in internal/lp.)
 # BenchmarkPlannerTick measures the continuous planner's steady-state warm
 # tick (streamed ingest + RHS rewrite + warm re-solve + publish) — the
 # latency a plannerd client sees on POST /tick — and fails if a measured
 # tick falls back cold.  BenchmarkPlannerTickJournal is the same tick with
 # the tick journal on, measured after 1000 warm-up ticks, so a per-tick
 # persistence cost that grows with uptime shows up here.
-BENCH_SMOKE := ^(BenchmarkCalibration|BenchmarkEvaluateSteadyState|BenchmarkEvaluateDeltaMove|BenchmarkLPResolve|BenchmarkLPBounded|BenchmarkLPPricing|BenchmarkEmulDay|BenchmarkPlannerTick|BenchmarkPlannerTickJournal)$$
+BENCH_SMOKE := ^(BenchmarkCalibration|BenchmarkEvaluateSteadyState|BenchmarkEvaluateDeltaMove|BenchmarkLPResolve|BenchmarkLPBounded|BenchmarkLPSolve|BenchmarkEmulDay|BenchmarkPlannerTick|BenchmarkPlannerTickJournal)$$
 
 bench-smoke:
 	$(GO) test -bench='$(BENCH_SMOKE)' -benchtime=1x -run '^$$' .

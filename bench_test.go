@@ -481,16 +481,21 @@ func partitionLP(b *testing.B, nDC, horizon int, phase float64) *lp.Problem {
 // BenchmarkLPSolve measures a cold solve of the scheduler-shaped partition
 // LP (3 datacenters × 48 hours, 432 variables / 480 rows) — the from-scratch
 // path of the revised simplex: standardize, factorize the slack basis,
-// phase 1 + phase 2.
+// phase 1 + phase 2 — and reports the pivots it took (pivots/op).  The
+// pricing-rule A/B on the same LP is internal/lp's BenchmarkLPPricing.
 func BenchmarkLPSolve(b *testing.B) {
 	prob := partitionLP(b, lpBenchDCs, lpBenchHorizon, 0)
+	pivots := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := prob.Solve(); err != nil {
+		sol, err := prob.Solve()
+		if err != nil {
 			b.Fatal(err)
 		}
+		pivots = sol.Stats.Pivots
 	}
+	b.ReportMetric(float64(pivots), "pivots/op")
 }
 
 // BenchmarkLPResolve measures the warm-started re-solve path that
@@ -572,40 +577,6 @@ func BenchmarkLPBounded(b *testing.B) {
 		if _, err := prob.Solve(); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkLPPricing A/B-tests the three pricing rules on a cold solve of
-// the scheduler-shaped partition LP.  Each sub-benchmark reports pivots/op
-// alongside ns/op, so a pricing change shows up both as wall-clock and as
-// iteration count; the devex/dantzig gap is the payoff of reference-weight
-// steepest-edge approximation, the dantzig/bland gap the cost of the
-// anti-cycling fallback if it were the primary rule.
-func BenchmarkLPPricing(b *testing.B) {
-	rules := []struct {
-		name string
-		rule lp.PricingRule
-	}{
-		{"devex", lp.PricingDevex},
-		{"dantzig", lp.PricingDantzig},
-		{"bland", lp.PricingBland},
-	}
-	for _, r := range rules {
-		b.Run(r.name, func(b *testing.B) {
-			prob := partitionLP(b, lpBenchDCs, lpBenchHorizon, 0)
-			opts := lp.SolveOptions{Pricing: r.rule}
-			pivots := 0
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sol, err := prob.SolveWithOptions(opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				pivots = sol.Stats.Pivots
-			}
-			b.ReportMetric(float64(pivots), "pivots/op")
-		})
 	}
 }
 

@@ -46,7 +46,7 @@ func run() error {
 
 	// Pick three good solar sites spread across time zones, like the
 	// Mexico/Guam/Kenya network of Table III.
-	sites := pickSpreadSolarSites(cat, 3)
+	sites := location.SpreadAcrossTimeZones(cat.TopBySolarCF(20), 3)
 	dcs := make([]emul.DatacenterConfig, 0, len(sites))
 	for _, s := range sites {
 		dcs = append(dcs, emul.DatacenterConfig{
@@ -61,14 +61,13 @@ func run() error {
 	fmt.Printf("Emulating %d VMs (%.2f kW) across %d datacenters for %d hours...\n",
 		len(fleet), fleetKW, len(dcs), *hours)
 	res, err := emul.Run(emul.Config{
-		Datacenters:       dcs,
-		VMs:               fleet,
-		StartHour:         *startDay * 24,
-		Hours:             *hours,
-		HorizonHours:      24,
-		MigrationFraction: 1,
-		Link:              wan.Link{BandwidthMbps: *bandwidth, LatencyMs: 90},
-		Predictor:         *predictor,
+		Datacenters:  dcs,
+		VMs:          fleet,
+		StartHour:    *startDay * 24,
+		Hours:        *hours,
+		HorizonHours: 24,
+		Link:         wan.Link{BandwidthMbps: *bandwidth, LatencyMs: 90},
+		Predictor:    *predictor,
 	})
 	if err != nil {
 		return err
@@ -88,36 +87,4 @@ func run() error {
 		res.Migrations, res.TotalMigrationKWh, 100*res.GreenFraction,
 		float64(res.AvgScheduleNanos)/1e6)
 	return nil
-}
-
-// pickSpreadSolarSites picks n good solar sites whose time zones are far
-// apart so that the sun is always shining on one of them.
-func pickSpreadSolarSites(cat *location.Catalog, n int) []*location.Site {
-	candidates := cat.TopBySolarCF(20)
-	picked := []*location.Site{candidates[0]}
-	for len(picked) < n {
-		best := candidates[0]
-		bestDist := -1.0
-		for _, cand := range candidates {
-			minDist := 24.0
-			for _, p := range picked {
-				d := float64(cand.UTCOffsetHours - p.UTCOffsetHours)
-				if d < 0 {
-					d = -d
-				}
-				if d > 12 {
-					d = 24 - d
-				}
-				if d < minDist {
-					minDist = d
-				}
-			}
-			if minDist > bestDist {
-				bestDist = minDist
-				best = cand
-			}
-		}
-		picked = append(picked, best)
-	}
-	return picked
 }

@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	lpsolve [-pricing devex|dantzig|bland] [-timeout d] [-write out.mps] [-v] model.mps
+//	lpsolve [-timeout d] [-write out.mps] [-v] model.mps
 //
 // With no file argument the model is read from standard input.
 package main
@@ -31,7 +31,6 @@ func main() {
 
 func run() error {
 	var (
-		pricing = flag.String("pricing", "devex", "pricing rule: devex, dantzig or bland")
 		write   = flag.String("write", "", "re-emit the parsed model as MPS to this file ('-' for stdout) instead of solving")
 		timeout = flag.Duration("timeout", 0, "solve deadline (e.g. 30s); 0 means none")
 		verbose = flag.Bool("v", false, "print variable values and solve statistics")
@@ -71,16 +70,6 @@ func run() error {
 	}
 
 	opts := lp.SolveOptions{}
-	switch *pricing {
-	case "devex":
-		opts.Pricing = lp.PricingDevex
-	case "dantzig":
-		opts.Pricing = lp.PricingDantzig
-	case "bland":
-		opts.Pricing = lp.PricingBland
-	default:
-		return fmt.Errorf("unknown -pricing %q", *pricing)
-	}
 	if *timeout > 0 {
 		opts.Deadline = time.Now().Add(*timeout)
 	}

@@ -65,9 +65,11 @@ func solveFile(t *testing.T, bin string, args ...string) float64 {
 
 // TestVendoredMPS pins the solver against the vendored public-domain
 // instances: every committed reference objective must be reproduced through
-// the real binary (the `make test-mps` gate), under all three pricing rules,
-// and must survive a WriteMPS round trip.  The set exercises G/L/E rows,
-// OBJSENSE MAX, BOUNDS, RANGES and Beale's degenerate cycling example.
+// the real binary (the `make test-mps` gate) and must survive a WriteMPS
+// round trip.  internal/lp's TestVendoredMPSReferenceRules holds the same
+// references under the Dantzig and Bland reference rules.  The set
+// exercises G/L/E rows, OBJSENSE MAX, BOUNDS, RANGES and Beale's degenerate
+// cycling example.
 func TestVendoredMPS(t *testing.T) {
 	dir := filepath.Join("..", "..", "testdata", "mps")
 	refs := readReferences(t, dir)
@@ -93,8 +95,6 @@ func TestVendoredMPS(t *testing.T) {
 				}
 			}
 			check("devex", solveFile(t, bin, path))
-			check("dantzig", solveFile(t, bin, "-pricing", "dantzig", path))
-			check("bland", solveFile(t, bin, "-pricing", "bland", path))
 
 			// Normalization round trip: re-emit with -write, solve the copy.
 			copyPath := filepath.Join(t.TempDir(), name+".mps")

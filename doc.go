@@ -40,7 +40,8 @@
 // Pricing maintains the reduced-cost row incrementally (one sparse BTRAN
 // of the leaving unit vector plus one CSC pass per pivot), verifies every
 // nominee exactly from its FTRAN column, and only declares optimality
-// after an exact rebuild.
+// after an exact rebuild.  Production prices with devex and falls back to
+// Bland's least-index rule when a degenerate stall latches.
 //
 // Warm starts thread the basis up the stack: a Solution captures its
 // optimal basis in model-level terms (lp.Basis — per row, which
@@ -175,9 +176,9 @@
 //     and the scheduler's partition LP + basis persist across hours
 //     (internal/sched warm starts).  Migration execution is sharded by
 //     destination datacenter with a merge in destination order; a
-//     datacenter is never donor and receiver in the same round, so any
-//     emul.Config.Parallelism level is bit-identical to sequential
-//     execution (pinned under -race).  A Runner's second Run is
+//     datacenter is never donor and receiver in the same round, so the
+//     GOMAXPROCS-sized worker pool is bit-identical to sequential
+//     execution (pinned under -race at GOMAXPROCS 1 and n).  A Runner's second Run is
 //     bit-identical to its first; the scratch-ownership rules are in
 //     internal/emul's package comment.
 //
@@ -297,9 +298,12 @@
 // a fixed-work machine-speed probe recorded in every snapshot: benchjson
 // -calibrate divides cross-snapshot ns/op deltas by the probe's ratio, so
 // diffs taken on a different machine compare code, not hardware.
-// BenchmarkLPPricing A/Bs the simplex pricing rules (devex, Dantzig,
-// Bland) on the scheduler-shaped partition LP and reports pivots/op next
-// to ns/op.  `make profile` writes CPU and heap profiles of
+// BenchmarkLPSolve reports the pivots/op of a cold partition-LP solve next
+// to ns/op; internal/lp's BenchmarkLPPricing A/Bs devex against the
+// test-only Dantzig and Bland reference rules on the same LP.
+// TestExportedSurfaceIsReached is a type-checked census of internal/: it
+// fails when an exported function, method, field, constant or variable has
+// no reference from non-test code (perfbench/ included).  `make profile` writes CPU and heap profiles of
 // BenchmarkSchedulerComputeTime — the end-to-end optimization loop — into
 // the gitignored profile/ directory for `go tool pprof`.
 package greencloud

@@ -19,46 +19,31 @@ import (
 	"sync"
 )
 
-// Config describes one annealing run over states of type S.  Energy is the
-// value being minimized.  Neighbor must return a new state and must not
-// mutate its argument.
+// Config describes one annealing run over states of type S, searched with
+// delta-evaluating hooks: NeighborMove proposes a modified copy of a state
+// together with metadata describing the move it applied, and EnergyMove
+// evaluates a state given that metadata and a chain-local context
+// (typically a reusable incremental evaluator) created once per chain by
+// NewContext.  EnergyMove must be a pure function of the state — the
+// context and metadata may only accelerate it, never change its value — so
+// results remain bit-identical regardless of parallelism or cache state.
 //
-// When Chains > 1, Energy and Neighbor are called concurrently from
-// multiple goroutines and must be safe for concurrent use (e.g. by keeping
-// per-call state in a sync.Pool).
+// When Chains > 1, NeighborMove and EnergyMove are called concurrently from
+// multiple goroutines (each with its own chain context).
 type Config[S any] struct {
 	// Initial is the starting state for every chain.
 	Initial S
-	// Energy evaluates a state; lower is better.  Infinite energy marks an
-	// infeasible state.
-	Energy func(S) float64
-	// Neighbor proposes a modified copy of the state using the chain's RNG.
-	Neighbor func(S, *rand.Rand) S
-
-	// The move-aware hooks below are an alternative to Energy/Neighbor for
-	// delta-evaluating searches: NeighborMove additionally returns metadata
-	// describing the move it applied, and EnergyMove receives that metadata
-	// together with a chain-local context (typically a reusable incremental
-	// evaluator) created once per chain by NewContext.  All three must be set
-	// together; when they are, Energy and Neighbor are ignored.  EnergyMove
-	// must be a pure function of the state — the context and metadata may
-	// only accelerate it, never change its value — so results remain
-	// bit-identical regardless of parallelism or cache state.
-	NewContext   func(chain int) any
+	// NewContext creates the evaluation context of one chain (chain -1
+	// evaluates the initial state once before the chains start).
+	NewContext func(chain int) any
+	// NeighborMove proposes a modified copy of the state using the chain's
+	// RNG and must not mutate its argument.
 	NeighborMove func(S, *rand.Rand) (S, any)
-	// EnergyMove evaluates a state using the chain's context; move is the
+	// EnergyMove evaluates a state using the chain's context; lower is
+	// better and infinite energy marks an infeasible state.  move is the
 	// metadata from NeighborMove, or nil when evaluating the initial state.
 	EnergyMove func(ctx any, s S, move any) float64
 
-	// InitialTemp is the starting temperature.  Zero selects a default
-	// derived from the initial energy.
-	InitialTemp float64
-	// CoolingRate is the geometric cooling factor per iteration (0,1);
-	// zero selects 0.995.
-	CoolingRate float64
-	// MinTemp stops a chain once the temperature drops below it
-	// (default 1e-6 × InitialTemp).
-	MinTemp float64
 	// MaxIterations caps the iterations per chain (default 2000).
 	MaxIterations int
 	// MaxStale stops a chain after this many consecutive iterations
@@ -67,11 +52,6 @@ type Config[S any] struct {
 
 	// Chains is the number of parallel search instances (default 1).
 	Chains int
-	// SyncEvery is retained for configuration compatibility.
-	//
-	// Deprecated: mid-run best-solution exchange was removed to make runs
-	// deterministic under parallel execution; the field is ignored.
-	SyncEvery int
 	// Seed makes the run reproducible.
 	Seed int64
 	// Sequential runs the chains one after another on the calling
@@ -99,12 +79,17 @@ type Result[S any] struct {
 }
 
 // ErrBadConfig reports a configuration that cannot be run.
-var ErrBadConfig = errors.New("anneal: Energy and Neighbor functions are required")
+var ErrBadConfig = errors.New("anneal: NewContext, NeighborMove and EnergyMove are required")
+
+// The cooling schedule: geometric cooling by coolingRate per iteration from
+// an initial temperature of 5% of the initial energy (at least 1), until the
+// temperature falls below minTempRatio of where it started.
+const (
+	coolingRate  = 0.995
+	minTempRatio = 1e-6
+)
 
 func (c Config[S]) withDefaults() Config[S] {
-	if c.CoolingRate <= 0 || c.CoolingRate >= 1 {
-		c.CoolingRate = 0.995
-	}
 	if c.MaxIterations <= 0 {
 		c.MaxIterations = 2000
 	}
@@ -128,31 +113,14 @@ type chainResult[S any] struct {
 // Run executes the annealing search and returns the best state found.
 func Run[S any](cfg Config[S]) (Result[S], error) {
 	var zero Result[S]
-	moveAware := cfg.EnergyMove != nil || cfg.NeighborMove != nil || cfg.NewContext != nil
-	if moveAware {
-		if cfg.EnergyMove == nil || cfg.NeighborMove == nil || cfg.NewContext == nil {
-			return zero, ErrBadConfig
-		}
-	} else if cfg.Energy == nil || cfg.Neighbor == nil {
+	if cfg.EnergyMove == nil || cfg.NeighborMove == nil || cfg.NewContext == nil {
 		return zero, ErrBadConfig
 	}
 	cfg = cfg.withDefaults()
 
-	var initialEnergy float64
-	if moveAware {
-		initialEnergy = cfg.EnergyMove(cfg.NewContext(-1), cfg.Initial, nil)
-	} else {
-		initialEnergy = cfg.Energy(cfg.Initial)
-	}
-
-	initialTemp := cfg.InitialTemp
-	if initialTemp <= 0 {
-		initialTemp = math.Max(1, math.Abs(initialEnergy)*0.05)
-	}
-	minTemp := cfg.MinTemp
-	if minTemp <= 0 {
-		minTemp = initialTemp * 1e-6
-	}
+	initialEnergy := cfg.EnergyMove(cfg.NewContext(-1), cfg.Initial, nil)
+	initialTemp := math.Max(1, math.Abs(initialEnergy)*0.05)
+	minTemp := initialTemp * minTempRatio
 
 	runChain := func(chainID int) chainResult[S] {
 		rng := rand.New(rand.NewSource(cfg.Seed*7919 + int64(chainID)*15485863 + 1))
@@ -161,10 +129,7 @@ func Run[S any](cfg Config[S]) (Result[S], error) {
 		// evaluation effective (the chain's trajectory keeps the per-site
 		// cache warm).  EnergyMove is a pure function of the state, so chains
 		// stay independent and the merged result deterministic.
-		var ctx any
-		if moveAware {
-			ctx = cfg.NewContext(chainID)
-		}
+		ctx := cfg.NewContext(chainID)
 		current := cfg.Initial
 		currentEnergy := initialEnergy
 		best := cfg.Initial
@@ -173,16 +138,14 @@ func Run[S any](cfg Config[S]) (Result[S], error) {
 		stale := 0
 		iters := 0
 		evals := 0
-		if moveAware {
-			// Seed the chain's context with the initial state so the first
-			// neighbour evaluation is already a delta.
-			if got := cfg.EnergyMove(ctx, current, nil); got != currentEnergy {
-				// EnergyMove violated purity; trust the fresh value so the
-				// chain is at least self-consistent.
-				currentEnergy, bestEnergy = got, got
-			}
-			evals++
+		// Seed the chain's context with the initial state so the first
+		// neighbour evaluation is already a delta.
+		if got := cfg.EnergyMove(ctx, current, nil); got != currentEnergy {
+			// EnergyMove violated purity; trust the fresh value so the
+			// chain is at least self-consistent.
+			currentEnergy, bestEnergy = got, got
 		}
+		evals++
 
 		for iters < cfg.MaxIterations && stale < cfg.MaxStale && temp > minTemp {
 			if cfg.Ctx != nil {
@@ -195,16 +158,8 @@ func Run[S any](cfg Config[S]) (Result[S], error) {
 				}
 			}
 			iters++
-			var candidate S
-			var candEnergy float64
-			if moveAware {
-				var move any
-				candidate, move = cfg.NeighborMove(current, rng)
-				candEnergy = cfg.EnergyMove(ctx, candidate, move)
-			} else {
-				candidate = cfg.Neighbor(current, rng)
-				candEnergy = cfg.Energy(candidate)
-			}
+			candidate, move := cfg.NeighborMove(current, rng)
+			candEnergy := cfg.EnergyMove(ctx, candidate, move)
 			evals++
 
 			accept := false
@@ -230,7 +185,7 @@ func Run[S any](cfg Config[S]) (Result[S], error) {
 			} else {
 				stale++
 			}
-			temp *= cfg.CoolingRate
+			temp *= coolingRate
 		}
 		return chainResult[S]{best: best, bestEnergy: bestEnergy, iterations: iters, evaluations: evals}
 	}

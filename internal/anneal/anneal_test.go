@@ -8,27 +8,36 @@ import (
 	"testing"
 )
 
+// plain builds a Config from a state-only energy and neighbour pair: the
+// move hooks ignore their chain context and move metadata.
+func plain[S any](cfg Config[S], energy func(S) float64, neighbor func(S, *rand.Rand) S) Config[S] {
+	cfg.NewContext = func(int) any { return nil }
+	cfg.NeighborMove = func(s S, rng *rand.Rand) (S, any) { return neighbor(s, rng), nil }
+	cfg.EnergyMove = func(_ any, s S, _ any) float64 { return energy(s) }
+	return cfg
+}
+
 func TestRunValidation(t *testing.T) {
 	if _, err := Run(Config[int]{}); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("want ErrBadConfig, got %v", err)
 	}
-	if _, err := Run(Config[int]{Energy: func(int) float64 { return 0 }}); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("missing Neighbor should error, got %v", err)
+	cfg := plain(Config[int]{}, func(int) float64 { return 0 }, func(s int, _ *rand.Rand) int { return s })
+	cfg.NeighborMove = nil
+	if _, err := Run(cfg); !errors.Is(err, ErrBadConfig) {
+		t.Errorf("missing NeighborMove should error, got %v", err)
 	}
 }
 
 func TestMinimizeQuadratic(t *testing.T) {
 	// Minimize (x-3)² over integers: optimum at x=3.
-	cfg := Config[float64]{
-		Initial: 50,
-		Energy:  func(x float64) float64 { return (x - 3) * (x - 3) },
-		Neighbor: func(x float64, rng *rand.Rand) float64 {
-			return x + rng.NormFloat64()*2
-		},
+	cfg := plain(Config[float64]{
+		Initial:       50,
 		MaxIterations: 5000,
 		MaxStale:      5000,
 		Seed:          1,
-	}
+	}, func(x float64) float64 { return (x - 3) * (x - 3) }, func(x float64, rng *rand.Rand) float64 {
+		return x + rng.NormFloat64()*2
+	})
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -66,15 +75,13 @@ func TestDiscreteSubsetSelection(t *testing.T) {
 		out[i] = !out[i]
 		return out
 	}
-	res, err := Run(Config[state]{
+	res, err := Run(plain(Config[state]{
 		Initial:       make(state, len(items)),
-		Energy:        energy,
-		Neighbor:      neighbor,
 		MaxIterations: 4000,
 		MaxStale:      2000,
 		Chains:        3,
 		Seed:          7,
-	})
+	}, energy, neighbor))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,20 +94,18 @@ func TestInfeasibleStatesAreNeverAccepted(t *testing.T) {
 	// States above 100 are infeasible (infinite energy).  Starting at 90 and
 	// proposing +5 moves, the chain must never adopt an infeasible state as
 	// its best.
-	res, err := Run(Config[float64]{
-		Initial: 90,
-		Energy: func(x float64) float64 {
-			if x > 100 {
-				return math.Inf(1)
-			}
-			return -x // prefer larger x, capped at 100
-		},
-		Neighbor: func(x float64, rng *rand.Rand) float64 {
-			return x + 5
-		},
+	res, err := Run(plain(Config[float64]{
+		Initial:       90,
 		MaxIterations: 200,
 		Seed:          3,
-	})
+	}, func(x float64) float64 {
+		if x > 100 {
+			return math.Inf(1)
+		}
+		return -x // prefer larger x, capped at 100
+	}, func(x float64, rng *rand.Rand) float64 {
+		return x + 5
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,17 +127,15 @@ func TestParallelChainsImproveOverSingle(t *testing.T) {
 	neighbor := func(x float64, rng *rand.Rand) float64 {
 		return x + rng.NormFloat64()*3
 	}
-	single, err := Run(Config[float64]{
-		Initial: 40, Energy: energy, Neighbor: neighbor,
-		MaxIterations: 800, Seed: 11, Chains: 1,
-	})
+	single, err := Run(plain(Config[float64]{
+		Initial: 40, MaxIterations: 800, Seed: 11, Chains: 1,
+	}, energy, neighbor))
 	if err != nil {
 		t.Fatal(err)
 	}
-	multi, err := Run(Config[float64]{
-		Initial: 40, Energy: energy, Neighbor: neighbor,
-		MaxIterations: 800, Seed: 11, Chains: 4,
-	})
+	multi, err := Run(plain(Config[float64]{
+		Initial: 40, MaxIterations: 800, Seed: 11, Chains: 4,
+	}, energy, neighbor))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,16 +146,14 @@ func TestParallelChainsImproveOverSingle(t *testing.T) {
 }
 
 func TestDeterministicForFixedSeedSingleChain(t *testing.T) {
-	cfg := Config[float64]{
-		Initial: 10,
-		Energy:  func(x float64) float64 { return math.Abs(x - 2) },
-		Neighbor: func(x float64, rng *rand.Rand) float64 {
-			return x + rng.NormFloat64()
-		},
+	cfg := plain(Config[float64]{
+		Initial:       10,
 		MaxIterations: 500,
 		Seed:          5,
 		Chains:        1,
-	}
+	}, func(x float64) float64 { return math.Abs(x - 2) }, func(x float64, rng *rand.Rand) float64 {
+		return x + rng.NormFloat64()
+	})
 	a, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -169,18 +170,16 @@ func TestDeterministicForFixedSeedSingleChain(t *testing.T) {
 func TestParallelMatchesSequential(t *testing.T) {
 	// Chains are independent and merged deterministically, so running them
 	// on one goroutine or many must give bit-identical results.
-	cfg := Config[float64]{
-		Initial: 40,
-		Energy: func(x float64) float64 {
-			return 0.1*x*x + 5*math.Abs(math.Sin(x))
-		},
-		Neighbor: func(x float64, rng *rand.Rand) float64 {
-			return x + rng.NormFloat64()*3
-		},
+	cfg := plain(Config[float64]{
+		Initial:       40,
 		MaxIterations: 600,
 		Seed:          13,
 		Chains:        4,
-	}
+	}, func(x float64) float64 {
+		return 0.1*x*x + 5*math.Abs(math.Sin(x))
+	}, func(x float64, rng *rand.Rand) float64 {
+		return x + rng.NormFloat64()*3
+	})
 	parallel, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -271,18 +270,16 @@ func TestStaleStopBoundsEvaluations(t *testing.T) {
 	// An energy function that never improves: the chain must stop after
 	// MaxStale iterations, not run to MaxIterations.
 	var calls int64
-	res, err := Run(Config[int]{
-		Initial: 0,
-		Energy: func(int) float64 {
-			atomic.AddInt64(&calls, 1)
-			return 1
-		},
-		Neighbor:      func(s int, rng *rand.Rand) int { return s },
+	res, err := Run(plain(Config[int]{
+		Initial:       0,
 		MaxIterations: 100000,
 		MaxStale:      50,
 		Chains:        1,
 		Seed:          2,
-	})
+	}, func(int) float64 {
+		atomic.AddInt64(&calls, 1)
+		return 1
+	}, func(s int, rng *rand.Rand) int { return s }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,6 +287,6 @@ func TestStaleStopBoundsEvaluations(t *testing.T) {
 		t.Errorf("chain ran %d iterations, want ≈50 (stale stop)", res.Iterations)
 	}
 	if atomic.LoadInt64(&calls) > 70 {
-		t.Errorf("energy called %d times, want ≈51", calls)
+		t.Errorf("energy called %d times, want ≈52", calls)
 	}
 }

@@ -13,29 +13,29 @@ import (
 // mid-flight stops every chain promptly and hands back the partial best with
 // the context's error.
 
-func quadCfg(ctx context.Context, chains int, sequential bool) Config[float64] {
-	return Config[float64]{
-		Initial: 50,
-		Energy:  func(x float64) float64 { return (x - 3) * (x - 3) },
-		Neighbor: func(x float64, rng *rand.Rand) float64 {
-			return x + rng.NormFloat64()*2
-		},
+func quadEnergy(x float64) float64 { return (x - 3) * (x - 3) }
+
+func quadCfg(ctx context.Context, chains int, sequential bool, energy func(float64) float64) Config[float64] {
+	return plain(Config[float64]{
+		Initial:       50,
 		MaxIterations: 5000,
 		MaxStale:      5000,
 		Seed:          1,
 		Chains:        chains,
 		Sequential:    sequential,
 		Ctx:           ctx,
-	}
+	}, energy, func(x float64, rng *rand.Rand) float64 {
+		return x + rng.NormFloat64()*2
+	})
 }
 
 func TestUncancelledCtxIsBitIdentical(t *testing.T) {
 	for _, chains := range []int{1, 4} {
-		bare, err := Run(quadCfg(nil, chains, false))
+		bare, err := Run(quadCfg(nil, chains, false, quadEnergy))
 		if err != nil {
 			t.Fatalf("chains=%d without ctx: %v", chains, err)
 		}
-		withCtx, err := Run(quadCfg(context.Background(), chains, false))
+		withCtx, err := Run(quadCfg(context.Background(), chains, false, quadEnergy))
 		if err != nil {
 			t.Fatalf("chains=%d with ctx: %v", chains, err)
 		}
@@ -49,7 +49,7 @@ func TestUncancelledCtxIsBitIdentical(t *testing.T) {
 func TestCancelledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := Run(quadCfg(ctx, 2, false))
+	res, err := Run(quadCfg(ctx, 2, false, quadEnergy))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -70,19 +70,17 @@ func TestCancelMidFlight(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var evals atomic.Int64
-	cfg := quadCfg(ctx, 4, false)
-	inner := cfg.Energy
-	cfg.Energy = func(x float64) float64 {
+	cfg := quadCfg(ctx, 4, false, func(x float64) float64 {
 		if evals.Add(1) == 64 {
 			cancel()
 		}
-		return inner(x)
-	}
+		return quadEnergy(x)
+	})
 	res, err := Run(cfg)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	full, err2 := Run(quadCfg(nil, 4, false))
+	full, err2 := Run(quadCfg(nil, 4, false, quadEnergy))
 	if err2 != nil {
 		t.Fatal(err2)
 	}

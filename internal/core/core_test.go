@@ -525,3 +525,13 @@ func TestSolveExactValidation(t *testing.T) {
 		t.Errorf("want ErrBadSpec, got %v", err)
 	}
 }
+
+// circularHourDistance is the distance between two UTC offsets around the
+// 24-hour clock.
+func circularHourDistance(a, b int) float64 {
+	d := math.Abs(float64(a - b))
+	if d > 12 {
+		d = 24 - d
+	}
+	return d
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -96,7 +97,9 @@ func TestDeltaEvaluationMatchesFull(t *testing.T) {
 				}
 				// Reference: the same evaluator pipeline with every memoized
 				// result invalidated, i.e. a full from-scratch evaluation.
-				full.InvalidateCache()
+				for _, ent := range full.cache {
+					ent.capacityKW = math.Inf(-1)
+				}
 				want, err := full.EvaluateCost(next.candidates)
 				if err != nil {
 					t.Fatalf("step %d (%v): full: %v", step, mv.Kind, err)

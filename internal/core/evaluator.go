@@ -192,9 +192,6 @@ func NewEvaluator(cat *location.Catalog, spec Spec) (*Evaluator, error) {
 	return e, nil
 }
 
-// Spec returns the spec the evaluator was built with (defaults applied).
-func (e *Evaluator) Spec() Spec { return e.spec }
-
 // Evaluate provisions and prices the candidate siting, returning a full
 // Solution with per-site series.  Only the returned Solution is allocated;
 // all intermediate state comes from the evaluator's scratch buffers.  The
@@ -223,14 +220,6 @@ func (e *Evaluator) EvaluateCost(candidates []Candidate) (CostSummary, error) {
 // evaluation of the same candidates.
 func (e *Evaluator) EvaluateCostMove(candidates []Candidate, mv Move) (CostSummary, error) {
 	return e.run(candidates, mv, nil)
-}
-
-// InvalidateCache drops every memoized per-site result.  Steady-state calls
-// after an invalidation re-fill existing entries without allocating.
-func (e *Evaluator) InvalidateCache() {
-	for _, ent := range e.cache {
-		ent.capacityKW = math.Inf(-1)
-	}
 }
 
 // DisableCache turns off per-site memoization for this evaluator.  Probe

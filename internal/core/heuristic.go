@@ -36,9 +36,6 @@ type SolveOptions struct {
 	MaxIterations int
 	// Seed makes the search reproducible.
 	Seed int64
-	// CapacityQuantumKW is the step used by capacity-changing moves;
-	// default TotalCapacityKW/8.
-	CapacityQuantumKW float64
 	// Sequential runs the annealing chains one after another instead of
 	// in parallel.  The solution is identical either way (chains are
 	// independent and merged deterministically); the switch exists so the
@@ -51,7 +48,7 @@ type SolveOptions struct {
 	Ctx context.Context
 }
 
-func (o SolveOptions) withDefaults(spec Spec) SolveOptions {
+func (o SolveOptions) withDefaults() SolveOptions {
 	if o.FilterKeep <= 0 {
 		o.FilterKeep = 60
 	}
@@ -60,9 +57,6 @@ func (o SolveOptions) withDefaults(spec Spec) SolveOptions {
 	}
 	if o.MaxIterations <= 0 {
 		o.MaxIterations = 250
-	}
-	if o.CapacityQuantumKW <= 0 {
-		o.CapacityQuantumKW = spec.TotalCapacityKW / 8
 	}
 	return o
 }
@@ -316,7 +310,7 @@ func Solve(cat *location.Catalog, spec Spec, opts SolveOptions) (*Solution, erro
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	opts = opts.withDefaults(spec)
+	opts = opts.withDefaults()
 
 	filtered := opts.Candidates
 	if len(filtered) == 0 {
@@ -357,7 +351,8 @@ func Solve(cat *location.Catalog, spec Spec, opts SolveOptions) (*Solution, erro
 	if maxDCs == 0 {
 		maxDCs = minDCs + 12
 	}
-	quantum := opts.CapacityQuantumKW
+	// Capacity-changing moves step by an eighth of the network's capacity.
+	quantum := spec.TotalCapacityKW / 8
 
 	// Per-chain evaluators are built up front so a constructor failure is an
 	// ordinary error return instead of a panic inside a chain goroutine.
@@ -440,10 +435,16 @@ func buildInitialSiting(cat *location.Catalog, filtered []int, minDCs int, spec 
 	// Three sites spread across time zones with full capacity each: the
 	// shape of the paper's no-storage solutions.
 	if len(filtered) >= 3 {
-		spread := pickSpreadSites(cat, filtered, 3)
+		sites := make([]*location.Site, 0, len(filtered))
+		for _, id := range filtered {
+			if site, err := cat.Site(id); err == nil {
+				sites = append(sites, site)
+			}
+		}
+		spread := location.SpreadAcrossTimeZones(sites, 3)
 		cands := make([]Candidate, 0, len(spread))
-		for _, id := range spread {
-			cands = append(cands, Candidate{SiteID: id, CapacityKW: spec.TotalCapacityKW})
+		for _, site := range spread {
+			cands = append(cands, Candidate{SiteID: site.ID, CapacityKW: spec.TotalCapacityKW})
 		}
 		if len(cands) >= minDCs {
 			options = append(options, siting{candidates: cands})
@@ -468,67 +469,6 @@ func buildInitialSiting(cat *location.Catalog, filtered []int, minDCs int, spec 
 		}
 	}
 	return best
-}
-
-// pickSpreadSites selects n filtered sites whose UTC offsets are as far
-// apart as possible (so one of them always has daylight).
-func pickSpreadSites(cat *location.Catalog, filtered []int, n int) []int {
-	if len(filtered) <= n {
-		out := make([]int, len(filtered))
-		copy(out, filtered)
-		return out
-	}
-	selected := []int{filtered[0]}
-	for len(selected) < n {
-		bestID := -1
-		bestDist := -1.0
-		for _, id := range filtered {
-			if containsInt(selected, id) {
-				continue
-			}
-			site, err := cat.Site(id)
-			if err != nil {
-				continue
-			}
-			dist := math.Inf(1)
-			for _, sel := range selected {
-				other, err := cat.Site(sel)
-				if err != nil {
-					continue
-				}
-				d := circularHourDistance(site.UTCOffsetHours, other.UTCOffsetHours)
-				if d < dist {
-					dist = d
-				}
-			}
-			if dist > bestDist {
-				bestDist = dist
-				bestID = id
-			}
-		}
-		if bestID < 0 {
-			break
-		}
-		selected = append(selected, bestID)
-	}
-	return selected
-}
-
-func circularHourDistance(a, b int) float64 {
-	d := math.Abs(float64(a - b))
-	if d > 12 {
-		d = 24 - d
-	}
-	return d
-}
-
-func containsInt(list []int, v int) bool {
-	for _, x := range list {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }
 
 func sitingContains(cands []Candidate, id int) bool {

@@ -108,10 +108,9 @@ func DefaultSpec() Spec {
 
 // Errors returned by spec validation and the solvers.
 var (
-	ErrBadSpec     = errors.New("core: invalid specification")
-	ErrNoSites     = errors.New("core: no candidate sites")
-	ErrInfeasible  = errors.New("core: no feasible solution found")
-	ErrUnreachable = errors.New("core: green fraction target unreachable with the given sources")
+	ErrBadSpec    = errors.New("core: invalid specification")
+	ErrNoSites    = errors.New("core: no candidate sites")
+	ErrInfeasible = errors.New("core: no feasible solution found")
 )
 
 // withDefaults fills zero-valued fields with the paper defaults.

@@ -76,18 +76,11 @@ type Config struct {
 	Hours int
 	// HorizonHours is the scheduler's prediction horizon (default 48).
 	HorizonHours int
-	// MigrationFraction is the conservative both-ends accounting fraction.
-	MigrationFraction float64
 	// Link is the WAN link used between every pair of datacenters.
 	Link wan.Link
 	// Predictor selects the green-energy predictor ("perfect",
 	// "persistence" or "diurnal"; default "perfect", as in the paper).
 	Predictor string
-	// Parallelism caps the migration-execution pipeline's worker
-	// goroutines (0 = GOMAXPROCS, 1 = sequential).  Results are
-	// bit-identical at any setting: moves are sharded per destination and
-	// merged in a fixed order.
-	Parallelism int
 	// LPTimeout, when positive, bounds each scheduling round's partition
 	// LP solve (sched.Options.LPTimeout): a round that overruns degrades
 	// to the static greedy split instead of blocking the hour.  A serving
@@ -267,9 +260,6 @@ func NewRunner(cfg Config) (*Runner, error) {
 	if cfg.HorizonHours <= 0 {
 		cfg.HorizonHours = 48
 	}
-	if cfg.MigrationFraction <= 0 {
-		cfg.MigrationFraction = 1
-	}
 	if cfg.Link.BandwidthMbps == 0 {
 		cfg.Link = wan.DefaultLink
 	}
@@ -342,9 +332,8 @@ func NewRunner(cfg Config) (*Runner, error) {
 	}
 
 	r.scheduler = sched.New(sched.Options{
-		HorizonHours:      cfg.HorizonHours,
-		MigrationFraction: cfg.MigrationFraction,
-		LPTimeout:         cfg.LPTimeout,
+		HorizonHours: cfg.HorizonHours,
+		LPTimeout:    cfg.LPTimeout,
 	})
 	r.totalVMPowerKW = cfg.VMs.TotalPowerW() / 1000
 
@@ -508,9 +497,6 @@ func (r *Runner) Start() error {
 	r.hour = 0
 	return nil
 }
-
-// Ticks returns how many ticks have run since Start.
-func (r *Runner) Ticks() int { return r.hour }
 
 // Datacenters returns the configured datacenter names in order (a copy).
 func (r *Runner) Datacenters() []string {
@@ -692,8 +678,8 @@ func fillWrapped(dst, src []float64, from int) {
 // executeMoves runs one hour's migration schedule: move VMs between
 // managers, ship the stale GDFS blocks, account the energy.  Moves are
 // sharded by destination datacenter and the shards run concurrently (up to
-// cfg.Parallelism workers); per-shard accumulators merged in destination
-// order make the result bit-identical to sequential execution.  It fills
+// GOMAXPROCS workers); per-shard accumulators merged in destination order
+// make the result bit-identical to sequential execution.  It fills
 // r.migEnergy/migBytes/migIn/migOut, updates r.home and the per-datacenter
 // fleets, and returns the number of migrations performed.
 func (r *Runner) executeMoves(moves []sched.Migration) (int, error) {
@@ -722,10 +708,7 @@ func (r *Runner) executeMoves(moves []sched.Migration) (int, error) {
 		r.shards[toIdx].moves = append(r.shards[toIdx].moves, mi)
 	}
 
-	workers := r.cfg.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := runtime.GOMAXPROCS(0)
 	work := make(chan int, n)
 	active := 0
 	for i := 0; i < n; i++ {
@@ -847,13 +830,13 @@ func (r *Runner) runShard(si int, moves []sched.Migration) {
 			From:        mv.From,
 			To:          mv.To,
 			DirtyDiskMB: float64(pendingBytes) / (1 << 20),
-		}, r.network, migrate.Options{EpochHours: r.cfg.MigrationFraction})
+		}, r.network)
 		if err != nil {
 			sh.err = err
 			return
 		}
 		// The conservative accounting charges the migration at both ends
-		// for MigrationFraction of the epoch.
+		// for the whole epoch.
 		sh.energy[fromIdx] += result.ConservativeEnergyKWh
 		sh.energy[si] += result.ConservativeEnergyKWh
 		sh.bytes[fromIdx] += int64(result.TransferredMB * (1 << 20))

@@ -37,16 +37,17 @@ func sameResult(t *testing.T, label string, a, b *Result) {
 
 // TestParallelPipelineMatchesSequential pins the migration-execution
 // pipeline's determinism: per-destination sharding with an ordered merge
-// must make any parallelism level bit-identical to sequential execution.
-// Run under -race by make test.
+// must make any worker count (GOMAXPROCS) bit-identical to sequential
+// execution.  Run under -race by make test.
 func TestParallelPipelineMatchesSequential(t *testing.T) {
 	cfg := testConfig(t, 24)
-	cfg.Parallelism = 1
+	n := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(n)
 	seq, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Parallelism = 2 * runtime.GOMAXPROCS(0)
+	runtime.GOMAXPROCS(max(n, len(cfg.Datacenters)))
 	par, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -116,8 +116,8 @@ func TestReplayMatchesStep(t *testing.T) {
 			}
 		}
 	}
-	if resumed.Ticks() != split {
-		t.Fatalf("resumed at tick %d, want %d", resumed.Ticks(), split)
+	if resumed.hour != split {
+		t.Fatalf("resumed at tick %d, want %d", resumed.hour, split)
 	}
 
 	// Warm handoff: install the basis the live runner carried at the split

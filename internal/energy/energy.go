@@ -119,26 +119,17 @@ func (r *BalanceResult) GreenFraction() float64 {
 	return f
 }
 
-// Feasible reports whether every epoch's demand was fully met.
-func (r *BalanceResult) Feasible() bool { return r.UnmetKWh < 1e-6 }
-
-// Balance runs the chronological greedy storage simulation.  Each call
-// allocates a fresh BalanceResult; hot loops that balance the same horizon
-// length many times should reuse a Balancer instead.
-func Balance(in BalanceInput) (*BalanceResult, error) {
-	return new(Balancer).Balance(in)
-}
-
-// Balancer runs Balance without allocating in steady state: the per-epoch
-// result series are owned by the Balancer and reused across calls (they are
-// only reallocated when the horizon length grows).  The returned
-// *BalanceResult aliases the Balancer's buffers and is invalidated by the
-// next Balance call.  A Balancer must not be used concurrently.
+// Balancer runs the chronological greedy storage simulation without
+// allocating in steady state: the per-epoch result series are owned by the
+// Balancer and reused across calls (they are only reallocated when the
+// horizon length grows).  The returned *BalanceResult aliases the
+// Balancer's buffers and is invalidated by the next Balance call.  A
+// Balancer must not be used concurrently.
 type Balancer struct {
 	res BalanceResult
 }
 
-// Balance is the zero-allocation equivalent of the package-level Balance.
+// Balance runs the simulation with per-epoch series.
 func (bl *Balancer) Balance(in BalanceInput) (*BalanceResult, error) {
 	n := len(in.GreenKW)
 	// Resize only — no zeroing: simulate writes every element of every
@@ -332,9 +323,6 @@ func (t *BalanceTotals) GreenFraction() float64 {
 	return f
 }
 
-// Feasible mirrors BalanceResult.Feasible.
-func (t *BalanceTotals) Feasible() bool { return t.UnmetKWh < 1e-6 }
-
 // Totals runs the chronological greedy storage simulation exactly like
 // Balance but accumulates only the yearly totals, performing no heap
 // allocations and no per-epoch series writes.  Balance and Totals share the
@@ -344,60 +332,6 @@ func (t *BalanceTotals) Feasible() bool { return t.UnmetKWh < 1e-6 }
 // should call this instead.
 func Totals(in BalanceInput) (BalanceTotals, error) {
 	return simulate(in, nil)
-}
-
-// RequiredPlantScale returns the multiplicative factor by which a green
-// plant's capacity must be scaled so that the balance reaches the target
-// green fraction, using bisection over scale.  greenPerKW is the per-epoch
-// production of one kW of installed plant; the other inputs are as in
-// Balance.  It returns the smallest scale in [0, maxScale] that reaches the
-// target, or maxScale if even that is insufficient (the caller then knows
-// the target is unreachable with this source mix).
-func RequiredPlantScale(greenPerKW, demandKW, weights []float64, mode StorageMode,
-	battCapKWhPerKW float64, battEff float64, target float64, maxScale float64) (float64, error) {
-	if target <= 0 {
-		return 0, nil
-	}
-	if maxScale <= 0 {
-		return 0, errors.New("energy: maxScale must be positive")
-	}
-	green := make([]float64, len(greenPerKW))
-	eval := func(scale float64) (float64, error) {
-		series.Scale(green, scale, greenPerKW)
-		res, err := Balance(BalanceInput{
-			GreenKW:            green,
-			DemandKW:           demandKW,
-			Weights:            weights,
-			Mode:               mode,
-			BatteryCapacityKWh: battCapKWhPerKW * scale,
-			BatteryEfficiency:  battEff,
-		})
-		if err != nil {
-			return 0, err
-		}
-		return res.GreenFraction(), nil
-	}
-	hiFrac, err := eval(maxScale)
-	if err != nil {
-		return 0, err
-	}
-	if hiFrac < target {
-		return maxScale, nil
-	}
-	lo, hi := 0.0, maxScale
-	for iter := 0; iter < 60; iter++ {
-		mid := (lo + hi) / 2
-		frac, err := eval(mid)
-		if err != nil {
-			return 0, err
-		}
-		if frac >= target {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return hi, nil
 }
 
 func nonNegative(v float64) float64 {

@@ -257,9 +257,6 @@ func NewSuite(cfg Config) (*Suite, error) {
 	}, nil
 }
 
-// Catalog exposes the suite's catalog (used by benchmarks).
-func (s *Suite) Catalog() *location.Catalog { return s.catalog }
-
 // baseSpec is the paper's 50 MW base case.
 func (s *Suite) baseSpec() core.Spec {
 	spec := core.DefaultSpec()
@@ -893,13 +890,12 @@ func (s *Suite) runEmulation(sol *core.Solution, hours int) (*emul.Result, error
 		})
 	}
 	return emul.Run(emul.Config{
-		Datacenters:       dcs,
-		VMs:               fleet,
-		StartHour:         24 * 172, // an arbitrary mid-year day
-		Hours:             hours,
-		HorizonHours:      24,
-		MigrationFraction: 1,
-		Link:              wan.Link{BandwidthMbps: 100, LatencyMs: 90},
+		Datacenters:  dcs,
+		VMs:          fleet,
+		StartHour:    24 * 172, // an arbitrary mid-year day
+		Hours:        hours,
+		HorizonHours: 24,
+		Link:         wan.Link{BandwidthMbps: 100, LatencyMs: 90},
 	})
 }
 

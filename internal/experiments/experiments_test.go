@@ -178,7 +178,7 @@ func TestSuiteDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Catalog().Len() == 0 {
+	if s.catalog.Len() == 0 {
 		t.Error("default suite has an empty catalog")
 	}
 	if s.cfg.Budget != Quick {

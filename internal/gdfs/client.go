@@ -37,9 +37,6 @@ func NewCluster(master *Master) *Cluster {
 	return &Cluster{master: master, stores: make(map[WorkerID]BlockStore)}
 }
 
-// Master exposes the cluster's master.
-func (c *Cluster) Master() *Master { return c.master }
-
 // AddWorker registers a block store with the master and the cluster.
 func (c *Cluster) AddWorker(store BlockStore, datacenter string) error {
 	if err := c.master.RegisterWorker(store.ID(), datacenter); err != nil {

@@ -38,7 +38,6 @@ var (
 	ErrFileNotFound   = errors.New("gdfs: file not found")
 	ErrBlockNotFound  = errors.New("gdfs: block not found")
 	ErrWorkerNotFound = errors.New("gdfs: worker not registered")
-	ErrClosed         = errors.New("gdfs: master is closed")
 )
 
 // BlockInfo is the master's metadata for one block.
@@ -78,7 +77,6 @@ type Master struct {
 	nextBlockID BlockID
 	replication int
 	now         func() time.Time
-	closed      bool
 
 	// under indexes the blocks with at least one but fewer than
 	// `replication` valid replicas, so UnderReplicated plans over just
@@ -143,9 +141,6 @@ func (m *Master) updateUnder(b *blockMeta) {
 func (m *Master) RegisterWorker(id WorkerID, datacenter string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.closed {
-		return ErrClosed
-	}
 	if _, ok := m.workers[id]; !ok {
 		m.workerList = append(m.workerList, id)
 		sort.Slice(m.workerList, func(i, j int) bool { return m.workerList[i] < m.workerList[j] })
@@ -154,23 +149,11 @@ func (m *Master) RegisterWorker(id WorkerID, datacenter string) error {
 	return nil
 }
 
-// Workers returns the registered worker IDs sorted for determinism.
-func (m *Master) Workers() []WorkerID {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make([]WorkerID, len(m.workerList))
-	copy(out, m.workerList)
-	return out
-}
-
 // Create adds a file of the given size to the namespace, allocating blocks
 // whose primary replica lives on the given worker.
 func (m *Master) Create(path string, size int64, primary WorkerID) (*FileInfo, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.closed {
-		return nil, ErrClosed
-	}
 	if _, ok := m.files[path]; ok {
 		return nil, fmt.Errorf("%w: %s", ErrFileExists, path)
 	}
@@ -197,45 +180,6 @@ func (m *Master) Create(path string, size int64, primary WorkerID) (*FileInfo, e
 	}
 	m.files[path] = fi
 	return cloneFileInfo(fi), nil
-}
-
-// Stat returns the file's metadata.
-func (m *Master) Stat(path string) (*FileInfo, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	fi, ok := m.files[path]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrFileNotFound, path)
-	}
-	return cloneFileInfo(fi), nil
-}
-
-// Delete removes a file and its block metadata.
-func (m *Master) Delete(path string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	fi, ok := m.files[path]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrFileNotFound, path)
-	}
-	for _, b := range fi.Blocks {
-		delete(m.blocks, b)
-		delete(m.under, b)
-	}
-	delete(m.files, path)
-	return nil
-}
-
-// Files lists all paths in the namespace, sorted.
-func (m *Master) Files() []string {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make([]string, 0, len(m.files))
-	for p := range m.files {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // BlockLocations reports the block's replica state.
@@ -359,29 +303,9 @@ func (m *Master) UnderReplicated() []ReplicationTask {
 	return tasks
 }
 
-// StaleBlocksOn returns the blocks of a file whose replica on the given
-// worker is stale or missing — exactly the data a VM migration must ship.
-func (m *Master) StaleBlocksOn(path string, worker WorkerID) ([]BlockID, int64, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	fi, ok := m.files[path]
-	if !ok {
-		return nil, 0, fmt.Errorf("%w: %s", ErrFileNotFound, path)
-	}
-	var out []BlockID
-	var bytes int64
-	for _, id := range fi.Blocks {
-		b := m.blocks[id]
-		if valid, ok := b.replicas[worker]; !ok || !valid {
-			out = append(out, id)
-			bytes += b.size
-		}
-	}
-	return out, bytes, nil
-}
-
-// StaleBytesOn is StaleBlocksOn without materializing the block list — the
-// allocation-free path behind Client.PendingMigrationBytes, safe to call
+// StaleBytesOn returns the bytes of a file whose replica on the given worker
+// is stale or missing — exactly the data a VM migration must ship.  It is
+// the allocation-free path behind Client.PendingMigrationBytes, safe to call
 // concurrently from the migration pipeline's shards.
 func (m *Master) StaleBytesOn(path string, worker WorkerID) (int64, error) {
 	m.mu.RLock()
@@ -398,13 +322,6 @@ func (m *Master) StaleBytesOn(path string, worker WorkerID) (int64, error) {
 		}
 	}
 	return bytes, nil
-}
-
-// Close marks the master closed; subsequent mutations fail.
-func (m *Master) Close() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.closed = true
 }
 
 func cloneFileInfo(fi *FileInfo) *FileInfo {

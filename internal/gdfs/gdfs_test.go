@@ -21,7 +21,7 @@ func newTestCluster(t *testing.T) (*Cluster, []*MetaWorker) {
 
 func TestMasterCreateStatDelete(t *testing.T) {
 	cluster, _ := newTestCluster(t)
-	m := cluster.Master()
+	m := cluster.master
 
 	fi, err := m.Create("/vm/disk0", 10<<20, "dc-a")
 	if err != nil {
@@ -43,38 +43,15 @@ func TestMasterCreateStatDelete(t *testing.T) {
 		t.Error("negative size should error")
 	}
 
-	got, err := m.Stat("/vm/disk0")
-	if err != nil {
-		t.Fatalf("Stat: %v", err)
+	got := m.files["/vm/disk0"]
+	if got == nil || got.Size != fi.Size || len(got.Blocks) != len(fi.Blocks) {
+		t.Error("namespace entry mismatch")
 	}
-	if got.Size != fi.Size || len(got.Blocks) != len(fi.Blocks) {
-		t.Error("Stat mismatch")
+	if len(m.files) != 1 {
+		t.Errorf("namespace holds %d files, want 1", len(m.files))
 	}
-	if _, err := m.Stat("/missing"); !errors.Is(err, ErrFileNotFound) {
-		t.Errorf("want ErrFileNotFound, got %v", err)
-	}
-	if files := m.Files(); len(files) != 1 || files[0] != "/vm/disk0" {
-		t.Errorf("Files() = %v", files)
-	}
-	if err := m.Delete("/vm/disk0"); err != nil {
-		t.Fatalf("Delete: %v", err)
-	}
-	if err := m.Delete("/vm/disk0"); !errors.Is(err, ErrFileNotFound) {
-		t.Errorf("double delete: want ErrFileNotFound, got %v", err)
-	}
-	if len(m.Workers()) != 3 {
-		t.Errorf("Workers() = %v", m.Workers())
-	}
-}
-
-func TestMasterClosed(t *testing.T) {
-	m := NewMaster(0)
-	m.Close()
-	if err := m.RegisterWorker("w", "dc"); !errors.Is(err, ErrClosed) {
-		t.Errorf("want ErrClosed, got %v", err)
-	}
-	if _, err := m.Create("/f", 1, "w"); !errors.Is(err, ErrClosed) {
-		t.Errorf("want ErrClosed, got %v", err)
+	if len(m.workerList) != 3 {
+		t.Errorf("workers = %v", m.workerList)
 	}
 }
 
@@ -96,7 +73,7 @@ func TestWriteInvalidatesRemoteReplicas(t *testing.T) {
 	if copied := cluster.ReplicateOnce(); copied != len(fi.Blocks) {
 		t.Fatalf("ReplicateOnce copied %d blocks, want %d", copied, len(fi.Blocks))
 	}
-	loc, err := cluster.Master().BlockLocations(fi.Blocks[0])
+	loc, err := cluster.master.BlockLocations(fi.Blocks[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +85,7 @@ func TestWriteInvalidatesRemoteReplicas(t *testing.T) {
 	if err := clientA.DirtyBlock(fi, 0); err != nil {
 		t.Fatalf("DirtyBlock: %v", err)
 	}
-	loc, err = cluster.Master().BlockLocations(fi.Blocks[0])
+	loc, err = cluster.master.BlockLocations(fi.Blocks[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +107,7 @@ func TestWriteInvalidatesRemoteReplicas(t *testing.T) {
 	if copied := cluster.ReplicateOnce(); copied == 0 {
 		t.Error("expected re-replication work after the write")
 	}
-	loc, _ = cluster.Master().BlockLocations(fi.Blocks[0])
+	loc, _ = cluster.master.BlockLocations(fi.Blocks[0])
 	if len(loc.Valid) != 2 {
 		t.Errorf("after re-replication: %d valid replicas, want 2", len(loc.Valid))
 	}
@@ -168,7 +145,7 @@ func TestStaleBlocksDriveMigrationCost(t *testing.T) {
 	if pending != fi.BlockSize {
 		t.Errorf("pending after one dirty block = %d, want %d", pending, fi.BlockSize)
 	}
-	if _, _, err := cluster.Master().StaleBlocksOn("/missing", "dc-a"); !errors.Is(err, ErrFileNotFound) {
+	if _, err := cluster.master.StaleBytesOn("/missing", "dc-a"); !errors.Is(err, ErrFileNotFound) {
 		t.Errorf("want ErrFileNotFound, got %v", err)
 	}
 }
@@ -185,7 +162,7 @@ func TestUnderReplicatedPlanPrefersStaleHolders(t *testing.T) {
 	if err := clientA.DirtyBlock(fi, 0); err != nil {
 		t.Fatal(err)
 	}
-	tasks := cluster.Master().UnderReplicated()
+	tasks := cluster.master.UnderReplicated()
 	if len(tasks) == 0 {
 		t.Fatal("expected replication tasks")
 	}

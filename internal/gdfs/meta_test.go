@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 )
@@ -64,8 +65,8 @@ func (p *planePair) check(t *testing.T, label string) {
 			t.Fatalf("%s: worker %s BytesStored payload=%d meta=%d", label, w, pb, mb)
 		}
 	}
-	pTasks := p.payload.Master().UnderReplicated()
-	mTasks := p.meta.Master().UnderReplicated()
+	pTasks := p.payload.master.UnderReplicated()
+	mTasks := p.meta.master.UnderReplicated()
 	if len(pTasks) != len(mTasks) {
 		t.Fatalf("%s: UnderReplicated payload=%d tasks meta=%d tasks", label, len(pTasks), len(mTasks))
 	}
@@ -74,17 +75,19 @@ func (p *planePair) check(t *testing.T, label string) {
 			t.Fatalf("%s: task %d payload=%+v meta=%+v", label, i, pTasks[i], mTasks[i])
 		}
 	}
-	for _, path := range p.payload.Master().Files() {
-		fi, err := p.payload.Master().Stat(path)
-		if err != nil {
-			t.Fatal(err)
-		}
+	paths := make([]string, 0, len(p.payload.master.files))
+	for path := range p.payload.master.files {
+		paths = append(paths, path)
+	}
+	sort.Strings(paths)
+	for _, path := range paths {
+		fi := p.payload.master.files[path]
 		for _, id := range fi.Blocks {
-			pl, err := p.payload.Master().BlockLocations(id)
+			pl, err := p.payload.master.BlockLocations(id)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ml, err := p.meta.Master().BlockLocations(id)
+			ml, err := p.meta.master.BlockLocations(id)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,7 +2,9 @@ package location
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"greencloud/internal/pue"
@@ -376,6 +378,49 @@ func (c *Catalog) TopByWindCF(n int) []*Site {
 // best first.
 func (c *Catalog) TopBySolarCF(n int) []*Site {
 	return c.topBy(n, func(s *Site) float64 { return s.SolarCapacityFactor })
+}
+
+// SpreadAcrossTimeZones picks n of the given sites whose UTC offsets are as
+// far apart as possible, so that the sun is always shining on one of them:
+// the first site, then repeatedly the not-yet-picked site farthest (in
+// circular hours) from every site already picked, ties going to the earlier
+// one.  With n or fewer sites it returns them all, in input order.
+func SpreadAcrossTimeZones(sites []*Site, n int) []*Site {
+	if len(sites) <= n {
+		return append([]*Site(nil), sites...)
+	}
+	picked := []*Site{sites[0]}
+	for len(picked) < n {
+		var best *Site
+		bestDist := -1.0
+		for _, cand := range sites {
+			if slices.Contains(picked, cand) {
+				continue
+			}
+			dist := math.Inf(1)
+			for _, p := range picked {
+				dist = math.Min(dist, hourDistance(cand.UTCOffsetHours, p.UTCOffsetHours))
+			}
+			if dist > bestDist {
+				bestDist, best = dist, cand
+			}
+		}
+		if best == nil {
+			break // only duplicates of picked sites remain
+		}
+		picked = append(picked, best)
+	}
+	return picked
+}
+
+// hourDistance is the distance between two UTC offsets around the 24-hour
+// clock.
+func hourDistance(a, b int) float64 {
+	d := math.Abs(float64(a - b))
+	if d > 12 {
+		d = 24 - d
+	}
+	return d
 }
 
 func (c *Catalog) topBy(n int, key func(*Site) float64) []*Site {

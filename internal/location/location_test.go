@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"greencloud/internal/timeseries"
 	"greencloud/internal/weather"
 )
 
@@ -91,8 +92,8 @@ func TestGenerateCatalogSmall(t *testing.T) {
 	if cat.Len() != 60 {
 		t.Fatalf("Len() = %d, want 60", cat.Len())
 	}
-	if cat.Grid().Days() != 2 {
-		t.Errorf("grid days = %d, want 2", cat.Grid().Days())
+	if cat.Grid().Len() != 2*timeseries.HoursPerDay {
+		t.Errorf("grid epochs = %d, want 2 days of %d", cat.Grid().Len(), timeseries.HoursPerDay)
 	}
 	seen := map[string]bool{}
 	for _, s := range cat.Sites() {
@@ -266,7 +267,7 @@ func TestCapacityFactorAccessors(t *testing.T) {
 	if len(cat.SolarCapacityFactors()) != 10 || len(cat.WindCapacityFactors()) != 10 || len(cat.AvgPUEs()) != 10 {
 		t.Error("accessor slices have wrong lengths")
 	}
-	for _, a := range weather.Archetypes() {
+	for _, a := range []weather.Archetype{weather.Desert, weather.Temperate, weather.Maritime, weather.Ridge, weather.Tropical, weather.Continental, weather.Polar} {
 		_ = archetypeEconomics(a) // must not panic and must return sane values
 		eco := archetypeEconomics(a)
 		if eco.elecMean <= 0 || eco.landMean <= 0 {
@@ -309,4 +310,35 @@ func TestUTCOffsetsSpreadAndShiftProfiles(t *testing.T) {
 		}
 		break
 	}
+}
+
+func TestSpreadAcrossTimeZones(t *testing.T) {
+	at := func(id, utc int) *Site { return &Site{ID: id, UTCOffsetHours: utc} }
+	sites := []*Site{at(0, 0), at(1, 1), at(2, -11), at(3, 8), at(4, -8), at(5, 12)}
+	// Site 0 first; site 5 (12 h away) is farthest from it; then the site
+	// farthest from both 0 and 12 — ±6 h would win, but among these -8 and
+	// 8 tie at 4 h, and the tie goes to the earlier one (site 3).
+	got := SpreadAcrossTimeZones(sites, 3)
+	if len(got) != 3 || got[0].ID != 0 || got[1].ID != 5 || got[2].ID != 3 {
+		t.Fatalf("picked %v, want sites 0, 5, 3", ids(got))
+	}
+	// n or fewer sites: all of them, in input order, never reordered.
+	few := []*Site{at(7, 5), at(8, 5), at(9, -3)}
+	if got := SpreadAcrossTimeZones(few, 3); len(got) != 3 || got[0].ID != 7 || got[1].ID != 8 || got[2].ID != 9 {
+		t.Fatalf("picked %v from three sites, want them in input order", ids(got))
+	}
+	// A site already picked is never picked twice, even when every
+	// candidate sits in the same time zone.
+	same := []*Site{at(0, 3), at(1, 3), at(2, 3), at(3, 3)}
+	if got := SpreadAcrossTimeZones(same, 3); len(got) != 3 || got[0].ID != 0 || got[1].ID != 1 || got[2].ID != 2 {
+		t.Fatalf("picked %v from one time zone, want sites 0, 1, 2", ids(got))
+	}
+}
+
+func ids(sites []*Site) []int {
+	out := make([]int, len(sites))
+	for i, s := range sites {
+		out[i] = s.ID
+	}
+	return out
 }

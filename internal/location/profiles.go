@@ -23,9 +23,6 @@ type Profiles struct {
 	pue   series.Block
 }
 
-// Epochs returns the number of epochs per site row.
-func (p *Profiles) Epochs() int { return p.alpha.Epochs() }
-
 // Row returns the matrix row for the given site ID.
 func (p *Profiles) Row(siteID int) (int, bool) {
 	r, ok := p.rows[siteID]

@@ -38,18 +38,10 @@ var ErrBasisEncoding = errors.New("lp: invalid basis encoding")
 // old daemon snapshot decodes to a clean error instead of garbage.
 var basisMagic = [4]byte{'G', 'N', 'B', '1'}
 
-// MarshalBinary encodes the basis for persistence.  The encoding is
-// deterministic: the same Basis always yields the same bytes.
-func (b *Basis) MarshalBinary() ([]byte, error) {
-	if b == nil {
-		return nil, fmt.Errorf("%w: nil basis", ErrBasisEncoding)
-	}
-	return b.AppendBinary(make([]byte, 0, 4+10*(len(b.cols)+len(b.upper))+18*len(b.devexW)+8))
-}
-
-// AppendBinary appends the MarshalBinary encoding to dst, so a caller that
-// persists a basis every tick can reuse one buffer.  On error dst is
-// returned unchanged.
+// AppendBinary appends the basis's persistent encoding to dst, so a caller
+// that persists a basis every tick can reuse one buffer.  The encoding is
+// deterministic: the same Basis always yields the same bytes.  On error dst
+// is returned unchanged.
 func (b *Basis) AppendBinary(dst []byte) ([]byte, error) {
 	if b == nil {
 		return dst, fmt.Errorf("%w: nil basis", ErrBasisEncoding)
@@ -84,7 +76,7 @@ func fnv64a(data []byte) uint64 {
 	return h
 }
 
-// DecodeBasis decodes a snapshot produced by MarshalBinary.  The returned
+// DecodeBasis decodes a snapshot produced by AppendBinary.  The returned
 // Basis is freshly allocated (it never aliases data) and ready for
 // SolveFrom; invalid input returns an error wrapping ErrBasisEncoding.
 func DecodeBasis(data []byte) (*Basis, error) {

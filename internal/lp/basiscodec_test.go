@@ -58,11 +58,11 @@ func TestBasisCodecRoundTrip(t *testing.T) {
 		if basis == nil {
 			t.Fatalf("seed %d: optimal solve returned no basis", seed)
 		}
-		enc, err := basis.MarshalBinary()
+		enc, err := basis.AppendBinary(nil)
 		if err != nil {
 			t.Fatalf("seed %d: marshal: %v", seed, err)
 		}
-		enc2, err := basis.MarshalBinary()
+		enc2, err := basis.AppendBinary(nil)
 		if err != nil || !bytes.Equal(enc, enc2) {
 			t.Fatalf("seed %d: encoding is not deterministic", seed)
 		}
@@ -120,7 +120,7 @@ func TestBasisCodecRejectsCorrupt(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		if enc, err = sol.Basis().MarshalBinary(); err != nil {
+		if enc, err = sol.Basis().AppendBinary(nil); err != nil {
 			t.Fatal(err)
 		}
 		break
@@ -146,17 +146,17 @@ func TestBasisCodecRejectsCorrupt(t *testing.T) {
 	if _, err := DecodeBasis(append(append([]byte(nil), enc...), 0)); !errors.Is(err, ErrBasisEncoding) {
 		t.Fatal("trailing byte accepted")
 	}
-	if _, err := (*Basis)(nil).MarshalBinary(); !errors.Is(err, ErrBasisEncoding) {
+	if _, err := (*Basis)(nil).AppendBinary(nil); !errors.Is(err, ErrBasisEncoding) {
 		t.Fatal("nil basis marshalled")
 	}
 }
 
-// TestBasisAppendBinary pins AppendBinary against MarshalBinary: the same
+// TestBasisAppendBinary pins AppendBinary against a fresh encoding: the same
 // bytes after any prefix, nothing appended on error, and no allocation once
 // the destination has room.
 func TestBasisAppendBinary(t *testing.T) {
 	basis := codecBasis(t)
-	enc, err := basis.MarshalBinary()
+	enc, err := basis.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func codecBasis(t testing.TB) *Basis {
 }
 
 // FuzzDecodeBasis: DecodeBasis either rejects its input with
-// ErrBasisEncoding or accepts an encoding that MarshalBinary reproduces
+// ErrBasisEncoding or accepts an encoding that AppendBinary reproduces
 // byte for byte.  Each input is tried as is and with its trailing checksum
 // recomputed, so mutations reach the structural decoder instead of dying
 // at the checksum.  Seeded with real optimal bases.
@@ -211,7 +211,7 @@ func FuzzDecodeBasis(f *testing.F) {
 		if err != nil || sol.Basis() == nil {
 			continue
 		}
-		enc, err := sol.Basis().MarshalBinary()
+		enc, err := sol.Basis().AppendBinary(nil)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -227,7 +227,7 @@ func FuzzDecodeBasis(f *testing.F) {
 				}
 				return
 			}
-			enc, err := b.MarshalBinary()
+			enc, err := b.AppendBinary(nil)
 			if err != nil {
 				t.Fatalf("decoded basis does not re-encode: %v", err)
 			}

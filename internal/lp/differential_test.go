@@ -457,10 +457,7 @@ func drawDifferentialProblem(rng *rand.Rand, trial int) *Problem {
 // optima, so values may differ — objectives may not).
 func TestPricingRulesAgreeOnRandomLPs(t *testing.T) {
 	rng := rand.New(rand.NewSource(271828))
-	rules := []struct {
-		name string
-		rule PricingRule
-	}{{"devex", PricingDevex}, {"dantzig", PricingDantzig}, {"bland", PricingBland}}
+	rules := pricingRules
 	statuses := map[Status]int{}
 	pivots := make([]int, len(rules))
 	degPivots := make([]int, len(rules))
@@ -468,12 +465,12 @@ func TestPricingRulesAgreeOnRandomLPs(t *testing.T) {
 		p := drawDifferentialProblem(rng, trial)
 		sols := make([]*Solution, len(rules))
 		for k, r := range rules {
-			sol, err := p.SolveWithOptions(SolveOptions{Pricing: r.rule})
+			sol, err := p.solveRule(r)
 			if err != nil && !errors.Is(err, ErrInfeasible) && !errors.Is(err, ErrUnbounded) {
-				t.Fatalf("trial %d: %s: %v", trial, r.name, err)
+				t.Fatalf("trial %d: %v: %v", trial, r, err)
 			}
 			if sol == nil {
-				t.Fatalf("trial %d: %s: nil solution", trial, r.name)
+				t.Fatalf("trial %d: %v: nil solution", trial, r)
 			}
 			sols[k] = sol
 			pivots[k] += sol.Stats.Pivots
@@ -485,8 +482,8 @@ func TestPricingRulesAgreeOnRandomLPs(t *testing.T) {
 		statuses[ref.Status]++
 		for k, r := range rules[1:] {
 			if sols[k+1].Status != ref.Status {
-				t.Fatalf("trial %d: %s status %v, devex status %v",
-					trial, r.name, sols[k+1].Status, ref.Status)
+				t.Fatalf("trial %d: %v status %v, devex status %v",
+					trial, r, sols[k+1].Status, ref.Status)
 			}
 		}
 		if ref.Status != Optimal {
@@ -495,8 +492,8 @@ func TestPricingRulesAgreeOnRandomLPs(t *testing.T) {
 		for k, r := range rules {
 			tol := 1e-9 * math.Max(1, math.Abs(ref.Objective))
 			if math.Abs(sols[k].Objective-ref.Objective) > tol {
-				t.Fatalf("trial %d: %s objective %v, devex %v (tol %v)",
-					trial, r.name, sols[k].Objective, ref.Objective, tol)
+				t.Fatalf("trial %d: %v objective %v, devex %v (tol %v)",
+					trial, r, sols[k].Objective, ref.Objective, tol)
 			}
 			checkModelFeasible(t, trial, p, sols[k])
 		}

@@ -38,46 +38,41 @@
 // ratio test — so pricing drift can cost a re-pick, never a junk pivot,
 // and optimality is only declared after an exact rebuild.  Which column
 // that row nominates is the pricing rule (pricing.go): devex reference
-// weights over a rotating candidate list by default, with Dantzig's full
-// scan and Bland's least-index rule selectable via SolveOptions.Pricing.
+// weights over a rotating candidate list, with Bland's least-index rule as
+// the anti-cycling fallback.
 //
 // # Pricing
 //
 // The pricing rule decides which nonbasic column enters the basis each
 // pivot; it is the lever with the biggest effect on iteration counts.
-// Three rules are implemented behind one interface (pricing.go), selected
-// by SolveOptions.Pricing:
+// Production prices with devex: each candidate scores viol²/w_j, where w_j
+// is a devex reference weight approximating ‖B⁻¹·A_j‖² — the
+// steepest-edge criterion without its per-column FTRANs.  Weights start at
+// 1 over a reference framework, are updated in O(nnz) per pivot from the
+// same BTRAN row that maintains the reduced costs, and the framework resets
+// when the weight spread drifts past a ratio bound.  On models past a few
+// thousand columns the full scan gives way to candidate-list partial
+// pricing: a short list of the best scorers from a rotating section of the
+// columns, re-verified exactly and refilled as it goes stale, with a full
+// pass (never the list alone) required to declare optimality.  The same
+// weights price the leaving row in the dual simplex, and both primal and
+// dual weights are captured into Basis so warm restarts (SolveFrom) resume
+// with the framework instead of re-learning it.
 //
-//   - PricingDevex (the default, zero value) scores each candidate by
-//     viol²/w_j, where w_j is a devex reference weight approximating
-//     ‖B⁻¹·A_j‖² — the steepest-edge criterion without its per-column
-//     FTRANs.  Weights start at 1 over a reference framework, are updated
-//     in O(nnz) per pivot from the same BTRAN row that maintains the
-//     reduced costs, and the framework resets when the weight spread
-//     drifts past a ratio bound.  On models past a few thousand columns
-//     the full scan gives way to candidate-list partial pricing: a short
-//     list of the best scorers from a rotating section of the columns,
-//     re-verified exactly and refilled as it goes stale, with a full pass
-//     (never the list alone) required to declare optimality.  The same
-//     weights price the leaving row in the dual simplex, and both primal
-//     and dual weights are captured into Basis so warm restarts
-//     (SolveFrom) resume with the framework instead of re-learning it.
-//   - PricingDantzig is the classic most-negative-reduced-cost full scan:
-//     cheapest per pivot, but blind to column geometry, so it tends to
-//     take more pivots on degenerate models.
-//   - PricingBland is the least-index anti-cycling rule; it terminates
-//     finitely on any model and is what the stall ladder switches to
-//     mid-solve (Stats.BlandSwitches) when progress latches.  Once the
-//     stall releases, the solver switches back and re-seeds a fresh devex
-//     framework (Stats.DevexResets).
+// Bland's least-index rule is the fallback: it terminates finitely on any
+// model, and the stall ladder latches onto it mid-solve
+// (Stats.BlandSwitches) when a long run of degenerate pivots makes no
+// progress.  Once the objective moves again the latch releases and devex
+// restarts from a fresh framework (Stats.DevexResets).
 //
-// All three rules share the exact-FTRAN re-verification above, so they
-// differ in pivot counts and wall-clock, never in the optimum; the
-// differential suite solves every random model under all three and
-// requires identical statuses and objectives.  Stats reports the pricing
-// work per solve (PartialPasses, CandidateRebuilds, DevexResets), and
-// BenchmarkLPPricing in the repo root A/Bs the rules on the
-// scheduler-shaped partition LP with a pivots/op metric.
+// Dantzig's most-violating full scan and a whole-solve Bland rule live in
+// pricing_ref_test.go as references behind the same pricer interface.  All
+// rules share the exact-FTRAN re-verification above, so they differ in
+// pivot counts and wall-clock, never in the optimum; the differential suite
+// solves every random model under all three and requires identical
+// statuses and objectives, and BenchmarkLPPricing A/Bs them on the
+// scheduler-shaped partition LP with a pivots/op metric.  Stats reports the
+// pricing work per solve (PartialPasses, CandidateRebuilds, DevexResets).
 //
 // # Warm starts
 //
@@ -407,9 +402,6 @@ type SolveOptions struct {
 	// Ctx, when non-nil, is polled between pivots; cancellation stops the
 	// solve with ErrCancelled.
 	Ctx context.Context
-	// Pricing selects the simplex pricing rule.  The zero value is
-	// PricingDevex; see the PricingRule constants in pricing.go.
-	Pricing PricingRule
 }
 
 // solveControl is the internal form of SolveOptions threaded into the
@@ -418,13 +410,15 @@ type solveControl struct {
 	deadline time.Time
 	ctx      context.Context
 	maxIters int
-	pricing  PricingRule
+	// ref, set only by tests, replaces devex with a reference pricing rule
+	// (pricing_ref_test.go).  It is deliberately not a budget: it changes
+	// which pivots are taken, never whether limits are polled.
+	ref func(*solver) pricer
 }
 
 // active reports whether any budget is set, so unbudgeted solves skip the
 // per-iteration checks entirely and stay bit-identical to the pre-options
-// solver.  The pricing rule is deliberately not a budget: it changes which
-// pivots are taken, never whether limits are polled.
+// solver.
 func (c *solveControl) active() bool {
 	return c != nil && (c.ctx != nil || !c.deadline.IsZero() || c.maxIters > 0)
 }
@@ -506,12 +500,15 @@ func (p *Problem) SolveFrom(warm *Basis) (*Solution, error) {
 // deadline or cancellation is final: there is no budget left to retry on);
 // recovery actions along the way are reported in the Solution's Stats.
 func (p *Problem) SolveFromWithOptions(warm *Basis, opts SolveOptions) (*Solution, error) {
+	return p.solveFrom(warm, &solveControl{deadline: opts.Deadline, ctx: opts.Ctx, maxIters: opts.MaxIters})
+}
+
+func (p *Problem) solveFrom(warm *Basis, ctl *solveControl) (*Solution, error) {
 	var stats Stats
 	std, err := p.standardize()
 	if err != nil {
 		return nil, err
 	}
-	ctl := &solveControl{deadline: opts.Deadline, ctx: opts.Ctx, maxIters: opts.MaxIters, pricing: opts.Pricing}
 	status, values, basis := std.solve(warm, ctl, &stats)
 	switch status {
 	case Infeasible:

@@ -1,54 +1,17 @@
 package lp
 
 // Pricing framework of the revised simplex: which nonbasic column enters on
-// a primal iteration, and — under devex — which basic row leaves on a dual
-// iteration.  The rules plug into the solver behind the pricer interface;
+// a primal iteration, and which basic row leaves on a dual iteration.
+// Production prices with devex (devexPricer) and falls back to Bland's
+// least-index rule through the solver's stall latch.  The rule plugs into
+// the solver behind the pricer interface, which is what lets tests
+// substitute the Dantzig and Bland reference rules (pricing_ref_test.go);
 // every implementation may use stale or approximate information freely,
 // because the primal loop re-verifies each nominee's reduced cost exactly
 // from its FTRAN column before pivoting and only declares optimality after
 // an exact reduced-cost rebuild followed by a full-scan re-pick.  A pricing
 // rule can therefore change pivot sequences (and, on degenerate problems,
 // which alternative optimum is returned), never statuses or objectives.
-
-// PricingRule selects the simplex pricing strategy, via SolveOptions.Pricing.
-type PricingRule int
-
-const (
-	// PricingDevex — the default (zero value) — prices entering columns by
-	// reduced-cost violation squared over a devex reference weight: an
-	// approximation of the steepest-edge column norm, maintained per pivot
-	// from quantities the reduced-cost update pass already computes, and
-	// reset to fresh unit weights when the weights drift past the classic
-	// ratio bound (devexResetRatio) or whenever a refactorization or basis
-	// repair discards the eta file the weights were learned through.  The
-	// scan runs over a rotating candidate list (partial pricing); the dual
-	// simplex weighs its leaving-row choice with dual devex row weights.
-	// On long, thin, near-degenerate problems — the scheduler's partition
-	// LPs — devex takes markedly fewer pivots than Dantzig's rule.
-	PricingDevex PricingRule = iota
-	// PricingDantzig prices with Dantzig's classic most-violating
-	// reduced-cost rule over a full column scan — the pre-devex default,
-	// kept as the A/B baseline (BenchmarkLPPricing) and as a fallback.
-	PricingDantzig
-	// PricingBland prices with Bland's least-index rule (and the exact
-	// smallest-index ratio test) for the whole solve.  Bland guarantees
-	// termination but converges slowly; the other rules latch onto it
-	// automatically when the degenerate-stall detector fires, so selecting
-	// it outright is mostly a debugging aid.
-	PricingBland
-)
-
-// String returns the rule's short name.
-func (r PricingRule) String() string {
-	switch r {
-	case PricingDantzig:
-		return "dantzig"
-	case PricingBland:
-		return "bland"
-	default:
-		return "devex"
-	}
-}
 
 // Devex tuning.
 const (
@@ -100,36 +63,18 @@ type pricer interface {
 	reset(s *solver)
 }
 
-// dantzigPricer is the classic most-violating rule over a full scan, with
-// the plain incremental reduced-cost maintenance.
-type dantzigPricer struct{}
-
-func (dantzigPricer) price(s *solver) int { return s.pickEntering(false) }
-
-func (dantzigPricer) update(s *solver, q, p int, dq float64, w []float64) {
-	s.updateReducedAfterPivot(q, p, dq)
-}
-
-func (dantzigPricer) reset(*solver) {}
-
-// blandPricer is Bland's least-index rule behind the pricer interface.  The
-// solver engages Bland through the stall latch (solver.blandForced), which
-// additionally switches the ratio test to the exact smallest-index variant
-// Bland's termination guarantee needs, so this implementation only backs
-// the explicit PricingBland selection.
-type blandPricer struct{}
-
-func (blandPricer) price(s *solver) int { return s.pickEntering(true) }
-
-func (blandPricer) update(s *solver, q, p int, dq float64, w []float64) {
-	s.updateReducedAfterPivot(q, p, dq)
-}
-
-func (blandPricer) reset(*solver) {}
-
-// devexPricer carries the devex state: primal reference weights per
-// standard-form column, dual reference weights per basis row, and the
-// partial-pricing candidate list with its rotating scan cursor.
+// devexPricer prices entering columns by reduced-cost violation squared
+// over a devex reference weight: an approximation of the steepest-edge
+// column norm, maintained per pivot from quantities the reduced-cost update
+// pass already computes, and reset to fresh unit weights when the weights
+// drift past devexResetRatio or whenever a refactorization or basis repair
+// discards the eta file the weights were learned through.  On long, thin,
+// near-degenerate problems — the scheduler's partition LPs — devex takes
+// markedly fewer pivots than Dantzig's rule.
+//
+// It carries the devex state: primal reference weights per standard-form
+// column, dual reference weights per basis row, and the partial-pricing
+// candidate list with its rotating scan cursor.
 //
 // The primal weight vector is lazy: nil means every weight is 1 (a fresh
 // reference framework), and a warm start's carried weights stay in sparse

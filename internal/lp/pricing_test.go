@@ -68,9 +68,9 @@ func partitionShapedLP(t testing.TB, nDC, horizon int, phase float64) *Problem {
 
 // solveWithRule solves prob under the given pricing rule and returns the
 // solution, failing the test on any non-Optimal outcome.
-func solveWithRule(t testing.TB, prob *Problem, rule PricingRule) *Solution {
+func solveWithRule(t testing.TB, prob *Problem, rule pricingRule) *Solution {
 	t.Helper()
-	sol, err := prob.SolveWithOptions(SolveOptions{Pricing: rule})
+	sol, err := prob.solveRule(rule)
 	if err != nil {
 		t.Fatalf("rule %v: %v", rule, err)
 	}
@@ -84,8 +84,8 @@ func solveWithRule(t testing.TB, prob *Problem, rule PricingRule) *Solution {
 func TestPricingRulesAgreeOnPartitionLP(t *testing.T) {
 	for _, phase := range []float64{0, 1.3, 2.6} {
 		prob := partitionShapedLP(t, 3, 48, phase)
-		ref := solveWithRule(t, prob, PricingDantzig)
-		for _, rule := range []PricingRule{PricingDevex, PricingBland} {
+		ref := solveWithRule(t, prob, ruleDantzig)
+		for _, rule := range []pricingRule{ruleDevex, ruleBland} {
 			sol := solveWithRule(t, prob, rule)
 			if diff := math.Abs(sol.Objective - ref.Objective); diff > 1e-6*(1+math.Abs(ref.Objective)) {
 				t.Errorf("phase %v rule %v: objective %v, dantzig %v", phase, rule, sol.Objective, ref.Objective)
@@ -107,8 +107,8 @@ func TestDevexFewerPivotsOnPartitionLP(t *testing.T) {
 	totalDevex, totalDantzig := 0, 0
 	for _, phase := range []float64{0, 0.7, 1.3, 2.1, 2.6} {
 		prob := partitionShapedLP(t, 3, 48, phase)
-		totalDevex += solveWithRule(t, prob, PricingDevex).Stats.Pivots
-		totalDantzig += solveWithRule(t, prob, PricingDantzig).Stats.Pivots
+		totalDevex += solveWithRule(t, prob, ruleDevex).Stats.Pivots
+		totalDantzig += solveWithRule(t, prob, ruleDantzig).Stats.Pivots
 	}
 	t.Logf("total pivots: devex=%d dantzig=%d", totalDevex, totalDantzig)
 	if totalDevex >= totalDantzig {

@@ -289,7 +289,7 @@ func TestStallLatchReleasesBackToDevex(t *testing.T) {
 	}
 
 	ArmFault(FaultForceStall, 1, 1)
-	dsol, err := transportLP(t).SolveWithOptions(SolveOptions{Pricing: PricingDantzig})
+	dsol, err := transportLP(t).solveRule(ruleDantzig)
 	if err != nil {
 		t.Fatalf("dantzig solve with forced stall: %v", err)
 	}

@@ -127,12 +127,12 @@ type solver struct {
 	reduced []float64 // maintained reduced costs, len nTotal
 	stale   int       // pivots since the last exact rebuild
 
-	// Pricing (pricing.go).  pr is the selected rule; dvx aliases it when
-	// the rule is devex (nil otherwise), for the devex-only hooks: the dual
-	// simplex's weighted leaving-row scan and the warm-start weight carry.
-	pricing PricingRule
-	pr      pricer
-	dvx     *devexPricer
+	// Pricing (pricing.go).  pr is the pricing rule; dvx aliases it when
+	// the rule is devex (nil under a test reference rule), for the
+	// devex-only hooks: the dual simplex's weighted leaving-row scan and
+	// the warm-start weight carry.
+	pr  pricer
+	dvx *devexPricer
 
 	sinceRefactor int
 
@@ -142,6 +142,7 @@ type solver struct {
 	stallRun    int           // consecutive zero-step pivots
 	nanRetries  int           // non-finite recoveries spent
 	blandForced bool          // stall detector latched Bland's rule on
+	blandOnly   bool          // the latch never releases (Bland reference rule)
 
 	// scratch, len m.
 	w, y, rowScratch []float64
@@ -177,25 +178,12 @@ func newSolver(std *standard, ctl *solveControl, stats *Stats) *solver {
 	} else {
 		s.alpha = make([]float64, std.nTotal)
 	}
-	if ctl != nil {
-		s.pricing = ctl.pricing
+	if ctl != nil && ctl.ref != nil {
+		s.pr = ctl.ref(s)
+		return s
 	}
-	switch s.pricing {
-	case PricingDantzig:
-		s.pr = dantzigPricer{}
-	case PricingBland:
-		// An explicit Bland selection rides the stall latch machinery for
-		// the whole solve: least-index pricing plus the exact
-		// smallest-index ratio test its termination guarantee needs.  The
-		// progress release is suppressed for this rule (see primal), and
-		// no BlandSwitch is counted — nothing switched.
-		s.pr = blandPricer{}
-		s.blandForced = true
-	default:
-		s.pricing = PricingDevex
-		s.dvx = newDevexPricer(std, std.nTotal > partialMinCols)
-		s.pr = s.dvx
-	}
+	s.dvx = newDevexPricer(std, std.nTotal > partialMinCols)
+	s.pr = s.dvx
 	return s
 }
 
@@ -418,25 +406,6 @@ func (s *solver) boundFlip(q int, w []float64) {
 	s.atUpper[q] = !s.atUpper[q]
 	s.stats.BoundFlips++
 	s.stallRun = 0 // a bound flip strictly improves the objective
-}
-
-// updateReducedAfterPivot maintains the reduced-cost row across the pivot
-// that entered q at position p with exact reduced cost dq: with ρ = row p of
-// the new basis inverse, d'_j = d_j − dq·(ρ·A_j).  One sparse BTRAN plus one
-// pass over the CSC nonzeros — the revised-simplex analogue of the dense
-// tableau's reduced-row elimination.  Bound statuses never enter: reduced
-// costs depend on the basis alone.
-func (s *solver) updateReducedAfterPivot(q int, p int, dq float64) {
-	rho := s.w // w's FTRAN contents are dead once the pivot is applied
-	s.btranUnit(p, rho)
-	alpha := s.alphaRow(rho)
-	for j := 0; j < s.std.nTotal; j++ {
-		if a := alpha[j]; a != 0 && !s.basic[j] {
-			s.reduced[j] -= dq * a
-		}
-	}
-	s.reduced[q] = 0
-	s.stale++
 }
 
 // alphaRow computes alpha = Aᵀρ over the priced columns into the solver's
@@ -815,14 +784,14 @@ func (s *solver) primal() Status {
 		if step <= epsilon {
 			s.stallRun++ // degenerate pivot: no objective progress
 		} else {
-			// Progress made: release the stall latch back to the configured
-			// rule (never when Bland IS the configured rule).  Bland is an
-			// anti-cycling device, not a pricing strategy — staying on it
-			// past the stall trades convergence speed for nothing.  Devex
-			// restarts with a fresh reference framework, counted as a
-			// DevexReset unconditionally: the reset is the release signal.
+			// Progress made: release the stall latch back to the pricing
+			// rule.  Bland is an anti-cycling device, not a pricing
+			// strategy — staying on it past the stall trades convergence
+			// speed for nothing.  Devex restarts with a fresh reference
+			// framework, counted as a DevexReset unconditionally: the reset
+			// is the release signal.
 			s.stallRun = 0
-			if s.blandForced && s.pricing != PricingBland {
+			if s.blandForced && !s.blandOnly {
 				s.blandForced = false
 				if s.dvx != nil {
 					s.dvx.resetFramework(s, true)

@@ -54,30 +54,12 @@ type Result struct {
 	ConservativeEnergyKWh float64
 }
 
-// Options tunes the pre-copy model.
-type Options struct {
-	// MaxRounds caps the number of pre-copy rounds (default 8).
-	MaxRounds int
-	// StopAndCopyMB is the dirty-set size below which the final
-	// stop-and-copy happens (default 16 MB).
-	StopAndCopyMB float64
-	// EpochHours is the epoch length used for the conservative energy
-	// accounting (default 1 hour).
-	EpochHours float64
-}
-
-func (o Options) withDefaults() Options {
-	if o.MaxRounds <= 0 {
-		o.MaxRounds = 8
-	}
-	if o.StopAndCopyMB <= 0 {
-		o.StopAndCopyMB = 16
-	}
-	if o.EpochHours <= 0 {
-		o.EpochHours = 1
-	}
-	return o
-}
+// The pre-copy model: at most maxRounds pre-copy rounds, and the final
+// stop-and-copy once the dirty set is below stopAndCopyMB.
+const (
+	maxRounds     = 8
+	stopAndCopyMB = 16
+)
 
 // Errors returned by Simulate.
 var (
@@ -87,8 +69,7 @@ var (
 
 // Simulate runs the pre-copy live-migration model for one VM over the given
 // network and returns its cost.
-func Simulate(plan Plan, network *wan.Network, opts Options) (*Result, error) {
-	opts = opts.withDefaults()
+func Simulate(plan Plan, network *wan.Network) (*Result, error) {
 	if err := plan.VM.Validate(); err != nil {
 		return nil, err
 	}
@@ -126,7 +107,7 @@ func Simulate(plan Plan, network *wan.Network, opts Options) (*Result, error) {
 		// While that round was in flight the application kept dirtying
 		// memory (and a little disk).
 		dirtied := plan.VM.MemDirtyMBPerSecond*seconds + plan.VM.DiskDirtyMBPerHour*seconds/3600
-		if dirtied <= opts.StopAndCopyMB || round >= opts.MaxRounds {
+		if dirtied <= stopAndCopyMB || round >= maxRounds {
 			// Stop-and-copy the final dirty set.
 			res.TransferredMB += dirtied
 			downtimeSeconds := math.Min(dirtied/bandwidthMBps+link.LatencyMs/1000, maxSeconds)
@@ -136,7 +117,7 @@ func Simulate(plan Plan, network *wan.Network, opts Options) (*Result, error) {
 		}
 		// Convergence guard: if the workload dirties faster than the link
 		// drains, pre-copy cannot converge and the dirty set stops
-		// shrinking; the MaxRounds cap above ends the loop.
+		// shrinking; the maxRounds cap above ends the loop.
 		toSend = dirtied
 	}
 	res.Duration = time.Duration(totalSeconds * float64(time.Second))
@@ -144,32 +125,8 @@ func Simulate(plan Plan, network *wan.Network, opts Options) (*Result, error) {
 	// Real overhead: the VM is charged at both ends while the migration is
 	// in flight.
 	res.EnergyKWh = plan.VM.PowerW / 1000 * totalSeconds / 3600
-	// Paper-style conservative accounting: a full epoch at both ends.
-	res.ConservativeEnergyKWh = plan.VM.PowerW / 1000 * opts.EpochHours
+	// Paper-style conservative accounting: a full one-hour epoch at both
+	// ends.
+	res.ConservativeEnergyKWh = plan.VM.PowerW / 1000
 	return res, nil
-}
-
-// SimulateBatch migrates a set of VMs between the same pair of datacenters,
-// sharing the link bandwidth equally (transfers are serialized in the
-// emulation, which gives the same total time as fair sharing).  It returns
-// the per-VM results and the aggregate energy and duration.
-func SimulateBatch(plans []Plan, network *wan.Network, opts Options) ([]*Result, *Result, error) {
-	results := make([]*Result, 0, len(plans))
-	total := &Result{}
-	for _, p := range plans {
-		r, err := Simulate(p, network, opts)
-		if err != nil {
-			return nil, nil, fmt.Errorf("migrate %s: %w", p.VM.ID, err)
-		}
-		results = append(results, r)
-		total.Rounds += r.Rounds
-		total.TransferredMB += r.TransferredMB
-		total.Duration += r.Duration
-		total.EnergyKWh += r.EnergyKWh
-		total.ConservativeEnergyKWh += r.ConservativeEnergyKWh
-		if r.Downtime > total.Downtime {
-			total.Downtime = r.Downtime
-		}
-	}
-	return results, total, nil
 }

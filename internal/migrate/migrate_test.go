@@ -22,7 +22,7 @@ func TestSimulatePaperScenario(t *testing.T) {
 	// The paper's validation: a VM with 512 MB of memory plus ~110 MB of
 	// dirty disk migrates over a ~2 Mbps VPN in under an hour.
 	network := testNetwork(t, 2)
-	res, err := Simulate(Plan{VM: vm.NewHPCVM("vm-0"), From: "bcn", To: "nj", DirtyDiskMB: 110}, network, Options{})
+	res, err := Simulate(Plan{VM: vm.NewHPCVM("vm-0"), From: "bcn", To: "nj", DirtyDiskMB: 110}, network)
 	if err != nil {
 		t.Fatalf("Simulate: %v", err)
 	}
@@ -56,11 +56,11 @@ func TestSimulateFasterLinkIsFaster(t *testing.T) {
 	slow := testNetwork(t, 2)
 	fast := testNetwork(t, 1000)
 	plan := Plan{VM: vm.NewHPCVM("vm-0"), From: "bcn", To: "nj", DirtyDiskMB: 110}
-	slowRes, err := Simulate(plan, slow, Options{})
+	slowRes, err := Simulate(plan, slow)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fastRes, err := Simulate(plan, fast, Options{})
+	fastRes, err := Simulate(plan, fast)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestSimulateFasterLinkIsFaster(t *testing.T) {
 func TestSimulateWholeDiskWhenUnknown(t *testing.T) {
 	network := testNetwork(t, 1000)
 	v := vm.NewHPCVM("vm-0")
-	res, err := Simulate(Plan{VM: v, From: "bcn", To: "guam", DirtyDiskMB: -1}, network, Options{})
+	res, err := Simulate(Plan{VM: v, From: "bcn", To: "guam", DirtyDiskMB: -1}, network)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,65 +87,33 @@ func TestSimulateWholeDiskWhenUnknown(t *testing.T) {
 func TestSimulateErrors(t *testing.T) {
 	network := testNetwork(t, 2)
 	v := vm.NewHPCVM("vm-0")
-	if _, err := Simulate(Plan{VM: v, From: "bcn", To: "bcn"}, network, Options{}); !errors.Is(err, ErrSameDatacenter) {
+	if _, err := Simulate(Plan{VM: v, From: "bcn", To: "bcn"}, network); !errors.Is(err, ErrSameDatacenter) {
 		t.Errorf("want ErrSameDatacenter, got %v", err)
 	}
-	if _, err := Simulate(Plan{VM: v, From: "bcn", To: "mars"}, network, Options{}); err == nil {
+	if _, err := Simulate(Plan{VM: v, From: "bcn", To: "mars"}, network); err == nil {
 		t.Error("unknown destination should error")
 	}
 	bad := v
 	bad.MemoryMB = 0
-	if _, err := Simulate(Plan{VM: bad, From: "bcn", To: "nj"}, network, Options{}); err == nil {
+	if _, err := Simulate(Plan{VM: bad, From: "bcn", To: "nj"}, network); err == nil {
 		t.Error("invalid VM should error")
 	}
 }
 
 func TestSimulateNonConvergingWorkloadStops(t *testing.T) {
 	// A workload that dirties memory faster than a slow link can drain must
-	// still terminate (MaxRounds cap) with a bounded number of rounds.
+	// still terminate (maxRounds cap) with a bounded number of rounds.
 	network := testNetwork(t, 1)
 	v := vm.NewHPCVM("hot")
 	v.MemDirtyMBPerSecond = 1
-	res, err := Simulate(Plan{VM: v, From: "bcn", To: "nj", DirtyDiskMB: 0}, network, Options{MaxRounds: 5})
+	res, err := Simulate(Plan{VM: v, From: "bcn", To: "nj", DirtyDiskMB: 0}, network)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rounds != 5 {
-		t.Errorf("rounds = %d, want the MaxRounds cap of 5", res.Rounds)
+	if res.Rounds != maxRounds {
+		t.Errorf("rounds = %d, want the cap of %d", res.Rounds, maxRounds)
 	}
 	if res.Downtime <= 0 {
 		t.Error("a non-converging pre-copy should end with a real stop-and-copy downtime")
-	}
-}
-
-func TestSimulateBatch(t *testing.T) {
-	network := testNetwork(t, 100)
-	fleet := vm.NewHPCFleet("vm", 3)
-	plans := make([]Plan, 0, len(fleet))
-	for _, v := range fleet {
-		plans = append(plans, Plan{VM: v, From: "bcn", To: "nj", DirtyDiskMB: 50})
-	}
-	results, total, err := SimulateBatch(plans, network, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 3 {
-		t.Fatalf("results = %d", len(results))
-	}
-	var sumEnergy float64
-	for _, r := range results {
-		sumEnergy += r.EnergyKWh
-	}
-	if total.EnergyKWh != sumEnergy {
-		t.Errorf("total energy %v != sum %v", total.EnergyKWh, sumEnergy)
-	}
-	if total.TransferredMB <= 0 || total.Duration <= 0 {
-		t.Error("batch totals not accumulated")
-	}
-	// A failing plan aborts the batch.
-	plans[1].To = "bcn"
-	plans[1].From = "bcn"
-	if _, _, err := SimulateBatch(plans, network, Options{}); err == nil {
-		t.Error("batch with an invalid plan should error")
 	}
 }

@@ -108,12 +108,6 @@ func (p *Problem) AddConstraint(name string, op lp.Op, rhs float64, terms ...lp.
 	return nil
 }
 
-// NumVariables returns the number of variables (continuous and integer).
-func (p *Problem) NumVariables() int { return len(p.lpProto.vars) }
-
-// NumIntegers returns the number of integer-constrained variables.
-func (p *Problem) NumIntegers() int { return len(p.integers) }
-
 // Solution is the result of a MILP solve.
 type Solution struct {
 	Status    lp.Status
@@ -163,10 +157,6 @@ type Options struct {
 	// MaxNodes caps the number of explored nodes (0 means a generous
 	// default).
 	MaxNodes int
-	// IntegralityTol is the tolerance for treating a value as integral.
-	IntegralityTol float64
-	// Gap is the relative optimality gap at which the search stops early.
-	Gap float64
 	// Deadline, when nonzero, bounds the wall-clock time of the search and
 	// of every node relaxation.  At the deadline the best incumbent is
 	// returned with its bound gap.
@@ -174,17 +164,14 @@ type Options struct {
 	// Ctx, when non-nil, cancels the search cooperatively between nodes and
 	// between simplex iterations inside a node.
 	Ctx context.Context
-	// Pricing selects the simplex pricing rule for every node relaxation
-	// (the zero value is lp.PricingDevex).
-	Pricing lp.PricingRule
 }
+
+// integralityTol is the tolerance for treating a value as integral.
+const integralityTol = 1e-6
 
 func (o Options) withDefaults() Options {
 	if o.MaxNodes == 0 {
 		o.MaxNodes = 20000
-	}
-	if o.IntegralityTol == 0 {
-		o.IntegralityTol = 1e-6
 	}
 	return o
 }
@@ -212,7 +199,7 @@ func (p *Problem) Solve() (*Solution, error) { return p.SolveWithOptions(Options
 // SolveWithOptions runs branch and bound.
 func (p *Problem) SolveWithOptions(opts Options) (*Solution, error) {
 	opts = opts.withDefaults()
-	lpOpts := lp.SolveOptions{Deadline: opts.Deadline, Ctx: opts.Ctx, Pricing: opts.Pricing}
+	lpOpts := lp.SolveOptions{Deadline: opts.Deadline, Ctx: opts.Ctx}
 
 	if len(p.integers) == 0 {
 		sol, err := p.solveRelaxation(nil, nil, lpOpts)
@@ -301,7 +288,7 @@ func (p *Problem) SolveWithOptions(opts Options) (*Solution, error) {
 		// order (not map order) so ties break deterministically and node
 		// counts are reproducible run to run.
 		branchVar := lp.Var(-1)
-		worstFrac := opts.IntegralityTol
+		worstFrac := integralityTol
 		for v := 0; v < len(p.lpProto.vars); v++ {
 			if !p.integers[lp.Var(v)] {
 				continue

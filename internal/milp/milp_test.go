@@ -204,8 +204,8 @@ func TestValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.NumVariables() != 1 || p.NumIntegers() != 1 {
-		t.Errorf("counts = %d/%d, want 1/1", p.NumVariables(), p.NumIntegers())
+	if len(p.lpProto.vars) != 1 || len(p.integers) != 1 {
+		t.Errorf("counts = %d/%d, want 1/1", len(p.lpProto.vars), len(p.integers))
 	}
 	sol, err := p.Solve()
 	if err != nil {

@@ -1,14 +1,12 @@
 // Package nebula is the within-datacenter VM manager GreenNebula builds on —
 // the stand-in for OpenNebula in the paper's architecture.  It tracks the
-// physical machines of one datacenter, places VMs on them (first fit),
-// reports the datacenter's IT power draw, and hands VMs over to the
-// cross-datacenter migration machinery.
+// physical machines of one datacenter, places VMs on them (first fit), and
+// hands VMs over to the cross-datacenter migration machinery.
 package nebula
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"greencloud/internal/vm"
@@ -81,16 +79,6 @@ func NewUniformDatacenter(name string, n int) *Datacenter {
 	return NewDatacenter(name, hosts)
 }
 
-// Name returns the datacenter's name.
-func (dc *Datacenter) Name() string { return dc.name }
-
-// Hosts returns the number of hosts.
-func (dc *Datacenter) Hosts() int {
-	dc.mu.Lock()
-	defer dc.mu.Unlock()
-	return len(dc.hosts)
-}
-
 // Place admits a VM onto the first host with enough spare vCPUs and memory.
 func (dc *Datacenter) Place(machine vm.VM) (hostID string, err error) {
 	if err := machine.Validate(); err != nil {
@@ -130,80 +118,4 @@ func (dc *Datacenter) Remove(vmID string) (vm.VM, error) {
 	delete(dc.vms, vmID)
 	delete(dc.placement, vmID)
 	return machine, nil
-}
-
-// HostOf returns the host a VM runs on.
-func (dc *Datacenter) HostOf(vmID string) (string, error) {
-	dc.mu.Lock()
-	defer dc.mu.Unlock()
-	h, ok := dc.placement[vmID]
-	if !ok {
-		return "", fmt.Errorf("%w: %s", ErrUnknownVM, vmID)
-	}
-	return h, nil
-}
-
-// VMs returns the VMs currently placed, sorted by ID.
-func (dc *Datacenter) VMs() vm.Fleet {
-	dc.mu.Lock()
-	defer dc.mu.Unlock()
-	out := make(vm.Fleet, 0, len(dc.vms))
-	for _, m := range dc.vms {
-		out = append(out, m)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// VMCount returns the number of placed VMs.
-func (dc *Datacenter) VMCount() int {
-	dc.mu.Lock()
-	defer dc.mu.Unlock()
-	return len(dc.vms)
-}
-
-// ITPowerW returns the datacenter's current IT power draw: every host with
-// at least one VM contributes idle power plus the power of its VMs, capped
-// at the host's busy power.
-func (dc *Datacenter) ITPowerW() float64 {
-	dc.mu.Lock()
-	defer dc.mu.Unlock()
-	vmPowerPerHost := make(map[string]float64)
-	for vmID, hostID := range dc.placement {
-		vmPowerPerHost[hostID] += dc.vms[vmID].PowerW
-	}
-	total := 0.0
-	for _, h := range dc.hosts {
-		p, active := vmPowerPerHost[h.ID]
-		if !active {
-			continue // idle hosts are powered down in an HPC cloud
-		}
-		power := h.IdlePowerW + p
-		if power > h.BusyPowerW {
-			power = h.BusyPowerW
-		}
-		total += power
-	}
-	return total
-}
-
-// SpareCapacity reports how many more paper-style HPC VMs the datacenter
-// could admit.
-func (dc *Datacenter) SpareCapacity(sample vm.VM) int {
-	dc.mu.Lock()
-	defer dc.mu.Unlock()
-	count := 0
-	for _, h := range dc.hosts {
-		u := dc.hostUsage[h.ID]
-		byCPU := (h.VCPUs - u.vcpus) / sample.VCPUs
-		byMem := (h.MemoryMB - u.memoryMB) / sample.MemoryMB
-		spare := byCPU
-		if byMem < spare {
-			spare = byMem
-		}
-		if spare > 0 {
-			count += spare
-		}
-	}
-	return count
 }

@@ -9,8 +9,8 @@ import (
 
 func TestPlaceRemoveLifecycle(t *testing.T) {
 	dc := NewUniformDatacenter("barcelona", 3)
-	if dc.Name() != "barcelona" || dc.Hosts() != 3 {
-		t.Fatalf("unexpected datacenter: %s/%d", dc.Name(), dc.Hosts())
+	if dc.name != "barcelona" || len(dc.hosts) != 3 {
+		t.Fatalf("unexpected datacenter: %s/%d", dc.name, len(dc.hosts))
 	}
 	v := vm.NewHPCVM("vm-0")
 	host, err := dc.Place(v)
@@ -23,12 +23,11 @@ func TestPlaceRemoveLifecycle(t *testing.T) {
 	if _, err := dc.Place(v); !errors.Is(err, ErrDuplicateVM) {
 		t.Errorf("want ErrDuplicateVM, got %v", err)
 	}
-	got, err := dc.HostOf("vm-0")
-	if err != nil || got != host {
-		t.Errorf("HostOf = %s, %v", got, err)
+	if got := dc.placement["vm-0"]; got != host {
+		t.Errorf("placed on %s, Place reported %s", got, host)
 	}
-	if dc.VMCount() != 1 {
-		t.Errorf("VMCount = %d", dc.VMCount())
+	if len(dc.vms) != 1 {
+		t.Errorf("%d VMs placed", len(dc.vms))
 	}
 	removed, err := dc.Remove("vm-0")
 	if err != nil {
@@ -40,8 +39,8 @@ func TestPlaceRemoveLifecycle(t *testing.T) {
 	if _, err := dc.Remove("vm-0"); !errors.Is(err, ErrUnknownVM) {
 		t.Errorf("want ErrUnknownVM, got %v", err)
 	}
-	if _, err := dc.HostOf("vm-0"); !errors.Is(err, ErrUnknownVM) {
-		t.Errorf("want ErrUnknownVM, got %v", err)
+	if _, ok := dc.placement["vm-0"]; ok {
+		t.Error("removed VM still placed")
 	}
 	bad := vm.VM{}
 	if _, err := dc.Place(bad); err == nil {
@@ -75,7 +74,7 @@ func vmName(i int) string { return string(rune('a'+i)) + "-vm" }
 func TestSpareCapacityAndSpread(t *testing.T) {
 	dc := NewUniformDatacenter("dc", 3)
 	sample := vm.NewHPCVM("sample")
-	if got := dc.SpareCapacity(sample); got != 12 {
+	if got := spareCapacity(dc, sample); got != 12 {
 		t.Errorf("SpareCapacity = %d, want 12 (3 hosts × 4 VMs)", got)
 	}
 	fleet := vm.NewHPCFleet("vm", 9)
@@ -84,52 +83,26 @@ func TestSpareCapacityAndSpread(t *testing.T) {
 			t.Fatalf("Place(%s): %v", v.ID, err)
 		}
 	}
-	if got := dc.SpareCapacity(sample); got != 3 {
+	if got := spareCapacity(dc, sample); got != 3 {
 		t.Errorf("SpareCapacity after 9 placements = %d, want 3", got)
 	}
-	if dc.VMCount() != 9 {
-		t.Errorf("VMCount = %d", dc.VMCount())
-	}
-	vms := dc.VMs()
-	if len(vms) != 9 {
-		t.Fatalf("VMs() returned %d", len(vms))
-	}
-	for i := 1; i < len(vms); i++ {
-		if vms[i-1].ID > vms[i].ID {
-			t.Fatal("VMs() not sorted")
-		}
+	if len(dc.vms) != 9 {
+		t.Errorf("%d VMs placed", len(dc.vms))
 	}
 }
 
-func TestITPower(t *testing.T) {
-	dc := NewUniformDatacenter("dc", 2)
-	if dc.ITPowerW() != 0 {
-		t.Errorf("empty datacenter power = %v, want 0 (hosts powered down)", dc.ITPowerW())
+// spareCapacity reports how many more VMs shaped like sample the
+// datacenter's host usage could admit.
+func spareCapacity(dc *Datacenter, sample vm.VM) int {
+	count := 0
+	for _, h := range dc.hosts {
+		u := dc.hostUsage[h.ID]
+		spare := min((h.VCPUs-u.vcpus)/sample.VCPUs, (h.MemoryMB-u.memoryMB)/sample.MemoryMB)
+		if spare > 0 {
+			count += spare
+		}
 	}
-	if _, err := dc.Place(vm.NewHPCVM("vm-0")); err != nil {
-		t.Fatal(err)
-	}
-	p1 := dc.ITPowerW()
-	if p1 <= 0 {
-		t.Fatal("power should be positive with one VM")
-	}
-	// Adding a VM on the same host only adds the VM's power, not another
-	// idle host.
-	if _, err := dc.Place(vm.NewHPCVM("vm-1")); err != nil {
-		t.Fatal(err)
-	}
-	p2 := dc.ITPowerW()
-	if p2 <= p1 {
-		t.Errorf("power should grow with load: %v -> %v", p1, p2)
-	}
-	if p2-p1 > 100 {
-		t.Errorf("second VM added %v W, want roughly its own 30 W", p2-p1)
-	}
-	// Power never exceeds the hosts' busy power.
-	host := DefaultHost("h")
-	if p2 > 2*host.BusyPowerW {
-		t.Errorf("power %v exceeds the physical maximum", p2)
-	}
+	return count
 }
 
 func TestCustomHosts(t *testing.T) {
@@ -143,7 +116,7 @@ func TestCustomHosts(t *testing.T) {
 	if _, err := dc.Place(v); err != nil {
 		t.Fatalf("Place on big host: %v", err)
 	}
-	if dc.Hosts() != 1 {
-		t.Errorf("Hosts = %d", dc.Hosts())
+	if len(dc.hosts) != 1 {
+		t.Errorf("Hosts = %d", len(dc.hosts))
 	}
 }

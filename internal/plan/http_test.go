@@ -260,3 +260,37 @@ func TestWhatIfSessionEviction(t *testing.T) {
 		t.Fatal("oldest session survived past the cap")
 	}
 }
+
+// FuzzHandler drives arbitrary bodies through the request decoders of
+// POST /tick and POST /whatif.  Whatever the bytes, the daemon must answer
+// without panicking and without a 5xx: a malformed or nonsensical body is
+// the client's error (4xx), never the server's.
+func FuzzHandler(f *testing.F) {
+	d, err := New(Config{Trace: testSpec()})
+	if err != nil {
+		f.Fatal(err)
+	}
+	dc, site := d.names[0], d.catalog.Sites()[0].Name
+	f.Add([]byte(`{}`))
+	f.Add([]byte(fmt.Sprintf(`{"green_scale":{%q:0.5}}`, dc)))
+	f.Add([]byte(fmt.Sprintf(`{"green_scale":{%q:-1e308}}`, dc)))
+	f.Add([]byte(`{"green_scale":{"nowhere":1}}`))
+	f.Add([]byte(fmt.Sprintf(`{"candidates":[{"site":%q,"capacity_kw":5}]}`, site)))
+	f.Add([]byte(fmt.Sprintf(`{"session":"s","candidates":[{"site":%q}],"min_green_fraction":2,"total_capacity_kw":-1}`, site)))
+	f.Add([]byte(`{"session":"s","close":true}`))
+	f.Add([]byte(`{"unknown":1}`))
+	f.Add([]byte(`{"green_scale":`))
+	f.Add([]byte(`[1,2,3]`))
+	f.Add([]byte{})
+
+	h := d.Handler()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		for _, path := range []string{"/tick", "/whatif"} {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+			if rec.Code >= 500 {
+				t.Fatalf("POST %s %q: status %d: %s", path, body, rec.Code, rec.Body)
+			}
+		}
+	})
+}

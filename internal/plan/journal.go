@@ -37,7 +37,7 @@ var ErrSnapshot = errors.New("plan: invalid snapshot")
 //	13 × varint lp.Stats fields, in declaration order
 //	float64 LE plan brown kWh, migrated kW, then one first-hour target
 //	        load per datacenter
-//	rest    lp.Basis.MarshalBinary of the post-tick warm basis (empty when
+//	rest    lp.Basis.AppendBinary of the post-tick warm basis (empty when
 //	        the tick left none)
 //
 // A tick costs one positioned write of one record, whatever the daemon's

@@ -151,29 +151,3 @@ func (d *Diurnal) PredictInto(dst []float64, from int) error {
 	}
 	return nil
 }
-
-// MeanAbsoluteError compares a predictor against the true trace over a window
-// of `hours` starting at `from`, predicting `horizon` hours at a time.
-func MeanAbsoluteError(p Predictor, truth []float64, from, hours, horizon int) (float64, error) {
-	if hours <= 0 {
-		return 0, ErrBadHorizon
-	}
-	totalErr := 0.0
-	n := 0
-	for h := 0; h < hours; h += horizon {
-		pred, err := p.Predict((from+h)%len(truth), horizon)
-		if err != nil {
-			return 0, err
-		}
-		for i, v := range pred {
-			actual := truth[(from+h+i)%len(truth)]
-			diff := v - actual
-			if diff < 0 {
-				diff = -diff
-			}
-			totalErr += diff
-			n++
-		}
-	}
-	return totalErr / float64(n), nil
-}

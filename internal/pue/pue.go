@@ -10,9 +10,6 @@ package pue
 
 import "greencloud/internal/timeseries"
 
-// Floor is the minimum achievable PUE (all free cooling).
-const Floor = 1.05
-
 // curve is the piecewise-linear PUE(temperature) relation of Fig. 4,
 // expressed as (temperature °C, PUE) knots.
 var curve = []struct {
@@ -52,18 +49,6 @@ func FromTemperature(tempC float64) float64 {
 // Series converts an hourly temperature trace into an hourly PUE trace.
 func Series(temperatureC *timeseries.Hourly) *timeseries.Hourly {
 	return temperatureC.Map(FromTemperature)
-}
-
-// Average returns the yearly average PUE implied by an hourly temperature
-// trace (the per-location "PUE(d)" the paper reports in the 1.06–1.13 range).
-func Average(temperatureC *timeseries.Hourly) float64 {
-	return Series(temperatureC).Mean()
-}
-
-// Max returns the worst-case PUE over the year, used to size the datacenter's
-// power and cooling infrastructure (the paper's maxPUE(d)).
-func Max(temperatureC *timeseries.Hourly) float64 {
-	return Series(temperatureC).Max()
 }
 
 // Curve returns the (temperature, PUE) pairs for a sweep between lo and hi

@@ -45,7 +45,7 @@ func TestFromTemperatureMonotoneAndBounded(t *testing.T) {
 		if pLo > pHi+1e-12 {
 			return false
 		}
-		return pLo >= Floor && pHi <= 1.40+1e-12
+		return pLo >= curve[0].pue && pHi <= 1.40+1e-12
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -57,13 +57,13 @@ func TestAverageInPaperRange(t *testing.T) {
 	// compatible with the paper's 1.06–1.13 for its 1373 locations.  Allow a
 	// slightly wider band because our synthetic tropics are hotter than the
 	// paper's site mix.
-	for _, a := range weather.Archetypes() {
-		tr := weather.Generate(a, 5)
-		avg := Average(tr.TemperatureC)
+	for _, a := range []weather.Archetype{weather.Desert, weather.Temperate, weather.Maritime, weather.Ridge, weather.Tropical, weather.Continental, weather.Polar} {
+		pue := Series(weather.Generate(a, 5).TemperatureC)
+		avg := pue.Mean()
 		if avg < 1.05 || avg > 1.20 {
 			t.Errorf("%v: average PUE %v outside plausible range", a, avg)
 		}
-		if Max(tr.TemperatureC) < avg-1e-6 {
+		if pue.Max() < avg-1e-6 {
 			t.Errorf("%v: max PUE below average", a)
 		}
 	}
@@ -72,9 +72,9 @@ func TestAverageInPaperRange(t *testing.T) {
 func TestColdSitesHaveLowerPUE(t *testing.T) {
 	ridge := weather.Generate(weather.Ridge, 2)
 	desert := weather.Generate(weather.Desert, 2)
-	if Average(ridge.TemperatureC) >= Average(desert.TemperatureC) {
-		t.Errorf("ridge PUE %v should be below desert PUE %v",
-			Average(ridge.TemperatureC), Average(desert.TemperatureC))
+	ridgePUE, desertPUE := Series(ridge.TemperatureC).Mean(), Series(desert.TemperatureC).Mean()
+	if ridgePUE >= desertPUE {
+		t.Errorf("ridge PUE %v should be below desert PUE %v", ridgePUE, desertPUE)
 	}
 }
 
@@ -82,7 +82,7 @@ func TestSeriesMatchesPointwise(t *testing.T) {
 	temp := timeseries.Generate(func(day, hour int) float64 { return float64(hour) })
 	s := Series(temp)
 	for _, hr := range []int{0, 12, 23, 5000} {
-		if got, want := s.At(hr), FromTemperature(temp.At(hr)); got != want {
+		if got, want := s.AtDayHour(hr/24, hr%24), FromTemperature(temp.AtDayHour(hr/24, hr%24)); got != want {
 			t.Errorf("Series at %d = %v, want %v", hr, got, want)
 		}
 	}

@@ -67,7 +67,7 @@ func TestPartitionDegradesOnLPFault(t *testing.T) {
 	if plan.MigratedKW != 0 {
 		t.Errorf("MigratedKW = %v, want 0 for the keep-in-place fallback", plan.MigratedKW)
 	}
-	if static := s.BrownEnergyIfStatic(dcs); math.Abs(plan.BrownKWh-static) > 1e-9 {
+	if static := s.brownEnergyIfStatic(dcs); math.Abs(plan.BrownKWh-static) > 1e-9 {
 		t.Errorf("degraded BrownKWh = %v, want static baseline %v", plan.BrownKWh, static)
 	}
 

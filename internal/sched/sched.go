@@ -71,18 +71,11 @@ type Options struct {
 	// load consumes power at both ends (the paper's conservative value is
 	// 1.0).
 	MigrationFraction float64
-	// BrownWeight scales how much the objective penalizes brown energy
-	// versus migration churn; the default prices brown energy at each
-	// site's grid price and migrations at the donor's grid price.
-	BrownWeight float64
 	// LPTimeout, when positive, bounds the wall-clock time of the partition
 	// LP solve.  A solve that exceeds it degrades to the static greedy split
 	// (Plan.Degraded) instead of blocking the scheduling round — an hourly
 	// re-planner must deliver a valid plan on time, not a perfect plan late.
 	LPTimeout time.Duration
-	// Pricing selects the simplex pricing rule for the partition LP (the
-	// zero value is lp.PricingDevex).
-	Pricing lp.PricingRule
 }
 
 func (o Options) withDefaults() Options {
@@ -95,9 +88,6 @@ func (o Options) withDefaults() Options {
 	if o.MigrationFraction == 0 {
 		o.MigrationFraction = 1
 	}
-	if o.BrownWeight <= 0 {
-		o.BrownWeight = 1
-	}
 	return o
 }
 
@@ -106,12 +96,6 @@ func (o Options) withDefaults() Options {
 // be used concurrently.
 type Scheduler struct {
 	opts Options
-
-	// Scratch for BrownEnergyIfStatic, grown to the horizon once and
-	// reused (the repo-wide zero-steady-state-allocation idiom).
-	deficit []float64
-	pue     []float64
-	loads   []float64
 
 	// Cached partition LP.  The problem structure depends only on
 	// (datacenter count, horizon), so consecutive Partition calls with the
@@ -155,7 +139,7 @@ func (s *Scheduler) Reset() { s.basis = nil }
 
 // WarmBasis returns the partition LP basis carried from the last healthy
 // round, or nil when the scheduler would solve cold.  A continuous planner
-// persists it (lp.Basis.MarshalBinary) so a restarted process can resume
+// persists it (lp.Basis.AppendBinary) so a restarted process can resume
 // warm instead of cold.
 func (s *Scheduler) WarmBasis() *lp.Basis { return s.basis }
 
@@ -229,7 +213,7 @@ func (s *Scheduler) Partition(dcs []DatacenterState, totalLoadKW float64) (*Plan
 		return nil, err
 	}
 
-	lpOpts := lp.SolveOptions{Pricing: s.opts.Pricing}
+	var lpOpts lp.SolveOptions
 	if s.opts.LPTimeout > 0 {
 		lpOpts.Deadline = time.Now().Add(s.opts.LPTimeout)
 	}
@@ -382,7 +366,7 @@ func (s *Scheduler) updatePartitionLP(dcs []DatacenterState, totalLoadKW float64
 		// A tiny cost on migration power discourages gratuitous churn
 		// beyond its real energy cost.
 		migCost := dc.GridPriceUSDPerKWh * 0.1
-		brownCost := s.opts.BrownWeight * dc.GridPriceUSDPerKWh
+		brownCost := dc.GridPriceUSDPerKWh
 		for h := 0; h < horizon; h++ {
 			if err := prob.SetCost(s.migV[d][h], migCost); err != nil {
 				return err
@@ -521,39 +505,28 @@ func (s *Scheduler) MigrationSchedule(dcs []DatacenterState, placements map[stri
 	return out, nil
 }
 
-// BrownEnergyIfStatic estimates the brown energy over the horizon if no load
-// were ever migrated (everything stays where it is), used as the baseline
-// the scheduler's plan is compared against.  The per-slot deficit
-// (load·PUE − green, positive part summed) is one Scale/AXPY/SumPositive
-// kernel chain per datacenter over the horizon row, bit-identical to the
-// scalar loop it replaced: Scale-then-AXPY(−1) rather than one WeightedSum
-// keeps the two-rounding shape even where the target fuses multiply-adds
-// (the −1 product is exact), and threading the accumulator through
-// SumPositive keeps one addition chain across all datacenters.
-func (s *Scheduler) BrownEnergyIfStatic(dcs []DatacenterState) float64 {
-	s.loads = s.loads[:0]
-	for _, dc := range dcs {
-		s.loads = append(s.loads, dc.CurrentLoadKW)
-	}
-	return s.brownEnergyForLoads(dcs, s.loads)
-}
-
-// brownEnergyForLoads is the kernel chain behind BrownEnergyIfStatic for an
-// arbitrary constant per-datacenter load split, shared with the degraded
-// fallback plan so its BrownKWh is computed exactly like the static baseline.
+// brownEnergyForLoads estimates the brown energy over the horizon of a
+// constant per-datacenter load split: the degraded fallback plan's BrownKWh.
+// The per-slot deficit (load·PUE − green, positive part summed) is one
+// Scale/AXPY/SumPositive kernel chain per datacenter over the horizon row:
+// Scale-then-AXPY(−1) rather than one WeightedSum keeps the two-rounding
+// shape even where the target fuses multiply-adds (the −1 product is
+// exact), and threading the accumulator through SumPositive keeps one
+// addition chain across all datacenters.
 func (s *Scheduler) brownEnergyForLoads(dcs []DatacenterState, loads []float64) float64 {
+	var deficit, pue []float64
 	total := 0.0
 	for d, dc := range dcs {
 		h := s.opts.HorizonHours
 		if h > len(dc.GreenForecastKW) {
 			h = len(dc.GreenForecastKW)
 		}
-		s.deficit = series.Grow(s.deficit, h)
-		s.pue = series.Grow(s.pue, h)
-		dc.pueSeries(s.pue)
-		series.Scale(s.deficit, loads[d], s.pue)
-		series.AXPY(s.deficit, -1, dc.GreenForecastKW[:h])
-		total = series.SumPositive(total, s.deficit)
+		deficit = series.Grow(deficit, h)
+		pue = series.Grow(pue, h)
+		dc.pueSeries(pue)
+		series.Scale(deficit, loads[d], pue)
+		series.AXPY(deficit, -1, dc.GreenForecastKW[:h])
+		total = series.SumPositive(total, deficit)
 	}
 	return total
 }
@@ -654,44 +627,4 @@ func (s *Scheduler) greenOrder(dcs []DatacenterState) []int {
 		return order[i] < order[j]
 	})
 	return order
-}
-
-// RoundLoads snaps a fractional power split onto whole VMs of the given
-// power, preserving the total count (largest remainder method).  The
-// emulation uses it to convert the LP's continuous loads into VM counts.
-func RoundLoads(loadKW []float64, vmPowerW float64, totalVMs int) []int {
-	n := len(loadKW)
-	counts := make([]int, n)
-	if totalVMs <= 0 || vmPowerW <= 0 {
-		return counts
-	}
-	type frac struct {
-		idx  int
-		frac float64
-	}
-	fracs := make([]frac, n)
-	assigned := 0
-	for i, l := range loadKW {
-		exact := l * 1000 / vmPowerW
-		counts[i] = int(math.Floor(exact + 1e-9))
-		if counts[i] < 0 {
-			counts[i] = 0
-		}
-		assigned += counts[i]
-		fracs[i] = frac{idx: i, frac: exact - float64(counts[i])}
-	}
-	sort.Slice(fracs, func(i, j int) bool { return fracs[i].frac > fracs[j].frac })
-	for i := 0; assigned < totalVMs && i < len(fracs); i++ {
-		counts[fracs[i].idx]++
-		assigned++
-	}
-	// If rounding overshot (possible when loads exceed the fleet), trim.
-	for i := 0; assigned > totalVMs && i < n; i++ {
-		over := assigned - totalVMs
-		if counts[i] >= over {
-			counts[i] -= over
-			assigned -= over
-		}
-	}
-	return counts
 }

@@ -75,7 +75,7 @@ func TestPartitionFollowsRenewables(t *testing.T) {
 	}
 	// Following the renewables must use less brown energy than never
 	// migrating at all.
-	static := s.BrownEnergyIfStatic(dcs)
+	static := s.brownEnergyIfStatic(dcs)
 	if plan.BrownKWh >= static {
 		t.Errorf("planned brown %v should beat the static baseline %v", plan.BrownKWh, static)
 	}
@@ -267,27 +267,6 @@ func TestMigrationSchedulePolicy(t *testing.T) {
 	}
 }
 
-func TestRoundLoads(t *testing.T) {
-	counts := RoundLoads([]float64{0.15, 0.09, 0.03}, 30, 9)
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != 9 {
-		t.Fatalf("rounded counts sum to %d, want 9", total)
-	}
-	// 0.15 kW / 30 W = 5 VMs, 0.09 → 3, 0.03 → 1.
-	if counts[0] != 5 || counts[1] != 3 || counts[2] != 1 {
-		t.Errorf("counts = %v, want [5 3 1]", counts)
-	}
-	if got := RoundLoads([]float64{1, 2}, 0, 5); got[0] != 0 || got[1] != 0 {
-		t.Error("zero VM power should produce zero counts")
-	}
-	if got := RoundLoads(nil, 30, 5); len(got) != 0 {
-		t.Error("empty loads should produce empty counts")
-	}
-}
-
 func TestOptionsDefaults(t *testing.T) {
 	s := New(Options{})
 	if s.opts.HorizonHours != 48 {
@@ -385,4 +364,15 @@ func threeDCsScaled(horizon int, scale float64) []DatacenterState {
 		}
 	}
 	return dcs
+}
+
+// brownEnergyIfStatic is the never-migrate baseline the scheduler's plans
+// are compared against: the brown energy over the horizon if every
+// datacenter kept its current load.
+func (s *Scheduler) brownEnergyIfStatic(dcs []DatacenterState) float64 {
+	loads := make([]float64, len(dcs))
+	for d, dc := range dcs {
+		loads[d] = dc.CurrentLoadKW
+	}
+	return s.brownEnergyForLoads(dcs, loads)
 }

@@ -81,12 +81,6 @@ func (b *Block) Reshape(rows, epochs int) {
 	b.rows, b.epochs = rows, epochs
 }
 
-// Rows returns the number of rows.
-func (b *Block) Rows() int { return b.rows }
-
-// Epochs returns the number of epochs per row.
-func (b *Block) Epochs() int { return b.epochs }
-
 // Row returns row r as a slice aliasing the Block's backing array.  The
 // slice's capacity is clipped to the row boundary, so writes (and appends)
 // through it can never touch a neighbouring row.

@@ -245,8 +245,8 @@ func TestDigest(t *testing.T) {
 func TestBlock(t *testing.T) {
 	var b Block
 	b.Reshape(3, 5)
-	if b.Rows() != 3 || b.Epochs() != 5 || len(b.Data()) != 15 {
-		t.Fatalf("Reshape(3,5): rows=%d epochs=%d len=%d", b.Rows(), b.Epochs(), len(b.Data()))
+	if b.rows != 3 || b.epochs != 5 || len(b.Data()) != 15 {
+		t.Fatalf("Reshape(3,5): rows=%d epochs=%d len=%d", b.rows, b.epochs, len(b.Data()))
 	}
 	for r := 0; r < 3; r++ {
 		row := b.Row(r)
@@ -294,7 +294,7 @@ func TestBlock(t *testing.T) {
 		}
 	}
 	zero := NewBlock(0, 7)
-	if zero.Rows() != 0 || len(zero.Data()) != 0 {
+	if zero.rows != 0 || len(zero.Data()) != 0 {
 		t.Fatal("zero-row block malformed")
 	}
 }

@@ -12,7 +12,6 @@ package timeseries
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"sort"
 )
@@ -34,17 +33,6 @@ func NewHourly() *Hourly {
 	return &Hourly{values: make([]float64, HoursPerYear)}
 }
 
-// FromValues builds an Hourly series from an existing slice.  The slice must
-// contain exactly HoursPerYear samples; the data is copied.
-func FromValues(values []float64) (*Hourly, error) {
-	if len(values) != HoursPerYear {
-		return nil, fmt.Errorf("timeseries: expected %d samples, got %d", HoursPerYear, len(values))
-	}
-	out := make([]float64, HoursPerYear)
-	copy(out, values)
-	return &Hourly{values: out}, nil
-}
-
 // Generate builds an Hourly series by evaluating fn for every hour of the
 // year.  fn receives the day of year (0-based, 0..364) and hour of day
 // (0..23).
@@ -61,9 +49,6 @@ func Generate(fn func(day, hour int) float64) *Hourly {
 // Len returns the number of samples (always HoursPerYear).
 func (h *Hourly) Len() int { return len(h.values) }
 
-// At returns the sample for the given absolute hour index (0..8759).
-func (h *Hourly) At(hour int) float64 { return h.values[hour] }
-
 // AtDayHour returns the sample for a given day of year and hour of day.
 func (h *Hourly) AtDayHour(day, hour int) float64 {
 	return h.values[day*HoursPerDay+hour]
@@ -79,26 +64,6 @@ func (h *Hourly) Mean() float64 {
 		sum += v
 	}
 	return sum / float64(len(h.values))
-}
-
-// Sum returns the sum of all samples.
-func (h *Hourly) Sum() float64 {
-	sum := 0.0
-	for _, v := range h.values {
-		sum += v
-	}
-	return sum
-}
-
-// Min returns the smallest sample.
-func (h *Hourly) Min() float64 {
-	m := math.Inf(1)
-	for _, v := range h.values {
-		if v < m {
-			m = v
-		}
-	}
-	return m
 }
 
 // Max returns the largest sample.
@@ -183,9 +148,6 @@ func NewGrid(representativeDays int) (*Grid, error) {
 	return &Grid{days: representativeDays, epochs: epochs}, nil
 }
 
-// Days returns the number of representative days in the grid.
-func (g *Grid) Days() int { return g.days }
-
 // Len returns the number of epochs (days × 24).
 func (g *Grid) Len() int { return len(g.epochs) }
 
@@ -195,30 +157,6 @@ func (g *Grid) Epochs() []Epoch {
 	out := make([]Epoch, len(g.epochs))
 	copy(out, g.epochs)
 	return out
-}
-
-// Epoch returns the i-th epoch.
-func (g *Grid) Epoch(i int) Epoch { return g.epochs[i] }
-
-// HoursRepresented returns the total number of real hours the grid stands
-// for (always 8760 within floating point error).
-func (g *Grid) HoursRepresented() float64 {
-	total := 0.0
-	for _, e := range g.epochs {
-		total += e.Weight
-	}
-	return total
-}
-
-// sourceDay maps a representative day index to the day-of-year at the middle
-// of the chunk of the year it represents.
-func (g *Grid) sourceDay(repDay int) int {
-	chunk := 365.0 / float64(g.days)
-	day := int(chunk*float64(repDay) + chunk/2)
-	if day > 364 {
-		day = 364
-	}
-	return day
 }
 
 // Reduce collapses an hourly year series onto the grid.  For each epoch the
@@ -247,31 +185,6 @@ func (g *Grid) Reduce(h *Hourly) []float64 {
 		out[i] = sum / float64(n)
 	}
 	return out
-}
-
-// ReduceSample collapses an hourly year series onto the grid by sampling the
-// single source day at the middle of each represented span instead of
-// averaging.  Sampling preserves within-day variability (e.g. an overcast
-// day stays overcast) at the cost of more noise.
-func (g *Grid) ReduceSample(h *Hourly) []float64 {
-	out := make([]float64, g.Len())
-	for i, e := range g.epochs {
-		out[i] = h.AtDayHour(g.sourceDay(e.Day), e.Hour)
-	}
-	return out
-}
-
-// WeightedSum returns Σ values[i] × weight[i] over the grid, i.e. the yearly
-// total implied by per-epoch values (values must have grid length).
-func (g *Grid) WeightedSum(values []float64) (float64, error) {
-	if len(values) != g.Len() {
-		return 0, fmt.Errorf("timeseries: weighted sum needs %d values, got %d", g.Len(), len(values))
-	}
-	total := 0.0
-	for i, e := range g.epochs {
-		total += values[i] * e.Weight
-	}
-	return total, nil
 }
 
 // CDF returns the values sorted ascending together with cumulative

@@ -25,31 +25,14 @@ func TestHourlyLenAndIndexing(t *testing.T) {
 	}
 	h.Set(0, 1.5)
 	h.Set(HoursPerYear-1, -2.5)
-	if got := h.At(0); got != 1.5 {
+	if got := h.values[0]; got != 1.5 {
 		t.Errorf("At(0) = %v, want 1.5", got)
 	}
-	if got := h.At(HoursPerYear - 1); got != -2.5 {
+	if got := h.values[HoursPerYear-1]; got != -2.5 {
 		t.Errorf("At(last) = %v, want -2.5", got)
 	}
 	if got := h.AtDayHour(364, 23); got != -2.5 {
 		t.Errorf("AtDayHour(364,23) = %v, want -2.5", got)
-	}
-}
-
-func TestFromValuesLengthCheck(t *testing.T) {
-	if _, err := FromValues(make([]float64, 10)); err == nil {
-		t.Fatal("FromValues with short slice should error")
-	}
-	vals := make([]float64, HoursPerYear)
-	vals[100] = 7
-	h, err := FromValues(vals)
-	if err != nil {
-		t.Fatalf("FromValues: %v", err)
-	}
-	// Mutating the input must not affect the series (copy at boundary).
-	vals[100] = 0
-	if h.At(100) != 7 {
-		t.Errorf("FromValues did not copy input slice")
 	}
 }
 
@@ -64,29 +47,23 @@ func TestGenerateAndStats(t *testing.T) {
 	if got := h.Mean(); math.Abs(got-wantMean) > 1e-9 {
 		t.Errorf("Mean() = %v, want %v", got, wantMean)
 	}
-	if got := h.Min(); got != 0 {
-		t.Errorf("Min() = %v, want 0", got)
-	}
 	if got := h.Max(); got != 23 {
 		t.Errorf("Max() = %v, want 23", got)
-	}
-	if got, want := h.Sum(), wantMean*float64(HoursPerYear); math.Abs(got-want) > 1e-6 {
-		t.Errorf("Sum() = %v, want %v", got, want)
 	}
 }
 
 func TestMapAndValuesCopy(t *testing.T) {
 	h := Generate(func(day, hour int) float64 { return 2 })
 	doubled := h.Map(func(v float64) float64 { return v * 3 })
-	if doubled.At(0) != 6 {
-		t.Errorf("Map result = %v, want 6", doubled.At(0))
+	if doubled.values[0] != 6 {
+		t.Errorf("Map result = %v, want 6", doubled.values[0])
 	}
-	if h.At(0) != 2 {
+	if h.values[0] != 2 {
 		t.Errorf("Map mutated the receiver")
 	}
 	vals := h.Values()
 	vals[0] = 99
-	if h.At(0) != 2 {
+	if h.values[0] != 2 {
 		t.Errorf("Values() exposed internal state")
 	}
 }
@@ -113,14 +90,18 @@ func TestNewGridValidation(t *testing.T) {
 
 func TestGridShapeAndWeights(t *testing.T) {
 	g := mustGrid(t, 4)
-	if g.Days() != 4 {
-		t.Errorf("Days() = %d, want 4", g.Days())
+	if g.days != 4 {
+		t.Errorf("days = %d, want 4", g.days)
 	}
 	if g.Len() != 4*HoursPerDay {
 		t.Errorf("Len() = %d, want %d", g.Len(), 4*HoursPerDay)
 	}
-	if got, want := g.HoursRepresented(), float64(HoursPerYear); math.Abs(got-want) > 1e-6 {
-		t.Errorf("HoursRepresented() = %v, want %v", got, want)
+	hours := 0.0
+	for _, e := range g.epochs {
+		hours += e.Weight
+	}
+	if want := float64(HoursPerYear); math.Abs(hours-want) > 1e-6 {
+		t.Errorf("grid represents %v hours, want %v", hours, want)
 	}
 	// Epochs must be chronological: day-major, hour-minor.
 	prevDay, prevHour := -1, -1
@@ -165,34 +146,6 @@ func TestGridReduceAveragesSeasons(t *testing.T) {
 		if math.Abs(v-want) > 1e-9 {
 			t.Fatalf("epoch %d: Reduce = %v, want %v", i, v, want)
 		}
-	}
-}
-
-func TestGridReduceSample(t *testing.T) {
-	h := Generate(func(day, hour int) float64 { return float64(day*100 + hour) })
-	g := mustGrid(t, 2)
-	sampled := g.ReduceSample(h)
-	// First representative day covers days 0..182, middle day is 91.
-	if got, want := sampled[5], float64(91*100+5); got != want {
-		t.Errorf("ReduceSample[5] = %v, want %v", got, want)
-	}
-}
-
-func TestWeightedSum(t *testing.T) {
-	g := mustGrid(t, 4)
-	values := make([]float64, g.Len())
-	for i := range values {
-		values[i] = 1
-	}
-	got, err := g.WeightedSum(values)
-	if err != nil {
-		t.Fatalf("WeightedSum: %v", err)
-	}
-	if want := float64(HoursPerYear); math.Abs(got-want) > 1e-6 {
-		t.Errorf("WeightedSum of ones = %v, want %v", got, want)
-	}
-	if _, err := g.WeightedSum(values[:3]); err == nil {
-		t.Error("WeightedSum with wrong length should error")
 	}
 }
 
@@ -245,12 +198,14 @@ func TestReducePropertyMeanPreserved(t *testing.T) {
 			return math.Sin(x/53.0) * 10
 		})
 		g := mustGrid(t, 5)
-		reduced := g.Reduce(h)
-		total, err := g.WeightedSum(reduced)
-		if err != nil {
-			return false
+		total, sum := 0.0, 0.0
+		for i, v := range g.Reduce(h) {
+			total += v * g.epochs[i].Weight
 		}
-		return math.Abs(total-h.Sum()) < 1e-6*math.Max(1, math.Abs(h.Sum()))
+		for _, v := range h.values {
+			sum += v
+		}
+		return math.Abs(total-sum) < 1e-6*math.Max(1, math.Abs(sum))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
@@ -260,16 +215,16 @@ func TestReducePropertyMeanPreserved(t *testing.T) {
 func TestShiftHours(t *testing.T) {
 	h := Generate(func(day, hour int) float64 { return float64(day*24 + hour) })
 	shifted := h.ShiftHours(5)
-	if got, want := shifted.At(5), h.At(0); got != want {
+	if got, want := shifted.values[5], h.values[0]; got != want {
 		t.Errorf("ShiftHours(5): At(5) = %v, want %v", got, want)
 	}
-	if got, want := shifted.At(0), h.At(HoursPerYear-5); got != want {
+	if got, want := shifted.values[0], h.values[HoursPerYear-5]; got != want {
 		t.Errorf("ShiftHours(5): At(0) = %v, want %v (wraps)", got, want)
 	}
 	// Negative shift is the inverse of a positive shift.
 	back := shifted.ShiftHours(-5)
 	for _, hr := range []int{0, 100, HoursPerYear - 1} {
-		if back.At(hr) != h.At(hr) {
+		if back.values[hr] != h.values[hr] {
 			t.Fatalf("shift and unshift differ at hour %d", hr)
 		}
 	}
@@ -279,7 +234,7 @@ func TestShiftHours(t *testing.T) {
 	}
 	// Full-period shift is identity.
 	same := h.ShiftHours(HoursPerYear)
-	if same.At(42) != h.At(42) {
+	if same.values[42] != h.values[42] {
 		t.Error("full-period shift should be identity")
 	}
 }

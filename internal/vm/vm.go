@@ -113,20 +113,3 @@ func (f Fleet) IsSortedByFootprint() bool {
 	}
 	return true
 }
-
-// SelectByPower picks VMs from the fleet (smallest footprint first) until
-// their combined power reaches powerW, returning the selection.  It mirrors
-// how a donor datacenter chooses which VMs to migrate out to shed a given
-// amount of power.
-func (f Fleet) SelectByPower(powerW float64) Fleet {
-	var out Fleet
-	remaining := powerW
-	for _, v := range f.SortByFootprint() {
-		if remaining <= 0 {
-			break
-		}
-		out = append(out, v)
-		remaining -= v.PowerW
-	}
-	return out
-}

@@ -81,19 +81,4 @@ func TestSortByFootprintAndSelectByPower(t *testing.T) {
 	if fleet[0].ID != "big" {
 		t.Error("SortByFootprint mutated its receiver")
 	}
-
-	// Selecting 45 W picks the two smallest VMs (30 W each → 60 W ≥ 45 W).
-	selected := fleet.SelectByPower(45)
-	if len(selected) != 2 {
-		t.Fatalf("selected %d VMs, want 2", len(selected))
-	}
-	if selected[0].ID != "small" || selected[1].ID != "mid" {
-		t.Errorf("selected %v, %v; want smallest footprints first", selected[0].ID, selected[1].ID)
-	}
-	if len(fleet.SelectByPower(0)) != 0 {
-		t.Error("selecting zero power should pick nothing")
-	}
-	if len(fleet.SelectByPower(1e9)) != len(fleet) {
-		t.Error("selecting more power than the fleet has should pick everything")
-	}
 }

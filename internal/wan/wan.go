@@ -1,6 +1,5 @@
 // Package wan emulates the wide-area links between datacenters: per-pair
-// bandwidth and latency, and the time it takes to transfer a given amount of
-// data when several transfers share a link.
+// bandwidth and latency.
 //
 // The paper's prototype measured roughly 750 MB moved in under an hour over
 // a VPN between Barcelona and Piscataway; the emulation uses links of that
@@ -11,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 )
 
 // Link describes the connectivity between one ordered pair of datacenters.
@@ -27,17 +25,13 @@ type Link struct {
 // latency.
 var DefaultLink = Link{BandwidthMbps: 2, LatencyMs: 90}
 
-// Errors returned by the network.
-var (
-	ErrUnknownPair = errors.New("wan: no link between the given datacenters")
-	ErrBadTransfer = errors.New("wan: transfer size must be non-negative")
-)
+// ErrUnknownPair reports a pair of datacenters with no link between them.
+var ErrUnknownPair = errors.New("wan: no link between the given datacenters")
 
 // Network is a set of named datacenters and the links between them.
 type Network struct {
 	mu        sync.RWMutex
 	links     map[string]Link
-	transfers map[string]int // active transfers per pair key, for bandwidth sharing
 	defaultLk *Link
 }
 
@@ -51,7 +45,6 @@ func NewNetwork(defaultLink *Link) *Network {
 	}
 	return &Network{
 		links:     make(map[string]Link),
-		transfers: make(map[string]int),
 		defaultLk: def,
 	}
 }
@@ -102,55 +95,6 @@ func (n *Network) Distance(a, b string) float64 {
 		return 1e18
 	}
 	return l.LatencyMs
-}
-
-// TransferDuration returns how long moving `bytes` from one datacenter to
-// the other takes on an otherwise idle link.
-func (n *Network) TransferDuration(bytes int64, from, to string) (time.Duration, error) {
-	if bytes < 0 {
-		return 0, ErrBadTransfer
-	}
-	if from == to || bytes == 0 {
-		return 0, nil
-	}
-	l, err := n.LinkBetween(from, to)
-	if err != nil {
-		return 0, err
-	}
-	seconds := float64(bytes*8) / (l.BandwidthMbps * 1e6)
-	seconds += l.LatencyMs / 1000
-	return time.Duration(seconds * float64(time.Second)), nil
-}
-
-// BeginTransfer reserves a share of the link for a transfer and returns the
-// effective bandwidth in Mbps (the link is shared equally among active
-// transfers) together with a release function.
-func (n *Network) BeginTransfer(from, to string) (float64, func(), error) {
-	l, err := n.LinkBetween(from, to)
-	if err != nil {
-		return 0, nil, err
-	}
-	key := pairKey(from, to)
-	n.mu.Lock()
-	n.transfers[key]++
-	active := n.transfers[key]
-	n.mu.Unlock()
-
-	release := func() {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		if n.transfers[key] > 0 {
-			n.transfers[key]--
-		}
-	}
-	return l.BandwidthMbps / float64(active), release, nil
-}
-
-// ActiveTransfers reports the number of in-flight transfers between a pair.
-func (n *Network) ActiveTransfers(a, b string) int {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.transfers[pairKey(a, b)]
 }
 
 // FullMesh builds a network connecting every pair of the given datacenters

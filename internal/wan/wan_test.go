@@ -2,9 +2,7 @@ package wan
 
 import (
 	"errors"
-	"math"
 	"testing"
-	"time"
 )
 
 func TestSetAndGetLink(t *testing.T) {
@@ -41,70 +39,6 @@ func TestDefaultLinkFallback(t *testing.T) {
 	}
 }
 
-func TestTransferDuration(t *testing.T) {
-	n := NewNetwork(nil)
-	if err := n.SetLink("bcn", "nj", Link{BandwidthMbps: 2, LatencyMs: 90}); err != nil {
-		t.Fatal(err)
-	}
-	// The paper's measurement: ~750 MB in under one hour over ~2 Mbps.
-	d, err := n.TransferDuration(750<<20, "bcn", "nj")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d > time.Hour {
-		t.Errorf("750 MB over 2 Mbps took %v, want < 1 h", d)
-	}
-	if d < 30*time.Minute {
-		t.Errorf("750 MB over 2 Mbps took %v, implausibly fast", d)
-	}
-	// Same-site and zero-byte transfers are free.
-	if d, _ := n.TransferDuration(1<<30, "bcn", "bcn"); d != 0 {
-		t.Errorf("same-site transfer = %v", d)
-	}
-	if d, _ := n.TransferDuration(0, "bcn", "nj"); d != 0 {
-		t.Errorf("zero-byte transfer = %v", d)
-	}
-	if _, err := n.TransferDuration(-1, "bcn", "nj"); !errors.Is(err, ErrBadTransfer) {
-		t.Errorf("want ErrBadTransfer, got %v", err)
-	}
-	if _, err := n.TransferDuration(1, "bcn", "nowhere"); err == nil {
-		t.Error("unknown pair should error")
-	}
-}
-
-func TestBandwidthSharing(t *testing.T) {
-	n := NewNetwork(nil)
-	if err := n.SetLink("a", "b", Link{BandwidthMbps: 100, LatencyMs: 1}); err != nil {
-		t.Fatal(err)
-	}
-	bw1, release1, err := n.BeginTransfer("a", "b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bw1 != 100 {
-		t.Errorf("first transfer bandwidth = %v, want 100", bw1)
-	}
-	bw2, release2, err := n.BeginTransfer("a", "b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bw2 != 50 {
-		t.Errorf("second concurrent transfer bandwidth = %v, want 50", bw2)
-	}
-	if n.ActiveTransfers("b", "a") != 2 {
-		t.Errorf("active transfers = %d, want 2", n.ActiveTransfers("a", "b"))
-	}
-	release1()
-	release2()
-	release2() // double release must not underflow
-	if n.ActiveTransfers("a", "b") != 0 {
-		t.Errorf("active transfers after release = %d", n.ActiveTransfers("a", "b"))
-	}
-	if _, _, err := n.BeginTransfer("a", "zzz"); err == nil {
-		t.Error("unknown pair should error")
-	}
-}
-
 func TestDistance(t *testing.T) {
 	n := NewNetwork(nil)
 	if err := n.SetLink("a", "b", Link{BandwidthMbps: 10, LatencyMs: 42}); err != nil {
@@ -133,11 +67,5 @@ func TestFullMesh(t *testing.T) {
 	}
 	if _, err := FullMesh([]string{"a", "a"}, Link{BandwidthMbps: 1}); err == nil {
 		t.Error("duplicate names should error (self link)")
-	}
-	// Transfer time scales linearly with size.
-	d1, _ := n.TransferDuration(10<<20, "x", "y")
-	d2, _ := n.TransferDuration(20<<20, "x", "y")
-	if math.Abs(float64(d2)-2*float64(d1)) > float64(20*time.Millisecond) {
-		t.Errorf("transfer time not ~linear: %v vs %v", d1, d2)
 	}
 }

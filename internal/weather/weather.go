@@ -62,11 +62,6 @@ func (a Archetype) String() string {
 	return fmt.Sprintf("archetype(%d)", int(a))
 }
 
-// Archetypes lists all defined archetypes in a stable order.
-func Archetypes() []Archetype {
-	return []Archetype{Desert, Temperate, Maritime, Ridge, Tropical, Continental, Polar}
-}
-
 // params bundles the generator knobs for one archetype.
 type params struct {
 	// meanTempC is the annual mean air temperature.

@@ -2,6 +2,7 @@ package weather
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"greencloud/internal/timeseries"
@@ -11,13 +12,13 @@ func TestGenerateDeterministic(t *testing.T) {
 	a := Generate(Desert, 42)
 	b := Generate(Desert, 42)
 	for _, hr := range []int{0, 1000, 4999, timeseries.HoursPerYear - 1} {
-		if a.TemperatureC.At(hr) != b.TemperatureC.At(hr) {
+		if a.TemperatureC.AtDayHour(hr/24, hr%24) != b.TemperatureC.AtDayHour(hr/24, hr%24) {
 			t.Fatalf("temperature differs at hour %d for identical seeds", hr)
 		}
-		if a.IrradianceWm2.At(hr) != b.IrradianceWm2.At(hr) {
+		if a.IrradianceWm2.AtDayHour(hr/24, hr%24) != b.IrradianceWm2.AtDayHour(hr/24, hr%24) {
 			t.Fatalf("irradiance differs at hour %d for identical seeds", hr)
 		}
-		if a.WindSpeedMs.At(hr) != b.WindSpeedMs.At(hr) {
+		if a.WindSpeedMs.AtDayHour(hr/24, hr%24) != b.WindSpeedMs.AtDayHour(hr/24, hr%24) {
 			t.Fatalf("wind differs at hour %d for identical seeds", hr)
 		}
 	}
@@ -28,18 +29,18 @@ func TestGenerateDeterministic(t *testing.T) {
 }
 
 func TestTraceLengthsAndBounds(t *testing.T) {
-	for _, a := range Archetypes() {
+	for _, a := range allArchetypes {
 		tr := Generate(a, 7)
 		if tr.TemperatureC.Len() != timeseries.HoursPerYear {
 			t.Fatalf("%v: temperature length %d", a, tr.TemperatureC.Len())
 		}
-		if got := tr.IrradianceWm2.Min(); got < 0 {
+		if got := slices.Min(tr.IrradianceWm2.Values()); got < 0 {
 			t.Errorf("%v: negative irradiance %v", a, got)
 		}
 		if got := tr.IrradianceWm2.Max(); got > 1200 {
 			t.Errorf("%v: irradiance %v exceeds physical clear-sky bound", a, got)
 		}
-		if got := tr.WindSpeedMs.Min(); got < 0 {
+		if got := slices.Min(tr.WindSpeedMs.Values()); got < 0 {
 			t.Errorf("%v: negative wind speed %v", a, got)
 		}
 		if got := tr.WindSpeedMs.Max(); got > 60 {
@@ -131,6 +132,9 @@ func TestSeasonalTemperatureSwing(t *testing.T) {
 	}
 }
 
+// allArchetypes lists every defined archetype.
+var allArchetypes = []Archetype{Desert, Temperate, Maritime, Ridge, Tropical, Continental, Polar}
+
 func TestArchetypeString(t *testing.T) {
 	if Desert.String() != "desert" {
 		t.Errorf("Desert.String() = %q", Desert.String())
@@ -138,8 +142,10 @@ func TestArchetypeString(t *testing.T) {
 	if Archetype(99).String() == "" {
 		t.Error("unknown archetype should still produce a non-empty name")
 	}
-	if len(Archetypes()) != 7 {
-		t.Errorf("Archetypes() returned %d entries, want 7", len(Archetypes()))
+	for _, a := range allArchetypes {
+		if archetypeNames[a] == "" {
+			t.Errorf("archetype %d has no name", int(a))
+		}
 	}
 }
 

@@ -115,14 +115,13 @@ func Run(cfg Config) (*Report, error) {
 		})
 	}
 	res, err := emul.Run(emul.Config{
-		Datacenters:       dcs,
-		VMs:               vm.NewHPCFleet("hpc", cfg.VMs),
-		StartHour:         cfg.StartDay * 24,
-		Hours:             cfg.Hours,
-		HorizonHours:      cfg.HorizonHours,
-		MigrationFraction: 1,
-		Link:              wan.Link{BandwidthMbps: bandwidth, LatencyMs: 90},
-		Predictor:         cfg.Predictor,
+		Datacenters:  dcs,
+		VMs:          vm.NewHPCFleet("hpc", cfg.VMs),
+		StartHour:    cfg.StartDay * 24,
+		Hours:        cfg.Hours,
+		HorizonHours: cfg.HorizonHours,
+		Link:         wan.Link{BandwidthMbps: bandwidth, LatencyMs: 90},
+		Predictor:    cfg.Predictor,
 	})
 	if err != nil {
 		return nil, err
@@ -163,47 +162,7 @@ func lookupSite(cat *location.Catalog, index int) (*location.Site, error) {
 // spread across time zones — a convenient starting federation for
 // follow-the-sun experiments.
 func BestSolarSitesAcrossTimeZones(catalog *placement.Catalog, n int) []int {
-	inner := catalog.Internal()
-	candidates := inner.TopBySolarCF(24)
-	if len(candidates) == 0 {
-		return nil
-	}
-	picked := []*location.Site{candidates[0]}
-	for len(picked) < n && len(picked) < len(candidates) {
-		var best *location.Site
-		bestDist := -1.0
-		for _, cand := range candidates {
-			minDist := 24.0
-			already := false
-			for _, p := range picked {
-				if p.ID == cand.ID {
-					already = true
-					break
-				}
-				d := float64(cand.UTCOffsetHours - p.UTCOffsetHours)
-				if d < 0 {
-					d = -d
-				}
-				if d > 12 {
-					d = 24 - d
-				}
-				if d < minDist {
-					minDist = d
-				}
-			}
-			if already {
-				continue
-			}
-			if minDist > bestDist {
-				bestDist = minDist
-				best = cand
-			}
-		}
-		if best == nil {
-			break
-		}
-		picked = append(picked, best)
-	}
+	picked := location.SpreadAcrossTimeZones(catalog.Internal().TopBySolarCF(24), n)
 	out := make([]int, 0, len(picked))
 	for _, p := range picked {
 		out = append(out, p.ID)
