@@ -72,8 +72,9 @@
 // (WeightedSum, AddMul, AXPY, Scale, DotWeighted, Sum, SumPositive,
 // ScaledDrop, Zero and a per-row rolling Digest; Sum and DotWeighted are
 // 4-way unrolled with a single accumulator, so their addition chains — and
-// therefore their bits — match the plain loops).  location.Profiles hands
-// out its α/β/PUE matrices as read-only Block rows; core.Evaluator's
+// therefore their bits — match the plain loops).  A location catalog's
+// per-epoch α/β/PUE profiles are rows of three Blocks written once when the
+// catalog is generated and read-only after; core.Evaluator's
 // scratch matrices (compute, migration, demand, green availability) are
 // single-owner scratch Blocks; internal/energy's balancer and
 // internal/sched's per-slot load math run through the same kernels.  One
@@ -82,9 +83,9 @@
 //
 // Aliasing/mutability contract: Block.Row clips the returned slice's
 // capacity at the row boundary, so writes through one row can never reach
-// a neighbour; shared Blocks (Profiles) are read-only after construction,
-// scratch Blocks are owned by one goroutine and fully overwritten before
-// they are read.  The kernels are written in the bounds-check-elimination
+// a neighbour; shared Blocks (the catalog's profile Blocks) are read-only
+// after construction, scratch Blocks are owned by one goroutine and fully
+// overwritten before they are read.  The kernels are written in the bounds-check-elimination
 // style (trip count from dst, every operand pinned with s = s[:n] before
 // the loop, no interface indirection) and each is pinned bit-identical to
 // a naive scalar reference by the differential suite in

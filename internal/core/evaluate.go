@@ -6,7 +6,6 @@ import (
 	"greencloud/internal/cost"
 	"greencloud/internal/energy"
 	"greencloud/internal/location"
-	"greencloud/internal/timeseries"
 )
 
 // Candidate names one site of a candidate siting and, optionally, the IT
@@ -76,11 +75,10 @@ func singleSiteSpec(spec Spec, capacityKW float64) Spec {
 	return spec
 }
 
-func epochWeights(grid *timeseries.Grid) []float64 {
-	epochs := grid.Epochs()
-	out := make([]float64, len(epochs))
-	for i, e := range epochs {
-		out[i] = e.Weight
+func epochWeights(cat *location.Catalog) []float64 {
+	out := make([]float64, cat.Epochs())
+	for i := range out {
+		out[i] = cat.EpochWeight()
 	}
 	return out
 }
@@ -105,7 +103,7 @@ func unitGreenCost(site *location.Site, solar bool, p cost.Params) float64 {
 	}
 	monthly := cost.MonthlyFinanced(1000*buildPerW, p.AnnualInterestRate, p.FinancingYears, p.PlantAmortYears) +
 		cost.MonthlyInterestOnly(site.LandPriceUSDPerM2*areaPerKW, p.AnnualInterestRate, p.FinancingYears, p.LandAmortYears)
-	kwhPerMonth := cf * float64(timeseries.HoursPerYear) / 12
+	kwhPerMonth := cf * float64(location.HoursPerYear) / 12
 	return monthly / kwhPerMonth
 }
 

@@ -8,7 +8,6 @@ import (
 	"greencloud/internal/energy"
 	"greencloud/internal/location"
 	"greencloud/internal/series"
-	"greencloud/internal/timeseries"
 )
 
 // CostSummary is the compact result of a cost-only evaluation: everything
@@ -59,13 +58,12 @@ type CostSummary struct {
 // goroutine (the annealing chains in Solve each own one).
 type Evaluator struct {
 	cat    *location.Catalog
+	all    []*location.Site // cat.Sites(): a site's position is its Catalog.Index
 	spec   Spec
-	grid   *timeseries.Grid
-	prof   *location.Profiles
 	epochs int
 	minDCs int
 
-	// Per-catalog static caches, indexed by profile row.
+	// Per-catalog static caches, indexed by catalog position.
 	weights  []float64 // epoch weights (hours represented)
 	brownKey []float64 // grid price × average PUE: the brown-rank key
 	ucSolar  []float64 // unit green cost of solar ($ per monthly kWh)
@@ -77,10 +75,7 @@ type Evaluator struct {
 	// Per-call candidate state.
 	n          int
 	sites      []*location.Site
-	alphaRow   [][]float64 // aliases into prof's dense Blocks
-	betaRow    [][]float64
-	pueRow     [][]float64
-	rows       []int
+	rows       []int // each candidate's position in the catalog
 	capacities []float64
 
 	// Per-call scratch, n×epochs epoch-major matrices (one row per
@@ -159,18 +154,15 @@ func NewEvaluator(cat *location.Catalog, spec Spec) (*Evaluator, error) {
 	if err != nil {
 		return nil, err
 	}
-	grid := cat.Grid()
-	prof := cat.Profiles()
 	e := &Evaluator{
 		cat:    cat,
 		spec:   spec,
-		grid:   grid,
-		prof:   prof,
-		epochs: grid.Len(),
+		epochs: cat.Epochs(),
 		minDCs: minDCs,
+		all:    cat.Sites(),
 		cache:  make(map[int]*siteEntry),
 	}
-	e.weights = epochWeights(grid)
+	e.weights = epochWeights(cat)
 	nSites := cat.Len()
 	e.brownKey = make([]float64, nSites)
 	e.ucSolar = make([]float64, nSites)
@@ -178,16 +170,12 @@ func NewEvaluator(cat *location.Catalog, spec Spec) (*Evaluator, error) {
 	e.solarTW = make([]float64, nSites)
 	e.windTW = make([]float64, nSites)
 	e.pueKWh = make([]float64, nSites)
-	for _, s := range cat.Sites() {
-		row, ok := prof.Row(s.ID)
-		if !ok {
-			return nil, fmt.Errorf("core: site %d missing from catalog profiles", s.ID)
-		}
+	for row, s := range e.all {
 		e.brownKey[row] = s.GridPriceUSDPerKWh * s.AvgPUE
 		e.ucSolar[row] = unitGreenCost(s, true, spec.Cost)
 		e.ucWind[row] = unitGreenCost(s, false, spec.Cost)
 		e.solarTW[row], e.windTW[row] = techWeights(e.ucSolar[row], e.ucWind[row], spec)
-		e.pueKWh[row] = series.DotWeighted(prof.PUE(row), e.weights)
+		e.pueKWh[row] = series.DotWeighted(s.PUE, e.weights)
 	}
 	return e, nil
 }
@@ -379,9 +367,6 @@ func (e *Evaluator) prepare(candidates []Candidate) error {
 	E := e.epochs
 
 	e.sites = growSlice(e.sites, n)
-	e.alphaRow = growSlice(e.alphaRow, n)
-	e.betaRow = growSlice(e.betaRow, n)
-	e.pueRow = growSlice(e.pueRow, n)
 	e.rows = growSlice(e.rows, n)
 	e.capacities = growSlice(e.capacities, n)
 	e.brownRank = growSlice(e.brownRank, n)
@@ -399,19 +384,12 @@ func (e *Evaluator) prepare(candidates []Candidate) error {
 	e.scratchSeries = growSlice(e.scratchSeries, E)
 
 	for i, c := range candidates {
-		s, err := e.cat.Site(c.SiteID)
+		row, err := e.cat.Index(c.SiteID)
 		if err != nil {
 			return fmt.Errorf("core: candidate %d: %w", i, err)
 		}
-		row, ok := e.prof.Row(c.SiteID)
-		if !ok {
-			return fmt.Errorf("core: candidate %d: site %d missing from profiles", i, c.SiteID)
-		}
-		e.sites[i] = s
+		e.sites[i] = e.all[row]
 		e.rows[i] = row
-		e.alphaRow[i] = e.prof.Alpha(row)
-		e.betaRow[i] = e.prof.Beta(row)
-		e.pueRow[i] = e.prof.PUE(row)
 	}
 
 	// Resolve capacities: unspecified ones get an equal share of what is
@@ -505,7 +483,7 @@ func (e *Evaluator) scheduleLoad() {
 	if anyGreen {
 		e.avail.Reshape(n, E)
 		for i := 0; i < n; i++ {
-			series.WeightedSum(e.avail.Row(i), e.refSolar[i], e.alphaRow[i], e.refWind[i], e.betaRow[i])
+			series.WeightedSum(e.avail.Row(i), e.refSolar[i], e.sites[i].Alpha, e.refWind[i], e.sites[i].Beta)
 		}
 		avail = e.avail.Data()
 	}
@@ -541,7 +519,7 @@ func (e *Evaluator) scheduleLoad() {
 					break
 				}
 				i := idx[k]
-				greenSupportedIT := val[k] / e.pueRow[i][t]
+				greenSupportedIT := val[k] / e.sites[i].PUE[t]
 				take := math.Min(remaining, math.Min(e.capacities[i], greenSupportedIT))
 				if take > 0 {
 					compute[i*E+t] = take
@@ -644,7 +622,7 @@ func (e *Evaluator) migrationRow(i int) {
 // power using its per-epoch PUE (the paper's powDemand, the series.AddMul
 // kernel).  It assumes migrationRow has run for the current schedule.
 func (e *Evaluator) demandRow(i int) {
-	series.AddMul(e.demand.Row(i), e.compute.Row(i), e.migration.Row(i), e.pueRow[i])
+	series.AddMul(e.demand.Row(i), e.compute.Row(i), e.migration.Row(i), e.sites[i].PUE)
 }
 
 // refreshDemandRows recomputes every site's migration and demand rows from
@@ -666,10 +644,10 @@ func (e *Evaluator) basePlant(i int, allocKWh float64) (solarKW, windKW float64)
 	site := e.sites[i]
 	row := e.rows[i]
 	if sw := e.solarTW[row]; sw > 0 && site.SolarCapacityFactor > 0.02 {
-		solarKW = allocKWh * sw / (site.SolarCapacityFactor * float64(timeseries.HoursPerYear))
+		solarKW = allocKWh * sw / (site.SolarCapacityFactor * float64(location.HoursPerYear))
 	}
 	if ww := e.windTW[row]; ww > 0 && site.WindCapacityFactor > 0.02 {
-		windKW = allocKWh * ww / (site.WindCapacityFactor * float64(timeseries.HoursPerYear))
+		windKW = allocKWh * ww / (site.WindCapacityFactor * float64(location.HoursPerYear))
 	}
 	return solarKW, windKW
 }
@@ -737,7 +715,7 @@ func (e *Evaluator) siteFraction(i int, baseSolar, baseWind, scale float64) (flo
 	solar := baseSolar * scale
 	wind := baseWind * scale
 	green := e.scratchSeries[:E]
-	series.WeightedSum(green, solar, e.alphaRow[i], wind, e.betaRow[i])
+	series.WeightedSum(green, solar, e.sites[i].Alpha, wind, e.sites[i].Beta)
 	tot, err := energy.Totals(energy.BalanceInput{
 		GreenKW:            green,
 		DemandKW:           e.demand.Row(i),
@@ -760,7 +738,7 @@ func (e *Evaluator) accountSite(i int, out *siteOutputs) error {
 	spec := &e.spec
 	site := e.sites[i]
 	green := e.scratchSeries[:E]
-	series.WeightedSum(green, out.SolarKW, e.alphaRow[i], out.WindKW, e.betaRow[i])
+	series.WeightedSum(green, out.SolarKW, e.sites[i].Alpha, out.WindKW, e.sites[i].Beta)
 	tot, err := energy.Totals(energy.BalanceInput{
 		GreenKW:            green,
 		DemandKW:           e.demand.Row(i),
@@ -853,7 +831,7 @@ func (e *Evaluator) networkFraction(outs []siteOutputs, lambda float64) (float64
 	for i := 0; i < e.n; i++ {
 		solar := outs[i].SolarKW * lambda
 		wind := outs[i].WindKW * lambda
-		series.WeightedSum(green, solar, e.alphaRow[i], wind, e.betaRow[i])
+		series.WeightedSum(green, solar, e.sites[i].Alpha, wind, e.sites[i].Beta)
 		tot, err := energy.Totals(energy.BalanceInput{
 			GreenKW:            green,
 			DemandKW:           e.demand.Row(i),
@@ -891,7 +869,7 @@ func (e *Evaluator) materializeSite(i int, out *siteOutputs, sol *Solution) erro
 	spec := &e.spec
 	site := e.sites[i]
 	green := make([]float64, E)
-	series.WeightedSum(green, out.SolarKW, e.alphaRow[i], out.WindKW, e.betaRow[i])
+	series.WeightedSum(green, out.SolarKW, e.sites[i].Alpha, out.WindKW, e.sites[i].Beta)
 	res, err := e.balancer.Balance(energy.BalanceInput{
 		GreenKW:            green,
 		DemandKW:           e.demand.Row(i),

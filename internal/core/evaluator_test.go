@@ -236,3 +236,54 @@ func TestSolveDeterministicAcrossParallelChains(t *testing.T) {
 			sequential.TotalMonthlyUSD, len(sequential.Sites))
 	}
 }
+
+// TestEvaluatorOverSubsetMatchesFullCatalog pins the evaluator's per-catalog
+// indexing: its static caches are indexed by a site's position in the
+// catalog, which differs between a catalog and its Subset.  The same siting
+// must price bit for bit alike on both, for every spec variant, with
+// subset IDs out of order and not 0..n−1.
+func TestEvaluatorOverSubsetMatchesFullCatalog(t *testing.T) {
+	cat := testCatalog(t, 40)
+	ids := []int{31, 4, 17, 38, 9, 22}
+	sub, err := cat.Subset(ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sitings := [][]Candidate{
+		{{SiteID: 38}, {SiteID: 4}},
+		{{SiteID: 22}, {SiteID: 31}, {SiteID: 9}},
+		{{SiteID: 17, CapacityKW: 6000}, {SiteID: 4, CapacityKW: 5000}},
+	}
+	for name, spec := range deltaSpecs() {
+		full, err := NewEvaluator(cat, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		part, err := NewEvaluator(sub, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cands := range sitings {
+			want, err := full.EvaluateCost(cands)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := part.EvaluateCost(cands)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(got.MonthlyUSD) != math.Float64bits(want.MonthlyUSD) ||
+				math.Float64bits(got.GreenFraction) != math.Float64bits(want.GreenFraction) ||
+				got.Feasible != want.Feasible {
+				t.Errorf("%s %v: subset %+v, full catalog %+v", name, cands, got, want)
+			}
+		}
+	}
+	ev, err := NewEvaluator(sub, smallSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ev.EvaluateCost([]Candidate{{SiteID: 5}, {SiteID: 9}}); err == nil {
+		t.Error("a site outside the subset should be rejected")
+	}
+}

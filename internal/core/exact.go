@@ -61,10 +61,9 @@ func SolveExact(cat *location.Catalog, candidateIDs []int, spec Spec, opts Exact
 		}
 		sites[i] = s
 	}
-	grid := cat.Grid()
-	epochs := grid.Epochs()
 	nSites := len(sites)
-	nEpochs := len(epochs)
+	nEpochs := cat.Epochs()
+	w := cat.EpochWeight() // real days each epoch stands for
 	minDCs, err := spec.MinDatacenters()
 	if err != nil {
 		return nil, err
@@ -177,7 +176,6 @@ func SolveExact(cat *location.Catalog, candidateIDs []int, spec Spec, opts Exact
 		}
 
 		for t := 0; t < nEpochs; t++ {
-			w := epochs[t].Weight
 			// Monthly brown energy cost coefficient: price × hours / 12.
 			brownCost := s.GridPriceUSDPerKWh * w / cost.MonthsPerYear
 			netDisCost := s.GridPriceUSDPerKWh * w / cost.MonthsPerYear
@@ -347,7 +345,6 @@ func SolveExact(cat *location.Catalog, candidateIDs []int, spec Spec, opts Exact
 		var terms []lp.Term
 		for d, s := range sites {
 			for t := 0; t < nEpochs; t++ {
-				w := epochs[t].Weight
 				terms = append(terms,
 					lp.Term{Var: solarCap[d], Coeff: w * s.Alpha[t]},
 					lp.Term{Var: windCap[d], Coeff: w * s.Beta[t]},

@@ -22,8 +22,8 @@ type SiteSolution struct {
 	// GreenFraction is the fraction of the site's yearly demand covered by
 	// green sources.
 	GreenFraction float64
-	// ComputeKW is the compute power assigned to the site in each epoch of
-	// the catalog grid (the follow-the-renewables schedule).
+	// ComputeKW is the compute power assigned to the site in each of the
+	// catalog's epochs (the follow-the-renewables schedule).
 	ComputeKW []float64
 	// MigrationKW is the migration overhead power in each epoch.
 	MigrationKW []float64

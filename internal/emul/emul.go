@@ -283,36 +283,16 @@ func NewRunner(cfg Config) (*Runner, error) {
 		r.dcIndex[name] = i
 	}
 
-	// Green production and PUE traces per datacenter (hourly, UTC clock).
-	// All sites of a catalog share the trace length, letting one Block back
-	// every row; mixed lengths fall back to per-row slices.
+	// Green production and PUE traces per datacenter (hourly, UTC clock),
+	// rows i and n+i of one year Block.
 	r.green = make([][]float64, n)
 	r.pue = make([][]float64, n)
-	uniform := true
-	first := -1
-	for _, dc := range cfg.Datacenters {
-		alpha, _, _ := dc.Site.HourlyProfilesUTC()
-		if first < 0 {
-			first = alpha.Len()
-		} else if alpha.Len() != first {
-			uniform = false
-		}
-	}
-	var yearBlock series.Block
-	if uniform {
-		yearBlock = series.NewBlock(2*n, first)
-	}
+	yearBlock := series.NewBlock(2*n, location.HoursPerYear)
+	alpha, beta := make([]float64, location.HoursPerYear), make([]float64, location.HoursPerYear)
 	for i, dc := range cfg.Datacenters {
-		alpha, beta, pueSeries := dc.Site.HourlyProfilesUTC()
-		var g, p []float64
-		if uniform {
-			g, p = yearBlock.Row(i), yearBlock.Row(n+i)
-		} else {
-			g = make([]float64, alpha.Len())
-			p = make([]float64, alpha.Len())
-		}
-		series.WeightedSum(g, dc.SolarKW, alpha.Values(), dc.WindKW, beta.Values())
-		copy(p, pueSeries.Values())
+		g, p := yearBlock.Row(i), yearBlock.Row(n+i)
+		dc.Site.HourlyProfilesUTC(alpha, beta, p)
+		series.WeightedSum(g, dc.SolarKW, alpha, dc.WindKW, beta)
 		r.green[i] = g
 		r.pue[i] = p
 	}

@@ -29,7 +29,6 @@ import (
 	"greencloud/internal/lp"
 	"greencloud/internal/pue"
 	"greencloud/internal/sched"
-	"greencloud/internal/timeseries"
 	"greencloud/internal/vm"
 	"greencloud/internal/wan"
 )
@@ -269,8 +268,8 @@ func f2(v float64) string { return strconv.FormatFloat(v, 'f', 2, 64) }
 // Fig3 returns the CDF of solar and wind capacity factors (percent) over the
 // catalog, sampled at every 10th percentile.
 func (s *Suite) Fig3() (*Table, error) {
-	solar, solarPct := timeseries.CDF(s.catalog.SolarCapacityFactors())
-	wind, _ := timeseries.CDF(s.catalog.WindCapacityFactors())
+	solar, solarPct := cdf(s.catalog.SolarCapacityFactors())
+	wind, _ := cdf(s.catalog.WindCapacityFactors())
 	t := &Table{
 		ID:      "fig3",
 		Title:   "Capacity factors for the candidate locations (CDF)",
@@ -283,6 +282,20 @@ func (s *Suite) Fig3() (*Table, error) {
 		})
 	}
 	return t, nil
+}
+
+// cdf returns the values sorted ascending together with cumulative
+// percentages (0..100], the capacity-factor and cost CDFs of Figs. 3 and 6.
+func cdf(values []float64) (sorted []float64, percentiles []float64) {
+	sorted = make([]float64, len(values))
+	copy(sorted, values)
+	sort.Float64s(sorted)
+	percentiles = make([]float64, len(values))
+	n := float64(len(values))
+	for i := range sorted {
+		percentiles[i] = 100 * float64(i+1) / n
+	}
+	return sorted, percentiles
 }
 
 func searchPercentile(pct []float64, p float64) int {
@@ -467,9 +480,9 @@ func (s *Suite) Fig6() (*Table, error) {
 			return nil, err
 		}
 	}
-	bSorted, pct := timeseries.CDF(brown)
-	sSorted, _ := timeseries.CDF(solar)
-	wSorted, _ := timeseries.CDF(wind)
+	bSorted, pct := cdf(brown)
+	sSorted, _ := cdf(solar)
+	wSorted, _ := cdf(wind)
 	t := &Table{
 		ID:      "fig6",
 		Title:   "CDF of the monthly cost of a 25 MW datacenter with 50% green energy ($M/month)",

@@ -3,9 +3,11 @@ package experiments
 import (
 	"context"
 	"errors"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"greencloud/internal/core"
 	"greencloud/internal/energy"
@@ -190,5 +192,45 @@ func TestSuiteDefaults(t *testing.T) {
 	}
 	if len(full.greenLevels()) != 5 {
 		t.Errorf("full sweep should use 5 green levels")
+	}
+}
+
+func TestCDF(t *testing.T) {
+	sorted, pct := cdf([]float64{3, 1, 2, 4})
+	wantSorted := []float64{1, 2, 3, 4}
+	wantPct := []float64{25, 50, 75, 100}
+	for i := range wantSorted {
+		if sorted[i] != wantSorted[i] {
+			t.Errorf("sorted[%d] = %v, want %v", i, sorted[i], wantSorted[i])
+		}
+		if math.Abs(pct[i]-wantPct[i]) > 1e-9 {
+			t.Errorf("pct[%d] = %v, want %v", i, pct[i], wantPct[i])
+		}
+	}
+}
+
+func TestCDFPropertySortedAndBounded(t *testing.T) {
+	f := func(values []float64) bool {
+		for i, v := range values {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				values[i] = 0
+			}
+		}
+		sorted, pct := cdf(values)
+		if len(sorted) != len(values) || len(pct) != len(values) {
+			return false
+		}
+		for i := 1; i < len(sorted); i++ {
+			if sorted[i] < sorted[i-1] || pct[i] < pct[i-1] {
+				return false
+			}
+		}
+		if len(pct) > 0 && math.Abs(pct[len(pct)-1]-100) > 1e-9 {
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
 	}
 }

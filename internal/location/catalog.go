@@ -8,9 +8,16 @@ import (
 	"sort"
 
 	"greencloud/internal/pue"
-	"greencloud/internal/timeseries"
+	"greencloud/internal/series"
 	"greencloud/internal/weather"
 )
+
+// HoursPerYear is the number of hourly slots in a typical meteorological
+// year.  TMY datasets use a non-leap 365-day year.
+const HoursPerYear = 365 * HoursPerDay
+
+// HoursPerDay is the number of hourly slots, and of epochs, in a day.
+const HoursPerDay = 24
 
 // Site is one candidate datacenter location with everything the placement
 // framework needs to know about it.
@@ -53,9 +60,11 @@ type Site struct {
 	// which caps how much grid power the site may draw (nearPlantCap(d)).
 	NearestPlantKW float64
 
-	// Alpha, Beta and PUE are the per-epoch profiles on the catalog grid:
-	// Alpha[i] is the solar production factor during epoch i, Beta[i] the
-	// wind production factor, PUE[i] the PUE.
+	// Alpha, Beta and PUE are the per-epoch profiles (see
+	// Catalog.Epochs): Alpha[i] is the solar production factor during
+	// epoch i, Beta[i] the wind production factor, PUE[i] the PUE.  Each
+	// is a row of one of three series.Blocks written once when the catalog
+	// is generated and shared, read-only, by the catalog and its subsets.
 	Alpha []float64
 	Beta  []float64
 	PUE   []float64
@@ -63,44 +72,84 @@ type Site struct {
 	seed int64
 }
 
-// WeatherTrace regenerates the full hourly weather trace for the site.  The
-// catalog itself only stores reduced per-epoch profiles; callers that need
-// hourly resolution (e.g. the GreenNebula emulation) use this.
-func (s *Site) WeatherTrace() *weather.Trace {
-	return weather.Generate(s.Archetype, s.seed)
+// HourlyProfilesUTC writes the site's hourly α, β and PUE traces, on the
+// shared UTC clock of the per-epoch Alpha/Beta/PUE profiles, into alpha,
+// beta and pueH (each HoursPerYear long).
+func (s *Site) HourlyProfilesUTC(alpha, beta, pueH []float64) {
+	hourlyUTC(weather.Generate(s.Archetype, s.seed), s.UTCOffsetHours, alpha, beta, pueH)
 }
 
-// HourlyProfiles regenerates the hourly α, β and PUE traces for the site in
-// the site's local time.
-func (s *Site) HourlyProfiles() (alpha, beta, pueSeries *timeseries.Hourly) {
-	tr := s.WeatherTrace()
-	return SolarSeries(tr), WindSeries(tr), pue.Series(tr.TemperatureC)
+// hourlyUTC derives a site's hourly α, β and PUE traces from its weather
+// trace into alpha, beta and pueH (each HoursPerYear long), then rotates
+// them from the site's local solar time onto the shared UTC clock: a site
+// k hours east of Greenwich sees local noon k hours before UTC noon, so UTC
+// hour i holds local hour i+offset.  It returns the yearly summaries of the
+// local-time traces: the solar and wind capacity factors and the average
+// and maximum PUE.
+func hourlyUTC(tr *weather.Trace, offset int, alpha, beta, pueH []float64) (solarCF, windCF, avgPUE, maxPUE float64) {
+	SolarSeries(alpha, tr)
+	WindSeries(beta, tr)
+	pue.Series(pueH, tr.TemperatureC)
+	solarCF, windCF, avgPUE, maxPUE = mean(alpha), mean(beta), mean(pueH), slices.Max(pueH)
+	rotate(alpha, offset)
+	rotate(beta, offset)
+	rotate(pueH, offset)
+	return solarCF, windCF, avgPUE, maxPUE
 }
 
-// HourlyProfilesUTC regenerates the hourly α, β and PUE traces expressed on
-// the shared UTC clock (shifted by the site's time zone), matching the
-// per-epoch Alpha/Beta/PUE profiles stored in the catalog.
-func (s *Site) HourlyProfilesUTC() (alpha, beta, pueSeries *timeseries.Hourly) {
-	alpha, beta, pueSeries = s.HourlyProfiles()
-	shift := -s.UTCOffsetHours
-	return alpha.ShiftHours(shift), beta.ShiftHours(shift), pueSeries.ShiftHours(shift)
+func mean(x []float64) float64 { return series.Sum(x) / float64(len(x)) }
+
+// rotate shifts row left by offset (0 ≤ offset < HoursPerDay) in place,
+// wrapping around: row[i] becomes the old row[(i+offset) mod len(row)].
+func rotate(row []float64, offset int) {
+	var head [HoursPerDay]float64
+	copy(head[:], row[:offset])
+	n := copy(row, row[offset:])
+	copy(row[n:], head[:offset])
 }
 
-// Catalog is a set of candidate sites sharing one representative-epoch grid.
-type Catalog struct {
-	grid  *timeseries.Grid
-	sites []*Site
-	byID  map[int]*Site
-	// profiles caches the dense per-epoch matrices (see Profiles).
-	profiles profilesOnce
-}
-
-func newCatalog(grid *timeseries.Grid, sites []*Site) *Catalog {
-	byID := make(map[int]*Site, len(sites))
-	for _, s := range sites {
-		byID[s.ID] = s
+// reduce collapses an hourly year trace onto len(dst)/HoursPerDay
+// representative days, each covering an equal share of the 365-day year:
+// dst[d*HoursPerDay+h] is the average of hour h over the real days that
+// representative day d covers.  This keeps diurnal shape exact and smooths
+// day-to-day weather noise, which is what the placement optimizer needs
+// (the paper aggregates hourly TMY data in the same spirit).
+func reduce(dst, hourly []float64) {
+	days := len(dst) / HoursPerDay
+	chunk := 365.0 / float64(days)
+	for d := 0; d < days; d++ {
+		startDay := int(math.Floor(chunk * float64(d)))
+		endDay := int(math.Floor(chunk * float64(d+1)))
+		if endDay <= startDay {
+			endDay = startDay + 1
+		}
+		if endDay > 365 {
+			endDay = 365
+		}
+		for h := 0; h < HoursPerDay; h++ {
+			sum := 0.0
+			for day := startDay; day < endDay; day++ {
+				sum += hourly[day*HoursPerDay+h]
+			}
+			dst[d*HoursPerDay+h] = sum / float64(endDay-startDay)
+		}
 	}
-	return &Catalog{grid: grid, sites: sites, byID: byID}
+}
+
+// Catalog is a set of candidate sites whose per-epoch profiles share one
+// reduction of the year to representative days.
+type Catalog struct {
+	days  int
+	sites []*Site
+	byID  map[int]int // site ID → position in sites
+}
+
+func newCatalog(days int, sites []*Site) *Catalog {
+	byID := make(map[int]int, len(sites))
+	for i, s := range sites {
+		byID[s.ID] = i
+	}
+	return &Catalog{days: days, sites: sites, byID: byID}
 }
 
 // Options configures catalog generation.
@@ -200,27 +249,32 @@ func Generate(opts Options) (*Catalog, error) {
 	if repDays == 0 {
 		repDays = DefaultRepresentativeDays
 	}
-	grid, err := timeseries.NewGrid(repDays)
-	if err != nil {
-		return nil, fmt.Errorf("location: %w", err)
+	if repDays < 1 || repDays > 365 {
+		return nil, fmt.Errorf("location: representative day count %d outside 1..365", repDays)
 	}
 
 	rng := rand.New(rand.NewSource(opts.Seed*2654435761 + 17))
 	sites := make([]*Site, 0, count)
 	counters := make(map[weather.Archetype]int, len(archetypeShare))
 
+	// Site i's per-epoch profiles are row i of these Blocks; year holds
+	// the hourly traces they are reduced from, one site at a time.
+	epochs := repDays * HoursPerDay
+	alpha, beta, pueP := series.NewBlock(count, epochs), series.NewBlock(count, epochs), series.NewBlock(count, epochs)
+	year := series.NewBlock(3, HoursPerYear)
 	for i := 0; i < count; i++ {
 		arch := pickArchetype(rng, i, count)
 		counters[arch]++
 		seed := opts.Seed*1_000_003 + int64(i)
-		site, err := generateSite(i, arch, seed, grid, rng)
-		if err != nil {
-			return nil, err
-		}
+		site := generateSite(i, arch, seed, rng, &year)
 		site.Name = fmt.Sprintf("%s-%04d", archetypeEconomics(arch).nameHint, counters[arch])
+		site.Alpha, site.Beta, site.PUE = alpha.Row(i), beta.Row(i), pueP.Row(i)
+		reduce(site.Alpha, year.Row(0))
+		reduce(site.Beta, year.Row(1))
+		reduce(site.PUE, year.Row(2))
 		sites = append(sites, site)
 	}
-	return newCatalog(grid, sites), nil
+	return newCatalog(repDays, sites), nil
 }
 
 // pickArchetype assigns archetypes deterministically so the catalog has the
@@ -238,19 +292,15 @@ func pickArchetype(rng *rand.Rand, index, total int) weather.Archetype {
 	return archetypeShare[len(archetypeShare)-1].arch
 }
 
-func generateSite(id int, arch weather.Archetype, seed int64, grid *timeseries.Grid, rng *rand.Rand) (*Site, error) {
+// generateSite draws a site's time zone and economics and derives its
+// hourly α, β and PUE traces on the UTC clock into rows 0, 1 and 2 of year.
+func generateSite(id int, arch weather.Archetype, seed int64, rng *rand.Rand, year *series.Block) *Site {
 	tr := weather.Generate(arch, seed)
-	alphaHourly := SolarSeries(tr)
-	betaHourly := WindSeries(tr)
-	pueHourly := pue.Series(tr.TemperatureC)
-
 	// Spread sites across time zones; the stored per-epoch profiles are on
 	// a shared UTC clock so the optimizer can follow the sun around the
 	// globe.
 	offset := rng.Intn(24)
-	alphaUTC := alphaHourly.ShiftHours(-offset)
-	betaUTC := betaHourly.ShiftHours(-offset)
-	pueUTC := pueHourly.ShiftHours(-offset)
+	solarCF, windCF, avgPUE, maxPUE := hourlyUTC(tr, offset, year.Row(0), year.Row(1), year.Row(2))
 
 	eco := archetypeEconomics(arch)
 	land := positiveNormal(rng, eco.landMean, eco.landSpread, 2)
@@ -259,26 +309,22 @@ func generateSite(id int, arch weather.Archetype, seed int64, grid *timeseries.G
 	distNet := boundedExp(rng, eco.distNetMean, eco.distNetMax, 1)
 	plant := eco.plantMinKW + rng.Float64()*(eco.plantMaxKW-eco.plantMinKW)
 
-	site := &Site{
+	return &Site{
 		ID:                  id,
 		Archetype:           arch,
 		LatitudeDeg:         tr.LatitudeDeg,
 		UTCOffsetHours:      offset,
-		SolarCapacityFactor: alphaHourly.Mean(),
-		WindCapacityFactor:  betaHourly.Mean(),
-		AvgPUE:              pueHourly.Mean(),
-		MaxPUE:              pueHourly.Max(),
+		SolarCapacityFactor: solarCF,
+		WindCapacityFactor:  windCF,
+		AvgPUE:              avgPUE,
+		MaxPUE:              maxPUE,
 		LandPriceUSDPerM2:   land,
 		GridPriceUSDPerKWh:  elec,
 		DistPowerKm:         distPow,
 		DistNetworkKm:       distNet,
 		NearestPlantKW:      plant,
-		Alpha:               grid.Reduce(alphaUTC),
-		Beta:                grid.Reduce(betaUTC),
-		PUE:                 grid.Reduce(pueUTC),
 		seed:                seed,
 	}
-	return site, nil
 }
 
 // positiveNormal draws a normal sample clamped to a floor.
@@ -303,8 +349,16 @@ func boundedExp(rng *rand.Rand, mean, max, min float64) float64 {
 	return v
 }
 
-// Grid returns the catalog's representative-epoch grid.
-func (c *Catalog) Grid() *timeseries.Grid { return c.grid }
+// Epochs returns the length of every site's per-epoch profiles: the
+// representative days × HoursPerDay, chronological (day-major, hour-minor),
+// which the optimizer relies on when chaining battery levels and
+// migration terms across consecutive epochs.
+func (c *Catalog) Epochs() int { return c.days * HoursPerDay }
+
+// EpochWeight returns the number of real days each representative day,
+// and so each epoch, stands for: an epoch contributes value × EpochWeight
+// × 1 h of energy over the year.
+func (c *Catalog) EpochWeight() float64 { return 365.0 / float64(c.days) }
 
 // Len returns the number of sites.
 func (c *Catalog) Len() int { return len(c.sites) }
@@ -321,14 +375,23 @@ func (c *Catalog) Sites() []*Site {
 // a site keeps its identity when a filtered catalog is derived from the full
 // one.
 func (c *Catalog) Site(id int) (*Site, error) {
-	if s, ok := c.byID[id]; ok {
-		return s, nil
+	i, err := c.Index(id)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("location: site %d not in this catalog (%d sites)", id, len(c.sites))
+	return c.sites[i], nil
 }
 
-// Subset returns a new catalog (sharing the same grid) containing only the
-// sites with the given IDs, in the given order.  The sites keep their IDs.
+// Index returns the position in Sites of the site with the given ID.
+func (c *Catalog) Index(id int) (int, error) {
+	if i, ok := c.byID[id]; ok {
+		return i, nil
+	}
+	return 0, fmt.Errorf("location: site %d not in this catalog (%d sites)", id, len(c.sites))
+}
+
+// Subset returns a new catalog containing only the sites with the given
+// IDs, in the given order.  The sites keep their IDs and their profiles.
 func (c *Catalog) Subset(ids []int) (*Catalog, error) {
 	sites := make([]*Site, 0, len(ids))
 	for _, id := range ids {
@@ -338,7 +401,7 @@ func (c *Catalog) Subset(ids []int) (*Catalog, error) {
 		}
 		sites = append(sites, s)
 	}
-	return newCatalog(c.grid, sites), nil
+	return newCatalog(c.days, sites), nil
 }
 
 // SolarCapacityFactors returns the per-site solar capacity factors.

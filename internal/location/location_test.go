@@ -5,7 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"greencloud/internal/timeseries"
+	"greencloud/internal/series"
 	"greencloud/internal/weather"
 )
 
@@ -92,8 +92,8 @@ func TestGenerateCatalogSmall(t *testing.T) {
 	if cat.Len() != 60 {
 		t.Fatalf("Len() = %d, want 60", cat.Len())
 	}
-	if cat.Grid().Len() != 2*timeseries.HoursPerDay {
-		t.Errorf("grid epochs = %d, want 2 days of %d", cat.Grid().Len(), timeseries.HoursPerDay)
+	if cat.Epochs() != 2*HoursPerDay {
+		t.Errorf("epochs = %d, want 2 days of %d", cat.Epochs(), HoursPerDay)
 	}
 	seen := map[string]bool{}
 	for _, s := range cat.Sites() {
@@ -101,8 +101,8 @@ func TestGenerateCatalogSmall(t *testing.T) {
 			t.Errorf("duplicate site name %q", s.Name)
 		}
 		seen[s.Name] = true
-		if len(s.Alpha) != cat.Grid().Len() || len(s.Beta) != cat.Grid().Len() || len(s.PUE) != cat.Grid().Len() {
-			t.Fatalf("site %s profile lengths don't match grid", s.Name)
+		if len(s.Alpha) != cat.Epochs() || len(s.Beta) != cat.Epochs() || len(s.PUE) != cat.Epochs() {
+			t.Fatalf("site %s profile lengths don't match the catalog's epochs", s.Name)
 		}
 		if s.SolarCapacityFactor <= 0 || s.SolarCapacityFactor > 0.35 {
 			t.Errorf("site %s solar CF %v implausible", s.Name, s.SolarCapacityFactor)
@@ -244,18 +244,31 @@ func TestHourlyProfilesConsistentWithSummary(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, _ := cat.Site(0)
-	alpha, beta, pueSeries := s.HourlyProfiles()
-	if math.Abs(alpha.Mean()-s.SolarCapacityFactor) > 1e-9 {
-		t.Errorf("hourly alpha mean %v != stored solar CF %v", alpha.Mean(), s.SolarCapacityFactor)
+	year := series.NewBlock(3, HoursPerYear)
+	alpha, beta, pueH := year.Row(0), year.Row(1), year.Row(2)
+	s.HourlyProfilesUTC(alpha, beta, pueH)
+	naiveMean := func(x []float64) float64 {
+		sum := 0.0
+		for _, v := range x {
+			sum += v
+		}
+		return sum / float64(len(x))
 	}
-	if math.Abs(beta.Mean()-s.WindCapacityFactor) > 1e-9 {
-		t.Errorf("hourly beta mean %v != stored wind CF %v", beta.Mean(), s.WindCapacityFactor)
+	if m := naiveMean(alpha); math.Abs(m-s.SolarCapacityFactor) > 1e-9 {
+		t.Errorf("hourly alpha mean %v != stored solar CF %v", m, s.SolarCapacityFactor)
 	}
-	if math.Abs(pueSeries.Mean()-s.AvgPUE) > 1e-9 {
-		t.Errorf("hourly PUE mean %v != stored avg PUE %v", pueSeries.Mean(), s.AvgPUE)
+	if m := naiveMean(beta); math.Abs(m-s.WindCapacityFactor) > 1e-9 {
+		t.Errorf("hourly beta mean %v != stored wind CF %v", m, s.WindCapacityFactor)
 	}
-	if s.WeatherTrace().Archetype != s.Archetype {
-		t.Error("weather trace archetype mismatch")
+	if m := naiveMean(pueH); math.Abs(m-s.AvgPUE) > 1e-9 {
+		t.Errorf("hourly PUE mean %v != stored avg PUE %v", m, s.AvgPUE)
+	}
+	peak := pueH[0]
+	for _, v := range pueH {
+		peak = math.Max(peak, v)
+	}
+	if peak != s.MaxPUE {
+		t.Errorf("hourly PUE max %v != stored max PUE %v", peak, s.MaxPUE)
 	}
 }
 
@@ -298,15 +311,22 @@ func TestUTCOffsetsSpreadAndShiftProfiles(t *testing.T) {
 		if s.UTCOffsetHours == 0 {
 			continue
 		}
-		alphaUTC, _, _ := s.HourlyProfilesUTC()
-		alphaLocal, _, _ := s.HourlyProfiles()
-		if math.Abs(alphaUTC.Mean()-alphaLocal.Mean()) > 1e-12 {
+		utc, local := series.NewBlock(3, HoursPerYear), series.NewBlock(3, HoursPerYear)
+		s.HourlyProfilesUTC(utc.Row(0), utc.Row(1), utc.Row(2))
+		hourlyUTC(weather.Generate(s.Archetype, s.seed), 0, local.Row(0), local.Row(1), local.Row(2))
+		alphaUTC, alphaLocal := utc.Row(0), local.Row(0)
+		if math.Abs(series.Sum(alphaUTC)-series.Sum(alphaLocal)) > 1e-9 {
 			t.Fatal("shifting changed the mean")
 		}
-		if alphaUTC.AtDayHour(100, 12) == alphaLocal.AtDayHour(100, 12) &&
-			alphaUTC.AtDayHour(200, 12) == alphaLocal.AtDayHour(200, 12) &&
-			alphaUTC.AtDayHour(300, 12) == alphaLocal.AtDayHour(300, 12) {
+		if alphaUTC[100*24+12] == alphaLocal[100*24+12] &&
+			alphaUTC[200*24+12] == alphaLocal[200*24+12] &&
+			alphaUTC[300*24+12] == alphaLocal[300*24+12] {
 			t.Errorf("site %s (offset %d) UTC profile identical to local profile", s.Name, s.UTCOffsetHours)
+		}
+		for i, v := range alphaUTC {
+			if v != alphaLocal[(i+s.UTCOffsetHours)%HoursPerYear] {
+				t.Fatalf("site %s: UTC hour %d is not local hour %d", s.Name, i, i+s.UTCOffsetHours)
+			}
 		}
 		break
 	}

@@ -16,7 +16,6 @@ package location
 import (
 	"math"
 
-	"greencloud/internal/timeseries"
 	"greencloud/internal/weather"
 )
 
@@ -95,20 +94,20 @@ func WindBeta(windMs, pressureKPa, tempC float64) float64 {
 	return beta
 }
 
-// SolarSeries derives the hourly α(t) trace from a weather trace.
-func SolarSeries(tr *weather.Trace) *timeseries.Hourly {
-	return timeseries.Generate(func(day, hour int) float64 {
-		return SolarAlpha(tr.IrradianceWm2.AtDayHour(day, hour), tr.TemperatureC.AtDayHour(day, hour))
-	})
+// SolarSeries writes the hourly α(t) trace of a weather trace into dst
+// (HoursPerYear long).
+func SolarSeries(dst []float64, tr *weather.Trace) {
+	irr, temp := tr.IrradianceWm2[:len(dst)], tr.TemperatureC[:len(dst)]
+	for i := range dst {
+		dst[i] = SolarAlpha(irr[i], temp[i])
+	}
 }
 
-// WindSeries derives the hourly β(t) trace from a weather trace.
-func WindSeries(tr *weather.Trace) *timeseries.Hourly {
-	return timeseries.Generate(func(day, hour int) float64 {
-		return WindBeta(
-			tr.WindSpeedMs.AtDayHour(day, hour),
-			tr.PressureKPa.AtDayHour(day, hour),
-			tr.TemperatureC.AtDayHour(day, hour),
-		)
-	})
+// WindSeries writes the hourly β(t) trace of a weather trace into dst
+// (HoursPerYear long).
+func WindSeries(dst []float64, tr *weather.Trace) {
+	wind, press, temp := tr.WindSpeedMs[:len(dst)], tr.PressureKPa[:len(dst)], tr.TemperatureC[:len(dst)]
+	for i := range dst {
+		dst[i] = WindBeta(wind[i], press[i], temp[i])
+	}
 }

@@ -8,8 +8,6 @@
 // over and the PUE climbs towards ~1.4 at 45 °C.
 package pue
 
-import "greencloud/internal/timeseries"
-
 // curve is the piecewise-linear PUE(temperature) relation of Fig. 4,
 // expressed as (temperature °C, PUE) knots.
 var curve = []struct {
@@ -46,9 +44,13 @@ func FromTemperature(tempC float64) float64 {
 	return last.pue
 }
 
-// Series converts an hourly temperature trace into an hourly PUE trace.
-func Series(temperatureC *timeseries.Hourly) *timeseries.Hourly {
-	return temperatureC.Map(FromTemperature)
+// Series writes the PUE of every sample of the temperature trace
+// temperatureC into dst (of the same length).
+func Series(dst, temperatureC []float64) {
+	temperatureC = temperatureC[:len(dst)]
+	for i, t := range temperatureC {
+		dst[i] = FromTemperature(t)
+	}
 }
 
 // Curve returns the (temperature, PUE) pairs for a sweep between lo and hi

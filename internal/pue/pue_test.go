@@ -2,10 +2,10 @@ package pue
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
-	"greencloud/internal/timeseries"
 	"greencloud/internal/weather"
 )
 
@@ -58,12 +58,12 @@ func TestAverageInPaperRange(t *testing.T) {
 	// slightly wider band because our synthetic tropics are hotter than the
 	// paper's site mix.
 	for _, a := range []weather.Archetype{weather.Desert, weather.Temperate, weather.Maritime, weather.Ridge, weather.Tropical, weather.Continental, weather.Polar} {
-		pue := Series(weather.Generate(a, 5).TemperatureC)
-		avg := pue.Mean()
+		pue := series(weather.Generate(a, 5).TemperatureC)
+		avg := mean(pue)
 		if avg < 1.05 || avg > 1.20 {
 			t.Errorf("%v: average PUE %v outside plausible range", a, avg)
 		}
-		if pue.Max() < avg-1e-6 {
+		if slices.Max(pue) < avg-1e-6 {
 			t.Errorf("%v: max PUE below average", a)
 		}
 	}
@@ -72,20 +72,38 @@ func TestAverageInPaperRange(t *testing.T) {
 func TestColdSitesHaveLowerPUE(t *testing.T) {
 	ridge := weather.Generate(weather.Ridge, 2)
 	desert := weather.Generate(weather.Desert, 2)
-	ridgePUE, desertPUE := Series(ridge.TemperatureC).Mean(), Series(desert.TemperatureC).Mean()
+	ridgePUE, desertPUE := mean(series(ridge.TemperatureC)), mean(series(desert.TemperatureC))
 	if ridgePUE >= desertPUE {
 		t.Errorf("ridge PUE %v should be below desert PUE %v", ridgePUE, desertPUE)
 	}
 }
 
 func TestSeriesMatchesPointwise(t *testing.T) {
-	temp := timeseries.Generate(func(day, hour int) float64 { return float64(hour) })
-	s := Series(temp)
+	temp := make([]float64, 365*24)
+	for i := range temp {
+		temp[i] = float64(i % 24)
+	}
+	s := series(temp)
 	for _, hr := range []int{0, 12, 23, 5000} {
-		if got, want := s.AtDayHour(hr/24, hr%24), FromTemperature(temp.AtDayHour(hr/24, hr%24)); got != want {
+		if got, want := s[hr], FromTemperature(temp[hr]); got != want {
 			t.Errorf("Series at %d = %v, want %v", hr, got, want)
 		}
 	}
+}
+
+// series returns the PUE trace of a temperature trace.
+func series(temperatureC []float64) []float64 {
+	out := make([]float64, len(temperatureC))
+	Series(out, temperatureC)
+	return out
+}
+
+func mean(x []float64) float64 {
+	sum := 0.0
+	for _, v := range x {
+		sum += v
+	}
+	return sum / float64(len(x))
 }
 
 func TestCurveSweep(t *testing.T) {

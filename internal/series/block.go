@@ -1,8 +1,8 @@
 // Package series is the dense numeric layer under the provisioning
 // pipeline: an epoch-major matrix type (Block) and a small set of fused
-// element-wise kernels that the Profiles view, the siting evaluator, the
-// energy balancer and the scheduler all share, so the same multiply-add
-// dialect is written (and optimized) exactly once.
+// element-wise kernels that the catalog's site profiles, the siting
+// evaluator, the energy balancer and the scheduler all share, so the same
+// multiply-add dialect is written (and optimized) exactly once.
 //
 // # Layout
 //
@@ -21,7 +21,8 @@
 // re-slicing.  Two distinct rows of the same Block never overlap.  Beyond
 // that the package distinguishes two uses:
 //
-//   - Shared read-only Blocks (location.Profiles): built once, then handed
+//   - Shared read-only Blocks (a location catalog's α/β/PUE profiles,
+//     whose rows are its sites' Alpha/Beta/PUE): built once, then handed
 //     out by reference to any number of concurrent readers.  Nobody may
 //     write to them after construction; this is a documentation contract,
 //     not an enforced one, exactly like an unexported map shared by value.

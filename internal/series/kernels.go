@@ -3,7 +3,7 @@ package series
 import "math"
 
 // The kernels below are the shared loop dialect of the provisioning
-// pipeline: every element-wise pass over an epoch row in location.Profiles,
+// pipeline: every element-wise pass over a site's per-epoch profile rows,
 // internal/core, internal/energy and internal/sched goes through one of
 // them.  They all derive the trip count from dst (or the first operand) and
 // pin every other slice with an explicit re-slice so the compiler hoists

@@ -20,8 +20,6 @@ import (
 	"math"
 	"math/rand"
 	"sync"
-
-	"greencloud/internal/timeseries"
 )
 
 // Archetype identifies a coarse climate class used to parameterize the
@@ -147,17 +145,22 @@ func archetypeParams(a Archetype) params {
 	}
 }
 
-// Trace holds a full synthetic TMY for one site.
+// hoursPerYear is the length of a trace: a non-leap 365-day year, as in TMY
+// datasets.
+const hoursPerYear = 365 * 24
+
+// Trace holds a full synthetic TMY for one site.  Each series holds one
+// sample per hour of the year, hour h of day d at index d*24+h.
 type Trace struct {
 	// TemperatureC is the external air temperature in °C.
-	TemperatureC *timeseries.Hourly
+	TemperatureC []float64
 	// IrradianceWm2 is global horizontal (plane-of-array approximated)
 	// solar irradiance in W/m².
-	IrradianceWm2 *timeseries.Hourly
+	IrradianceWm2 []float64
 	// WindSpeedMs is wind speed at hub height in m/s.
-	WindSpeedMs *timeseries.Hourly
+	WindSpeedMs []float64
 	// PressureKPa is station pressure in kPa (used for air density).
-	PressureKPa *timeseries.Hourly
+	PressureKPa []float64
 	// LatitudeDeg is the site latitude used for solar geometry (signed).
 	LatitudeDeg float64
 	// Archetype is the climate class the trace was generated from.
@@ -169,12 +172,13 @@ type Trace struct {
 // full-year trace costs hundreds of thousands of transcendental
 // evaluations, so callers that re-derive hourly profiles (catalog builds,
 // emulation setup, repeated experiment runs) would otherwise pay that cost
-// on every call.  A Trace is immutable outside generation (every Hourly
-// accessor returns a copy), which is what makes sharing the cached
-// instance safe.  Eviction is a deterministic insertion-order ring: once
-// the cache holds maxCachedTraces entries, inserting a new trace evicts
-// the oldest-inserted one (ring[next]), so a seed sweep cycles through the
-// window one entry at a time instead of dropping the whole map — the
+// on every call.  A cached Trace is shared by every caller that asks for
+// the same pair, so it is read-only by contract once generated, like a
+// shared series.Block: nobody may write to its slices.  Eviction is a
+// deterministic insertion-order ring: once the cache holds maxCachedTraces
+// entries, inserting a new trace evicts the oldest-inserted one
+// (ring[next]), so a seed sweep cycles through the window one entry at a
+// time instead of dropping the whole map — the
 // ~(maxCachedTraces−1) still-hot traces of an interleaved workload survive
 // a sweep, and which entry goes is a function of insertion history alone,
 // never of map iteration order.
@@ -195,8 +199,8 @@ const maxCachedTraces = 128
 // Generate builds the synthetic TMY for a site of the given archetype.  The
 // same (archetype, seed) pair always yields the identical trace, which keeps
 // every experiment in the repository reproducible — and lets Generate serve
-// repeated calls from a cache (the returned trace may be shared; treat it as
-// read-only, which every accessor already enforces by copying).
+// repeated calls from a cache (the returned trace may be shared; it must
+// not be modified).
 func Generate(a Archetype, seed int64) *Trace {
 	key := traceKey{a, seed}
 	traceCache.Lock()
@@ -260,10 +264,10 @@ func generate(a Archetype, seed int64) *Trace {
 		dayWind[d] = windState
 	}
 
-	temp := timeseries.NewHourly()
-	irr := timeseries.NewHourly()
-	wind := timeseries.NewHourly()
-	press := timeseries.NewHourly()
+	temp := make([]float64, hoursPerYear)
+	irr := make([]float64, hoursPerYear)
+	wind := make([]float64, hoursPerYear)
+	press := make([]float64, hoursPerYear)
 
 	for d := 0; d < 365; d++ {
 		season := seasonFactor(d, lat)
@@ -272,12 +276,12 @@ func generate(a Archetype, seed int64) *Trace {
 			// Temperature: seasonal + diurnal cycle (peak ~15:00) + noise.
 			diurnal := math.Cos(2 * math.Pi * float64(h-15) / 24)
 			tVal := meanTemp - p.seasonalAmpC*season + p.diurnalAmpC*0.5*diurnal + rng.NormFloat64()*0.8
-			temp.Set(idx, tVal)
+			temp[idx] = tVal
 
 			// Solar irradiance: clear-sky from geometry × cloud attenuation.
 			clear := clearSkyIrradiance(lat, d, h)
 			attenuation := 1 - dayCloud[d]*(0.75+0.25*rng.Float64())
-			irr.Set(idx, math.Max(0, clear*attenuation))
+			irr[idx] = math.Max(0, clear*attenuation)
 
 			// Wind: synoptic day value + diurnal cycle + gust noise.
 			wDiurnal := p.windDiurnal * math.Sin(2*math.Pi*float64(h-14)/24)
@@ -285,9 +289,9 @@ func generate(a Archetype, seed int64) *Trace {
 			if wVal < 0 {
 				wVal = 0
 			}
-			wind.Set(idx, wVal)
+			wind[idx] = wVal
 
-			press.Set(idx, pressure+rng.NormFloat64()*0.3)
+			press[idx] = pressure + rng.NormFloat64()*0.3
 		}
 	}
 

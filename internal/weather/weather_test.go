@@ -4,26 +4,24 @@ import (
 	"math"
 	"slices"
 	"testing"
-
-	"greencloud/internal/timeseries"
 )
 
 func TestGenerateDeterministic(t *testing.T) {
 	a := Generate(Desert, 42)
 	b := Generate(Desert, 42)
-	for _, hr := range []int{0, 1000, 4999, timeseries.HoursPerYear - 1} {
-		if a.TemperatureC.AtDayHour(hr/24, hr%24) != b.TemperatureC.AtDayHour(hr/24, hr%24) {
+	for _, hr := range []int{0, 1000, 4999, hoursPerYear - 1} {
+		if a.TemperatureC[hr] != b.TemperatureC[hr] {
 			t.Fatalf("temperature differs at hour %d for identical seeds", hr)
 		}
-		if a.IrradianceWm2.AtDayHour(hr/24, hr%24) != b.IrradianceWm2.AtDayHour(hr/24, hr%24) {
+		if a.IrradianceWm2[hr] != b.IrradianceWm2[hr] {
 			t.Fatalf("irradiance differs at hour %d for identical seeds", hr)
 		}
-		if a.WindSpeedMs.AtDayHour(hr/24, hr%24) != b.WindSpeedMs.AtDayHour(hr/24, hr%24) {
+		if a.WindSpeedMs[hr] != b.WindSpeedMs[hr] {
 			t.Fatalf("wind differs at hour %d for identical seeds", hr)
 		}
 	}
 	c := Generate(Desert, 43)
-	if a.TemperatureC.Mean() == c.TemperatureC.Mean() && a.WindSpeedMs.Mean() == c.WindSpeedMs.Mean() {
+	if mean(a.TemperatureC) == mean(c.TemperatureC) && mean(a.WindSpeedMs) == mean(c.WindSpeedMs) {
 		t.Error("different seeds produced identical traces")
 	}
 }
@@ -31,25 +29,25 @@ func TestGenerateDeterministic(t *testing.T) {
 func TestTraceLengthsAndBounds(t *testing.T) {
 	for _, a := range allArchetypes {
 		tr := Generate(a, 7)
-		if tr.TemperatureC.Len() != timeseries.HoursPerYear {
-			t.Fatalf("%v: temperature length %d", a, tr.TemperatureC.Len())
+		if len(tr.TemperatureC) != hoursPerYear {
+			t.Fatalf("%v: temperature length %d", a, len(tr.TemperatureC))
 		}
-		if got := slices.Min(tr.IrradianceWm2.Values()); got < 0 {
+		if got := slices.Min(tr.IrradianceWm2); got < 0 {
 			t.Errorf("%v: negative irradiance %v", a, got)
 		}
-		if got := tr.IrradianceWm2.Max(); got > 1200 {
+		if got := slices.Max(tr.IrradianceWm2); got > 1200 {
 			t.Errorf("%v: irradiance %v exceeds physical clear-sky bound", a, got)
 		}
-		if got := slices.Min(tr.WindSpeedMs.Values()); got < 0 {
+		if got := slices.Min(tr.WindSpeedMs); got < 0 {
 			t.Errorf("%v: negative wind speed %v", a, got)
 		}
-		if got := tr.WindSpeedMs.Max(); got > 60 {
+		if got := slices.Max(tr.WindSpeedMs); got > 60 {
 			t.Errorf("%v: implausible wind speed %v", a, got)
 		}
-		if got := tr.TemperatureC.Mean(); got < -30 || got > 40 {
+		if got := mean(tr.TemperatureC); got < -30 || got > 40 {
 			t.Errorf("%v: implausible mean temperature %v", a, got)
 		}
-		if got := tr.PressureKPa.Mean(); got < 75 || got > 105 {
+		if got := mean(tr.PressureKPa); got < 75 || got > 105 {
 			t.Errorf("%v: implausible mean pressure %v", a, got)
 		}
 	}
@@ -59,14 +57,14 @@ func TestIrradianceIsZeroAtNight(t *testing.T) {
 	tr := Generate(Temperate, 11)
 	// Local solar midnight: hour 0 every day must be dark at mid latitudes.
 	for day := 0; day < 365; day += 30 {
-		if v := tr.IrradianceWm2.AtDayHour(day, 0); v != 0 {
+		if v := tr.IrradianceWm2[day*24]; v != 0 {
 			t.Errorf("day %d hour 0: irradiance %v, want 0", day, v)
 		}
 	}
 	// And the brightest noon of the year must be genuinely bright.
 	best := 0.0
 	for day := 0; day < 365; day++ {
-		if v := tr.IrradianceWm2.AtDayHour(day, 12); v > best {
+		if v := tr.IrradianceWm2[day*24+12]; v > best {
 			best = v
 		}
 	}
@@ -88,18 +86,18 @@ func TestArchetypeOrdering(t *testing.T) {
 		}
 		return sum / seeds
 	}
-	ridgeWind := meanOver(Ridge, func(tr *Trace) float64 { return tr.WindSpeedMs.Mean() })
-	desertWind := meanOver(Desert, func(tr *Trace) float64 { return tr.WindSpeedMs.Mean() })
+	ridgeWind := meanOver(Ridge, func(tr *Trace) float64 { return mean(tr.WindSpeedMs) })
+	desertWind := meanOver(Desert, func(tr *Trace) float64 { return mean(tr.WindSpeedMs) })
 	if ridgeWind <= desertWind+2 {
 		t.Errorf("ridge wind %v should clearly exceed desert wind %v", ridgeWind, desertWind)
 	}
-	desertSun := meanOver(Desert, func(tr *Trace) float64 { return tr.IrradianceWm2.Mean() })
-	ridgeSun := meanOver(Ridge, func(tr *Trace) float64 { return tr.IrradianceWm2.Mean() })
+	desertSun := meanOver(Desert, func(tr *Trace) float64 { return mean(tr.IrradianceWm2) })
+	ridgeSun := meanOver(Ridge, func(tr *Trace) float64 { return mean(tr.IrradianceWm2) })
 	if desertSun <= ridgeSun {
 		t.Errorf("desert irradiance %v should exceed ridge irradiance %v", desertSun, ridgeSun)
 	}
-	desertTemp := meanOver(Desert, func(tr *Trace) float64 { return tr.TemperatureC.Mean() })
-	ridgeTemp := meanOver(Ridge, func(tr *Trace) float64 { return tr.TemperatureC.Mean() })
+	desertTemp := meanOver(Desert, func(tr *Trace) float64 { return mean(tr.TemperatureC) })
+	ridgeTemp := meanOver(Ridge, func(tr *Trace) float64 { return mean(tr.TemperatureC) })
 	if desertTemp <= ridgeTemp+10 {
 		t.Errorf("desert temperature %v should clearly exceed ridge temperature %v", desertTemp, ridgeTemp)
 	}
@@ -119,7 +117,7 @@ func TestSeasonalTemperatureSwing(t *testing.T) {
 		sum, n := 0.0, 0
 		for d := center - 10; d <= center+10; d++ {
 			for h := 0; h < 24; h++ {
-				sum += tr.TemperatureC.AtDayHour((d+365)%365, h)
+				sum += tr.TemperatureC[(d+365)%365*24+h]
 				n++
 			}
 		}
@@ -206,4 +204,12 @@ func TestTraceCacheRingEviction(t *testing.T) {
 		t.Fatalf("cache holds %d entries, cap is %d", len(traceCache.m), maxCachedTraces)
 	}
 	_ = last
+}
+
+func mean(x []float64) float64 {
+	sum := 0.0
+	for _, v := range x {
+		sum += v
+	}
+	return sum / float64(len(x))
 }
