@@ -169,7 +169,17 @@
 //     content, same replica sets, same re-replication task lists — pinned
 //     by a randomized differential test that drives MetaWorker and a
 //     test-only payload reference through identical op schedules
-//     (internal/gdfs/meta_test.go, payload_ref_test.go).
+//     (internal/gdfs/meta_test.go, payload_ref_test.go).  The metadata is
+//     dense: the master keeps one {size, valid, held} record per block in
+//     a slice indexed by block ID, where valid and held are bitmasks over
+//     a worker index assigned at registration (at most 64 workers), and a
+//     MetaWorker keeps its replicas in a slice indexed by block ID.
+//     Re-replication is one ID-order pass that plans and copies each block
+//     under the master's lock; the lock order is master, then store, and
+//     a dirty write (Client.DirtyBlocks, one call per range of blocks)
+//     takes each of the two once, one after the other.  A steady-state
+//     hour — a dirty write to every block plus a re-replication round —
+//     allocates nothing (TestSteadyStateRoundAllocatesNothing).
 //   - emul.Runner owns every per-run and per-hour buffer: green/PUE traces
 //     and forecast windows live in series.Blocks, predictors fill
 //     caller-provided slices (predict.Predictor.PredictInto), fleets are

@@ -19,7 +19,7 @@ func main() {
 	workers := map[gdfs.WorkerID]*gdfs.MetaWorker{}
 	for _, dc := range []gdfs.WorkerID{"kenya", "mexico", "guam"} {
 		workers[dc] = gdfs.NewMetaWorker(dc)
-		if err := cluster.AddWorker(workers[dc], string(dc)); err != nil {
+		if err := cluster.AddWorker(workers[dc]); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -53,7 +53,7 @@ func main() {
 
 	// The VM dirties a couple of blocks while running in Kenya.
 	for _, block := range []int{0, 3} {
-		if err := kenya.DirtyBlock(fi, block); err != nil {
+		if err := kenya.DirtyBlocks(fi, block, block+1); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -67,7 +67,14 @@ func main() {
 	// How much would a migration have to ship right now?
 	printPending(kenya, disk)
 
-	// Re-replication refreshes the stale copies on the warm datacenter.
+	// The master plans to refresh the stale copies on the warm datacenter:
+	// a worker holding an old version is cheaper to bring up to date than
+	// one holding nothing.
+	for _, task := range master.UnderReplicated() {
+		fmt.Printf("  re-replication plan: block ID %d from %s to %s\n", task.Block, task.Source, task.Dest)
+	}
+
+	// Re-replication executes that plan.
 	copied = cluster.ReplicateOnce()
 	fmt.Printf("re-replication copied %d blocks\n", copied)
 	printVersions(workers, fi, 0, warm)

@@ -387,7 +387,7 @@ func (r *Runner) reset() error {
 			hosts = len(cfg.VMs) // enough for full replication of the fleet
 		}
 		r.managers[i] = nebula.NewUniformDatacenter(dc.Name, hosts)
-		if err := r.cluster.AddWorker(gdfs.NewMetaWorker(gdfs.WorkerID(dc.Name)), dc.Name); err != nil {
+		if err := r.cluster.AddWorker(gdfs.NewMetaWorker(gdfs.WorkerID(dc.Name))); err != nil {
 			return err
 		}
 		client, err := r.cluster.NewClient(gdfs.WorkerID(dc.Name))
@@ -598,10 +598,21 @@ func (r *Runner) finishTick(absHour int, moves []sched.Migration, elapsed int64)
 		machine := &cfg.VMs[vi]
 		fi := r.files[vi]
 		client := r.clients[r.home[vi]]
+		n := len(fi.Blocks)
+		if n == 0 {
+			continue
+		}
+		// The hour's dirty window: dirtyBlocks consecutive blocks (at most
+		// the whole disk) from where the previous hour's ended, wrapping
+		// around the end of the disk.
 		dirtyBlocks := int(machine.DiskDirtyMBPerHour*(1<<20)/float64(fi.BlockSize)) + 1
-		for b := 0; b < dirtyBlocks && b < len(fi.Blocks); b++ {
-			block := (hour*dirtyBlocks + b) % len(fi.Blocks)
-			if err := client.DirtyBlock(fi, block); err != nil {
+		first := hour * dirtyBlocks % n
+		end := first + min(dirtyBlocks, n)
+		if err := client.DirtyBlocks(fi, first, min(end, n)); err != nil {
+			return nil, err
+		}
+		if end > n {
+			if err := client.DirtyBlocks(fi, 0, end-n); err != nil {
 				return nil, err
 			}
 		}

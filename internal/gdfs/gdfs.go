@@ -14,6 +14,7 @@ package gdfs
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
 	"time"
@@ -68,40 +69,32 @@ func (fi *FileInfo) BlockSizeAt(i int) int64 {
 	return fi.BlockSize
 }
 
+// maxWorkers bounds the workers of one master: replica sets are bitmasks
+// over a worker index assigned at registration.
+const maxWorkers = 64
+
 // Master holds the namespace and block metadata and plans re-replication.
 type Master struct {
 	mu          sync.RWMutex
 	files       map[string]*FileInfo
-	blocks      map[BlockID]*blockMeta
-	workers     map[WorkerID]*workerMeta
-	nextBlockID BlockID
+	blocks      []blockMeta // indexed by BlockID-1
 	replication int
 	now         func() time.Time
 
-	// under indexes the blocks with at least one but fewer than
-	// `replication` valid replicas, so UnderReplicated plans over just
-	// those instead of scanning every block in the namespace.
-	under map[BlockID]struct{}
-	// workerList caches the sorted worker IDs (registration is rare,
-	// planning is hot).
-	workerList []WorkerID
-
-	// Planner scratch, reused across UnderReplicated calls (guarded by mu).
-	idScratch   []BlockID
-	destScratch []WorkerID
-	taskScratch []ReplicationTask
+	// workers maps a worker index to its ID, index maps it back, and
+	// sorted lists the indices in worker-ID order, the order every replica
+	// listing and re-replication plan follows.
+	workers []WorkerID
+	index   map[WorkerID]int
+	sorted  []int
 }
 
+// blockMeta is one block's replica state: bit w of held is set when worker
+// index w holds a replica, and of valid when that replica is up to date
+// (valid is a subset of held).
 type blockMeta struct {
-	id       BlockID
-	size     int64
-	replicas map[WorkerID]bool // true = valid, false = stale
-}
-
-type workerMeta struct {
-	id WorkerID
-	// datacenter groups workers for placement decisions.
-	datacenter string
+	size        int64
+	valid, held uint64
 }
 
 // NewMaster returns a master with the given target replication factor
@@ -112,41 +105,37 @@ func NewMaster(replication int) *Master {
 	}
 	return &Master{
 		files:       make(map[string]*FileInfo),
-		blocks:      make(map[BlockID]*blockMeta),
-		workers:     make(map[WorkerID]*workerMeta),
-		under:       make(map[BlockID]struct{}),
+		index:       make(map[WorkerID]int),
 		replication: replication,
 		now:         time.Now,
 	}
 }
 
-// updateUnder reconciles the under-replication index for one block: a block
-// is under-replicated when it has at least one valid replica (someone to
-// copy from) but fewer than the target.
-func (m *Master) updateUnder(b *blockMeta) {
-	valid := 0
-	for _, v := range b.replicas {
-		if v {
-			valid++
-		}
-	}
-	if valid >= 1 && valid < m.replication {
-		m.under[b.id] = struct{}{}
-	} else {
-		delete(m.under, b.id)
-	}
-}
-
-// RegisterWorker adds a worker to the cluster.
-func (m *Master) RegisterWorker(id WorkerID, datacenter string) error {
+// RegisterWorker adds a worker to the cluster.  A master holds at most 64
+// workers, each registered once.
+func (m *Master) RegisterWorker(id WorkerID) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, ok := m.workers[id]; !ok {
-		m.workerList = append(m.workerList, id)
-		sort.Slice(m.workerList, func(i, j int) bool { return m.workerList[i] < m.workerList[j] })
+	if _, ok := m.index[id]; ok {
+		return fmt.Errorf("gdfs: worker %s already registered", id)
 	}
-	m.workers[id] = &workerMeta{id: id, datacenter: datacenter}
+	if len(m.workers) == maxWorkers {
+		return fmt.Errorf("gdfs: cannot register worker %s: a master holds at most %d workers", id, maxWorkers)
+	}
+	w := len(m.workers)
+	m.workers = append(m.workers, id)
+	m.index[id] = w
+	m.sorted = append(m.sorted, w)
+	sort.Slice(m.sorted, func(i, j int) bool { return m.workers[m.sorted[i]] < m.workers[m.sorted[j]] })
 	return nil
+}
+
+// block returns the metadata of a block.  The caller holds m.mu.
+func (m *Master) block(id BlockID) (*blockMeta, error) {
+	if id < 1 || int64(id) > int64(len(m.blocks)) {
+		return nil, fmt.Errorf("%w: %d", ErrBlockNotFound, id)
+	}
+	return &m.blocks[id-1], nil
 }
 
 // Create adds a file of the given size to the namespace, allocating blocks
@@ -157,7 +146,8 @@ func (m *Master) Create(path string, size int64, primary WorkerID) (*FileInfo, e
 	if _, ok := m.files[path]; ok {
 		return nil, fmt.Errorf("%w: %s", ErrFileExists, path)
 	}
-	if _, ok := m.workers[primary]; !ok {
+	w, ok := m.index[primary]
+	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrWorkerNotFound, primary)
 	}
 	if size < 0 {
@@ -171,12 +161,8 @@ func (m *Master) Create(path string, size int64, primary WorkerID) (*FileInfo, e
 		if i == nBlocks-1 && size%blockSize != 0 {
 			bSize = size % blockSize
 		}
-		m.nextBlockID++
-		id := m.nextBlockID
-		b := &blockMeta{id: id, size: bSize, replicas: map[WorkerID]bool{primary: true}}
-		m.blocks[id] = b
-		m.updateUnder(b)
-		fi.Blocks = append(fi.Blocks, id)
+		m.blocks = append(m.blocks, blockMeta{size: bSize, valid: 1 << w, held: 1 << w})
+		fi.Blocks = append(fi.Blocks, BlockID(len(m.blocks)))
 	}
 	m.files[path] = fi
 	return cloneFileInfo(fi), nil
@@ -186,62 +172,36 @@ func (m *Master) Create(path string, size int64, primary WorkerID) (*FileInfo, e
 func (m *Master) BlockLocations(id BlockID) (*BlockInfo, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return m.blockLocationsLocked(id)
-}
-
-func (m *Master) blockLocationsLocked(id BlockID) (*BlockInfo, error) {
-	b, ok := m.blocks[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %d", ErrBlockNotFound, id)
+	b, err := m.block(id)
+	if err != nil {
+		return nil, err
 	}
 	info := &BlockInfo{ID: id, Size: b.size}
-	for w, valid := range b.replicas {
-		if valid {
-			info.Valid = append(info.Valid, w)
-		} else {
-			info.Stale = append(info.Stale, w)
+	for _, w := range m.sorted {
+		switch bit := uint64(1) << w; {
+		case b.valid&bit != 0:
+			info.Valid = append(info.Valid, m.workers[w])
+		case b.held&bit != 0:
+			info.Stale = append(info.Stale, m.workers[w])
 		}
 	}
-	sort.Slice(info.Valid, func(i, j int) bool { return info.Valid[i] < info.Valid[j] })
-	sort.Slice(info.Stale, func(i, j int) bool { return info.Stale[i] < info.Stale[j] })
 	return info, nil
 }
 
-// CommitWrite records that a block was written on the given worker: that
-// replica becomes the only valid one and every other replica is invalidated
-// (the write-invalidate protocol of the paper).
-func (m *Master) CommitWrite(id BlockID, writer WorkerID) error {
+// commitWrites records that blocks were written on worker index w: per
+// block, that replica becomes the only valid one and every other replica is
+// invalidated (the write-invalidate protocol of the paper).
+func (m *Master) commitWrites(ids []BlockID, w int) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	b, ok := m.blocks[id]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrBlockNotFound, id)
+	for _, id := range ids {
+		b, err := m.block(id)
+		if err != nil {
+			return err
+		}
+		b.valid = 1 << w
+		b.held |= 1 << w
 	}
-	if _, ok := m.workers[writer]; !ok {
-		return fmt.Errorf("%w: %s", ErrWorkerNotFound, writer)
-	}
-	for w := range b.replicas {
-		b.replicas[w] = false
-	}
-	b.replicas[writer] = true
-	m.updateUnder(b)
-	return nil
-}
-
-// CommitReplica records that a worker now holds a valid copy of a block
-// (used after re-replication or a migration prefetch).
-func (m *Master) CommitReplica(id BlockID, holder WorkerID) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	b, ok := m.blocks[id]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrBlockNotFound, id)
-	}
-	if _, ok := m.workers[holder]; !ok {
-		return fmt.Errorf("%w: %s", ErrWorkerNotFound, holder)
-	}
-	b.replicas[holder] = true
-	m.updateUnder(b)
 	return nil
 }
 
@@ -252,54 +212,53 @@ type ReplicationTask struct {
 	Dest   WorkerID
 }
 
-// UnderReplicated returns the blocks with fewer valid replicas than the
-// target, together with a plan of copies that would fix them.  The planner
-// prefers destinations that already hold a stale replica (they are the
-// cheapest to refresh) and otherwise picks workers that hold no replica.
-// It iterates only the under-replication index, not the whole namespace.
-// The returned slice is scratch owned by the master, valid until the next
-// UnderReplicated call.
-func (m *Master) UnderReplicated() []ReplicationTask {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ids := m.idScratch[:0]
-	for id := range m.under {
-		ids = append(ids, id)
+// plan appends to dests the worker indices that should receive a copy of a
+// block, in preference order, and returns the source to copy from.  A
+// block needs copies when it has at least one valid replica (someone to
+// copy from) but fewer than the target.  The source is the first valid
+// holder in worker-ID order; destinations that already hold a stale
+// replica come first (they are the cheapest to refresh), then workers that
+// hold no replica, each group in worker-ID order.  The caller holds m.mu.
+func (m *Master) plan(b *blockMeta, dests []int) (int, []int) {
+	valid := bits.OnesCount64(b.valid)
+	if valid == 0 || valid >= m.replication {
+		return -1, dests
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	m.idScratch = ids
+	need := len(dests) + m.replication - valid
+	source := -1
+	for _, w := range m.sorted {
+		if b.valid&(1<<w) != 0 {
+			source = w
+			break
+		}
+	}
+	for _, set := range [2]uint64{b.held &^ b.valid, ^b.held} { // stale holders, then the rest
+		for _, w := range m.sorted {
+			if len(dests) == need {
+				return source, dests
+			}
+			if set&(1<<w) != 0 {
+				dests = append(dests, w)
+			}
+		}
+	}
+	return source, dests
+}
 
-	tasks := m.taskScratch[:0]
-	for _, id := range ids {
-		b := m.blocks[id]
-		// The index guarantees 1 <= valid < replication.
-		valid := 0
-		var source WorkerID
-		dests := m.destScratch[:0]
-		for _, w := range m.workerList { // stale holders first (cheapest refresh)
-			v, ok := b.replicas[w]
-			switch {
-			case ok && v:
-				if valid == 0 {
-					source = w
-				}
-				valid++
-			case ok:
-				dests = append(dests, w)
-			}
-		}
-		for _, w := range m.workerList { // then workers holding no replica
-			if _, ok := b.replicas[w]; !ok {
-				dests = append(dests, w)
-			}
-		}
-		m.destScratch = dests
-		need := m.replication - valid
-		for i := 0; i < need && i < len(dests); i++ {
-			tasks = append(tasks, ReplicationTask{Block: id, Source: source, Dest: dests[i]})
+// UnderReplicated returns the re-replication plan ReplicateOnce would
+// execute right now: for every block, in block-ID order, the copies that
+// bring it back to the target replication.
+func (m *Master) UnderReplicated() []ReplicationTask {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	var tasks []ReplicationTask
+	var buf [maxWorkers]int
+	for i := range m.blocks {
+		source, dests := m.plan(&m.blocks[i], buf[:0])
+		for _, d := range dests {
+			tasks = append(tasks, ReplicationTask{Block: BlockID(i + 1), Source: m.workers[source], Dest: m.workers[d]})
 		}
 	}
-	m.taskScratch = tasks
 	return tasks
 }
 
@@ -314,10 +273,13 @@ func (m *Master) StaleBytesOn(path string, worker WorkerID) (int64, error) {
 	if !ok {
 		return 0, fmt.Errorf("%w: %s", ErrFileNotFound, path)
 	}
+	var bit uint64 // an unregistered worker holds nothing
+	if w, ok := m.index[worker]; ok {
+		bit = 1 << w
+	}
 	var bytes int64
 	for _, id := range fi.Blocks {
-		b := m.blocks[id]
-		if valid, ok := b.replicas[worker]; !ok || !valid {
+		if b := &m.blocks[id-1]; b.valid&bit == 0 {
 			bytes += b.size
 		}
 	}

@@ -12,7 +12,7 @@ func newTestCluster(t *testing.T) (*Cluster, []*MetaWorker) {
 	cluster := NewCluster(master)
 	workers := []*MetaWorker{NewMetaWorker("dc-a"), NewMetaWorker("dc-b"), NewMetaWorker("dc-c")}
 	for _, w := range workers {
-		if err := cluster.AddWorker(w, string(w.ID())); err != nil {
+		if err := cluster.AddWorker(w); err != nil {
 			t.Fatalf("AddWorker(%s): %v", w.ID(), err)
 		}
 	}
@@ -50,8 +50,8 @@ func TestMasterCreateStatDelete(t *testing.T) {
 	if len(m.files) != 1 {
 		t.Errorf("namespace holds %d files, want 1", len(m.files))
 	}
-	if len(m.workerList) != 3 {
-		t.Errorf("workers = %v", m.workerList)
+	if len(m.workers) != 3 {
+		t.Errorf("workers = %v", m.workers)
 	}
 }
 
@@ -82,8 +82,8 @@ func TestWriteInvalidatesRemoteReplicas(t *testing.T) {
 	}
 
 	// A write from dc-a invalidates the copy on the other datacenter.
-	if err := clientA.DirtyBlock(fi, 0); err != nil {
-		t.Fatalf("DirtyBlock: %v", err)
+	if err := clientA.DirtyBlocks(fi, 0, 1); err != nil {
+		t.Fatalf("DirtyBlocks: %v", err)
 	}
 	loc, err = cluster.master.BlockLocations(fi.Blocks[0])
 	if err != nil {
@@ -138,12 +138,28 @@ func TestStaleBlocksDriveMigrationCost(t *testing.T) {
 		t.Errorf("pending to dc-c = %d, want full size %d", pending, fi.Size)
 	}
 	// Dirty one block; only that block is pending for dc-b.
-	if err := clientA.DirtyBlock(fi, 1); err != nil {
+	if err := clientA.DirtyBlocks(fi, 1, 2); err != nil {
 		t.Fatal(err)
 	}
 	pending, _ = clientA.PendingMigrationBytes("/vm/disk", "dc-b")
 	if pending != fi.BlockSize {
 		t.Errorf("pending after one dirty block = %d, want %d", pending, fi.BlockSize)
+	}
+	// An empty range writes nothing; a range past either end is refused.
+	if err := clientA.DirtyBlocks(fi, 2, 2); err != nil {
+		t.Errorf("empty range: %v", err)
+	}
+	for _, r := range [][2]int{{-1, 1}, {2, 1}, {0, len(fi.Blocks) + 1}} {
+		if err := clientA.DirtyBlocks(fi, r[0], r[1]); err == nil {
+			t.Errorf("DirtyBlocks(%d, %d) accepted an out-of-range write", r[0], r[1])
+		}
+	}
+	// Dirtying the whole file leaves all of it pending for dc-b.
+	if err := clientA.DirtyBlocks(fi, 0, len(fi.Blocks)); err != nil {
+		t.Fatal(err)
+	}
+	if pending, _ = clientA.PendingMigrationBytes("/vm/disk", "dc-b"); pending != fi.Size {
+		t.Errorf("pending after dirtying the whole file = %d, want %d", pending, fi.Size)
 	}
 	if _, err := cluster.master.StaleBytesOn("/missing", "dc-a"); !errors.Is(err, ErrFileNotFound) {
 		t.Errorf("want ErrFileNotFound, got %v", err)
@@ -159,7 +175,7 @@ func TestUnderReplicatedPlanPrefersStaleHolders(t *testing.T) {
 	}
 	cluster.ReplicateOnce()
 	// Invalidate dc-b's copy by writing from dc-a.
-	if err := clientA.DirtyBlock(fi, 0); err != nil {
+	if err := clientA.DirtyBlocks(fi, 0, 1); err != nil {
 		t.Fatal(err)
 	}
 	tasks := cluster.master.UnderReplicated()

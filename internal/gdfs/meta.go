@@ -24,8 +24,8 @@ type BlockMeta struct {
 // TestMetaPayloadEquivalence against a test-only payload reference.
 type MetaWorker struct {
 	id    WorkerID
-	mu    sync.RWMutex
-	meta  map[BlockID]BlockMeta
+	mu    sync.Mutex
+	meta  []BlockMeta // indexed by BlockID; Version 0 means no replica
 	bytes int64
 }
 
@@ -33,7 +33,7 @@ var _ BlockStore = (*MetaWorker)(nil)
 
 // NewMetaWorker returns an empty metadata-plane worker.
 func NewMetaWorker(id WorkerID) *MetaWorker {
-	return &MetaWorker{id: id, meta: make(map[BlockID]BlockMeta)}
+	return &MetaWorker{id: id}
 }
 
 // ID returns the worker's identity.
@@ -56,25 +56,44 @@ func zeroDigest(size int64) uint64 { return uint64(size) * 0xc2b2ae3d27d4eb4f }
 // put installs a replica record, accounting the bytes arithmetically.
 // The caller holds w.mu.
 func (w *MetaWorker) put(id BlockID, m BlockMeta) {
+	if n := int(id) + 1 - len(w.meta); n > 0 {
+		w.meta = append(w.meta, make([]BlockMeta, n)...)
+	}
 	w.bytes += m.Length - w.meta[id].Length
 	w.meta[id] = m
 }
 
+// get returns the replica record of a block, the zero BlockMeta if the
+// worker holds none.  The caller holds w.mu.
+func (w *MetaWorker) get(id BlockID) BlockMeta {
+	if id < 0 || int64(id) >= int64(len(w.meta)) {
+		return BlockMeta{}
+	}
+	return w.meta[id]
+}
+
 // CreateBlock registers a fresh all-zero block of the given size.
 func (w *MetaWorker) CreateBlock(id BlockID, size int64) error {
+	if id < 1 {
+		return fmt.Errorf("%w: %d", ErrBlockNotFound, id)
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.put(id, BlockMeta{Version: w.meta[id].Version + 1, Length: size, Digest: zeroDigest(size)})
+	w.put(id, BlockMeta{Version: w.get(id).Version + 1, Length: size, Digest: zeroDigest(size)})
 	return nil
 }
 
-// DirtyBlock records a whole-block overwrite of the given size without any
-// payload: version bump plus a synthetic content digest.
-func (w *MetaWorker) DirtyBlock(id BlockID, size int64) error {
+// DirtyBlocks records whole-block overwrites of blocks [from, to) of a file
+// without any payload: per block, a version bump plus a synthetic content
+// digest.
+func (w *MetaWorker) DirtyBlocks(fi *FileInfo, from, to int) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	v := w.meta[id].Version + 1
-	w.put(id, BlockMeta{Version: v, Length: size, Digest: dirtyDigest(id, v)})
+	for i := from; i < to; i++ {
+		id := fi.Blocks[i]
+		v := w.get(id).Version + 1
+		w.put(id, BlockMeta{Version: v, Length: fi.BlockSizeAt(i), Digest: dirtyDigest(id, v)})
+	}
 	return nil
 }
 
@@ -97,15 +116,15 @@ func (w *MetaWorker) CopyBlock(id BlockID, src BlockStore) error {
 
 // BlockMeta returns the replica's metadata record.
 func (w *MetaWorker) BlockMeta(id BlockID) (BlockMeta, bool) {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	m, ok := w.meta[id]
-	return m, ok
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	m := w.get(id)
+	return m, m.Version != 0
 }
 
 // BytesStored returns the total bytes the worker accounts for.
 func (w *MetaWorker) BytesStored() int64 {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	return w.bytes
 }

@@ -54,28 +54,33 @@ func stampVersion(data []byte, ok bool) uint64 {
 	return 1 // a created, never-written zero block
 }
 
-func (s *payloadStore) DirtyBlock(id BlockID, size int64) error {
-	if size < 16 {
-		return fmt.Errorf("payload reference: block %d of %d bytes cannot hold its stamp", id, size)
-	}
+func (s *payloadStore) DirtyBlocks(fi *FileInfo, from, to int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	old, ok := s.blocks[id]
-	v := stampVersion(old, ok) + 1
-	data := old
-	if int64(len(data)) != size {
-		data = make([]byte, size)
+	for i := from; i < to; i++ {
+		id, size := fi.Blocks[i], fi.BlockSizeAt(i)
+		if size < 16 {
+			return fmt.Errorf("payload reference: block %d of %d bytes cannot hold its stamp", id, size)
+		}
+		old, ok := s.blocks[id]
+		v := stampVersion(old, ok) + 1
+		data := old
+		if int64(len(data)) != size {
+			data = make([]byte, size)
+		}
+		// Every byte past the stamp is zero in every replica, so rewriting
+		// the stamp in place yields the whole new content.
+		binary.LittleEndian.PutUint64(data[0:8], uint64(id))
+		binary.LittleEndian.PutUint64(data[8:16], v)
+		s.put(id, data)
 	}
-	// Every byte past the stamp is zero in every replica, so rewriting the
-	// stamp in place yields the whole new content.
-	binary.LittleEndian.PutUint64(data[0:8], uint64(id))
-	binary.LittleEndian.PutUint64(data[8:16], v)
-	s.put(id, data)
 	return nil
 }
 
-// CopyBlock holds the source's and the destination's locks together;
-// ReplicateOnce copies one block at a time, so this cannot deadlock.
+// CopyBlock holds the source's and the destination's locks together.  This
+// cannot deadlock: every copy runs inside ReplicateOnce under the master's
+// write lock, so no two copies overlap, and no other path takes a second
+// store lock while it holds one (lock order master, then store).
 func (s *payloadStore) CopyBlock(id BlockID, src BlockStore) error {
 	psrc := src.(*payloadStore)
 	psrc.mu.RLock()
