@@ -67,6 +67,24 @@ func BenchmarkCalibration(b *testing.B) {
 	}
 }
 
+// BenchmarkCatalogGenerate builds a catalog in perfbench's set-up shape (300
+// sites, 2 representative days): every site's synthetic weather year, its
+// hourly α/β/PUE traces and their reduction onto the epoch grid.  Each op
+// uses a fresh catalog seed, so every trace misses weather's memo, as it
+// does in a freshly started process.
+func BenchmarkCatalogGenerate(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		cat, err := location.Generate(location.Options{Count: 300, Seed: int64(i), RepresentativeDays: 2})
+		if err != nil {
+			b.Fatalf("generate catalog: %v", err)
+		}
+		if cat.Len() != 300 {
+			b.Fatalf("catalog has %d sites, want 300", cat.Len())
+		}
+	}
+}
+
 // runExperiment benchmarks one table/figure generator and reports its rows
 // as a sanity check (an empty table means the experiment silently produced
 // nothing).

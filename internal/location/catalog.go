@@ -4,8 +4,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"greencloud/internal/pue"
 	"greencloud/internal/series"
@@ -236,7 +239,9 @@ func archetypeEconomics(a weather.Archetype) economics {
 	}
 }
 
-// Generate builds a reproducible catalog of candidate sites.
+// Generate builds a reproducible catalog of candidate sites, deriving the
+// sites' weather and profiles on a GOMAXPROCS worker pool; the catalog does
+// not depend on the pool's size.
 func Generate(opts Options) (*Catalog, error) {
 	count := opts.Count
 	if count == 0 {
@@ -253,27 +258,63 @@ func Generate(opts Options) (*Catalog, error) {
 		return nil, fmt.Errorf("location: representative day count %d outside 1..365", repDays)
 	}
 
+	// Phase 1, serial: every draw from the shared catalog RNG, in site
+	// order — archetype, time zone, then the economics.  Sites are spread
+	// across time zones; the stored per-epoch profiles are on a shared UTC
+	// clock so the optimizer can follow the sun around the globe.
 	rng := rand.New(rand.NewSource(opts.Seed*2654435761 + 17))
-	sites := make([]*Site, 0, count)
+	sites := make([]*Site, count)
 	counters := make(map[weather.Archetype]int, len(archetypeShare))
-
-	// Site i's per-epoch profiles are row i of these Blocks; year holds
-	// the hourly traces they are reduced from, one site at a time.
-	epochs := repDays * HoursPerDay
-	alpha, beta, pueP := series.NewBlock(count, epochs), series.NewBlock(count, epochs), series.NewBlock(count, epochs)
-	year := series.NewBlock(3, HoursPerYear)
-	for i := 0; i < count; i++ {
+	for i := range sites {
 		arch := pickArchetype(rng, i, count)
 		counters[arch]++
-		seed := opts.Seed*1_000_003 + int64(i)
-		site := generateSite(i, arch, seed, rng, &year)
-		site.Name = fmt.Sprintf("%s-%04d", archetypeEconomics(arch).nameHint, counters[arch])
-		site.Alpha, site.Beta, site.PUE = alpha.Row(i), beta.Row(i), pueP.Row(i)
-		reduce(site.Alpha, year.Row(0))
-		reduce(site.Beta, year.Row(1))
-		reduce(site.PUE, year.Row(2))
-		sites = append(sites, site)
+		eco := archetypeEconomics(arch)
+		s := &Site{ID: i, Archetype: arch, seed: opts.Seed*1_000_003 + int64(i)}
+		s.Name = fmt.Sprintf("%s-%04d", eco.nameHint, counters[arch])
+		s.UTCOffsetHours = rng.Intn(24)
+		s.LandPriceUSDPerM2 = positiveNormal(rng, eco.landMean, eco.landSpread, 2)
+		s.GridPriceUSDPerKWh = positiveNormal(rng, eco.elecMean, eco.elecSpread, 0.02)
+		s.DistPowerKm = boundedExp(rng, eco.distPowMean, eco.distPowMax, 2)
+		s.DistNetworkKm = boundedExp(rng, eco.distNetMean, eco.distNetMax, 1)
+		s.NearestPlantKW = eco.plantMinKW + rng.Float64()*(eco.plantMaxKW-eco.plantMinKW)
+		sites[i] = s
 	}
+
+	// Phase 2, on a GOMAXPROCS worker pool: each site's weather year,
+	// hourly α/β/PUE traces and summaries depend only on its own
+	// (archetype, seed), and its per-epoch profiles are row i of these
+	// Blocks, so a worker writes nothing another reads and the catalog is
+	// the same whichever worker derives which site.  Each worker reduces
+	// from its own hourly scratch year.
+	epochs := repDays * HoursPerDay
+	alpha, beta, pueP := series.NewBlock(count, epochs), series.NewBlock(count, epochs), series.NewBlock(count, epochs)
+	workers := min(runtime.GOMAXPROCS(0), count)
+	var next atomic.Int64
+	next.Store(-1)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			year := series.NewBlock(3, HoursPerYear)
+			for {
+				i := int(next.Add(1))
+				if i >= count {
+					return
+				}
+				s := sites[i]
+				tr := weather.Generate(s.Archetype, s.seed)
+				s.LatitudeDeg = tr.LatitudeDeg
+				s.SolarCapacityFactor, s.WindCapacityFactor, s.AvgPUE, s.MaxPUE =
+					hourlyUTC(tr, s.UTCOffsetHours, year.Row(0), year.Row(1), year.Row(2))
+				s.Alpha, s.Beta, s.PUE = alpha.Row(i), beta.Row(i), pueP.Row(i)
+				reduce(s.Alpha, year.Row(0))
+				reduce(s.Beta, year.Row(1))
+				reduce(s.PUE, year.Row(2))
+			}
+		}()
+	}
+	wg.Wait()
 	return newCatalog(repDays, sites), nil
 }
 
@@ -290,41 +331,6 @@ func pickArchetype(rng *rand.Rand, index, total int) weather.Archetype {
 		}
 	}
 	return archetypeShare[len(archetypeShare)-1].arch
-}
-
-// generateSite draws a site's time zone and economics and derives its
-// hourly α, β and PUE traces on the UTC clock into rows 0, 1 and 2 of year.
-func generateSite(id int, arch weather.Archetype, seed int64, rng *rand.Rand, year *series.Block) *Site {
-	tr := weather.Generate(arch, seed)
-	// Spread sites across time zones; the stored per-epoch profiles are on
-	// a shared UTC clock so the optimizer can follow the sun around the
-	// globe.
-	offset := rng.Intn(24)
-	solarCF, windCF, avgPUE, maxPUE := hourlyUTC(tr, offset, year.Row(0), year.Row(1), year.Row(2))
-
-	eco := archetypeEconomics(arch)
-	land := positiveNormal(rng, eco.landMean, eco.landSpread, 2)
-	elec := positiveNormal(rng, eco.elecMean, eco.elecSpread, 0.02)
-	distPow := boundedExp(rng, eco.distPowMean, eco.distPowMax, 2)
-	distNet := boundedExp(rng, eco.distNetMean, eco.distNetMax, 1)
-	plant := eco.plantMinKW + rng.Float64()*(eco.plantMaxKW-eco.plantMinKW)
-
-	return &Site{
-		ID:                  id,
-		Archetype:           arch,
-		LatitudeDeg:         tr.LatitudeDeg,
-		UTCOffsetHours:      offset,
-		SolarCapacityFactor: solarCF,
-		WindCapacityFactor:  windCF,
-		AvgPUE:              avgPUE,
-		MaxPUE:              maxPUE,
-		LandPriceUSDPerM2:   land,
-		GridPriceUSDPerKWh:  elec,
-		DistPowerKm:         distPow,
-		DistNetworkKm:       distNet,
-		NearestPlantKW:      plant,
-		seed:                seed,
-	}
 }
 
 // positiveNormal draws a normal sample clamped to a floor.

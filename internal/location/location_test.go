@@ -2,6 +2,7 @@ package location
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -84,6 +85,53 @@ func TestWindBetaPropertyBounds(t *testing.T) {
 	}
 }
 
+// windBetaReference is WindBeta with its cubic ramp evaluated by
+// math.Pow, the form the cube x*x*x replaced.
+func windBetaReference(windMs, pressureKPa, tempC float64) float64 {
+	if windMs < windCutInMs || windMs >= windCutOutMs {
+		return 0
+	}
+	density := pressureKPa * 1000 / (gasConstantDryAir * (tempC + 273.15))
+	densityRatio := density / standardAirDensity
+	var frac float64
+	if windMs >= windRatedMs {
+		frac = 1
+	} else {
+		frac = math.Pow((windMs-windCutInMs)/(windRatedMs-windCutInMs), 3)
+	}
+	beta := frac * densityRatio * windSystemLoss
+	if beta > 1 {
+		beta = 1
+	}
+	return beta
+}
+
+// TestWindBetaCubeMatchesPow holds WindBeta to its math.Pow reference bit
+// for bit over a dense sweep of the cubic ramp [cut-in, rated) with a
+// margin on either side, plus the 32 representable speeds at each end of
+// the ramp.
+func TestWindBetaCubeMatchesPow(t *testing.T) {
+	const n = 1 << 20
+	speeds := make([]float64, 0, n+64)
+	for i := 0; i < n; i++ {
+		speeds = append(speeds, windCutInMs-0.5+float64(i)*(windRatedMs-windCutInMs+1)/n)
+	}
+	lo, hi := float64(windCutInMs), float64(windRatedMs)
+	for i := 0; i < 32; i++ {
+		speeds = append(speeds, lo, hi)
+		lo, hi = math.Nextafter(lo, math.Inf(1)), math.Nextafter(hi, 0)
+	}
+	for _, c := range []struct{ pressureKPa, tempC float64 }{{100, 15}, {85, -20}, {101.3, 35}} {
+		for _, v := range speeds {
+			got, want := WindBeta(v, c.pressureKPa, c.tempC), windBetaReference(v, c.pressureKPa, c.tempC)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("WindBeta(%v, %v, %v) = %v (%#x), Pow reference %v (%#x)",
+					v, c.pressureKPa, c.tempC, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+	}
+}
+
 func TestGenerateCatalogSmall(t *testing.T) {
 	cat, err := Generate(Options{Count: 60, Seed: 1, RepresentativeDays: 2})
 	if err != nil {
@@ -141,6 +189,58 @@ func TestGenerateDeterministic(t *testing.T) {
 			sa.WindCapacityFactor != sb.WindCapacityFactor ||
 			sa.LandPriceUSDPerM2 != sb.LandPriceUSDPerM2 {
 			t.Fatalf("site %d differs between identically-seeded catalogs", i)
+		}
+	}
+}
+
+// siteFingerprint is every field of a site: floats as their bits, the
+// per-epoch rows as series.Digests.
+type siteFingerprint struct {
+	id, offset int
+	name       string
+	arch       weather.Archetype
+	bits       [10]uint64
+	rows       [3]uint64
+}
+
+func fingerprints(cat *Catalog) []siteFingerprint {
+	out := make([]siteFingerprint, 0, cat.Len())
+	for _, s := range cat.Sites() {
+		fp := siteFingerprint{id: s.ID, offset: s.UTCOffsetHours, name: s.Name, arch: s.Archetype}
+		for i, v := range []float64{
+			s.LatitudeDeg, s.SolarCapacityFactor, s.WindCapacityFactor, s.AvgPUE, s.MaxPUE,
+			s.LandPriceUSDPerM2, s.GridPriceUSDPerKWh, s.DistPowerKm, s.DistNetworkKm, s.NearestPlantKW,
+		} {
+			fp.bits[i] = math.Float64bits(v)
+		}
+		fp.rows = [3]uint64{series.Digest(s.Alpha), series.Digest(s.Beta), series.Digest(s.PUE)}
+		out = append(out, fp)
+	}
+	return out
+}
+
+// TestGenerateIndependentOfWorkerCount builds the same 300-site catalog on
+// worker pools of 1, 2 and 4 goroutines (GOMAXPROCS sizes the pool): the
+// sites a worker derives, and the order in which their traces enter
+// weather's memo, change with the pool; the catalog must not.
+func TestGenerateIndependentOfWorkerCount(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var want []siteFingerprint
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		cat, err := Generate(Options{Count: 300, Seed: 11, RepresentativeDays: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := fingerprints(cat)
+		if want == nil {
+			want = got
+			continue
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("GOMAXPROCS %d site %d:\n got  %+v\n want %+v (GOMAXPROCS 1)", procs, i, got[i], want[i])
+			}
 		}
 	}
 }

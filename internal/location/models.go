@@ -13,11 +13,7 @@
 // energy.
 package location
 
-import (
-	"math"
-
-	"greencloud/internal/weather"
-)
+import "greencloud/internal/weather"
 
 // Photovoltaic model constants.  The installed capacity of a PV plant is its
 // rating at standard test conditions (1000 W/m², 25 °C cell temperature), so
@@ -84,8 +80,14 @@ func WindBeta(windMs, pressureKPa, tempC float64) float64 {
 	if windMs >= windRatedMs {
 		frac = 1
 	} else {
-		// Cubic ramp between cut-in and rated speed.
-		frac = math.Pow((windMs-windCutInMs)/(windRatedMs-windCutInMs), 3)
+		// Cubic ramp between cut-in and rated speed.  x*x*x is bit-identical
+		// to math.Pow(x, 3): Pow's integer-exponent path computes m·(m·m)
+		// on x's Frexp mantissa m, rounding after each product exactly as
+		// x·x·x does, and its power-of-two rescalings are exact, because
+		// 0 ≤ x < 1 and a nonzero x is at least the cut-in speed's ulp
+		// over (rated − cut-in), so the cube never nears the subnormals.
+		x := (windMs - windCutInMs) / (windRatedMs - windCutInMs)
+		frac = x * x * x
 	}
 	beta := frac * densityRatio * windSystemLoss
 	if beta > 1 {

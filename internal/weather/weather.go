@@ -168,20 +168,21 @@ type Trace struct {
 }
 
 // traceCache memoizes Generate.  The generator is pure — the same
-// (archetype, seed) pair always yields the identical trace — and one
-// full-year trace costs hundreds of thousands of transcendental
-// evaluations, so callers that re-derive hourly profiles (catalog builds,
-// emulation setup, repeated experiment runs) would otherwise pay that cost
-// on every call.  A cached Trace is shared by every caller that asks for
-// the same pair, so it is read-only by contract once generated, like a
+// (archetype, seed) pair always yields the identical trace — so callers
+// that re-derive a site's hourly profiles (emulation setup, which every
+// plannerd start and restore runs, and repeated experiment runs) are
+// served the trace the catalog build already made.  A cached Trace is shared by every caller that asks
+// for the same pair, so it is read-only by contract once generated, like a
 // shared series.Block: nobody may write to its slices.  Eviction is a
 // deterministic insertion-order ring: once the cache holds maxCachedTraces
 // entries, inserting a new trace evicts the oldest-inserted one
 // (ring[next]), so a seed sweep cycles through the window one entry at a
-// time instead of dropping the whole map — the
-// ~(maxCachedTraces−1) still-hot traces of an interleaved workload survive
-// a sweep, and which entry goes is a function of insertion history alone,
-// never of map iteration order.
+// time instead of dropping the whole map — the ~(maxCachedTraces−1)
+// still-hot traces of an interleaved workload survive a sweep, and which
+// entry goes never depends on map iteration order.  It does depend on the
+// order of insertion, which under a parallel catalog build is the
+// scheduler's: which traces a build leaves cached can differ from run to
+// run, but since the cache is pure, what any caller receives cannot.
 var traceCache struct {
 	sync.Mutex
 	m    map[traceKey]*Trace
@@ -243,6 +244,8 @@ func generate(a Archetype, seed int64) *Trace {
 	}
 	cloudBase := clamp(p.cloudiness+rng.NormFloat64()*0.06, 0.02, 0.85)
 	pressure := p.pressureKPa + rng.NormFloat64()*1.5
+	latRad := lat * math.Pi / 180
+	sinLat, cosLat := math.Sin(latRad), math.Cos(latRad)
 
 	// Day-scale processes: cloud cover and synoptic wind vary with a few-day
 	// correlation.  Generate per-day values first, then fill hours.
@@ -274,17 +277,16 @@ func generate(a Archetype, seed int64) *Trace {
 		for h := 0; h < 24; h++ {
 			idx := d*24 + h
 			// Temperature: seasonal + diurnal cycle (peak ~15:00) + noise.
-			diurnal := math.Cos(2 * math.Pi * float64(h-15) / 24)
-			tVal := meanTemp - p.seasonalAmpC*season + p.diurnalAmpC*0.5*diurnal + rng.NormFloat64()*0.8
+			tVal := meanTemp - p.seasonalAmpC*season + p.diurnalAmpC*0.5*tempDiurnal[h] + rng.NormFloat64()*0.8
 			temp[idx] = tVal
 
 			// Solar irradiance: clear-sky from geometry × cloud attenuation.
-			clear := clearSkyIrradiance(lat, d, h)
+			clear := clearSkyIrradiance(sinLat, cosLat, d, h)
 			attenuation := 1 - dayCloud[d]*(0.75+0.25*rng.Float64())
 			irr[idx] = math.Max(0, clear*attenuation)
 
-			// Wind: synoptic day value + diurnal cycle + gust noise.
-			wDiurnal := p.windDiurnal * math.Sin(2*math.Pi*float64(h-14)/24)
+			// Wind: synoptic day value + diurnal cycle (peak ~20:00) + gust noise.
+			wDiurnal := p.windDiurnal * windDiurnal[h]
 			wVal := dayWind[d] + wDiurnal + rng.NormFloat64()*0.8
 			if wVal < 0 {
 				wVal = 0
@@ -305,11 +307,44 @@ func generate(a Archetype, seed int64) *Trace {
 	}
 }
 
+// The generator's trigonometry, tabulated once.  Every argument takes one
+// of 24 hour-of-day or 365 day-of-year values (the latitude, the only other
+// angle, is fixed per site), so each entry evaluates exactly the expression
+// the per-hour loop would, and every product and sum built from the tables
+// rounds as if it had been computed in place.
+var (
+	// tempDiurnal is the temperature's diurnal cycle, peaking at 15:00.
+	tempDiurnal [24]float64
+	// windDiurnal is the wind's diurnal cycle, peaking at 20:00.
+	windDiurnal [24]float64
+	// cosHourAngle is the cosine of the sun's hour angle, solar noon at 12:00.
+	cosHourAngle [24]float64
+	// seasonCos is the northern-hemisphere season cycle (see seasonFactor).
+	seasonCos [365]float64
+	// sinDecl and cosDecl are the sine and cosine of the solar declination.
+	sinDecl, cosDecl [365]float64
+)
+
+func init() {
+	for h := range 24 {
+		tempDiurnal[h] = math.Cos(2 * math.Pi * float64(h-15) / 24)
+		windDiurnal[h] = math.Sin(2 * math.Pi * float64(h-14) / 24)
+		hourAngle := (float64(h) - 12) * 15 * math.Pi / 180
+		cosHourAngle[h] = math.Cos(hourAngle)
+	}
+	for d := range 365 {
+		// Northern-hemisphere winter is centred on day ~15 (mid January).
+		seasonCos[d] = math.Cos(2 * math.Pi * float64(d-15) / 365)
+		// Solar declination (Cooper's equation).
+		decl := 23.45 * math.Pi / 180 * math.Sin(2*math.Pi*float64(284+d+1)/365)
+		sinDecl[d], cosDecl[d] = math.Sin(decl), math.Cos(decl)
+	}
+}
+
 // seasonFactor returns +1 in mid-winter and −1 in mid-summer for the site's
 // hemisphere (day is 0-based day of year).
 func seasonFactor(day int, latitudeDeg float64) float64 {
-	// Northern-hemisphere winter is centred on day ~15 (mid January).
-	f := math.Cos(2 * math.Pi * float64(day-15) / 365)
+	f := seasonCos[day]
 	if latitudeDeg < 0 {
 		f = -f
 	}
@@ -317,17 +352,13 @@ func seasonFactor(day int, latitudeDeg float64) float64 {
 }
 
 // clearSkyIrradiance returns an estimate of clear-sky global irradiance in
-// W/m² for the given latitude, day of year and local solar hour, using a
-// simple solar-geometry model (declination + hour angle) with an atmospheric
+// W/m² for a site at the latitude whose sine and cosine are sinLat and
+// cosLat, on the given day of year and local solar hour, using a simple
+// solar-geometry model (declination + hour angle) with an atmospheric
 // transmittance factor.
-func clearSkyIrradiance(latitudeDeg float64, day, hour int) float64 {
+func clearSkyIrradiance(sinLat, cosLat float64, day, hour int) float64 {
 	const solarConstant = 1361.0 // W/m²
-	latRad := latitudeDeg * math.Pi / 180
-	// Solar declination (Cooper's equation).
-	decl := 23.45 * math.Pi / 180 * math.Sin(2*math.Pi*float64(284+day+1)/365)
-	// Hour angle: solar noon at hour 12.
-	hourAngle := (float64(hour) - 12) * 15 * math.Pi / 180
-	cosZenith := math.Sin(latRad)*math.Sin(decl) + math.Cos(latRad)*math.Cos(decl)*math.Cos(hourAngle)
+	cosZenith := sinLat*sinDecl[day] + cosLat*cosDecl[day]*cosHourAngle[hour]
 	if cosZenith <= 0 {
 		return 0
 	}
