@@ -396,6 +396,54 @@ func BenchmarkPlannerTickJournal(b *testing.B) {
 	b.ReportMetric(float64(after.Size()-before.Size())/float64(b.N), "journal_B/op")
 }
 
+// BenchmarkPlannerRestore measures a plannerd restart on the fleet trace
+// (4 datacenters × 200 VMs): plan.New resuming from a 207-record tick
+// journal, replaying every record's migrations and GDFS rounds.  The
+// journal is written outside the timer with a green-scale change every
+// eighth tick, the stream perfbench's planner-fleet workload feeds; a
+// restart that does not tick leaves the journal as it was, so every
+// iteration restores the same state.
+func BenchmarkPlannerRestore(b *testing.B) {
+	const ticks = 207
+	spec := plan.TraceSpec{Datacenters: 4, VMs: 200}
+	path := filepath.Join(b.TempDir(), "plan.snap")
+	d, err := plan.New(plan.Config{Trace: spec, SnapshotPath: path})
+	if err != nil {
+		b.Fatalf("build daemon: %v", err)
+	}
+	names := d.PlanView().Datacenters
+	scales := []float64{0.9, 1.1, 0.95, 1.05, 1}
+	for i := 0; i < ticks; i++ {
+		var req plan.TickRequest
+		if k := i / 8; i%8 == 0 {
+			req.GreenScale = map[string]float64{names[k%len(names)]: scales[k%len(scales)]}
+		}
+		if view, err := d.Tick(req); err != nil || view.SnapshotError != "" {
+			b.Fatalf("tick %d: %v %s", i, err, view.SnapshotError)
+		}
+	}
+	want := d.PlanView()
+	if err := d.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, err := plan.New(plan.Config{Trace: spec, SnapshotPath: path})
+		if err != nil {
+			b.Fatalf("restore: %v", err)
+		}
+		got := r.PlanView()
+		if got.Tick != ticks || !got.WarmResume || got.Totals != want.Totals {
+			b.Fatalf("restored tick %d warm=%v totals %+v, want tick %d warm with %+v",
+				got.Tick, got.WarmResume, got.Totals, ticks, want.Totals)
+		}
+		if err := r.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkEmulScale measures the emulation at production scale — 2000 VMs
 // across 4 datacenters for 12 hours.  GDFS tracks each replica as three
 // scalars rather than its bytes (2000 VMs × 64 MiB of blocks would be

@@ -181,10 +181,14 @@
 //     a slice indexed by block ID, where valid and held are bitmasks over
 //     a worker index assigned at registration (at most 64 workers), and a
 //     MetaWorker keeps its replicas in a slice indexed by block ID.
-//     Re-replication is one ID-order pass that plans and copies each block
-//     under the master's lock; the lock order is master, then store, and
-//     a dirty write (Client.DirtyBlocks, one call per range of blocks)
-//     takes each of the two once, one after the other.  A steady-state
+//     Re-replication runs under the master's lock: one ID-order pass
+//     plans every copy, a counting sort groups the copies by (source,
+//     destination) pair, and each pair's blocks move in one
+//     BlockStore.CopyBlocks call that takes each store's lock once;
+//     TestReplicateOnceMatchesSequential pins the grouped round against a
+//     one-copy-at-a-time reference.  The lock order is master, then
+//     store, and a dirty write (Client.DirtyBlocks, one call per range of
+//     blocks) takes each of the two once, one after the other.  A steady-state
 //     hour — a dirty write to every block plus a re-replication round —
 //     allocates nothing (TestSteadyStateRoundAllocatesNothing).
 //   - emul.Runner owns every per-run and per-hour buffer: green/PUE traces

@@ -131,10 +131,13 @@ var (
 )
 
 // maxGDFSDiskMB caps how much of each VM's disk is materialized in the
-// in-memory GDFS during an emulation.  The migration and re-replication
-// behaviour only depends on the recently dirtied blocks (110 MB/h in the
-// paper's workload), so representing a 64 MB working-set window of the 5 GB
-// disk keeps memory bounded without changing what the experiment measures.
+// in-memory GDFS during an emulation: a 64 MB window of the 5 GB disk.
+// The paper's workload dirties 110 MB/h, more than the window holds, so
+// every hour rewrites every block of it: a migration always finds the
+// whole window stale at its destination and ships all of it, and
+// background re-replication never changes what a move ships.  The
+// ROADMAP's GDFS fidelity item tracks sizing the window (or the dirtied
+// working set) so that it does.
 const maxGDFSDiskMB = 64
 
 // Run executes the emulation.  It is the one-shot convenience around

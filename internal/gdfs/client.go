@@ -1,6 +1,9 @@
 package gdfs
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // BlockStore is a worker's replica store, reduced to the operations the
 // cluster and its clients perform.  MetaWorker is the implementation; the
@@ -14,9 +17,11 @@ type BlockStore interface {
 	// DirtyBlocks records whole-block overwrites of blocks [from, to) of
 	// a file.
 	DirtyBlocks(fi *FileInfo, from, to int) error
-	// CopyBlock installs src's replica of the block (re-replication).
-	// src is a store of the same kind: a cluster is homogeneous.
-	CopyBlock(id BlockID, src BlockStore) error
+	// CopyBlocks installs src's replicas of the blocks, in order, under
+	// one lock of each store (re-replication), and returns how many it
+	// installed before the first failure.  src is another store of the
+	// same kind: a cluster is homogeneous.
+	CopyBlocks(src BlockStore, ids []BlockID) (int, error)
 	// BytesStored returns the total bytes held.
 	BytesStored() int64
 }
@@ -25,13 +30,29 @@ type BlockStore interface {
 // re-replication can reach every block store.
 //
 // Lock order is master, then store: ReplicateOnce copies between stores
-// while it holds the master's write lock, and every other path holds one
-// lock at a time (a dirty write updates the local store, releases it, then
-// commits to the master), so nothing waits for the master while holding a
-// store.
+// while it holds the master's write lock, taking a source's and a
+// destination's lock together once per (source, destination) pair, and
+// every other path holds one lock at a time (a dirty write updates the
+// local store, releases it, then commits to the master), so nothing waits
+// for the master while holding a store, and no two copies overlap.
 type Cluster struct {
 	master *Master
 	stores []BlockStore // indexed by worker index, guarded by master.mu
+
+	// Re-replication scratch, reused across rounds and guarded by
+	// master.mu: a round's planned copies in block-ID order, the copies'
+	// block IDs grouped by (source, destination) pair, and the pair
+	// offsets the counting sort that groups them leaves behind.
+	planned []plannedCopy
+	grouped []BlockID
+	ends    []int
+}
+
+// plannedCopy is one copy of a re-replication round: block id from worker
+// index pair/n to worker index pair%n, n the number of workers.
+type plannedCopy struct {
+	id   BlockID
+	pair int
 }
 
 // NewCluster returns a cluster around the given master.
@@ -66,29 +87,70 @@ func (c *Cluster) storeAt(w int) BlockStore {
 
 // ReplicateOnce performs one round of re-replication synchronously and
 // returns the number of blocks copied.  It executes the plan
-// UnderReplicated reports, planning and copying block by block in one pass
-// under the master's lock.
+// UnderReplicated reports under the master's lock: one block-ID-order pass
+// plans every copy, a counting sort groups the copies by (source,
+// destination) pair, and each pair's blocks move in one CopyBlocks call.
+// The grouping changes no result: a block's copies all come from one
+// source, which is never a destination of that block in the same round.
+// A block whose copy fails keeps its replica bits; the rest of its pair
+// is still copied.
 func (c *Cluster) ReplicateOnce() int {
 	m := c.master
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	copied := 0
+	n := len(m.workers)
+	c.planned = c.planned[:0]
 	var buf [maxWorkers]int
 	for i := range m.blocks {
-		b := &m.blocks[i]
-		source, dests := m.plan(b, buf[:0])
-		if len(dests) == 0 {
+		source, dests := m.plan(&m.blocks[i], buf[:0])
+		if len(dests) == 0 || c.storeAt(source) == nil {
 			continue
 		}
-		src := c.storeAt(source)
 		for _, d := range dests {
-			dst := c.storeAt(d)
-			if src == nil || dst == nil || dst.CopyBlock(BlockID(i+1), src) != nil {
-				continue
+			if c.storeAt(d) != nil {
+				c.planned = append(c.planned, plannedCopy{id: BlockID(i + 1), pair: source*n + d})
 			}
-			b.valid |= 1 << d
-			b.held |= 1 << d
-			copied++
+		}
+	}
+
+	// Counting sort by pair: ends[p] first counts pair p's copies, then
+	// (as a running offset) becomes the end of its run in grouped.
+	c.ends = slices.Grow(c.ends[:0], n*n)[:n*n]
+	clear(c.ends)
+	for _, p := range c.planned {
+		c.ends[p.pair]++
+	}
+	start := 0
+	for p, cnt := range c.ends {
+		c.ends[p] = start
+		start += cnt
+	}
+	c.grouped = slices.Grow(c.grouped[:0], len(c.planned))[:len(c.planned)]
+	for _, p := range c.planned {
+		c.grouped[c.ends[p.pair]] = p.id
+		c.ends[p.pair]++
+	}
+
+	copied, begin := 0, 0
+	for p, end := range c.ends {
+		ids := c.grouped[begin:end]
+		begin = end
+		if len(ids) == 0 {
+			continue
+		}
+		src, dst, bit := c.stores[p/n], c.stores[p%n], uint64(1)<<(p%n)
+		for len(ids) > 0 {
+			done, err := dst.CopyBlocks(src, ids)
+			for _, id := range ids[:done] {
+				b := &m.blocks[id-1]
+				b.valid |= bit
+				b.held |= bit
+			}
+			copied += done
+			if err == nil || done == len(ids) {
+				break
+			}
+			ids = ids[done+1:] // skip the block that failed
 		}
 	}
 	return copied

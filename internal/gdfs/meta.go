@@ -97,21 +97,26 @@ func (w *MetaWorker) DirtyBlocks(fi *FileInfo, from, to int) error {
 	return nil
 }
 
-// CopyBlock installs src's replica record of the block.  src must be a
-// MetaWorker.
-func (w *MetaWorker) CopyBlock(id BlockID, src BlockStore) error {
+// CopyBlocks installs src's replica records of the blocks, in order,
+// holding src's lock and then w's once for the whole batch.  src must be
+// another MetaWorker.  It stops at the first block src holds no replica of.
+func (w *MetaWorker) CopyBlocks(src BlockStore, ids []BlockID) (int, error) {
 	msrc, ok := src.(*MetaWorker)
-	if !ok {
-		return fmt.Errorf("gdfs: worker %s cannot copy block %d from a %T", w.id, id, src)
+	if !ok || msrc == w {
+		return 0, fmt.Errorf("gdfs: worker %s cannot copy blocks from a %T that is not another MetaWorker", w.id, src)
 	}
-	m, ok := msrc.BlockMeta(id)
-	if !ok {
-		return fmt.Errorf("%w: block %d on worker %s", ErrBlockNotFound, id, msrc.id)
-	}
+	msrc.mu.Lock()
+	defer msrc.mu.Unlock()
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.put(id, m)
-	return nil
+	for i, id := range ids {
+		m := msrc.get(id)
+		if m.Version == 0 {
+			return i, fmt.Errorf("%w: block %d on worker %s", ErrBlockNotFound, id, msrc.id)
+		}
+		w.put(id, m)
+	}
+	return len(ids), nil
 }
 
 // BlockMeta returns the replica's metadata record.

@@ -77,27 +77,30 @@ func (s *payloadStore) DirtyBlocks(fi *FileInfo, from, to int) error {
 	return nil
 }
 
-// CopyBlock holds the source's and the destination's locks together.  This
-// cannot deadlock: every copy runs inside ReplicateOnce under the master's
-// write lock, so no two copies overlap, and no other path takes a second
-// store lock while it holds one (lock order master, then store).
-func (s *payloadStore) CopyBlock(id BlockID, src BlockStore) error {
+// CopyBlocks holds the source's and the destination's locks together for
+// the whole batch.  This cannot deadlock: every batch runs inside
+// ReplicateOnce under the master's write lock, so no two batches overlap,
+// and no other path takes a second store lock while it holds one (lock
+// order master, then store).
+func (s *payloadStore) CopyBlocks(src BlockStore, ids []BlockID) (int, error) {
 	psrc := src.(*payloadStore)
 	psrc.mu.RLock()
 	defer psrc.mu.RUnlock()
-	data, ok := psrc.blocks[id]
-	if !ok {
-		return fmt.Errorf("%w: block %d on worker %s", ErrBlockNotFound, id, psrc.id)
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	dst := s.blocks[id]
-	if len(dst) != len(data) {
-		dst = make([]byte, len(data))
+	for i, id := range ids {
+		data, ok := psrc.blocks[id]
+		if !ok {
+			return i, fmt.Errorf("%w: block %d on worker %s", ErrBlockNotFound, id, psrc.id)
+		}
+		dst := s.blocks[id]
+		if len(dst) != len(data) {
+			dst = make([]byte, len(data))
+		}
+		copy(dst, data)
+		s.put(id, dst)
 	}
-	copy(dst, data)
-	s.put(id, dst)
-	return nil
+	return len(ids), nil
 }
 
 func (s *payloadStore) BytesStored() int64 {

@@ -248,6 +248,61 @@ func TestDaemonSnapshotWithScales(t *testing.T) {
 	}
 }
 
+// TestDaemonFleetResume pins resume at fleet scale, where every replayed
+// record runs a 9,600-copy GDFS round: the planner-fleet trace (4
+// datacenters × 200 VMs, 3,200 blocks) with a green-scale change every
+// eighth tick, the stream perfbench feeds it.  After 64 ticks the daemon
+// is closed and restored; the restored view must equal the closed
+// daemon's, and the next 8 ticks must match an uninterrupted daemon's bit
+// for bit.
+func TestDaemonFleetResume(t *testing.T) {
+	const ticks, more = 64, 8
+	spec := TraceSpec{Datacenters: 4, VMs: 200}
+	cfg, _, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	scales := []float64{0.9, 1.1, 0.95, 1.05, 1}
+	reqs := make([]TickRequest, ticks+more)
+	for i := 0; i < len(reqs); i += 8 {
+		k := i / 8
+		reqs[i].GreenScale = map[string]float64{cfg.Datacenters[k%len(cfg.Datacenters)].Name: scales[k%len(scales)]}
+	}
+	ref, err := New(Config{Trace: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refViews := runStream(t, ref, reqs)
+
+	snap := filepath.Join(t.TempDir(), "plan.snap")
+	d1, err := New(Config{Trace: spec, SnapshotPath: snap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := runStream(t, d1, reqs[:ticks])[ticks-1]
+	if closed.SnapshotError != "" {
+		t.Fatalf("journal append failed: %s", closed.SnapshotError)
+	}
+	if err := d1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	d2, err := New(Config{Trace: spec, SnapshotPath: snap, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	restored := d2.PlanView()
+	if !restored.Resumed || !restored.WarmResume || restored.Tick != ticks || restored.Totals != closed.Totals {
+		t.Fatalf("restored tick %d resumed=%v warm=%v totals %+v, want tick %d resumed warm with %+v",
+			restored.Tick, restored.Resumed, restored.WarmResume, restored.Totals, ticks, closed.Totals)
+	}
+	requireSameView(t, restored, closed)
+	for i, v := range runStream(t, d2, reqs[ticks:]) {
+		requireSameTick(t, ticks+i, v, refViews[ticks+i])
+	}
+}
+
 // recordEnds parses a journal's frames and returns the offset just past
 // the header and past every whole record.
 func recordEnds(t *testing.T, raw []byte) []int {
