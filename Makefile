@@ -142,7 +142,10 @@ cover:
 # BenchmarkPlannerTick measures the continuous planner's steady-state warm
 # tick (streamed ingest + RHS rewrite + warm re-solve + publish) — the
 # latency a plannerd client sees on POST /tick — and fails if a measured
-# tick falls back cold.  BenchmarkPlannerTickJournal is the same tick with
+# tick falls back cold; it and PlannerTickFleet (the same tick on the 4
+# datacenter × 200 VM fleet trace) report pivots/op, so a changed pivot
+# path shows up there and a spurious LP re-layout in allocs/op.
+# BenchmarkPlannerTickJournal is the same tick with
 # the tick journal on, measured after 1000 warm-up ticks, so a per-tick
 # persistence cost that grows with uptime shows up here.  EmulScale runs
 # the emulation at fleet scale (4 datacenters × 2000 VMs × 12 hours, 32,000
@@ -155,7 +158,7 @@ cover:
 # restarts plannerd's fleet trace (4 datacenters × 200 VMs) from a
 # 207-record tick journal — replaying every record's migrations and GDFS
 # re-replication round — so a slower restore shows up here.
-BENCH_SMOKE := ^(BenchmarkCalibration|BenchmarkCatalogGenerate|BenchmarkEvaluateSteadyState|BenchmarkEvaluateDeltaMove|BenchmarkLPResolve|BenchmarkLPBounded|BenchmarkLPSolve|BenchmarkEmulDay|BenchmarkEmulScale|BenchmarkPlannerTick|BenchmarkPlannerTickJournal|BenchmarkPlannerRestore)$$
+BENCH_SMOKE := ^(BenchmarkCalibration|BenchmarkCatalogGenerate|BenchmarkEvaluateSteadyState|BenchmarkEvaluateDeltaMove|BenchmarkLPResolve|BenchmarkLPBounded|BenchmarkLPSolve|BenchmarkEmulDay|BenchmarkEmulScale|BenchmarkPlannerTick|BenchmarkPlannerTickFleet|BenchmarkPlannerTickJournal|BenchmarkPlannerRestore)$$
 
 bench-smoke:
 	$(GO) test -bench='$(BENCH_SMOKE)' -benchtime=1x -run '^$$' .

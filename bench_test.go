@@ -103,6 +103,29 @@ func runExperiment(b *testing.B, id string) {
 	}
 }
 
+// runSweepExperiment benchmarks an experiment built on the green-fraction
+// sweeps.  A Suite caches each sweep after its first run, so a shared Suite
+// would time cache hits from the second iteration on; every iteration gets
+// a fresh Suite instead, built outside the timer.
+func runSweepExperiment(b *testing.B, id string) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		s, err := experiments.NewSuite(experiments.Config{Budget: experiments.Quick, Seed: 1})
+		if err != nil {
+			b.Fatalf("build experiment suite: %v", err)
+		}
+		b.StartTimer()
+		table, err := s.Run(id)
+		if err != nil {
+			b.Fatalf("%s: %v", id, err)
+		}
+		if len(table.Rows) == 0 {
+			b.Fatalf("%s: experiment produced no rows", id)
+		}
+	}
+}
+
 // BenchmarkEvaluateSteadyState measures one cached-evaluator cost evaluation
 // — the annealing inner loop.  The evaluator owns all scratch state, so the
 // benchmark must report 0 allocs/op; a regression here puts garbage-collector
@@ -209,25 +232,25 @@ func BenchmarkFig6SingleDCCostCDF(b *testing.B) { runExperiment(b, "fig6") }
 func BenchmarkFig7CaseStudy(b *testing.B) { runExperiment(b, "fig7") }
 
 // BenchmarkFig8NetMetering regenerates cost vs. green % with net metering (Fig. 8).
-func BenchmarkFig8NetMetering(b *testing.B) { runExperiment(b, "fig8") }
+func BenchmarkFig8NetMetering(b *testing.B) { runSweepExperiment(b, "fig8") }
 
 // BenchmarkFig9Batteries regenerates cost vs. green % with batteries (Fig. 9).
-func BenchmarkFig9Batteries(b *testing.B) { runExperiment(b, "fig9") }
+func BenchmarkFig9Batteries(b *testing.B) { runSweepExperiment(b, "fig9") }
 
 // BenchmarkFig10NoStorage regenerates cost vs. green % without storage (Fig. 10).
-func BenchmarkFig10NoStorage(b *testing.B) { runExperiment(b, "fig10") }
+func BenchmarkFig10NoStorage(b *testing.B) { runSweepExperiment(b, "fig10") }
 
 // BenchmarkFig11CapacityNetMeter regenerates capacity vs. green % with net metering (Fig. 11).
-func BenchmarkFig11CapacityNetMeter(b *testing.B) { runExperiment(b, "fig11") }
+func BenchmarkFig11CapacityNetMeter(b *testing.B) { runSweepExperiment(b, "fig11") }
 
 // BenchmarkFig12CapacityNoStorage regenerates capacity vs. green % without storage (Fig. 12).
-func BenchmarkFig12CapacityNoStorage(b *testing.B) { runExperiment(b, "fig12") }
+func BenchmarkFig12CapacityNoStorage(b *testing.B) { runSweepExperiment(b, "fig12") }
 
 // BenchmarkFig13MigrationImpact regenerates cost vs. migration overhead (Fig. 13).
-func BenchmarkFig13MigrationImpact(b *testing.B) { runExperiment(b, "fig13") }
+func BenchmarkFig13MigrationImpact(b *testing.B) { runSweepExperiment(b, "fig13") }
 
 // BenchmarkTable3NoStorageNetwork regenerates the 100 % green / no-storage network (Table III).
-func BenchmarkTable3NoStorageNetwork(b *testing.B) { runExperiment(b, "table3") }
+func BenchmarkTable3NoStorageNetwork(b *testing.B) { runSweepExperiment(b, "table3") }
 
 // BenchmarkFig15FollowRenewables regenerates the follow-the-renewables day trace (Fig. 15).
 func BenchmarkFig15FollowRenewables(b *testing.B) { runExperiment(b, "fig15") }
@@ -329,19 +352,32 @@ func BenchmarkEmulDay(b *testing.B) {
 // partition LP, re-solve warm from the carried basis, execute the migration
 // schedule and publish the new serving view.  This is the latency a plannerd
 // client sees on POST /tick once the daemon is warm; the benchmark fails if
-// any measured tick falls back to a cold solve.
-func BenchmarkPlannerTick(b *testing.B) {
-	d, err := plan.New(plan.Config{Trace: plan.TraceSpec{}})
+// any measured tick falls back to a cold solve, and reports the simplex
+// pivots per tick so a changed pivot path shows up beside the time.
+func BenchmarkPlannerTick(b *testing.B) { benchPlannerTick(b, plan.TraceSpec{}) }
+
+// BenchmarkPlannerTickFleet is BenchmarkPlannerTick on perfbench's
+// planner-fleet trace (4 datacenters × 200 VMs), where migrations and GDFS
+// bookkeeping share the tick with the LP.
+func BenchmarkPlannerTickFleet(b *testing.B) {
+	benchPlannerTick(b, plan.TraceSpec{Datacenters: 4, VMs: 200})
+}
+
+// benchPlannerTick times steady ticks of a daemon on spec after two warm-up
+// ticks (the first solve is cold by construction), failing on any cold
+// fallback and reporting pivots/op.
+func benchPlannerTick(b *testing.B, spec plan.TraceSpec) {
+	d, err := plan.New(plan.Config{Trace: spec})
 	if err != nil {
 		b.Fatalf("build daemon: %v", err)
 	}
-	// Warm up past the first (cold-by-construction) solve.
+	defer d.Close()
 	for i := 0; i < 2; i++ {
 		if _, err := d.Tick(plan.TickRequest{}); err != nil {
 			b.Fatalf("warmup tick: %v", err)
 		}
 	}
-	base := d.PlanView().CumLPStats.ColdFallbacks
+	base := d.PlanView().CumLPStats
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -349,10 +385,13 @@ func BenchmarkPlannerTick(b *testing.B) {
 		if err != nil {
 			b.Fatalf("tick: %v", err)
 		}
-		if view.CumLPStats.ColdFallbacks != base {
+		if view.CumLPStats.ColdFallbacks != base.ColdFallbacks {
 			b.Fatal("steady-state tick fell back cold")
 		}
 	}
+	b.StopTimer()
+	pivots := d.PlanView().CumLPStats.Pivots - base.Pivots
+	b.ReportMetric(float64(pivots)/float64(b.N), "pivots/op")
 }
 
 // BenchmarkPlannerTickJournal is BenchmarkPlannerTick with the tick

@@ -33,7 +33,13 @@
 // the entering column's opposite bound — when that cap binds first, the
 // iteration is a bound flip: a status bit and a basic-solution update with
 // no basis change, no eta, no LU aging.  The form is stored column-wise
-// (CSC, built once per solve); the basis matrix is LU-factorized by a
+// (CSC) and kept on the Problem across solves: data edits are written into
+// it in place, and only an edit that changes its layout (a variable or
+// constraint added, a bound changing form, a shifted right-hand side
+// changing sign, a coefficient to or from zero) lays it out afresh; the
+// solver's vectors, LU factors and eta file are kept with it, so a warm
+// plannerd tick allocates only the LP results it returns.  The basis
+// matrix is LU-factorized by a
 // Gilbert–Peierls sparse factorization with partial pivoting, updated by a
 // product-form eta file and refactorized every 64 pivots; FTRAN/BTRAN
 // triangular solves replace the dense tableau's whole-row elimination.

@@ -42,9 +42,18 @@ func (s *standard) captureBasis(basis []int, atUpper []bool, devexCols []int, de
 	for i, bc := range basis {
 		b.cols[i] = s.colIDs[bc]
 	}
-	for j := range atUpper {
-		if atUpper[j] {
-			b.upper = append(b.upper, s.colIDs[j])
+	nUp := 0
+	for _, up := range atUpper {
+		if up {
+			nUp++
+		}
+	}
+	if nUp > 0 {
+		b.upper = make([]colIdent, 0, nUp)
+		for j, up := range atUpper {
+			if up {
+				b.upper = append(b.upper, s.colIDs[j])
+			}
 		}
 	}
 	if len(devexCols) > 0 {
@@ -60,41 +69,60 @@ func (s *standard) captureBasis(basis []int, atUpper []bool, devexCols []int, de
 	return b
 }
 
+// column resolves a column identity against this standard form, or returns
+// -1 when the identity names no column here.
+func (s *standard) column(id colIdent) int {
+	var cols []int
+	switch id.kind {
+	case identStruct:
+		cols = s.colOf
+	case identNeg:
+		cols = s.negPart
+	case identSlack:
+		cols = s.slackOf
+	case identArt:
+		cols = s.artOf
+	default:
+		return -1
+	}
+	if id.idx < 0 || id.idx >= len(cols) {
+		return -1
+	}
+	return cols[id.idx]
+}
+
 // installBasis maps a saved basis onto this standard form, returning one
 // basic column per row plus the nonbasic-at-upper statuses and any carried
-// devex reference weights in sparse form (nil when the basis carries none;
-// weights share the one identity map this translation builds anyway), or
-// false when the saved basis does not translate: the constraint count
-// changed, a referenced column no longer exists (a variable stopped being
-// free, the row lost its artificial after an rhs sign change) or two rows
-// map to the same column.  At-upper statuses degrade instead of failing: a
-// status whose column disappeared, became basic, lost its finite upper
-// bound or became fixed simply starts at the lower bound — the warm
-// solver's feasibility checks route any resulting mismatch to the dual
-// simplex or the cold fallback.  Weights degrade the same way: an identity
-// that no longer resolves is dropped.
+// devex reference weights in sparse form (nil when the basis carries none),
+// all backed by the solve scratch, or false when the saved basis does not
+// translate: the constraint count changed, a referenced column no longer
+// exists (a variable stopped being free, the row lost its artificial after
+// an rhs sign change) or two rows map to the same column.  At-upper
+// statuses degrade instead of failing: a status whose column disappeared,
+// became basic, lost its finite upper bound or became fixed simply starts
+// at the lower bound — the warm solver's feasibility checks route any
+// resulting mismatch to the dual simplex or the cold fallback.  Weights
+// degrade the same way: an identity that no longer resolves is dropped.
 func (s *standard) installBasis(w *Basis) ([]int, []bool, []int, []float64, bool) {
 	if w == nil || s.m == 0 || len(w.cols) != s.m {
 		return nil, nil, nil, nil, false
 	}
-	colOf := make(map[colIdent]int, s.nCols)
-	for c := 0; c < s.nCols; c++ {
-		colOf[s.colIDs[c]] = c
-	}
-	basis := make([]int, s.m)
-	used := make([]bool, s.nCols)
+	scr := s.scr
+	scr.basis = grow(scr.basis, s.m)
+	scr.used = cleared(scr.used, s.nCols)
+	scr.atUpper = cleared(scr.atUpper, s.nCols)
+	basis, used, atUpper := scr.basis, scr.used, scr.atUpper
 	for i := 0; i < s.m; i++ {
-		c, ok := colOf[w.cols[i]]
-		if !ok || used[c] {
+		c := s.column(w.cols[i])
+		if c < 0 || used[c] {
 			return nil, nil, nil, nil, false
 		}
 		used[c] = true
 		basis[i] = c
 	}
-	atUpper := make([]bool, s.nCols)
 	for _, cid := range w.upper {
-		c, ok := colOf[cid]
-		if !ok || used[c] {
+		c := s.column(cid)
+		if c < 0 || used[c] {
 			continue
 		}
 		if u := s.upper[c]; u == 0 || math.IsInf(u, 1) {
@@ -105,17 +133,11 @@ func (s *standard) installBasis(w *Basis) ([]int, []bool, []int, []float64, bool
 	var dvxCols []int
 	var dvxW []float64
 	if len(w.devexW) > 0 {
-		if s.scr != nil {
-			s.scr.carriedIdx = growInts(s.scr.carriedIdx, len(w.devexW))
-			s.scr.carriedW = growFloats(s.scr.carriedW, len(w.devexW))
-			dvxCols = s.scr.carriedIdx[:0]
-			dvxW = s.scr.carriedW[:0]
-		} else {
-			dvxCols = make([]int, 0, len(w.devexW))
-			dvxW = make([]float64, 0, len(w.devexW))
-		}
+		scr.carriedIdx = grow(scr.carriedIdx, len(w.devexW))
+		scr.carriedW = grow(scr.carriedW, len(w.devexW))
+		dvxCols, dvxW = scr.carriedIdx[:0], scr.carriedW[:0]
 		for k, cid := range w.devexCols {
-			if c, ok := colOf[cid]; ok {
+			if c := s.column(cid); c >= 0 {
 				if wv := w.devexW[k]; wv > 1 {
 					dvxCols = append(dvxCols, c)
 					dvxW = append(dvxW, wv)

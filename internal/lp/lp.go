@@ -25,8 +25,13 @@
 // basis change, no eta and no LU aging at all.  Fixed variables (lo == hi)
 // are pinned columns that are never priced.
 //
-// The solver stores the standard form column-wise (CSC, built once per
-// solve in standardize) and never forms a dense tableau.  The basis matrix
+// The solver stores the standard form column-wise (CSC) and never forms a
+// dense tableau.  A Problem keeps its standard form between solves: a solve
+// after data edits (SetRHS, SetCost, SetCoeff, SetBounds) rewrites its
+// numbers in place, and only an edit that changes its layout rebuilds it
+// (standard.go lists which).  The solver's vectors, LU factors, eta file
+// and devex weights live with the Problem too, so a warm re-solve allocates
+// only the Solution and Basis it returns.  The basis matrix
 // is LU-factorized by a Gilbert–Peierls sparse factorization with partial
 // pivoting (lu.go); each simplex pivot appends a product-form eta vector
 // instead of re-eliminating rows, and the basis is refactorized from
@@ -38,8 +43,8 @@
 // ratio test — so pricing drift can cost a re-pick, never a junk pivot,
 // and optimality is only declared after an exact rebuild.  Which column
 // that row nominates is the pricing rule (pricing.go): devex reference
-// weights over a rotating candidate list, with Bland's least-index rule as
-// the anti-cycling fallback.
+// weights over the full row, with Bland's least-index rule as the
+// anti-cycling fallback.
 //
 // # Pricing
 //
@@ -50,11 +55,8 @@
 // steepest-edge criterion without its per-column FTRANs.  Weights start at
 // 1 over a reference framework, are updated in O(nnz) per pivot from the
 // same BTRAN row that maintains the reduced costs, and the framework resets
-// when the weight spread drifts past a ratio bound.  On models past a few
-// thousand columns the full scan gives way to candidate-list partial
-// pricing: a short list of the best scorers from a rotating section of the
-// columns, re-verified exactly and refilled as it goes stale, with a full
-// pass (never the list alone) required to declare optimality.  The same
+// when the weight spread drifts past a ratio bound.  Every pick scans the
+// full maintained row, fused into the pass that updates it.  The same
 // weights price the leaving row in the dual simplex, and both primal and
 // dual weights are captured into Basis so warm restarts (SolveFrom) resume
 // with the framework instead of re-learning it.
@@ -72,7 +74,7 @@
 // solves every random model under all three and requires identical
 // statuses and objectives, and BenchmarkLPPricing A/Bs them on the
 // scheduler-shaped partition LP with a pivots/op metric.  Stats reports the
-// pricing work per solve (PartialPasses, CandidateRebuilds, DevexResets).
+// pricing work per solve (DevexResets).
 //
 // # Warm starts
 //
@@ -203,6 +205,7 @@ type Problem struct {
 	sense Sense
 	vars  []variable
 	cons  []constraint
+	std   standard // kept across solves; see standardize
 	scr   solveScratch
 }
 
@@ -346,12 +349,14 @@ type Stats struct {
 	// NaNGuards counts FTRAN/BTRAN outputs caught carrying NaN/Inf and
 	// answered with a refactorization instead of a poisoned pivot.
 	NaNGuards int
-	// PartialPasses counts candidate-list section scans by the partial
-	// pricing loop (devex only): how many rotating sections were examined
-	// to keep the candidate list fed.
+	// PartialPasses and CandidateRebuilds counted the work of
+	// candidate-list partial pricing, which the solver no longer runs (no
+	// model it was built for reached its width gate).  They stay in the
+	// struct so the plannerd journal format and its readers keep working.
+	//
+	// Deprecated: always zero.
 	PartialPasses int
-	// CandidateRebuilds counts candidate-list refills (devex only): the
-	// list ran dry and a rotating scan rebuilt it.
+	// Deprecated: always zero.
 	CandidateRebuilds int
 	// DevexResets counts devex reference-framework resets after the
 	// framework had learned from at least one pivot: weight drift past the
@@ -420,7 +425,7 @@ type solveControl struct {
 // per-iteration checks entirely and stay bit-identical to the pre-options
 // solver.
 func (c *solveControl) active() bool {
-	return c != nil && (c.ctx != nil || !c.deadline.IsZero() || c.maxIters > 0)
+	return c.ctx != nil || !c.deadline.IsZero() || c.maxIters > 0
 }
 
 // Solution is the result of solving a problem.
@@ -491,6 +496,16 @@ func (p *Problem) SolveWithOptions(opts SolveOptions) (*Solution, error) {
 // became bounded, the basis matrix went singular), SolveFrom silently falls
 // back to a cold solve, so a stale basis can cost time but never
 // correctness.  A nil basis is exactly Solve.
+//
+// Every solve starts from the standard form the Problem kept from its last
+// solve, with the edits since then written into it.  It is laid out afresh
+// — columns, slacks, artificials and sparsity pattern — only on the first
+// solve and after an edit the kept layout cannot hold: AddVariable,
+// AddConstraint, a variable whose bounds change form (a finite lower bound,
+// only a finite upper bound, or neither), a constraint whose right-hand
+// side, net of the bound shifts, changes sign, or a coefficient (summed
+// over duplicate terms) moving to or from zero.  Either way the result is
+// bit-identical to a solve of a freshly built Problem with the same data.
 func (p *Problem) SolveFrom(warm *Basis) (*Solution, error) {
 	return p.SolveFromWithOptions(warm, SolveOptions{})
 }
@@ -504,17 +519,16 @@ func (p *Problem) SolveFromWithOptions(warm *Basis, opts SolveOptions) (*Solutio
 }
 
 func (p *Problem) solveFrom(warm *Basis, ctl *solveControl) (*Solution, error) {
-	var stats Stats
-	std, err := p.standardize()
-	if err != nil {
-		return nil, err
-	}
-	status, values, basis := std.solve(warm, ctl, &stats)
+	stats := &p.scr.stats
+	*stats = Stats{}
+	std := p.standardize()
+	status, values, basis := std.solve(warm, ctl, stats)
+	p.scr.sv.ctl = solveControl{} // the kept solver holds no caller context
 	switch status {
 	case Infeasible:
-		return &Solution{Status: Infeasible, Stats: stats}, ErrInfeasible
+		return &Solution{Status: Infeasible, Stats: *stats}, ErrInfeasible
 	case Unbounded:
-		return &Solution{Status: Unbounded, Stats: stats}, ErrUnbounded
+		return &Solution{Status: Unbounded, Stats: *stats}, ErrUnbounded
 	case statusDeadline:
 		return nil, ErrDeadline
 	case statusCancelled:
@@ -527,7 +541,7 @@ func (p *Problem) solveFrom(warm *Basis, ctl *solveControl) (*Solution, error) {
 		for j, v := range p.vars {
 			obj += v.cost * orig[j]
 		}
-		return &Solution{Status: Optimal, Objective: obj, Stats: stats, values: orig, basis: basis}, nil
+		return &Solution{Status: Optimal, Objective: obj, Stats: *stats, values: orig, basis: basis}, nil
 	default:
 		return nil, ErrNumeric
 	}

@@ -3,7 +3,6 @@ package lp
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // luFactor is a sparse LU factorization of the basis matrix B, computed by
@@ -50,6 +49,7 @@ type luFactor struct {
 	nodeMark []int32
 	stamp    int32
 	order    []int
+	byCount  []int
 }
 
 var errSingularBasis = errors.New("lp: basis matrix is numerically singular")
@@ -57,27 +57,6 @@ var errSingularBasis = errors.New("lp: basis matrix is numerically singular")
 // luPivotTiny is the absolute pivot threshold below which the basis is
 // declared singular.
 const luPivotTiny = 1e-11
-
-func growInts(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	return s[:n]
-}
-
-func growFloats(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-func growInt32s(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
-}
 
 // factorize computes P·B·Q = L·U for the basis given as column indices into
 // the standard form.
@@ -92,13 +71,13 @@ func (f *luFactor) factorize(st *standard, basis []int) error {
 	f.uColPtr = append(f.uColPtr[:0], 0)
 	f.uRows = f.uRows[:0]
 	f.uVals = f.uVals[:0]
-	f.uDiag = growFloats(f.uDiag, m)
-	f.prow = growInts(f.prow, m)
-	f.pinv = growInts(f.pinv, m)
-	f.q = growInts(f.q, m)
-	f.x = growFloats(f.x, m)
-	f.rowMark = growInt32s(f.rowMark, m)
-	f.nodeMark = growInt32s(f.nodeMark, m)
+	f.uDiag = grow(f.uDiag, m)
+	f.prow = grow(f.prow, m)
+	f.pinv = grow(f.pinv, m)
+	f.q = grow(f.q, m)
+	f.x = grow(f.x, m)
+	f.rowMark = grow(f.rowMark, m)
+	f.nodeMark = grow(f.nodeMark, m)
 	if f.stamp == 0 {
 		for i := range f.rowMark {
 			f.rowMark[i] = 0
@@ -112,19 +91,24 @@ func (f *luFactor) factorize(st *standard, basis []int) error {
 		f.x[i] = 0
 	}
 
-	// Column order: fewest nonzeros first (stable on position for
-	// determinism).  Slack and artificial singletons pivot immediately,
-	// leaving only the structural "bump" for real elimination.
-	f.order = growInts(f.order, m)
-	for i := range f.order[:m] {
-		f.order[i] = i
+	// Column order: fewest nonzeros first, ties by position for
+	// determinism — a stable counting sort, as a column has at most m
+	// nonzeros.  Slack and artificial singletons pivot immediately, leaving
+	// only the structural "bump" for real elimination.
+	f.order = grow(f.order, m)
+	f.byCount = cleared(f.byCount, m+2)
+	for _, j := range basis {
+		f.byCount[st.colPtr[j+1]-st.colPtr[j]+1]++
 	}
-	ord := f.order[:m]
-	sort.SliceStable(ord, func(a, b int) bool {
-		na := st.colPtr[basis[ord[a]]+1] - st.colPtr[basis[ord[a]]]
-		nb := st.colPtr[basis[ord[b]]+1] - st.colPtr[basis[ord[b]]]
-		return na < nb
-	})
+	for c := 1; c < m+2; c++ {
+		f.byCount[c] += f.byCount[c-1]
+	}
+	for pos, j := range basis {
+		c := st.colPtr[j+1] - st.colPtr[j]
+		f.order[f.byCount[c]] = pos
+		f.byCount[c]++
+	}
+	ord := f.order
 
 	for k := 0; k < m; k++ {
 		pos := ord[k]
@@ -132,12 +116,9 @@ func (f *luFactor) factorize(st *standard, basis []int) error {
 
 		f.stamp++
 		if f.stamp == math.MaxInt32 {
-			for i := range f.rowMark[:m] {
-				f.rowMark[i] = 0
-			}
-			for i := range f.nodeMark[:m] {
-				f.nodeMark[i] = 0
-			}
+			// Clear the whole capacity: a later, larger basis reuses it.
+			clear(f.rowMark[:cap(f.rowMark)])
+			clear(f.nodeMark[:cap(f.nodeMark)])
 			f.stamp = 1
 		}
 		stamp := f.stamp

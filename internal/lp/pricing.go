@@ -23,23 +23,6 @@ const (
 	// weights are reset to 1 and the reference framework restarts at the
 	// current nonbasic set.
 	devexResetRatio = 1e4
-	// candListLen caps the candidate list: partial pricing keeps at most
-	// this many attractive columns between refills.
-	candListLen = 16
-	// candSection is the number of columns one partial-pricing pass scans;
-	// refills walk rotating sections of this size and stop at the first
-	// section that yields any candidate, so steady-state pricing touches
-	// candSection columns instead of all of them.
-	candSection = 128
-	// partialMinCols gates candidate-list partial pricing by problem
-	// width: below this many standard-form columns the devex score scans
-	// the full maintained row on every pick.  Measured on the partition
-	// family, the full scan is cheap at these widths while the list's
-	// between-refill staleness costs 5–35% extra pivots; from a few
-	// thousand columns up the list matches the full scan and keeps
-	// improving with width (10 DC × 96 h: 2543 pivots/263 ms listed vs
-	// 2494/270 ms full-scan vs 3207/360 ms Dantzig).
-	partialMinCols = 4096
 )
 
 // pricer is the entering-column strategy of the primal simplex.
@@ -73,8 +56,8 @@ type pricer interface {
 // markedly fewer pivots than Dantzig's rule.
 //
 // It carries the devex state: primal reference weights per standard-form
-// column, dual reference weights per basis row, and the partial-pricing
-// candidate list with its rotating scan cursor.
+// column and dual reference weights per basis row.  Every pick scans the
+// full maintained row; the scan is fused into the update pass (see cached).
 //
 // The primal weight vector is lazy: nil means every weight is 1 (a fresh
 // reference framework), and a warm start's carried weights stay in sparse
@@ -93,15 +76,6 @@ type devexPricer struct {
 	carriedIdx []int
 	carriedW   []float64
 
-	cand   []int     // candidate list: column indices, scores always re-derived
-	score  []float64 // refill-time scores, parallel to cand (selection only)
-	cursor int       // next column the rotating section scan will visit
-
-	// partial enables the candidate list (wide problems only, see
-	// partialMinCols); when false every pick scans the full maintained
-	// row, weighted by the same reference framework.
-	partial bool
-
 	// dirty marks that a pivot has updated the weights since the last
 	// reset (or that a warm start installed learned ones), i.e. the
 	// framework holds something a reset would discard.  A clean reset (the
@@ -110,30 +84,22 @@ type devexPricer struct {
 
 	// cached is the entering pick the full-scan update loop computed as a
 	// by-product (-1: the scan proved no violation), or cachedNone.  The
-	// update pass touches exactly the arrays price would re-scan, so in
-	// full-scan mode the argmax is fused there and the immediately
-	// following price consumes it instead of a second pass.  One-shot:
-	// price clears it on read, and anything that changes the data under it
-	// (an exact rebuild, a framework reset) invalidates it.
+	// update pass touches exactly the arrays price would re-scan, so the
+	// argmax is fused there and the immediately following price consumes
+	// it instead of a second pass.  One-shot: price clears it on read, and
+	// anything that changes the data under it (an exact rebuild, a
+	// framework reset) invalidates it.
 	cached int
 }
 
 // cachedNone marks an empty pick cache (-1 is a meaningful cached result).
 const cachedNone = -2
 
-func newDevexPricer(std *standard, partial bool) *devexPricer {
-	dx := &devexPricer{
-		cand:    make([]int, 0, candListLen),
-		score:   make([]float64, 0, candListLen),
-		partial: partial,
-		cached:  cachedNone,
-	}
-	if std.scr != nil {
-		dx.rowW = growFloats(std.scr.rowW, std.m)
-		std.scr.rowW = dx.rowW
-	} else {
-		dx.rowW = make([]float64, std.m)
-	}
+// newDevexPricer readies the Problem's reused devex state for a solve of
+// std: a fresh unit framework, keeping the storage of the row weights.
+func newDevexPricer(std *standard) *devexPricer {
+	dx := &std.scr.dvx
+	*dx = devexPricer{rowW: grow(dx.rowW, std.m), cached: cachedNone}
 	for i := range dx.rowW {
 		dx.rowW[i] = 1
 	}
@@ -153,13 +119,9 @@ func (dx *devexPricer) weights(s *solver) []float64 {
 // materializeW builds the dense weight vector: all 1s plus the carried
 // sparse entries, which are consumed by the fold.
 func (dx *devexPricer) materializeW(s *solver) []float64 {
-	var w []float64
-	if scr := s.std.scr; scr != nil {
-		w = growFloats(scr.devexW, s.std.nCols)
-		scr.devexW = w
-	} else {
-		w = make([]float64, s.std.nCols)
-	}
+	scr := s.std.scr
+	scr.devexW = grow(scr.devexW, s.std.nCols)
+	w := scr.devexW
 	for i := range w {
 		w[i] = 1
 	}
@@ -179,10 +141,8 @@ func (dx *devexPricer) materializeW(s *solver) []float64 {
 // DevexReset.
 func (dx *devexPricer) reset(s *solver) { dx.resetFramework(s, dx.dirty) }
 
-// resetFramework reinitializes every weight to 1 and clears the candidate
-// list (the scan cursor survives, so refills keep rotating instead of
-// re-scanning the same prefix).  count selects whether the reset is
-// reported in Stats.DevexResets.
+// resetFramework reinitializes every weight to 1.  count selects whether
+// the reset is reported in Stats.DevexResets.
 func (dx *devexPricer) resetFramework(s *solver, count bool) {
 	if count {
 		s.stats.DevexResets++
@@ -192,165 +152,44 @@ func (dx *devexPricer) resetFramework(s *solver, count bool) {
 	for i := range dx.rowW {
 		dx.rowW[i] = 1
 	}
-	dx.cand = dx.cand[:0]
-	dx.score = dx.score[:0]
 	dx.dirty = false
 	dx.cached = cachedNone
 }
 
-// price nominates the candidate with the best devex score, refilling the
-// candidate list from rotating section scans when it runs dry.  Returns -1
-// only after a refill walked the full column rotation without finding one
-// eligible column — which the primal loop then re-verifies on an exactly
-// rebuilt row before declaring optimality.
+// price nominates the nonbasic column with the best devex score over the
+// full maintained row, or -1 when none is eligible — which the primal loop
+// then re-verifies on an exactly rebuilt row before declaring optimality.
 func (dx *devexPricer) price(s *solver) int {
 	// The devex score is viol²/w; the argmax is taken divide-free by
 	// cross-multiplying against the incumbent (viol² · w_best > viol²_best
-	// · w), which matters on the full-scan path where the divide would
-	// otherwise dominate the pick.
+	// · w), so the divide never dominates the pick.
 	wts := dx.weights(s)
-	if !dx.partial {
-		if wts == nil {
-			// Unit framework: viol²/1 ranks exactly like viol, so the plain
-			// most-violating scan is the same argmax without weight loads.
-			return s.pickEntering(false)
-		}
-		if c := dx.cached; c != cachedNone {
-			dx.cached = cachedNone // one-shot: a rejection re-prices for real
-			return c
-		}
-		best, bestV2, bestW := -1, 0.0, 1.0
-		for j := 0; j < s.std.nTotal; j++ {
-			if s.basic[j] || s.std.upper[j] == 0 {
-				continue
-			}
-			viol := -s.reduced[j]
-			if s.atUpper[j] {
-				viol = -viol
-			}
-			if !(viol > epsilon) {
-				continue
-			}
-			if v2 := viol * viol; v2*bestW > bestV2*wts[j] {
-				bestV2, bestW, best = v2, wts[j], j
-			}
-		}
-		return best
+	if wts == nil {
+		// Unit framework: viol²/1 ranks exactly like viol, so the plain
+		// most-violating scan is the same argmax without weight loads.
+		return s.pickEntering(false)
 	}
-	for {
-		best, bestV2, bestW := -1, 0.0, 1.0
-		kept := dx.cand[:0]
-		for _, j := range dx.cand {
-			if s.basic[j] || s.std.upper[j] == 0 {
-				continue // entered the basis or fixed: drop
-			}
-			viol := -s.reduced[j]
-			if s.atUpper[j] {
-				viol = -viol
-			}
-			if !(viol > epsilon) {
-				// No longer attractive (a refill re-finds it), or a NaN
-				// reduced cost — NaN fails every comparison, so it must be
-				// dropped here or it would pin the list without ever scoring.
-				continue
-			}
-			kept = append(kept, j)
-			wj := 1.0
-			if wts != nil {
-				wj = wts[j]
-			}
-			if v2 := viol * viol; v2*bestW > bestV2*wj {
-				bestV2, bestW, best = v2, wj, j
-			}
+	if c := dx.cached; c != cachedNone {
+		dx.cached = cachedNone // one-shot: a rejection re-prices for real
+		return c
+	}
+	best, bestV2, bestW := -1, 0.0, 1.0
+	for j := 0; j < s.std.nTotal; j++ {
+		if s.basic[j] || s.std.upper[j] == 0 {
+			continue
 		}
-		dx.cand = kept
-		if best >= 0 {
-			return best
+		viol := -s.reduced[j]
+		if s.atUpper[j] {
+			viol = -viol
 		}
-		if len(kept) > 0 {
-			// Candidates survived but none produced a comparable score: a
-			// non-finite weight.  Hand -1 to the caller, whose exact rebuild
-			// and NaN guard own this failure mode.
-			dx.cand = dx.cand[:0]
-			return -1
+		if !(viol > epsilon) {
+			continue
 		}
-		if !dx.refill(s) {
-			return -1
+		if v2 := viol * viol; v2*bestW > bestV2*wts[j] {
+			bestV2, bestW, best = v2, wts[j], j
 		}
 	}
-}
-
-// refill rebuilds the candidate list by scanning rotating sections of the
-// column range against the maintained reduced-cost row, keeping the best
-// candListLen candidates by devex score (a full list replaces its current
-// minimum, so the list holds the top scorers of everything scanned, not the
-// first arrivals).  The scan stops early once the list is full and at least
-// half the rotation has been examined — pivot quality stays near-global
-// while the steady-state pricing touch shrinks — and runs the whole
-// rotation otherwise.  Returns false when a full rotation found nothing
-// eligible.
-func (dx *devexPricer) refill(s *solver) bool {
-	n := s.std.nTotal
-	if n == 0 {
-		return false
-	}
-	s.stats.CandidateRebuilds++
-	if dx.cursor >= n {
-		dx.cursor = 0 // re-standardization shrank the column range
-	}
-	dx.cand = dx.cand[:0]
-	dx.score = dx.score[:0]
-	for scanned := 0; scanned < n; {
-		s.stats.PartialPasses++
-		section := candSection
-		if section > n-scanned {
-			section = n - scanned
-		}
-		for k := 0; k < section; k++ {
-			j := dx.cursor
-			dx.cursor++
-			if dx.cursor == n {
-				dx.cursor = 0
-			}
-			scanned++
-			if s.basic[j] || s.std.upper[j] == 0 {
-				continue
-			}
-			viol := -s.reduced[j]
-			if s.atUpper[j] {
-				viol = -viol
-			}
-			if !(viol > epsilon) {
-				continue
-			}
-			wj := 1.0
-			if dx.w != nil {
-				wj = dx.w[j]
-			}
-			sc := viol * viol / wj
-			if !(sc > 0) {
-				continue // non-finite weight or violation; the NaN guard owns it
-			}
-			if len(dx.cand) < candListLen {
-				dx.cand = append(dx.cand, j)
-				dx.score = append(dx.score, sc)
-				continue
-			}
-			low := 0
-			for i := 1; i < len(dx.score); i++ {
-				if dx.score[i] < dx.score[low] {
-					low = i
-				}
-			}
-			if sc > dx.score[low] {
-				dx.cand[low], dx.score[low] = j, sc
-			}
-		}
-		if len(dx.cand) >= candListLen && 2*scanned >= n {
-			break
-		}
-	}
-	return len(dx.cand) > 0
+	return best
 }
 
 // update fuses the devex weight maintenance into the reduced-cost update
@@ -389,7 +228,6 @@ func (dx *devexPricer) update(s *solver, q, p int, dq float64, w []float64) {
 	alpha := s.alphaRow(rho)
 	basic, reduced := s.basic, s.reduced
 	atUpper, upper := s.atUpper, s.std.upper
-	fuse := !dx.partial
 	best, bestV2, bestW := -1, 0.0, 1.0
 	for j := 0; j < s.std.nTotal; j++ {
 		if basic[j] {
@@ -407,7 +245,7 @@ func (dx *devexPricer) update(s *solver, q, p int, dq float64, w []float64) {
 		// immediately following price would re-scan, so compute its argmax
 		// here (identical eligibility and comparison) and let price consume
 		// the cached result instead of making a second pass.
-		if !fuse || upper[j] == 0 {
+		if upper[j] == 0 {
 			continue
 		}
 		viol := -rj
@@ -428,9 +266,7 @@ func (dx *devexPricer) update(s *solver, q, p int, dq float64, w []float64) {
 		dx.resetFramework(s, true) // clears the cache too
 		return
 	}
-	if fuse {
-		dx.cached = best
-	}
+	dx.cached = best
 }
 
 // dualDrifted is the dual-side drift check: ρ (row p of the basis inverse,

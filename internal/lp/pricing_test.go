@@ -90,9 +90,9 @@ func TestPricingRulesAgreeOnPartitionLP(t *testing.T) {
 			if diff := math.Abs(sol.Objective - ref.Objective); diff > 1e-6*(1+math.Abs(ref.Objective)) {
 				t.Errorf("phase %v rule %v: objective %v, dantzig %v", phase, rule, sol.Objective, ref.Objective)
 			}
-			t.Logf("phase %v rule %-7v: pivots=%4d flips=%3d refactor=%2d partial=%4d rebuilds=%4d resets=%2d",
+			t.Logf("phase %v rule %-7v: pivots=%4d flips=%3d refactor=%2d resets=%2d",
 				phase, rule, sol.Stats.Pivots, sol.Stats.BoundFlips, sol.Stats.Refactorizations,
-				sol.Stats.PartialPasses, sol.Stats.CandidateRebuilds, sol.Stats.DevexResets)
+				sol.Stats.DevexResets)
 		}
 		t.Logf("phase %v rule dantzig: pivots=%4d flips=%3d refactor=%2d",
 			phase, ref.Stats.Pivots, ref.Stats.BoundFlips, ref.Stats.Refactorizations)

@@ -137,15 +137,15 @@ type solver struct {
 	sinceRefactor int
 
 	// Resilience state.
-	ctl         *solveControl // budgets (nil-safe via active())
-	stats       *Stats        // never nil; counters for the recovery ladder
-	stallRun    int           // consecutive zero-step pivots
-	nanRetries  int           // non-finite recoveries spent
-	blandForced bool          // stall detector latched Bland's rule on
-	blandOnly   bool          // the latch never releases (Bland reference rule)
+	ctl         solveControl // budgets
+	stats       *Stats       // never nil; counters for the recovery ladder
+	stallRun    int          // consecutive zero-step pivots
+	nanRetries  int          // non-finite recoveries spent
+	blandForced bool         // stall detector latched Bland's rule on
+	blandOnly   bool         // the latch never releases (Bland reference rule)
 
 	// scratch, len m.
-	w, y, rowScratch []float64
+	w, y, rowScratch, rho []float64
 
 	// alpha is the pivot-update scratch, len nTotal: the scattered row
 	// alpha = Aᵀρ that the reduced-cost update, devex weight update and
@@ -153,36 +153,38 @@ type solver struct {
 	alpha []float64
 }
 
+// newSolver readies the Problem's reused solver for a solve of std: every
+// vector is resized to the current form and zeroed, while the LU factors
+// and the eta file keep their storage (both reinitialize on the first
+// factorization).
 func newSolver(std *standard, ctl *solveControl, stats *Stats) *solver {
-	if stats == nil {
-		stats = &Stats{}
-	}
+	s := &std.scr.sv
 	m := std.m
-	s := &solver{
+	*s = solver{
 		std:        std,
 		m:          m,
-		ctl:        ctl,
 		stats:      stats,
-		basis:      make([]int, m),
-		basic:      make([]bool, std.nCols),
-		atUpper:    make([]bool, std.nCols),
-		xB:         make([]float64, m),
-		reduced:    make([]float64, std.nTotal),
-		w:          make([]float64, m),
-		y:          make([]float64, m),
-		rowScratch: make([]float64, m),
+		lu:         s.lu,
+		eta:        s.eta,
+		basis:      cleared(s.basis, m),
+		basic:      cleared(s.basic, std.nCols),
+		atUpper:    cleared(s.atUpper, std.nCols),
+		xB:         cleared(s.xB, m),
+		reduced:    cleared(s.reduced, std.nTotal),
+		w:          cleared(s.w, m),
+		y:          cleared(s.y, m),
+		rowScratch: cleared(s.rowScratch, m),
+		rho:        cleared(s.rho, m),
+		alpha:      cleared(s.alpha, std.nTotal),
 	}
-	if std.scr != nil {
-		s.alpha = growFloats(std.scr.alpha, std.nTotal)
-		std.scr.alpha = s.alpha
-	} else {
-		s.alpha = make([]float64, std.nTotal)
+	if ctl != nil {
+		s.ctl = *ctl
 	}
-	if ctl != nil && ctl.ref != nil {
-		s.pr = ctl.ref(s)
+	if s.ctl.ref != nil {
+		s.pr = s.ctl.ref(s)
 		return s
 	}
-	s.dvx = newDevexPricer(std, std.nTotal > partialMinCols)
+	s.dvx = newDevexPricer(std)
 	s.pr = s.dvx
 	return s
 }
@@ -449,10 +451,7 @@ func (s *solver) interrupted(iter int) Status {
 	if faultsOn.Load() && faultFires(FaultExpireDeadline) {
 		return statusDeadline
 	}
-	ctl := s.ctl
-	if ctl == nil {
-		return 0
-	}
+	ctl := &s.ctl
 	if ctl.ctx != nil {
 		select {
 		case <-ctl.ctx.Done():
@@ -562,20 +561,21 @@ func (s *solver) primalFeasibleNow() bool {
 // primal runs primal simplex iterations from the current (primal-feasible)
 // basis until optimality, unboundedness or the iteration limit.  Artificial
 // columns are never priced: they can leave the basis but never re-enter.
+// The caller supplies an exact reduced-cost row for s.cost (rebuildReduced,
+// or a dual simplex that just ended on one).
 func (s *solver) primal() Status {
 	m, n := s.m, s.std.nCols
 	maxIter := 30 * (m + n)
 	if maxIter < 2000 {
 		maxIter = 2000
 	}
-	if s.ctl != nil && s.ctl.maxIters > 0 {
+	if s.ctl.maxIters > 0 {
 		maxIter = s.ctl.maxIters
 	}
 	blandAfter := 4 * (m + n)
 	checkLimits := s.ctl.active() || faultsOn.Load()
 	wasBland := s.blandForced
 
-	s.rebuildReduced()
 	for iter := 0; iter < maxIter; iter++ {
 		if checkLimits {
 			if st := s.interrupted(iter); st != 0 {
@@ -827,20 +827,22 @@ func (s *solver) primal() Status {
 // by each candidate's own bound status so the nonbasic reduced costs stay
 // dual-feasible (≥ 0 at lower, ≤ 0 at upper).  Dual iterations rebuild the
 // reduced-cost row exactly each time — warm restarts take a handful of
-// pivots, so exactness beats maintenance here.
+// pivots, so exactness beats maintenance here.  The caller supplies the
+// first exact row (solveWarm checks dual feasibility on it); every path
+// back to the top of the loop leaves one, so an Optimal return hands primal
+// an exact row too.
 func (s *solver) dual() Status {
 	m, n := s.m, s.std.nCols
 	maxIter := 30 * (m + n)
 	if maxIter < 2000 {
 		maxIter = 2000
 	}
-	if s.ctl != nil && s.ctl.maxIters > 0 {
+	if s.ctl.maxIters > 0 {
 		maxIter = s.ctl.maxIters
 	}
 	checkLimits := s.ctl.active() || faultsOn.Load()
-	rho := make([]float64, m)
+	rho := s.rho
 
-	s.rebuildReduced()
 	for iter := 0; iter < maxIter; iter++ {
 		if checkLimits {
 			if st := s.interrupted(iter); st != 0 {
@@ -1018,7 +1020,7 @@ func (s *solver) dual() Status {
 // phase 1 where possible; rows where no structural or slack column has a
 // nonzero entry are redundant and keep their artificial basic at zero.
 func (s *solver) driveOutArtificials() error {
-	rho := make([]float64, s.m)
+	rho := s.rho
 	for p := 0; p < s.m; p++ {
 		if s.basis[p] < s.std.nTotal {
 			continue
@@ -1067,7 +1069,9 @@ func (s *solver) driveOutArtificials() error {
 // basic values clamped to their bounds plus every nonbasic-at-upper column
 // at its upper bound.
 func (s *solver) values() []float64 {
-	out := make([]float64, s.std.nCols)
+	scr := s.std.scr
+	scr.values = cleared(scr.values, s.std.nCols)
+	out := scr.values
 	for j := 0; j < s.std.nTotal; j++ {
 		if s.atUpper[j] && !s.basic[j] {
 			out[j] = s.std.upper[j]
@@ -1102,14 +1106,12 @@ func (s *solver) artificialsClean() bool {
 // attempt falls back to one cold solve unless the failure was a deadline or
 // cancellation — a budget stop is final, there is nothing left to retry on.
 func (s *standard) solve(warm *Basis, ctl *solveControl, stats *Stats) (Status, []float64, *Basis) {
-	if stats == nil {
-		stats = &Stats{}
-	}
 	if s.m == 0 {
 		// No rows: every column sits at whichever of its bounds its cost
 		// prefers; a negative cost with no finite upper bound is an
 		// unbounded ray.
-		vals := make([]float64, s.nCols)
+		s.scr.values = cleared(s.scr.values, s.nCols)
+		vals := s.scr.values
 		for j := 0; j < s.nTotal; j++ {
 			if s.c[j] < -epsilon {
 				if math.IsInf(s.upper[j], 1) {
@@ -1164,19 +1166,12 @@ func (sv *solver) devexWeights() ([]int, []float64) {
 	if n == 0 {
 		return nil, nil
 	}
-	var cols []int
-	var wts []float64
-	if scr := sv.std.scr; scr != nil {
-		// Capture staging is scratch-backed: captureBasis copies the pairs
-		// into the Basis, so nothing here outlives the capture.
-		scr.capturedIdx = growInts(scr.capturedIdx, n)
-		scr.capturedW = growFloats(scr.capturedW, n)
-		cols = scr.capturedIdx[:0]
-		wts = scr.capturedW[:0]
-	} else {
-		cols = make([]int, 0, n)
-		wts = make([]float64, 0, n)
-	}
+	// Capture staging is scratch-backed: captureBasis copies the pairs into
+	// the Basis, so nothing here outlives the capture.
+	scr := sv.std.scr
+	scr.capturedIdx = grow(scr.capturedIdx, n)
+	scr.capturedW = grow(scr.capturedW, n)
+	cols, wts := scr.capturedIdx[:0], scr.capturedW[:0]
 	for j, wv := range sv.dvx.w {
 		if wv > 1 {
 			cols = append(cols, j)
@@ -1218,8 +1213,11 @@ func (sv *solver) solveWarm(basisArr []int, atUpper []bool, dvxCols []int, dvxW 
 			break
 		}
 	}
+	// One exact reduced-cost row serves both branches: the dual-feasibility
+	// check and dual() below start from it, and primal() continues from it
+	// directly or from the exact row dual() ends on.
+	sv.rebuildReduced()
 	if !primalFeasible {
-		sv.rebuildReduced()
 		for j := 0; j < sv.std.nTotal; j++ {
 			if sv.basic[j] || sv.std.upper[j] == 0 {
 				continue
@@ -1274,7 +1272,8 @@ func (sv *solver) solveWarm(basisArr []int, atUpper []bool, dvxCols []int, dvxW 
 // starting basis, every structural column nonbasic at its lower bound.
 func (sv *solver) solveCold() (Status, []float64) {
 	st := sv.std
-	basisArr := make([]int, st.m)
+	st.scr.basis = grow(st.scr.basis, st.m)
+	basisArr := st.scr.basis
 	hasArt := false
 	for i := 0; i < st.m; i++ {
 		// LE rows start on their slack; GE rows' surplus has the wrong sign
@@ -1296,11 +1295,13 @@ func (sv *solver) solveCold() (Status, []float64) {
 		// basis is primal-feasible for this objective by construction
 		// (xB = b ≥ 0 with every nonbasic structural at lower, so no upper
 		// bound is active), and artificials never re-enter once driven out.
-		phase1 := make([]float64, st.nCols)
+		st.scr.phase1 = cleared(st.scr.phase1, st.nCols)
+		phase1 := st.scr.phase1
 		for j := st.nTotal; j < st.nCols; j++ {
 			phase1[j] = 1
 		}
 		sv.cost = phase1
+		sv.rebuildReduced()
 		switch s := sv.primal(); s {
 		case Optimal:
 		case statusNumeric:
@@ -1323,6 +1324,7 @@ func (sv *solver) solveCold() (Status, []float64) {
 	}
 
 	sv.cost = st.c
+	sv.rebuildReduced()
 	switch s := sv.primal(); s {
 	case Optimal:
 		return Optimal, sv.values()

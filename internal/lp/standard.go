@@ -39,6 +39,16 @@ type colIdent struct {
 // tightening or relaxing a bound is a pure data edit: the row count — and
 // with it the basis dimension and the LU — is always exactly the model's
 // constraint count.
+//
+// A Problem keeps its standard form across solves.  Building it is two
+// passes: layout fixes everything that depends on the model's shape and
+// signs (column assignment, slacks and artificials, the CSC sparsity
+// pattern, and where each model term lands in it), and refill writes the
+// numbers (b, c, upper, shift, the CSC values and the row mirror) in place.
+// A solve after data-only edits runs refill alone; layout reruns when an
+// edit no longer fits: a variable or constraint added, a variable changing
+// between shifted, mirrored and split, a row whose shifted right-hand side
+// changes sign, or an accumulated coefficient moving to or from zero.
 type standard struct {
 	m       int
 	nStruct int
@@ -74,33 +84,53 @@ type standard struct {
 	// colOf maps each model variable to its primary structural column.
 	colOf []int
 
+	// rowNeg[i] records that row i's shifted right-hand side was negative
+	// at layout time, so the row is stored negated (LE and GE swapped).
+	rowNeg  []bool
+	laidOut bool
+
+	// rowSums's accumulator over the structural columns: acc[c] is the
+	// last summed row's coefficient on column c for each c in touched (its
+	// distinct columns, in first-touch order); mark is false outside
+	// rowSums.
+	acc     []float64
+	mark    []bool
+	touched []int
+
 	// Row-major mirror of the CSC nonzeros over the priced columns
-	// (j < nTotal), built lazily by buildRows for the pivot-update scatter.
+	// (j < nTotal), built lazily by buildRows for the pivot-update scatter;
+	// rowPos maps a CSC position to its mirror position so refill can
+	// rewrite the values in place.  rowsOK is false until the mirror
+	// matches the current layout.
 	rowPtr  []int
 	rowCols []int
 	rowVals []float64
+	rowPos  []int
+	rowsOK  bool
 
-	// scr is the owning Problem's solve scratch; the mirror above, the
-	// solver's alpha row and the devex weight vectors are carved from it so
-	// repeated solves (the milp/sched warm chains) reuse the buffers
-	// instead of re-allocating them.  Nil-safe: a standalone standard just
-	// allocates.
+	// scr is the owning Problem's solve scratch.
 	scr *solveScratch
 }
 
-// solveScratch holds solve-lifetime buffers reused across a Problem's
-// solves.  A Problem is documented not safe for concurrent use, so its
-// solves are sequential and one set of buffers suffices; nothing carved
-// from here escapes into a Solution or a Basis (values, basis captures and
-// devex weight captures are all freshly copied out).
+// solveScratch holds the solver state reused across a Problem's solves.  A
+// Problem is documented not safe for concurrent use, so its solves are
+// sequential and one set suffices; nothing carved from here escapes into a
+// Solution or a Basis (values, basis captures and devex weight captures are
+// all freshly copied out).
 type solveScratch struct {
-	rowPtr  []int
-	rowCols []int
-	rowVals []float64
-	rowNext []int
-	alpha   []float64
-	devexW  []float64
-	rowW    []float64
+	sv     solver      // vectors, LU factors and eta file keep their capacity
+	dvx    devexPricer // its dual weights and dense primal weights likewise
+	stats  Stats
+	devexW []float64 // backs dvx.w once materialized
+
+	// installBasis's translation of a warm basis; solveCold reuses basis.
+	basis   []int
+	used    []bool
+	atUpper []bool
+
+	phase1 []float64 // the phase-1 objective
+	values []float64 // standard-form values of a finished solve
+	next   []int     // per-column (or per-row) cursors of layout, refill and buildRows
 
 	// Sparse devex weight staging for the warm-start cycle: carried* backs
 	// installBasis's mapped column/weight pairs (consumed by the solver's
@@ -114,6 +144,22 @@ type solveScratch struct {
 	capturedW   []float64
 }
 
+// grow returns s resized to n, reusing its storage when the capacity
+// allows.  The contents are unspecified: callers overwrite them.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// cleared is grow with every element zeroed.
+func cleared[T any](s []T, n int) []T {
+	s = grow(s, n)
+	clear(s)
+	return s
+}
+
 // col returns column j's nonzeros.
 func (s *standard) col(j int) ([]int, []float64) {
 	lo, hi := s.colPtr[j], s.colPtr[j+1]
@@ -122,46 +168,38 @@ func (s *standard) col(j int) ([]int, []float64) {
 
 // buildRows materializes the row-major mirror of the priced columns
 // (j < nTotal; artificials never re-enter pricing).  One counting sort over
-// the CSC nonzeros, done once per standard form on first use.
+// the CSC nonzeros, done once per layout on first use; refill keeps the
+// values current after that.
 func (s *standard) buildRows() {
-	if s.rowPtr != nil {
+	if s.rowsOK {
 		return
 	}
 	end := s.colPtr[s.nTotal]
-	var ptr, cols, next []int
-	var vals []float64
-	if s.scr != nil {
-		ptr = growInts(s.scr.rowPtr, s.m+1)
-		cols = growInts(s.scr.rowCols, end)
-		vals = growFloats(s.scr.rowVals, end)
-		next = growInts(s.scr.rowNext, s.m)
-		s.scr.rowPtr, s.scr.rowCols, s.scr.rowVals, s.scr.rowNext = ptr, cols, vals, next
-		for i := range ptr {
-			ptr[i] = 0
-		}
-	} else {
-		ptr = make([]int, s.m+1)
-		cols = make([]int, end)
-		vals = make([]float64, end)
-		next = make([]int, s.m)
-	}
+	s.rowPtr = cleared(s.rowPtr, s.m+1)
+	s.rowCols = grow(s.rowCols, end)
+	s.rowVals = grow(s.rowVals, end)
+	s.rowPos = grow(s.rowPos, end)
+	ptr := s.rowPtr
 	for _, r := range s.rowIdx[:end] {
 		ptr[r+1]++
 	}
 	for r := 0; r < s.m; r++ {
 		ptr[r+1] += ptr[r]
 	}
+	s.scr.next = grow(s.scr.next, s.m)
+	next := s.scr.next
 	copy(next, ptr[:s.m])
 	for j := 0; j < s.nTotal; j++ {
 		for p := s.colPtr[j]; p < s.colPtr[j+1]; p++ {
 			r := s.rowIdx[p]
 			k := next[r]
 			next[r] = k + 1
-			cols[k] = j
-			vals[k] = s.vals[p]
+			s.rowCols[k] = j
+			s.rowVals[k] = s.vals[p]
+			s.rowPos[p] = k
 		}
 	}
-	s.rowPtr, s.rowCols, s.rowVals = ptr, cols, vals
+	s.rowsOK = true
 }
 
 // scatterRows accumulates alpha[j] += (row r of A)·y[r] over the rows where
@@ -195,209 +233,287 @@ func (s *standard) colDot(j int, y []float64) float64 {
 	return d
 }
 
-// standardize converts the model into computational standard form.
-func (p *Problem) standardize() (*standard, error) {
-	n := len(p.vars)
-	std := &standard{
-		shift:   make([]float64, n),
-		mirror:  make([]bool, n),
-		negPart: make([]int, n),
-		scr:     &p.scr,
+// standardize returns the Problem's computational standard form, brought up
+// to date with the model: refill alone when the edits since the last solve
+// kept the layout, layout then refill otherwise.
+func (p *Problem) standardize() *standard {
+	s := &p.std
+	if !s.laidOut || !p.refill(s) {
+		p.layout(s)
+		p.refill(s) // a fresh layout always fits
 	}
+	return s
+}
 
-	// Structural columns: one per variable, plus one extra per
-	// doubly-free variable (x = x⁺ − x⁻ when lb = −inf and ub = +inf).
-	// sgn[j] is the coefficient multiplier of variable j's primary column
-	// (−1 when mirrored).
+// boundForm classifies a variable's bounds: mirrored (lb = −∞, ub finite:
+// y = ub − x), split (doubly free: x = x⁺ − x⁻) or shifted (y = x − lb),
+// with the offset the column is measured from.
+func boundForm(v variable) (mirror, split bool, shift float64) {
+	switch {
+	case !math.IsInf(v.lb, -1):
+		return false, false, v.lb
+	case !math.IsInf(v.ub, 1):
+		return true, false, v.ub
+	default:
+		return false, true, 0
+	}
+}
+
+// layout assigns the standard form's columns and sparsity pattern for the
+// current model: structural columns (one per variable, two per doubly-free
+// one), each row's sign normalization (b ≥ 0 swaps LE and GE) and with it
+// its slack/surplus and artificial, and the CSC pattern of the nonzero
+// coefficients.  b, c, the structural upper bounds and the structural CSC
+// values are left to refill.
+func (p *Problem) layout(s *standard) {
+	s.scr = &p.scr
+	n := len(p.vars)
+	s.shift = grow(s.shift, n)
+	s.mirror = grow(s.mirror, n)
+	s.negPart = grow(s.negPart, n)
+	s.colOf = grow(s.colOf, n)
 	col := 0
-	colOf := make([]int, n)
-	sgn := make([]float64, n)
 	for j, v := range p.vars {
-		std.negPart[j] = -1
-		sgn[j] = 1
-		colOf[j] = col
-		switch {
-		case !math.IsInf(v.lb, -1):
-			std.shift[j] = v.lb
-			col++
-		case !math.IsInf(v.ub, 1):
-			// lb = −∞, ub finite: mirror y = ub − x.
-			std.mirror[j] = true
-			std.shift[j] = v.ub
-			sgn[j] = -1
-			col++
-		default:
-			std.shift[j] = 0
-			col++
-			std.negPart[j] = col
+		mirror, split, shift := boundForm(v)
+		s.colOf[j], s.mirror[j], s.shift[j], s.negPart[j] = col, mirror, shift, -1
+		col++
+		if split {
+			s.negPart[j] = col
 			col++
 		}
 	}
-	std.nStruct = col
-	std.colOf = colOf
+	s.nStruct = col
+	s.acc = grow(s.acc, s.nStruct)
+	s.mark = cleared(s.mark, s.nStruct)
 
+	// Row signs, slack/surplus counts and each structural column's nonzero
+	// count.
+	m := len(p.cons)
+	s.m = m
+	s.rowNeg = grow(s.rowNeg, m)
+	s.scr.next = cleared(s.scr.next, s.nStruct)
+	counts := s.scr.next
+	nSlack := 0
+	for i, c := range p.cons {
+		s.rowNeg[i] = p.rowSums(s, i) < 0
+		for _, col := range s.touched {
+			if s.acc[col] != 0 {
+				counts[col]++
+			}
+		}
+		if c.op != EQ {
+			nSlack++
+		}
+	}
+	s.nTotal = s.nStruct + nSlack
+
+	s.slackOf = grow(s.slackOf, m)
+	s.artOf = grow(s.artOf, m)
+	slackCol := s.nStruct
+	artCol := s.nTotal
+	for i := range p.cons {
+		s.slackOf[i], s.artOf[i] = -1, -1
+		switch s.rowOp(p, i) {
+		case LE:
+			s.slackOf[i] = slackCol
+			slackCol++
+		case GE:
+			s.slackOf[i] = slackCol
+			slackCol++
+			s.artOf[i] = artCol
+			artCol++
+		case EQ:
+			s.artOf[i] = artCol
+			artCol++
+		}
+	}
+	s.nCols = artCol
+
+	// Objective and upper bounds of the slack and artificial columns (the
+	// structural ones are refill's), and every column's identity, in model
+	// indices so a Basis survives a re-layout.
+	s.b = grow(s.b, m)
+	s.c = grow(s.c, s.nCols)
+	s.upper = grow(s.upper, s.nCols)
+	for j := s.nStruct; j < s.nCols; j++ {
+		s.c[j] = 0
+		s.upper[j] = math.Inf(1)
+	}
+	s.colIDs = grow(s.colIDs, s.nCols)
+	for j := range p.vars {
+		s.colIDs[s.colOf[j]] = colIdent{kind: identStruct, idx: j}
+		if s.negPart[j] >= 0 {
+			s.colIDs[s.negPart[j]] = colIdent{kind: identNeg, idx: j}
+		}
+	}
+	for i := 0; i < m; i++ {
+		if sc := s.slackOf[i]; sc >= 0 {
+			s.colIDs[sc] = colIdent{kind: identSlack, idx: i}
+		}
+		if a := s.artOf[i]; a >= 0 {
+			s.colIDs[a] = colIdent{kind: identArt, idx: i}
+		}
+	}
+
+	// CSC pattern: every slack/surplus and artificial column holds exactly
+	// one nonzero, whose value the row's sign and operator fix.  Filling
+	// structural columns row by row keeps their row indices ascending.
+	s.colPtr = grow(s.colPtr, s.nCols+1)
+	s.colPtr[0] = 0
+	for c := 0; c < s.nCols; c++ {
+		k := 1
+		if c < s.nStruct {
+			k = counts[c]
+		}
+		s.colPtr[c+1] = s.colPtr[c] + k
+	}
+	nnz := s.colPtr[s.nCols]
+	s.rowIdx = grow(s.rowIdx, nnz)
+	s.vals = grow(s.vals, nnz)
+	next := counts
+	copy(next, s.colPtr[:s.nStruct])
+	for i := 0; i < m; i++ {
+		p.rowSums(s, i)
+		for _, col := range s.touched {
+			if s.acc[col] != 0 {
+				s.rowIdx[next[col]] = i
+				next[col]++
+			}
+		}
+		if sc := s.slackOf[i]; sc >= 0 {
+			s.rowIdx[s.colPtr[sc]] = i
+			s.vals[s.colPtr[sc]] = 1
+			if s.rowOp(p, i) == GE {
+				s.vals[s.colPtr[sc]] = -1
+			}
+		}
+		if a := s.artOf[i]; a >= 0 {
+			s.rowIdx[s.colPtr[a]] = i
+			s.vals[s.colPtr[a]] = 1
+		}
+	}
+	s.rowsOK = false
+	s.laidOut = true
+}
+
+// rowOp is constraint i's operator after the layout's sign normalization: a
+// row stored negated turns LE into GE and back.
+func (s *standard) rowOp(p *Problem, i int) Op {
+	op := p.cons[i].op
+	if s.rowNeg[i] {
+		switch op {
+		case LE:
+			return GE
+		case GE:
+			return LE
+		}
+	}
+	return op
+}
+
+// rowSums accumulates constraint i's standard-form coefficients into acc,
+// term by term in insertion order, lists the structural columns they touch
+// in touched, and returns the row's shifted right-hand side before sign
+// normalization.
+func (p *Problem) rowSums(s *standard, i int) float64 {
+	s.touched = s.touched[:0]
+	add := func(col int, v float64) {
+		if !s.mark[col] {
+			s.mark[col] = true
+			s.acc[col] = 0
+			s.touched = append(s.touched, col)
+		}
+		s.acc[col] += v
+	}
+	c := &p.cons[i]
+	rhs := c.rhs
+	for _, t := range c.terms {
+		j := int(t.Var)
+		rhs -= t.Coeff * s.shift[j]
+		sgn := 1.0
+		if s.mirror[j] {
+			sgn = -1
+		}
+		add(s.colOf[j], sgn*t.Coeff)
+		if neg := s.negPart[j]; neg >= 0 {
+			add(neg, -t.Coeff)
+		}
+	}
+	for _, col := range s.touched {
+		s.mark[col] = false
+	}
+	return rhs
+}
+
+// refill is the data pass: it rewrites shift, c, the structural upper
+// bounds, b, the structural CSC values and (when built) the row mirror from
+// the model, in place.  It returns false — having possibly written part of
+// the form, which the caller's re-layout then rebuilds — as soon as the
+// model no longer fits the layout.  Rows are visited in order, so each
+// structural column's next CSC slot belongs to the next row that has a
+// nonzero there.
+func (p *Problem) refill(s *standard) bool {
+	if len(p.vars) != len(s.colOf) || len(p.cons) != s.m {
+		return false
+	}
 	sign := 1.0
 	if p.sense == Maximize {
 		sign = -1.0
 	}
-
-	// Rows: exactly the original constraints, in insertion order.
-	type row struct {
-		coeffs map[int]float64
-		op     Op
-		rhs    float64
-	}
-	rows := make([]row, 0, len(p.cons))
-	for _, c := range p.cons {
-		r := row{coeffs: make(map[int]float64, len(c.terms)), op: c.op, rhs: c.rhs}
-		for _, t := range c.terms {
-			j := int(t.Var)
-			r.rhs -= t.Coeff * std.shift[j]
-			r.coeffs[colOf[j]] += sgn[j] * t.Coeff
-			if std.negPart[j] >= 0 {
-				r.coeffs[std.negPart[j]] -= t.Coeff
-			}
-		}
-		rows = append(rows, r)
-	}
-
-	m := len(rows)
-	std.m = m
-	std.b = make([]float64, m)
-	std.slackOf = make([]int, m)
-	std.artOf = make([]int, m)
-
-	// Normalize to b ≥ 0 and count slack/surplus columns.
-	nSlack := 0
-	for i := range rows {
-		if rows[i].rhs < 0 {
-			for c := range rows[i].coeffs {
-				rows[i].coeffs[c] = -rows[i].coeffs[c]
-			}
-			rows[i].rhs = -rows[i].rhs
-			switch rows[i].op {
-			case LE:
-				rows[i].op = GE
-			case GE:
-				rows[i].op = LE
-			}
-		}
-		if rows[i].op != EQ {
-			nSlack++
-		}
-	}
-	std.nTotal = std.nStruct + nSlack
-
-	slackCol := std.nStruct
-	artCol := std.nTotal
-	for i := range rows {
-		std.b[i] = rows[i].rhs
-		std.slackOf[i], std.artOf[i] = -1, -1
-		switch rows[i].op {
-		case LE:
-			std.slackOf[i] = slackCol
-			slackCol++
-		case GE:
-			std.slackOf[i] = slackCol
-			slackCol++
-			std.artOf[i] = artCol
-			artCol++
-		case EQ:
-			std.artOf[i] = artCol
-			artCol++
-		}
-	}
-	std.nCols = artCol
-
-	// Objective and upper bounds over the standard-form columns.
-	std.c = make([]float64, std.nCols)
-	std.upper = make([]float64, std.nCols)
-	for j := range std.upper {
-		std.upper[j] = math.Inf(1)
-	}
 	for j, v := range p.vars {
-		std.c[colOf[j]] = sign * sgn[j] * v.cost
-		if std.negPart[j] >= 0 {
-			std.c[std.negPart[j]] = -sign * v.cost
+		mirror, split, shift := boundForm(v)
+		if mirror != s.mirror[j] || split != (s.negPart[j] >= 0) {
+			return false
 		}
-		if !math.IsInf(v.lb, -1) && !math.IsInf(v.ub, 1) {
-			std.upper[colOf[j]] = v.ub - v.lb
+		s.shift[j] = shift
+		sgn := 1.0
+		if mirror {
+			sgn = -1
 		}
-	}
-
-	// Column identities, in model indices so a Basis survives
-	// re-standardization.
-	std.colIDs = make([]colIdent, std.nCols)
-	for j := range p.vars {
-		std.colIDs[colOf[j]] = colIdent{kind: identStruct, idx: j}
-		if std.negPart[j] >= 0 {
-			std.colIDs[std.negPart[j]] = colIdent{kind: identNeg, idx: j}
-		}
-	}
-	for i := range rows {
-		if s := std.slackOf[i]; s >= 0 {
-			std.colIDs[s] = colIdent{kind: identSlack, idx: i}
-		}
-		if a := std.artOf[i]; a >= 0 {
-			std.colIDs[a] = colIdent{kind: identArt, idx: i}
+		c := s.colOf[j]
+		s.c[c] = sign * sgn * v.cost
+		s.upper[c] = math.Inf(1)
+		if split {
+			s.c[s.negPart[j]] = -sign * v.cost
+			s.upper[s.negPart[j]] = math.Inf(1)
+		} else if !mirror && !math.IsInf(v.ub, 1) {
+			s.upper[c] = v.ub - v.lb
 		}
 	}
-
-	// CSC assembly.  Counting then filling row-by-row keeps every column's
-	// row indices ascending and the layout deterministic (each (row, column)
-	// pair appears exactly once, so per-row map iteration order is
-	// irrelevant).
-	counts := make([]int, std.nCols+1)
-	for i := range rows {
-		for c, v := range rows[i].coeffs {
-			if v != 0 {
-				counts[c+1]++
+	s.scr.next = grow(s.scr.next, s.nStruct)
+	next := s.scr.next
+	copy(next, s.colPtr[:s.nStruct])
+	for i := range p.cons {
+		rhs := p.rowSums(s, i)
+		neg := rhs < 0
+		if neg != s.rowNeg[i] {
+			return false
+		}
+		if neg {
+			rhs = -rhs
+		}
+		s.b[i] = rhs
+		for _, col := range s.touched {
+			v := s.acc[col]
+			if neg {
+				v = -v
 			}
-		}
-		if std.slackOf[i] >= 0 {
-			counts[std.slackOf[i]+1]++
-		}
-		if std.artOf[i] >= 0 {
-			counts[std.artOf[i]+1]++
-		}
-	}
-	for c := 0; c < std.nCols; c++ {
-		counts[c+1] += counts[c]
-	}
-	std.colPtr = counts
-	nnz := std.colPtr[std.nCols]
-	std.rowIdx = make([]int, nnz)
-	std.vals = make([]float64, nnz)
-	next := make([]int, std.nCols)
-	copy(next, std.colPtr[:std.nCols])
-	for i := range rows {
-		for c, v := range rows[i].coeffs {
-			if v == 0 {
+			pos := next[col]
+			held := pos < s.colPtr[col+1] && s.rowIdx[pos] == i
+			if (v != 0) != held {
+				return false
+			}
+			if !held {
 				continue
 			}
-			pos := next[c]
-			next[c]++
-			std.rowIdx[pos] = i
-			std.vals[pos] = v
-		}
-		if sc := std.slackOf[i]; sc >= 0 {
-			sv := 1.0
-			if rows[i].op == GE {
-				sv = -1
+			next[col]++
+			s.vals[pos] = v
+			if s.rowsOK {
+				s.rowVals[s.rowPos[pos]] = v
 			}
-			pos := next[sc]
-			next[sc]++
-			std.rowIdx[pos] = i
-			std.vals[pos] = sv
-		}
-		if ac := std.artOf[i]; ac >= 0 {
-			pos := next[ac]
-			next[ac]++
-			std.rowIdx[pos] = i
-			std.vals[pos] = 1
 		}
 	}
-	return std, nil
+	return true
 }
 
 // recover maps standard-form column values back to the original variables.

@@ -542,3 +542,34 @@ func TestDaemonShutdown(t *testing.T) {
 		t.Fatal("what-if accepted after shutdown")
 	}
 }
+
+// TestSteadyTickAllocations pins the serving path's allocation budget: a
+// steady 9-VM tick without a journal keeps the partition LP's standard form
+// and solver storage from the previous tick, so what it allocates is the
+// plan it returns and the immutable view it publishes (foldTick and
+// copyView build fresh slices by design), not the LP.
+func TestSteadyTickAllocations(t *testing.T) {
+	d, err := New(Config{Trace: testSpec()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	for i := 0; i < 3; i++ {
+		if _, err := d.Tick(TickRequest{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	base := d.PlanView().CumLPStats.ColdFallbacks
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := d.Tick(TickRequest{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got := d.PlanView().CumLPStats.ColdFallbacks; got != base {
+		t.Fatalf("steady ticks fell back cold %d times", got-base)
+	}
+	t.Logf("%.0f allocs per steady tick", allocs)
+	if allocs > 40 {
+		t.Errorf("a steady tick allocates %.0f times, want at most 40", allocs)
+	}
+}
