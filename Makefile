@@ -157,7 +157,9 @@ cover:
 # build that stops running in parallel shows up here.  PlannerRestore
 # restarts plannerd's fleet trace (4 datacenters × 200 VMs) from a
 # 207-record tick journal — replaying every record's migrations and GDFS
-# re-replication round — so a slower restore shows up here.
+# re-replication round — so a slower restore shows up here.  Each restore
+# builds the trace's 60-site catalog from fresh weather years, as every
+# fresh-process restore does (~130 ms/op on 2 vCPUs).
 BENCH_SMOKE := ^(BenchmarkCalibration|BenchmarkCatalogGenerate|BenchmarkEvaluateSteadyState|BenchmarkEvaluateDeltaMove|BenchmarkLPResolve|BenchmarkLPBounded|BenchmarkLPSolve|BenchmarkEmulDay|BenchmarkEmulScale|BenchmarkPlannerTick|BenchmarkPlannerTickFleet|BenchmarkPlannerTickJournal|BenchmarkPlannerRestore)$$
 
 bench-smoke:

@@ -69,9 +69,7 @@ func BenchmarkCalibration(b *testing.B) {
 
 // BenchmarkCatalogGenerate builds a catalog in perfbench's set-up shape (300
 // sites, 2 representative days): every site's synthetic weather year, its
-// hourly α/β/PUE traces and their reduction onto the epoch grid.  Each op
-// uses a fresh catalog seed, so every trace misses weather's memo, as it
-// does in a freshly started process.
+// hourly α/β/PUE traces and their reduction onto the epoch grid.
 func BenchmarkCatalogGenerate(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -8,6 +8,7 @@ import (
 	"go/token"
 	"go/types"
 	"io/fs"
+	"maps"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -34,6 +35,23 @@ var censusAllow = map[string]string{
 	"internal/milp.Problem.Solve":   "zero-option entry point of SolveWithOptions",
 }
 
+// censusWriteAllow lists the exported internal/ struct fields that
+// production code reads but never writes, each with its reason: options
+// that only tests move off their zero value.  Keys are as in censusAllow.
+var censusWriteAllow = map[string]string{
+	"internal/lp.SolveOptions.MaxIters": "iteration budget only TestMaxItersBudget sets, to reach the iteration-limit rung",
+	"internal/core.Spec.MaxDatacenters": "model constraint of the siting problem that only core's tests exercise",
+	// The exact MILP's one production caller bounds it with MaxNodes;
+	// core's cancellation tests stop it through these.
+	"internal/core.ExactOptions.Deadline": "wall-clock bound of the exact solve that only core's cancellation tests set",
+	"internal/core.ExactOptions.Ctx":      "cancellation of the exact solve that only core's cancellation tests set",
+	// The evaluator checks the nearest-plant cap after balancing and starts
+	// every year with an empty battery; energy's tests exercise both knobs.
+	"internal/energy.BalanceInput.MaxBrownKW":        "grid-draw cap of the balance model that only energy's tests exercise",
+	"internal/energy.BalanceInput.InitialBatteryKWh": "starting battery charge of the balance model that only energy's tests exercise",
+	"internal/predict.Diurnal.Days":                  "averaging window that production leaves at its 7-day default and predict's tests shorten",
+}
+
 // censusStdInterfaces are the standard-library interfaces production values
 // are handed to; a method that helps satisfy one is reached through it.
 var censusStdInterfaces = []struct{ pkg, name string }{
@@ -52,18 +70,7 @@ var censusStdInterfaces = []struct{ pkg, name string }{
 // for the deliberate exceptions.
 func TestExportedSurfaceIsReached(t *testing.T) {
 	c := newCensus(t)
-	for _, dir := range c.dirs {
-		if _, err := c.check(dir); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, s := range censusStdInterfaces {
-		p, err := c.std.Import(s.pkg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.ifaces = append(c.ifaces, p.Scope().Lookup(s.name).Type().Underlying().(*types.Interface))
-	}
+	stale := maps.Clone(censusAllow)
 	var dead []string
 	for _, dir := range c.dirs {
 		if !strings.HasPrefix(dir, "internal/") {
@@ -75,7 +82,7 @@ func TestExportedSurfaceIsReached(t *testing.T) {
 				continue
 			}
 			if _, ok := censusAllow[key]; ok {
-				delete(c.unusedAllow, key)
+				delete(stale, key)
 				continue
 			}
 			dead = append(dead, key+" ("+c.fset.Position(obj.Pos()).String()+")")
@@ -85,33 +92,67 @@ func TestExportedSurfaceIsReached(t *testing.T) {
 	for _, d := range dead {
 		t.Errorf("exported but unreached by non-test code: %s", d)
 	}
-	for key := range c.unusedAllow {
+	for key := range stale {
 		t.Errorf("censusAllow entry %s no longer names an unreached identifier; drop it", key)
 	}
 }
 
+// TestOptionFieldsAreWritten fails when an exported struct field under
+// internal/ is read by non-test code but never written by it: an option
+// that production always leaves at its zero value, which the reach census
+// above cannot see.  Writes are keyed and positional composite literals,
+// assignments, increments and decrements, and taking the field's address;
+// json-tagged fields are decoded from outside input and are skipped.  See
+// censusWriteAllow for the deliberate exceptions.
+func TestOptionFieldsAreWritten(t *testing.T) {
+	c := newCensus(t)
+	stale := maps.Clone(censusWriteAllow)
+	var unwritten []string
+	for _, dir := range c.dirs {
+		if !strings.HasPrefix(dir, "internal/") {
+			continue
+		}
+		for _, obj := range c.exported(c.pkgs[dir]) {
+			f, ok := obj.(*types.Var)
+			if !ok || !f.IsField() || !c.used[f] || c.written[f] {
+				continue
+			}
+			key := censusKey(dir, f)
+			if _, ok := censusWriteAllow[key]; ok {
+				delete(stale, key)
+				continue
+			}
+			unwritten = append(unwritten, key+" ("+c.fset.Position(f.Pos()).String()+")")
+		}
+	}
+	sort.Strings(unwritten)
+	for _, u := range unwritten {
+		t.Errorf("read but never written by non-test code: %s", u)
+	}
+	for key := range stale {
+		t.Errorf("censusWriteAllow entry %s no longer names a read-only field; drop it", key)
+	}
+}
+
 type census struct {
-	fset        *token.FileSet
-	std         types.Importer
-	dirs        []string                  // module-relative package dirs, "" for the root
-	files       map[string][]*ast.File    // dir → parsed non-test files
-	pkgs        map[string]*types.Package // dir → checked package
-	used        map[types.Object]bool
-	ifaces      []*types.Interface // module interfaces, then censusStdInterfaces
-	unusedAllow map[string]bool
+	fset    *token.FileSet
+	std     types.Importer
+	dirs    []string                  // module-relative package dirs, "" for the root
+	files   map[string][]*ast.File    // dir → parsed non-test files
+	pkgs    map[string]*types.Package // dir → checked package
+	used    map[types.Object]bool
+	written map[types.Object]bool // struct fields non-test code writes
+	ifaces  []*types.Interface    // module interfaces, then censusStdInterfaces
 }
 
 func newCensus(t *testing.T) *census {
 	c := &census{
-		fset:        token.NewFileSet(),
-		std:         importer.Default(),
-		files:       map[string][]*ast.File{},
-		pkgs:        map[string]*types.Package{},
-		used:        map[types.Object]bool{},
-		unusedAllow: map[string]bool{},
-	}
-	for k := range censusAllow {
-		c.unusedAllow[k] = true
+		fset:    token.NewFileSet(),
+		std:     importer.Default(),
+		files:   map[string][]*ast.File{},
+		pkgs:    map[string]*types.Package{},
+		used:    map[types.Object]bool{},
+		written: map[types.Object]bool{},
 	}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -149,6 +190,18 @@ func newCensus(t *testing.T) *census {
 		t.Fatal(err)
 	}
 	sort.Strings(c.dirs)
+	for _, dir := range c.dirs {
+		if _, err := c.check(dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, s := range censusStdInterfaces {
+		p, err := c.std.Import(s.pkg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.ifaces = append(c.ifaces, p.Scope().Lookup(s.name).Type().Underlying().(*types.Interface))
+	}
 	return c
 }
 
@@ -202,19 +255,37 @@ func (c *census) check(dir string) (*types.Package, error) {
 			typ = f.Type()
 		}
 	}
-	// Positional composite literals set every field of their struct.
+	// Record field writes.  Positional composite literals also reference
+	// every field of their struct.
 	for _, f := range c.files[dir] {
 		ast.Inspect(f, func(n ast.Node) bool {
-			lit, ok := n.(*ast.CompositeLit)
-			if !ok || len(lit.Elts) == 0 {
-				return true
-			}
-			if _, keyed := lit.Elts[0].(*ast.KeyValueExpr); keyed {
-				return true
-			}
-			if st, ok := derefStruct(info.Types[lit].Type); ok {
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				st, ok := derefStruct(info.Types[n].Type)
+				if !ok || len(n.Elts) == 0 {
+					return true
+				}
+				if _, keyed := n.Elts[0].(*ast.KeyValueExpr); keyed {
+					for _, e := range n.Elts {
+						if key, ok := e.(*ast.KeyValueExpr).Key.(*ast.Ident); ok {
+							c.written[origin(info.Uses[key])] = true
+						}
+					}
+					return true
+				}
 				for i := 0; i < st.NumFields(); i++ {
 					c.use(st.Field(i))
+					c.written[origin(st.Field(i))] = true
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					c.writeField(info, lhs)
+				}
+			case *ast.IncDecStmt:
+				c.writeField(info, n.X)
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					c.writeField(info, n.X)
 				}
 			}
 			return true
@@ -230,14 +301,30 @@ func (c *census) check(dir string) (*types.Package, error) {
 	return pkg, nil
 }
 
-func (c *census) use(obj types.Object) {
+func (c *census) use(obj types.Object) { c.used[origin(obj)] = true }
+
+// writeField records the struct field that the selector x.F names as
+// written; any other expression writes no field.
+func (c *census) writeField(info *types.Info, x ast.Expr) {
+	sel, ok := ast.Unparen(x).(*ast.SelectorExpr)
+	if !ok {
+		return
+	}
+	if s, ok := info.Selections[sel]; ok && s.Kind() == types.FieldVal {
+		c.written[origin(s.Obj())] = true
+	}
+}
+
+// origin maps an instantiated generic function or field back to its
+// declaration.
+func origin(obj types.Object) types.Object {
 	switch o := obj.(type) {
 	case *types.Func:
-		obj = o.Origin()
+		return o.Origin()
 	case *types.Var:
-		obj = o.Origin()
+		return o.Origin()
 	}
-	c.used[obj] = true
+	return obj
 }
 
 // exported lists pkg's exported package-level functions, constants and

@@ -155,12 +155,12 @@
 // Location filtering shards the catalog across a GOMAXPROCS worker pool
 // (per-worker evaluators, slot-indexed scores, deterministic merge), and
 // sweep experiments warm-start each green-fraction point's search with the
-// previous point's siting (experiments.Config.DisableWarmStart turns that
-// off).  Catalog generation (location.Generate) uses the same pool idiom:
-// one serial pass makes every draw from the catalog's RNG, then the
-// workers derive each site's weather year, hourly traces and per-epoch
-// rows into that site's own slot, each from its own scratch year, so the
-// catalog is bit-identical at any GOMAXPROCS.  The weather generator reads
+// previous point's siting.  Catalog generation (location.Generate) uses the
+// same pool idiom: one serial pass makes every draw from the catalog's RNG,
+// then the workers derive each site's weather year, hourly traces and
+// per-epoch rows into that site's own slot, each from its own scratch year,
+// so the catalog is bit-identical at any GOMAXPROCS.  Each weather year is
+// dropped once its rows are reduced.  The weather generator reads
 // its trigonometry from tables built once per process (24 hour-of-day and
 // 365 day-of-year entries, each holding exactly the value the hourly loop
 // would compute in place).

@@ -57,9 +57,6 @@ type DatacenterConfig struct {
 	// SolarKW and WindKW are the on-site plant sizes.
 	SolarKW float64
 	WindKW  float64
-	// Hosts is the number of physical machines to emulate.  Zero sizes the
-	// datacenter just large enough for the whole VM fleet.
-	Hosts int
 }
 
 // Config describes a whole emulation run.
@@ -385,11 +382,8 @@ func (r *Runner) reset() error {
 	r.master = gdfs.NewMaster(n)
 	r.cluster = gdfs.NewCluster(r.master)
 	for i, dc := range cfg.Datacenters {
-		hosts := dc.Hosts
-		if hosts == 0 {
-			hosts = len(cfg.VMs) // enough for full replication of the fleet
-		}
-		r.managers[i] = nebula.NewUniformDatacenter(dc.Name, hosts)
+		// Enough hosts for the whole VM fleet at every datacenter.
+		r.managers[i] = nebula.NewUniformDatacenter(dc.Name, len(cfg.VMs))
 		if err := r.cluster.AddWorker(gdfs.NewMetaWorker(gdfs.WorkerID(dc.Name))); err != nil {
 			return err
 		}

@@ -116,15 +116,14 @@ func TestUnknownExperiment(t *testing.T) {
 	}
 }
 
-func TestSweepWarmStartFlag(t *testing.T) {
-	// The warm-started sweep and the cold sweep must both produce a full
-	// series, and the warm-started sweep must stay deterministic (two suites
-	// with the same seed agree point for point).
+func TestWarmSweepDeterministic(t *testing.T) {
+	// The warm-started sweep must produce a full series and stay
+	// deterministic: two suites with the same seed agree point for point.
 	if testing.Short() {
 		t.Skip("sweeps solve several networks; skipped in -short mode")
 	}
-	runSweep := func(disable bool) []sweepPoint {
-		s, err := NewSuite(Config{Budget: Quick, Seed: 1, DisableWarmStart: disable})
+	runSweep := func() []sweepPoint {
+		s, err := NewSuite(Config{Budget: Quick, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,22 +133,17 @@ func TestSweepWarmStartFlag(t *testing.T) {
 		}
 		return pts
 	}
-	warm := runSweep(false)
-	warmAgain := runSweep(false)
-	cold := runSweep(true)
-	if len(warm) != len(cold) || len(warm) == 0 {
-		t.Fatalf("sweep lengths differ: warm %d, cold %d", len(warm), len(cold))
+	warm, warmAgain := runSweep(), runSweep()
+	if len(warm) != len(warmAgain) || len(warm) == 0 {
+		t.Fatalf("sweep lengths differ: %d vs %d", len(warm), len(warmAgain))
 	}
 	for i := range warm {
-		if warm[i].greenPct != cold[i].greenPct {
-			t.Errorf("point %d: green levels diverge (%v vs %v)", i, warm[i].greenPct, cold[i].greenPct)
-		}
 		if warm[i].monthlyUSD <= 0 {
 			t.Errorf("point %d: warm-started sweep produced no solution", i)
 		}
-		if warm[i].monthlyUSD != warmAgain[i].monthlyUSD {
-			t.Errorf("point %d: warm-started sweep is not deterministic (%v vs %v)",
-				i, warm[i].monthlyUSD, warmAgain[i].monthlyUSD)
+		if warm[i].greenPct != warmAgain[i].greenPct || warm[i].monthlyUSD != warmAgain[i].monthlyUSD {
+			t.Errorf("point %d: warm-started sweep is not deterministic (%v%% %v vs %v%% %v)",
+				i, warm[i].greenPct, warm[i].monthlyUSD, warmAgain[i].greenPct, warmAgain[i].monthlyUSD)
 		}
 	}
 }

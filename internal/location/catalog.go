@@ -75,9 +75,10 @@ type Site struct {
 	seed int64
 }
 
-// HourlyProfilesUTC writes the site's hourly α, β and PUE traces, on the
-// shared UTC clock of the per-epoch Alpha/Beta/PUE profiles, into alpha,
-// beta and pueH (each HoursPerYear long).
+// HourlyProfilesUTC regenerates the site's weather year and writes its
+// hourly α, β and PUE traces, on the shared UTC clock of the per-epoch
+// Alpha/Beta/PUE profiles, into alpha, beta and pueH (each HoursPerYear
+// long).
 func (s *Site) HourlyProfilesUTC(alpha, beta, pueH []float64) {
 	hourlyUTC(weather.Generate(s.Archetype, s.seed), s.UTCOffsetHours, alpha, beta, pueH)
 }

@@ -221,8 +221,8 @@ func fingerprints(cat *Catalog) []siteFingerprint {
 
 // TestGenerateIndependentOfWorkerCount builds the same 300-site catalog on
 // worker pools of 1, 2 and 4 goroutines (GOMAXPROCS sizes the pool): the
-// sites a worker derives, and the order in which their traces enter
-// weather's memo, change with the pool; the catalog must not.
+// sites a worker derives, and the order in which it derives them, change
+// with the pool; the catalog must not.
 func TestGenerateIndependentOfWorkerCount(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	var want []siteFingerprint
@@ -242,6 +242,29 @@ func TestGenerateIndependentOfWorkerCount(t *testing.T) {
 				t.Fatalf("GOMAXPROCS %d site %d:\n got  %+v\n want %+v (GOMAXPROCS 1)", procs, i, got[i], want[i])
 			}
 		}
+	}
+}
+
+// TestCatalogRetainsOnlyItsRows builds perfbench's 300-site, 2-day set-up
+// catalog and checks that, once the garbage collector has run, the live
+// heap has grown by little more than the catalog itself (three 300×48
+// profile blocks and the sites, well under 1 MB): the 300 weather years
+// behind it (~36 MB) are the workers' to drop once reduced, and nothing in
+// the process may keep them.
+func TestCatalogRetainsOnlyItsRows(t *testing.T) {
+	const limit = 4 << 20
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	cat, err := Generate(Options{Count: 300, Seed: 2719, RepresentativeDays: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(cat)
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew >= limit {
+		t.Errorf("live heap grew %.2f MB building a 300-site catalog, want < %d MB", float64(grew)/(1<<20), limit>>20)
 	}
 }
 

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 )
 
 // Archetype identifies a coarse climate class used to parameterize the
@@ -167,67 +166,11 @@ type Trace struct {
 	Archetype Archetype
 }
 
-// traceCache memoizes Generate.  The generator is pure — the same
-// (archetype, seed) pair always yields the identical trace — so callers
-// that re-derive a site's hourly profiles (emulation setup, which every
-// plannerd start and restore runs, and repeated experiment runs) are
-// served the trace the catalog build already made.  A cached Trace is shared by every caller that asks
-// for the same pair, so it is read-only by contract once generated, like a
-// shared series.Block: nobody may write to its slices.  Eviction is a
-// deterministic insertion-order ring: once the cache holds maxCachedTraces
-// entries, inserting a new trace evicts the oldest-inserted one
-// (ring[next]), so a seed sweep cycles through the window one entry at a
-// time instead of dropping the whole map — the ~(maxCachedTraces−1)
-// still-hot traces of an interleaved workload survive a sweep, and which
-// entry goes never depends on map iteration order.  It does depend on the
-// order of insertion, which under a parallel catalog build is the
-// scheduler's: which traces a build leaves cached can differ from run to
-// run, but since the cache is pure, what any caller receives cannot.
-var traceCache struct {
-	sync.Mutex
-	m    map[traceKey]*Trace
-	ring [maxCachedTraces]traceKey // insertion order; valid for len(m) entries
-	next int                       // ring slot the next insertion overwrites
-}
-
-type traceKey struct {
-	a    Archetype
-	seed int64
-}
-
-const maxCachedTraces = 128
-
 // Generate builds the synthetic TMY for a site of the given archetype.  The
 // same (archetype, seed) pair always yields the identical trace, which keeps
-// every experiment in the repository reproducible — and lets Generate serve
-// repeated calls from a cache (the returned trace may be shared; it must
-// not be modified).
+// every experiment in the repository reproducible.  Each call builds a fresh
+// trace that the caller owns.
 func Generate(a Archetype, seed int64) *Trace {
-	key := traceKey{a, seed}
-	traceCache.Lock()
-	if tr, ok := traceCache.m[key]; ok {
-		traceCache.Unlock()
-		return tr
-	}
-	traceCache.Unlock()
-	tr := generate(a, seed)
-	traceCache.Lock()
-	if traceCache.m == nil {
-		traceCache.m = make(map[traceKey]*Trace, maxCachedTraces)
-	}
-	if _, ok := traceCache.m[key]; !ok {
-		if len(traceCache.m) >= maxCachedTraces {
-			delete(traceCache.m, traceCache.ring[traceCache.next])
-		}
-		traceCache.ring[traceCache.next] = key
-		traceCache.next = (traceCache.next + 1) % maxCachedTraces
-	}
-	traceCache.m[key] = tr
-	traceCache.Unlock()
-	return tr
-}
-
-func generate(a Archetype, seed int64) *Trace {
 	p := archetypeParams(a)
 	rng := rand.New(rand.NewSource(seed*7919 + int64(a)*104729))
 

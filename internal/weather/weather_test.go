@@ -8,23 +8,30 @@ import (
 	"greencloud/internal/series"
 )
 
+// TestGenerateDeterministic holds two independent Generate calls for the
+// same (archetype, seed) to each other bit for bit, on all four series and
+// the latitude, and checks that a different seed gives a different trace.
 func TestGenerateDeterministic(t *testing.T) {
-	a := Generate(Desert, 42)
-	b := Generate(Desert, 42)
-	for _, hr := range []int{0, 1000, 4999, hoursPerYear - 1} {
-		if a.TemperatureC[hr] != b.TemperatureC[hr] {
-			t.Fatalf("temperature differs at hour %d for identical seeds", hr)
-		}
-		if a.IrradianceWm2[hr] != b.IrradianceWm2[hr] {
-			t.Fatalf("irradiance differs at hour %d for identical seeds", hr)
-		}
-		if a.WindSpeedMs[hr] != b.WindSpeedMs[hr] {
-			t.Fatalf("wind differs at hour %d for identical seeds", hr)
-		}
+	a, b := Generate(Desert, 42), Generate(Desert, 42)
+	if a == b {
+		t.Fatal("two Generate calls returned the same *Trace")
+	}
+	if got, want := traceBits(b), traceBits(a); got != want {
+		t.Fatalf("identical seeds gave different traces:\n got  %#x\n want %#x", got, want)
 	}
 	c := Generate(Desert, 43)
 	if mean(a.TemperatureC) == mean(c.TemperatureC) && mean(a.WindSpeedMs) == mean(c.WindSpeedMs) {
 		t.Error("different seeds produced identical traces")
+	}
+}
+
+// traceBits returns the series.Digest of a trace's temperature, irradiance,
+// wind and pressure series, then the math.Float64bits of its latitude.
+func traceBits(tr *Trace) [5]uint64 {
+	return [5]uint64{
+		series.Digest(tr.TemperatureC), series.Digest(tr.IrradianceWm2),
+		series.Digest(tr.WindSpeedMs), series.Digest(tr.PressureKPa),
+		math.Float64bits(tr.LatitudeDeg),
 	}
 }
 
@@ -204,7 +211,7 @@ func TestClearSkyTablesMatchReference(t *testing.T) {
 	}
 }
 
-// traceGolden pins generate for every archetype at two seeds: the
+// traceGolden pins Generate for every archetype at two seeds: the
 // series.Digest of the hourly temperature, irradiance, wind and pressure
 // series, then the math.Float64bits of the latitude.  The values were
 // recorded from the generator that evaluated its trigonometry call by call
@@ -235,59 +242,10 @@ var traceGolden = []struct {
 // every catalog with it, so never re-record it to make it pass.
 func TestTraceGolden(t *testing.T) {
 	for _, g := range traceGolden {
-		tr := generate(g.a, g.seed)
-		got := [5]uint64{
-			series.Digest(tr.TemperatureC), series.Digest(tr.IrradianceWm2),
-			series.Digest(tr.WindSpeedMs), series.Digest(tr.PressureKPa),
-			math.Float64bits(tr.LatitudeDeg),
-		}
-		if got != g.want {
+		if got := traceBits(Generate(g.a, g.seed)); got != g.want {
 			t.Errorf("%v seed %d:\n got  %#x\n want %#x", g.a, g.seed, got, g.want)
 		}
 	}
-}
-
-// TestTraceCacheRingEviction pins the cache's eviction policy: insertion-
-// order FIFO, one entry at a time.  Cache hits are observable as pointer
-// identity (Generate returns the shared cached *Trace), so the test checks
-// that an old entry survives until exactly maxCachedTraces newer distinct
-// keys have been inserted, and that the newest entries always survive a
-// sweep — the property the old drop-the-whole-map policy lacked.
-func TestTraceCacheRingEviction(t *testing.T) {
-	const base = int64(9_000_000_000) // seeds no other test uses
-	first := Generate(Desert, base)
-	if Generate(Desert, base) != first {
-		t.Fatal("immediate second Generate did not hit the cache")
-	}
-	// Fill the window with maxCachedTraces-1 more keys: first must survive
-	// (it is at most maxCachedTraces-th oldest among our insertions).
-	var last *Trace
-	for i := int64(1); i < maxCachedTraces; i++ {
-		last = Generate(Desert, base+i)
-	}
-	if Generate(Desert, base) != first {
-		t.Fatal("entry evicted before the window filled past it")
-	}
-	// A full window of strictly newer keys must push out every older entry…
-	for i := int64(maxCachedTraces); i < 2*maxCachedTraces; i++ {
-		Generate(Desert, base+i)
-	}
-	if Generate(Desert, base) == first {
-		t.Fatal("oldest entry survived a full window of newer insertions")
-	}
-	// …but the sweep evicts one-at-a-time: the (maxCachedTraces-1)-th key of
-	// the first batch was still within the window during the second batch
-	// only until its slot came around again — the newest second-batch keys,
-	// though, are all still cached.
-	if got := Generate(Desert, base+2*maxCachedTraces-1); got == nil {
-		t.Fatal("nil trace")
-	} else if Generate(Desert, base+2*maxCachedTraces-1) != got {
-		t.Fatal("newest entry did not stay cached")
-	}
-	if len(traceCache.m) > maxCachedTraces {
-		t.Fatalf("cache holds %d entries, cap is %d", len(traceCache.m), maxCachedTraces)
-	}
-	_ = last
 }
 
 func mean(x []float64) float64 {
