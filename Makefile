@@ -12,9 +12,9 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-.PHONY: ci vet lint fmt-check build perfbench-build test test-daemon test-mps test-faults fuzz-smoke examples cover bench-smoke bench-check bench profile
+.PHONY: ci vet lint fmt-check build perfbench-build test test-daemon test-mps test-faults census fuzz-smoke examples cover bench-smoke bench-check bench profile
 
-ci: vet build perfbench-build test test-mps test-faults fuzz-smoke examples bench-smoke
+ci: vet build perfbench-build test test-mps test-faults census fuzz-smoke examples bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -91,6 +91,18 @@ FAULT_PKGS := ./internal/lp/ ./internal/sched/ ./internal/milp/ ./internal/annea
 
 test-faults:
 	$(GO) test -race -run '$(FAULT_TESTS)' $(FAULT_PKGS)
+
+# The API census (census_test.go), three type-checked passes over the
+# module's non-test code: every exported internal/ identifier is referenced
+# (TestExportedSurfaceIsReached), every exported internal/ struct field that
+# is read is also written (TestOptionFieldsAreWritten: no option only tests
+# set) and every one that is written is also read (TestFieldsAreRead: no
+# output nothing consumes).  `make test` already runs them; this focused
+# gate makes a dead identifier or field loud in the CI log.
+CENSUS_TESTS := ^(TestExportedSurfaceIsReached|TestOptionFieldsAreWritten|TestFieldsAreRead)$$
+
+census:
+	$(GO) test -count=1 -run '$(CENSUS_TESTS)' .
 
 # A few seconds of coverage-guided fuzzing per target, seeded from real
 # journals, bases and request bodies: FuzzJournalResume feeds arbitrary bytes

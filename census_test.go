@@ -38,18 +38,18 @@ var censusAllow = map[string]string{
 // censusWriteAllow lists the exported internal/ struct fields that
 // production code reads but never writes, each with its reason: options
 // that only tests move off their zero value.  Keys are as in censusAllow.
-var censusWriteAllow = map[string]string{
-	"internal/lp.SolveOptions.MaxIters": "iteration budget only TestMaxItersBudget sets, to reach the iteration-limit rung",
-	"internal/core.Spec.MaxDatacenters": "model constraint of the siting problem that only core's tests exercise",
-	// The exact MILP's one production caller bounds it with MaxNodes;
-	// core's cancellation tests stop it through these.
-	"internal/core.ExactOptions.Deadline": "wall-clock bound of the exact solve that only core's cancellation tests set",
-	"internal/core.ExactOptions.Ctx":      "cancellation of the exact solve that only core's cancellation tests set",
-	// The evaluator checks the nearest-plant cap after balancing and starts
-	// every year with an empty battery; energy's tests exercise both knobs.
-	"internal/energy.BalanceInput.MaxBrownKW":        "grid-draw cap of the balance model that only energy's tests exercise",
-	"internal/energy.BalanceInput.InitialBatteryKWh": "starting battery charge of the balance model that only energy's tests exercise",
-	"internal/predict.Diurnal.Days":                  "averaging window that production leaves at its 7-day default and predict's tests shorten",
+var censusWriteAllow = map[string]string{}
+
+// censusReadAllow lists the exported internal/ struct fields that
+// production code writes but never reads, each with its reason.  Keys are
+// as in censusAllow.
+var censusReadAllow = map[string]string{
+	// Work counters of a search whose runs tests compare: anneal's
+	// cancellation tests tell a full run from a stopped one through them.
+	"internal/anneal.Result.Iterations":  "anneal's cancellation tests compare runs through the iteration count",
+	"internal/anneal.Result.Evaluations": "anneal's cancellation tests compare runs through the evaluation count",
+	"internal/gdfs.BlockMeta.Digest":     "the metadata-plane ≡ payload-reference equivalence compares replicas by it",
+	"internal/sched.Plan.DegradedReason": "the degradation tests tell a deadline from a solver failure by it",
 }
 
 // censusStdInterfaces are the standard-library interfaces production values
@@ -134,6 +134,44 @@ func TestOptionFieldsAreWritten(t *testing.T) {
 	}
 }
 
+// TestFieldsAreRead fails when an exported struct field under internal/ is
+// written by non-test code but never read by it: an output that production
+// computes and nothing consumes, which the reach census above counts as
+// reached.  A field selection is a read unless it is the target of an
+// assignment, an op-assignment or an increment or decrement (x.F[i] = v
+// writes F); composite-literal keys are writes.  json-tagged fields are
+// encoded for outside readers and are skipped.  See censusReadAllow for the
+// deliberate exceptions.
+func TestFieldsAreRead(t *testing.T) {
+	c := newCensus(t)
+	stale := maps.Clone(censusReadAllow)
+	var unread []string
+	for _, dir := range c.dirs {
+		if !strings.HasPrefix(dir, "internal/") {
+			continue
+		}
+		for _, obj := range c.exported(c.pkgs[dir]) {
+			f, ok := obj.(*types.Var)
+			if !ok || !f.IsField() || !c.written[f] || c.read[f] {
+				continue
+			}
+			key := censusKey(dir, f)
+			if _, ok := censusReadAllow[key]; ok {
+				delete(stale, key)
+				continue
+			}
+			unread = append(unread, key+" ("+c.fset.Position(f.Pos()).String()+")")
+		}
+	}
+	sort.Strings(unread)
+	for _, u := range unread {
+		t.Errorf("written but never read by non-test code: %s", u)
+	}
+	for key := range stale {
+		t.Errorf("censusReadAllow entry %s no longer names a write-only field; drop it", key)
+	}
+}
+
 type census struct {
 	fset    *token.FileSet
 	std     types.Importer
@@ -142,6 +180,7 @@ type census struct {
 	pkgs    map[string]*types.Package // dir → checked package
 	used    map[types.Object]bool
 	written map[types.Object]bool // struct fields non-test code writes
+	read    map[types.Object]bool // struct fields non-test code reads
 	ifaces  []*types.Interface    // module interfaces, then censusStdInterfaces
 }
 
@@ -153,6 +192,7 @@ func newCensus(t *testing.T) *census {
 		pkgs:    map[string]*types.Package{},
 		used:    map[types.Object]bool{},
 		written: map[types.Object]bool{},
+		read:    map[types.Object]bool{},
 	}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -241,22 +281,10 @@ func (c *census) check(dir string) (*types.Package, error) {
 	for _, obj := range info.Uses {
 		c.use(obj)
 	}
-	// A promoted selector x.M records M; the embedded fields it passes
-	// through are reached too.
-	for _, sel := range info.Selections {
-		typ := sel.Recv()
-		for _, idx := range sel.Index()[:len(sel.Index())-1] {
-			st, ok := derefStruct(typ)
-			if !ok {
-				break
-			}
-			f := st.Field(idx)
-			c.use(f)
-			typ = f.Type()
-		}
-	}
-	// Record field writes.  Positional composite literals also reference
-	// every field of their struct.
+	// Record field writes, and the selectors they write through.
+	// Positional composite literals also reference every field of their
+	// struct.
+	targets := map[*ast.SelectorExpr]bool{}
 	for _, f := range c.files[dir] {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -279,17 +307,36 @@ func (c *census) check(dir string) (*types.Package, error) {
 				}
 			case *ast.AssignStmt:
 				for _, lhs := range n.Lhs {
-					c.writeField(info, lhs)
+					c.writeField(info, assignTarget(lhs), targets)
 				}
 			case *ast.IncDecStmt:
-				c.writeField(info, n.X)
+				c.writeField(info, assignTarget(n.X), targets)
 			case *ast.UnaryExpr:
 				if n.Op == token.AND {
-					c.writeField(info, n.X)
+					c.writeField(info, n.X, nil)
 				}
 			}
 			return true
 		})
+	}
+	// Every other field selection is a read.  A promoted selector x.M
+	// records M; the embedded fields it passes through are reached and
+	// read too.
+	for expr, sel := range info.Selections {
+		if sel.Kind() == types.FieldVal && !targets[expr] {
+			c.read[origin(sel.Obj())] = true
+		}
+		typ := sel.Recv()
+		for _, idx := range sel.Index()[:len(sel.Index())-1] {
+			st, ok := derefStruct(typ)
+			if !ok {
+				break
+			}
+			f := st.Field(idx)
+			c.use(f)
+			c.read[origin(f)] = true
+			typ = f.Type()
+		}
 	}
 	for _, name := range pkg.Scope().Names() {
 		if tn, ok := pkg.Scope().Lookup(name).(*types.TypeName); ok {
@@ -304,14 +351,30 @@ func (c *census) check(dir string) (*types.Package, error) {
 func (c *census) use(obj types.Object) { c.used[origin(obj)] = true }
 
 // writeField records the struct field that the selector x.F names as
-// written; any other expression writes no field.
-func (c *census) writeField(info *types.Info, x ast.Expr) {
+// written, and the selector in targets when that is non-nil; any other
+// expression writes no field.
+func (c *census) writeField(info *types.Info, x ast.Expr, targets map[*ast.SelectorExpr]bool) {
 	sel, ok := ast.Unparen(x).(*ast.SelectorExpr)
 	if !ok {
 		return
 	}
 	if s, ok := info.Selections[sel]; ok && s.Kind() == types.FieldVal {
 		c.written[origin(s.Obj())] = true
+		if targets != nil {
+			targets[sel] = true
+		}
+	}
+}
+
+// assignTarget strips the index expressions off an assignment's left-hand
+// side: x.F[i] = v writes F.
+func assignTarget(x ast.Expr) ast.Expr {
+	for {
+		ix, ok := ast.Unparen(x).(*ast.IndexExpr)
+		if !ok {
+			return x
+		}
+		x = ix.X
 	}
 }
 

@@ -295,11 +295,14 @@
 //     context package's errors), and budget stops are final — they never
 //     trigger a cold retry.
 //   - internal/milp treats budgets as "return your best", not "fail".  When
-//     MaxNodes, the Deadline or the Ctx runs out after an incumbent exists,
-//     Solve returns it with a nil error, Proven false and the residual
-//     bound Gap; the budget errors (ErrNodeLimit, ErrDeadline,
-//     ErrCancelled) only surface when the budget ran out before any
-//     feasible solution was found.
+//     MaxNodes or the Ctx (cancelled, or past its deadline) runs out after
+//     an incumbent exists, Solve returns it with a nil error, Proven false
+//     and the residual bound Gap; the budget errors (ErrNodeLimit,
+//     ErrDeadline, ErrCancelled) only surface when the budget ran out
+//     before any feasible solution was found.  core.SolveExact carries
+//     both onto its Solution (ExactProven, ExactGap), and the
+//     heuristic-vs-exact experiment prints them under -v, so a node-capped
+//     search is never passed off as a proven optimum.
 //   - internal/sched degrades instead of erroring: if the partition LP
 //     fails (numerically or past Options.LPTimeout), Partition returns a
 //     feasible static greedy split — current loads clipped to capacity,

@@ -66,7 +66,9 @@ func TestSolveExactDeadlineAndCtx(t *testing.T) {
 		t.Errorf("cancelled exact solve: err = %v, want a context.Canceled chain", err)
 	}
 
-	if _, err := SolveExact(cat, ids, spec, ExactOptions{Deadline: time.Now().Add(-time.Second)}); !errors.Is(err, context.DeadlineExceeded) {
+	expired, cancelExpired := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancelExpired()
+	if _, err := SolveExact(cat, ids, spec, ExactOptions{Ctx: expired}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("expired exact solve: err = %v, want a context.DeadlineExceeded chain", err)
 	}
 }

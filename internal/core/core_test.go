@@ -7,6 +7,7 @@ import (
 
 	"greencloud/internal/energy"
 	"greencloud/internal/location"
+	"greencloud/internal/milp"
 )
 
 // testCatalog returns a small, reproducible catalog shared by the tests.
@@ -275,17 +276,6 @@ func TestEvaluateInfeasibleCases(t *testing.T) {
 	if sol.Feasible {
 		t.Error("under-provisioned capacity should be infeasible")
 	}
-
-	// Datacenter cap.
-	spec = smallSpec()
-	spec.MaxDatacenters = 2
-	sol, err = Evaluate(cat, []Candidate{{SiteID: 0}, {SiteID: 1}, {SiteID: 2}}, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Feasible {
-		t.Error("exceeding MaxDatacenters should be infeasible")
-	}
 }
 
 func TestEvaluateSingleSiteBrownVsWind(t *testing.T) {
@@ -344,18 +334,21 @@ func TestScheduleFollowsRenewables(t *testing.T) {
 	spec.Storage = energy.NoStorage
 	spec.Sources = SolarOnly
 	spec.MinGreenFraction = 0.5
-	sol, err := Evaluate(cat, []Candidate{
-		{SiteID: a.ID, CapacityKW: 10_000},
-		{SiteID: b.ID, CapacityKW: 10_000},
-	}, spec)
+	e, err := NewEvaluator(cat, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The two sites' compute assignments must not be identical across all
-	// epochs: load follows the sun.
+	if _, err := e.Evaluate([]Candidate{
+		{SiteID: a.ID, CapacityKW: 10_000},
+		{SiteID: b.ID, CapacityKW: 10_000},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// The two sites' compute assignments (the evaluator's schedule rows)
+	// must not be identical across all epochs: load follows the sun.
 	identical := true
-	for t2 := range sol.Sites[0].ComputeKW {
-		if math.Abs(sol.Sites[0].ComputeKW[t2]-sol.Sites[1].ComputeKW[t2]) > 1 {
+	for t2, c := range e.compute.Row(0) {
+		if math.Abs(c-e.compute.Row(1)[t2]) > 1 {
 			identical = false
 			break
 		}
@@ -365,8 +358,8 @@ func TestScheduleFollowsRenewables(t *testing.T) {
 	}
 	// Migration overhead must be accounted somewhere.
 	totalMigration := 0.0
-	for _, site := range sol.Sites {
-		for _, m := range site.MigrationKW {
+	for i := 0; i < 2; i++ {
+		for _, m := range e.migration.Row(i) {
 			totalMigration += m
 		}
 	}
@@ -508,6 +501,42 @@ func TestSolveExactTinyInstance(t *testing.T) {
 	ratio := heur.TotalMonthlyUSD / exact.TotalMonthlyUSD
 	if ratio < 0.45 || ratio > 2.0 {
 		t.Errorf("heuristic/exact cost ratio %v is out of band", ratio)
+	}
+}
+
+// TestSolveExactBudgetReportsGap pins what a node-capped exact solve
+// reports.  The instance below branches (its root relaxation is
+// fractional) and closes at its third node: capped at one node the search
+// has no incumbent yet and fails, capped at two it returns its incumbent
+// with the bound gap still open, and uncapped it closes with no gap.
+func TestSolveExactBudgetReportsGap(t *testing.T) {
+	cat, err := location.Generate(location.Options{Count: 20, Seed: 11, RepresentativeDays: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := smallSpec()
+	spec.MinGreenFraction = 0.3
+	spec.Storage = energy.NoStorage
+	ids := []int{0, 1, cat.TopByWindCF(1)[0].ID}
+
+	full, err := SolveExact(cat, ids, spec, ExactOptions{})
+	if err != nil {
+		t.Fatalf("uncapped: %v", err)
+	}
+	if full.ExactNodes < 3 || !full.ExactProven || full.ExactGap != 0 {
+		t.Fatalf("uncapped: %d nodes, proven %v, gap %v; want a closed search that branched",
+			full.ExactNodes, full.ExactProven, full.ExactGap)
+	}
+	if _, err := SolveExact(cat, ids, spec, ExactOptions{MaxNodes: 1}); !errors.Is(err, milp.ErrNodeLimit) {
+		t.Errorf("one node: err = %v, want milp.ErrNodeLimit (the root relaxation is fractional)", err)
+	}
+	capped, err := SolveExact(cat, ids, spec, ExactOptions{MaxNodes: 2})
+	if err != nil {
+		t.Fatalf("two nodes: %v", err)
+	}
+	if capped.ExactNodes != 2 || capped.ExactProven || !(capped.ExactGap > 0) {
+		t.Errorf("two nodes: %d nodes, proven %v, gap %v; want the unproven incumbent with an open gap",
+			capped.ExactNodes, capped.ExactProven, capped.ExactGap)
 	}
 }
 

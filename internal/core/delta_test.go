@@ -109,8 +109,7 @@ func TestDeltaEvaluationMatchesFull(t *testing.T) {
 						step, mv.Kind, mv.Site, got, want)
 				}
 				// Every 50th step, cross-check against a cold evaluator and
-				// the full Solution path (series-producing Balance vs the
-				// scalar Totals twin).
+				// the full Solution path.
 				if step%50 == 0 {
 					cold, err := NewEvaluator(cat, spec)
 					if err != nil {

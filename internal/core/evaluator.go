@@ -12,7 +12,7 @@ import (
 
 // CostSummary is the compact result of a cost-only evaluation: everything
 // the annealing search needs to rank a candidate siting, with none of the
-// per-site series a full Solution carries.
+// per-site detail a full Solution carries.
 type CostSummary struct {
 	// MonthlyUSD is the total monthly cost of the provisioned network.
 	MonthlyUSD float64
@@ -53,8 +53,8 @@ type CostSummary struct {
 // created with; scratch buffers grow to the largest candidate set seen and
 // cache entries are allocated once per distinct site, so a steady-state
 // EvaluateCost / EvaluateCostMove call is allocation-free.  The full
-// Evaluate method allocates only the returned *Solution and its per-site
-// series.  An Evaluator is NOT safe for concurrent use — create one per
+// Evaluate method allocates only the returned *Solution, its sites and its
+// violation messages.  An Evaluator is NOT safe for concurrent use — create one per
 // goroutine (the annealing chains in Solve each own one).
 type Evaluator struct {
 	cat    *location.Catalog
@@ -111,24 +111,19 @@ type Evaluator struct {
 	// where cache entries would be allocated but never hit.
 	cache   map[int]*siteEntry
 	noCache bool
-
-	balancer energy.Balancer
 }
 
 // siteOutputs is everything the per-site stage produces for one site: the
 // provisioning, the yearly energy totals and the monthly cost.  It contains
 // only scalars, so cached results copy by assignment.
 type siteOutputs struct {
-	SolarKW          float64
-	WindKW           float64
-	BatteryKWh       float64
-	DemandKWh        float64
-	GreenKWh         float64
-	BrownKWh         float64
-	NetChargedKWh    float64
-	NetDischargedKWh float64
-	MaxBrownKW       float64
-	Breakdown        cost.Breakdown
+	SolarKW    float64
+	WindKW     float64
+	BatteryKWh float64
+	DemandKWh  float64
+	GreenKWh   float64
+	MaxBrownKW float64
+	Breakdown  cost.Breakdown
 }
 
 // siteEntry is one memoized per-site stage result together with the inputs
@@ -181,12 +176,12 @@ func NewEvaluator(cat *location.Catalog, spec Spec) (*Evaluator, error) {
 }
 
 // Evaluate provisions and prices the candidate siting, returning a full
-// Solution with per-site series.  Only the returned Solution is allocated;
+// Solution with per-site detail.  Only the returned Solution is allocated;
 // all intermediate state comes from the evaluator's scratch buffers.  The
 // per-site cache is bypassed (and left untouched), but the arithmetic is the
 // same, so the Solution agrees bit-for-bit with EvaluateCost.
 func (e *Evaluator) Evaluate(candidates []Candidate) (*Solution, error) {
-	sol := &Solution{Spec: e.spec, Feasible: true}
+	sol := &Solution{Feasible: true}
 	if _, err := e.run(candidates, Move{}, sol); err != nil {
 		return nil, err
 	}
@@ -219,7 +214,7 @@ func (e *Evaluator) DisableCache() { e.noCache = true }
 // run executes the evaluation pipeline: shared schedule merge, per-site
 // stages (memoized unless sol is requested), the network-level green top-up
 // when per-site sizing cannot reach the target alone, and the final
-// aggregation.  When sol is non-nil the per-site series and violation
+// aggregation.  When sol is non-nil the per-site results and violation
 // messages are materialized into it.
 func (e *Evaluator) run(candidates []Candidate, mv Move, sol *Solution) (CostSummary, error) {
 	if err := e.prepare(candidates); err != nil {
@@ -242,12 +237,6 @@ func (e *Evaluator) run(candidates []Candidate, mv Move, sol *Solution) (CostSum
 		if sol != nil {
 			sol.addViolation("%d datacenters cannot reach availability %.5f (need ≥ %d)",
 				n, spec.MinAvailability, e.minDCs)
-		}
-	}
-	if spec.MaxDatacenters > 0 && n > spec.MaxDatacenters {
-		feasible = false
-		if sol != nil {
-			sol.addViolation("%d datacenters exceed the cap of %d", n, spec.MaxDatacenters)
 		}
 	}
 	// Survivability: each datacenter must hold at least a 1/n share.
@@ -332,9 +321,7 @@ func (e *Evaluator) run(candidates []Candidate, mv Move, sol *Solution) (CostSum
 		}
 		aggregate = aggregate.Add(out.Breakdown)
 		if sol != nil {
-			if err := e.materializeSite(i, out, sol); err != nil {
-				return CostSummary{}, err
-			}
+			e.materializeSite(i, out, sol)
 		}
 	}
 	if greenFraction+1e-3 < spec.MinGreenFraction {
@@ -752,9 +739,6 @@ func (e *Evaluator) accountSite(i int, out *siteOutputs) error {
 	}
 	out.DemandKWh = tot.DemandKWh
 	out.GreenKWh = tot.GreenUsedKWh + tot.BattDischargedKWh + tot.NetDischargedKWh
-	out.BrownKWh = tot.BrownKWh
-	out.NetChargedKWh = tot.NetChargedKWh
-	out.NetDischargedKWh = tot.NetDischargedKWh
 	out.MaxBrownKW = tot.MaxBrownKW
 	out.Breakdown = spec.Cost.MonthlySite(site, cost.Provision{
 		CapacityKW: e.capacities[i],
@@ -861,25 +845,13 @@ func (e *Evaluator) reaccount(i int, lambda float64, out *siteOutputs) error {
 	return e.accountSite(i, out)
 }
 
-// materializeSite fills sol with site i's full solution: the provisioning
-// and cost from the per-site outputs, plus the per-epoch series from one
-// final balance (whose totals are bit-identical to the scalar accounting).
-func (e *Evaluator) materializeSite(i int, out *siteOutputs, sol *Solution) error {
-	E := e.epochs
-	spec := &e.spec
+// materializeSite appends site i's provisioning, cost and green fraction,
+// all from the per-site outputs, to sol.
+func (e *Evaluator) materializeSite(i int, out *siteOutputs, sol *Solution) {
 	site := e.sites[i]
-	green := make([]float64, E)
-	series.WeightedSum(green, out.SolarKW, e.sites[i].Alpha, out.WindKW, e.sites[i].Beta)
-	res, err := e.balancer.Balance(energy.BalanceInput{
-		GreenKW:            green,
-		DemandKW:           e.demand.Row(i),
-		Weights:            e.weights,
-		Mode:               spec.Storage,
-		BatteryCapacityKWh: out.BatteryKWh,
-		BatteryEfficiency:  spec.Cost.BatteryEfficiency,
-	})
-	if err != nil {
-		return fmt.Errorf("core: balance for %s: %w", site.Name, err)
+	greenFraction := 1.0
+	if out.DemandKWh > 0 {
+		greenFraction = math.Min(1, out.GreenKWh/out.DemandKWh)
 	}
 	sol.Sites = append(sol.Sites, SiteSolution{
 		Site: site,
@@ -890,23 +862,13 @@ func (e *Evaluator) materializeSite(i int, out *siteOutputs, sol *Solution) erro
 			WindKW:     out.WindKW,
 			BatteryKWh: out.BatteryKWh,
 		},
-		Energy: cost.EnergyUse{
-			BrownKWh:         out.BrownKWh,
-			NetChargedKWh:    out.NetChargedKWh,
-			NetDischargedKWh: out.NetDischargedKWh,
-		},
 		Breakdown:     out.Breakdown,
-		GreenFraction: res.GreenFraction(),
-		ComputeKW:     copyFloats(e.compute.Row(i)),
-		MigrationKW:   copyFloats(e.migration.Row(i)),
-		BrownKW:       copyFloats(res.BrownKW),
-		GreenKW:       green,
+		GreenFraction: greenFraction,
 	})
 	sol.ProvisionedCapacityKW += e.capacities[i]
 	sol.SolarKW += out.SolarKW
 	sol.WindKW += out.WindKW
 	sol.BatteryKWh += out.BatteryKWh
-	return nil
 }
 
 // growSlice returns s resized to n, reusing the backing array when it is
@@ -916,10 +878,4 @@ func growSlice[T any](s []T, n int) []T {
 		return make([]T, n)
 	}
 	return s[:n]
-}
-
-func copyFloats(s []float64) []float64 {
-	out := make([]float64, len(s))
-	copy(out, s)
-	return out
 }

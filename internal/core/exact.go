@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"time"
 
 	"greencloud/internal/cost"
 	"greencloud/internal/energy"
@@ -15,13 +14,14 @@ import (
 
 // ExactOptions tunes the MILP solve.
 type ExactOptions struct {
-	// MaxNodes caps the branch-and-bound nodes (0 = solver default).
+	// MaxNodes caps the branch-and-bound nodes (0 = solver default); at the
+	// cap the best incumbent found so far is returned with
+	// Solution.ExactProven false, and Solution.ExactGap reports how far its
+	// bound was still open.
 	MaxNodes int
-	// Deadline, when nonzero, bounds the wall-clock time of the search; at
-	// the deadline the best incumbent found so far is returned (Solution.Gap
-	// reports how far its bound was still open).
-	Deadline time.Time
-	// Ctx, when non-nil, cancels the search cooperatively.
+	// Ctx, when non-nil, cancels the search cooperatively.  A context
+	// deadline bounds its wall-clock time: the search then stops with
+	// milp.ErrDeadline.
 	Ctx context.Context
 }
 
@@ -372,15 +372,9 @@ func SolveExact(cat *location.Catalog, candidateIDs []int, spec Spec, opts Exact
 	if err := prob.AddConstraint("availability", lp.GE, float64(minDCs), atTerms...); err != nil {
 		return nil, err
 	}
-	if spec.MaxDatacenters > 0 {
-		if err := prob.AddConstraint("maxDCs", lp.LE, float64(spec.MaxDatacenters), atTerms...); err != nil {
-			return nil, err
-		}
-	}
 
 	milpSol, err := prob.SolveWithOptions(milp.Options{
 		MaxNodes: opts.MaxNodes,
-		Deadline: opts.Deadline,
 		Ctx:      opts.Ctx,
 	})
 	if err != nil {
@@ -414,6 +408,8 @@ func SolveExact(cat *location.Catalog, candidateIDs []int, spec Spec, opts Exact
 		sol.TotalMonthlyUSD = milpSol.Objective
 	}
 	sol.ExactNodes = milpSol.Nodes
+	sol.ExactProven = milpSol.Proven
+	sol.ExactGap = milpSol.Gap
 	sol.ExactLPStats = milpSol.LPStats
 	return sol, nil
 }

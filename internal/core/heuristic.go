@@ -347,10 +347,7 @@ func Solve(cat *location.Catalog, spec Spec, opts SolveOptions) (*Solution, erro
 	initial := buildInitialSiting(cat, filtered, minDCs, spec, opts.InitialCandidates,
 		func(s siting) float64 { return energyOf(shared, s, Move{}) })
 
-	maxDCs := spec.MaxDatacenters
-	if maxDCs == 0 {
-		maxDCs = minDCs + 12
-	}
+	maxDCs := minDCs + 12
 	// Capacity-changing moves step by an eighth of the network's capacity.
 	quantum := spec.TotalCapacityKW / 8
 

@@ -15,28 +15,15 @@ type SiteSolution struct {
 	Site *location.Site
 	// Provision is what gets built there.
 	Provision cost.Provision
-	// Energy is the site's yearly brown/net-metered energy use.
-	Energy cost.EnergyUse
 	// Breakdown is the site's monthly cost.
 	Breakdown cost.Breakdown
 	// GreenFraction is the fraction of the site's yearly demand covered by
 	// green sources.
 	GreenFraction float64
-	// ComputeKW is the compute power assigned to the site in each of the
-	// catalog's epochs (the follow-the-renewables schedule).
-	ComputeKW []float64
-	// MigrationKW is the migration overhead power in each epoch.
-	MigrationKW []float64
-	// BrownKW is the brown power drawn in each epoch.
-	BrownKW []float64
-	// GreenKW is the on-site green production in each epoch.
-	GreenKW []float64
 }
 
 // Solution is a fully provisioned datacenter network.
 type Solution struct {
-	// Spec echoes the input specification (with defaults applied).
-	Spec Spec
 	// Sites are the selected sites with their provisioning.
 	Sites []SiteSolution
 	// TotalMonthlyUSD is the total monthly cost of the network.
@@ -58,10 +45,15 @@ type Solution struct {
 	// Violations lists the constraints that are not met (empty when
 	// Feasible).
 	Violations []string
-	// ExactNodes and ExactLPStats are only set by SolveExact: the
-	// branch-and-bound node count and the aggregate simplex work
-	// of its node relaxations.  The heuristic path leaves them zero.
+	// ExactNodes, ExactProven, ExactGap and ExactLPStats are only set by
+	// SolveExact: the branch-and-bound node count, whether the search
+	// closed (the siting is proven optimal) or a budget stopped it first,
+	// the relative bound gap still open when it stopped (0 when proven),
+	// and the aggregate simplex work of its node relaxations.  The
+	// heuristic path leaves them zero.
 	ExactNodes   int
+	ExactProven  bool
+	ExactGap     float64
 	ExactLPStats lp.Stats
 }
 

@@ -84,8 +84,6 @@ type Spec struct {
 	// BatteryHours sizes battery banks as this many hours of the site's
 	// average green production (Batteries storage only).
 	BatteryHours float64
-	// MaxDatacenters caps the number of sites in a solution (0 = no cap).
-	MaxDatacenters int
 	// Cost holds the economic parameters (Table I defaults if zero).
 	Cost cost.Params
 }

@@ -10,9 +10,13 @@ import (
 	"greencloud/internal/series"
 )
 
-// balance runs one simulation on a fresh Balancer, so the result owns its
-// series.
-func balance(in BalanceInput) (*BalanceResult, error) { return new(Balancer).Balance(in) }
+// prefix returns in cut to its first k epochs.  The simulation is
+// chronological, so the prefix's Totals are in's totals after epoch k-1,
+// and each epoch's flows are differences of consecutive prefixes.
+func prefix(in BalanceInput, k int) BalanceInput {
+	in.GreenKW, in.DemandKW, in.Weights = in.GreenKW[:k], in.DemandKW[:k], in.Weights[:k]
+	return in
+}
 
 func constSeries(n int, v float64) []float64 {
 	s := make([]float64, n)
@@ -23,19 +27,24 @@ func constSeries(n int, v float64) []float64 {
 }
 
 func TestBalanceValidation(t *testing.T) {
-	if _, err := balance(BalanceInput{GreenKW: []float64{1}, DemandKW: []float64{1, 2}, Weights: []float64{1}}); err == nil {
-		t.Error("length mismatch should error")
+	if _, err := Totals(BalanceInput{GreenKW: []float64{1}, DemandKW: []float64{1, 2}, Weights: []float64{1}}); !errors.Is(err, ErrLengthMismatch) {
+		t.Errorf("length mismatch: got %v", err)
 	}
-	if _, err := balance(BalanceInput{GreenKW: []float64{1}, DemandKW: []float64{1}, Weights: []float64{1}, Mode: 0}); err == nil {
-		t.Error("unknown mode should error")
+	if _, err := Totals(BalanceInput{GreenKW: []float64{1}, DemandKW: []float64{1}, Weights: []float64{1, 2}}); !errors.Is(err, ErrLengthMismatch) {
+		t.Errorf("weight length mismatch: got %v", err)
 	}
-	if _, err := balance(BalanceInput{
-		GreenKW: []float64{1}, DemandKW: []float64{1}, Weights: []float64{1},
-		Mode: Batteries, BatteryEfficiency: 0,
-	}); err == nil {
-		t.Error("zero efficiency with batteries should error")
+	if _, err := Totals(BalanceInput{GreenKW: []float64{1}, DemandKW: []float64{1}, Weights: []float64{1}, Mode: 0}); !errors.Is(err, ErrBadMode) {
+		t.Errorf("unknown mode: got %v", err)
 	}
-	if _, err := balance(BalanceInput{
+	for _, eff := range []float64{0, 2} {
+		if _, err := Totals(BalanceInput{
+			GreenKW: []float64{1}, DemandKW: []float64{1}, Weights: []float64{1},
+			Mode: Batteries, BatteryEfficiency: eff,
+		}); !errors.Is(err, ErrBadEfficiency) {
+			t.Errorf("battery efficiency %v: got %v", eff, err)
+		}
+	}
+	if _, err := Totals(BalanceInput{
 		GreenKW: []float64{1}, DemandKW: []float64{1}, Weights: []float64{0}, Mode: NoStorage,
 	}); err == nil {
 		t.Error("zero weight should error")
@@ -43,7 +52,7 @@ func TestBalanceValidation(t *testing.T) {
 }
 
 func TestBalanceAllBrown(t *testing.T) {
-	res, err := balance(BalanceInput{
+	res, err := Totals(BalanceInput{
 		GreenKW:  constSeries(24, 0),
 		DemandKW: constSeries(24, 100),
 		Weights:  constSeries(24, 1),
@@ -58,13 +67,13 @@ func TestBalanceAllBrown(t *testing.T) {
 	if res.GreenFraction() != 0 {
 		t.Errorf("green fraction = %v, want 0", res.GreenFraction())
 	}
-	if res.UnmetKWh >= 1e-6 {
-		t.Error("unlimited brown power should always be feasible")
+	if res.BrownKWh != res.DemandKWh || res.MaxBrownKW != 100 {
+		t.Errorf("brown %v kWh (max %v kW) should cover all %v kWh of demand", res.BrownKWh, res.MaxBrownKW, res.DemandKWh)
 	}
 }
 
 func TestBalanceAllGreen(t *testing.T) {
-	res, err := balance(BalanceInput{
+	res, err := Totals(BalanceInput{
 		GreenKW:  constSeries(24, 150),
 		DemandKW: constSeries(24, 100),
 		Weights:  constSeries(24, 1),
@@ -98,7 +107,7 @@ func TestNetMeteringShiftsSurplusAcrossEpochs(t *testing.T) {
 		Weights:  constSeries(24, 1),
 		Mode:     NetMetering,
 	}
-	res, err := balance(in)
+	res, err := Totals(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +122,7 @@ func TestNetMeteringShiftsSurplusAcrossEpochs(t *testing.T) {
 	}
 	// Same setup without storage covers only half the demand.
 	in.Mode = NoStorage
-	resNo, err := balance(in)
+	resNo, err := Totals(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,54 +132,52 @@ func TestNetMeteringShiftsSurplusAcrossEpochs(t *testing.T) {
 }
 
 func TestNetLevelNeverNegative(t *testing.T) {
-	green := []float64{0, 300, 0, 0}
-	res, err := balance(BalanceInput{
-		GreenKW:  green,
+	in := BalanceInput{
+		GreenKW:  []float64{0, 300, 0, 0},
 		DemandKW: constSeries(4, 100),
 		Weights:  constSeries(4, 1),
 		Mode:     NetMetering,
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	for i, lvl := range res.NetLevelKWh {
-		if lvl < -1e-9 {
-			t.Errorf("net level at epoch %d is negative: %v", i, lvl)
+	for k := 1; k <= len(in.GreenKW); k++ {
+		res, err := Totals(prefix(in, k))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// The first epoch has no banked energy yet, so it must draw brown power.
-	if res.BrownKW[0] != 100 {
-		t.Errorf("epoch 0 brown = %v, want 100 (nothing banked yet)", res.BrownKW[0])
+		if lvl := res.NetChargedKWh - res.NetDischargedKWh; lvl < -1e-9 {
+			t.Errorf("net level after epoch %d is negative: %v", k-1, lvl)
+		}
+		// The first epoch has no banked energy yet, so it must draw brown
+		// power.
+		if k == 1 && res.BrownKWh != 100 {
+			t.Errorf("epoch 0 brown = %v, want 100 (nothing banked yet)", res.BrownKWh)
+		}
 	}
 }
 
 func TestBatteriesRespectCapacityAndEfficiency(t *testing.T) {
-	green := []float64{500, 0, 0, 0}
-	res, err := balance(BalanceInput{
-		GreenKW:            green,
+	in := BalanceInput{
+		GreenKW:            []float64{500, 0, 0, 0},
 		DemandKW:           constSeries(4, 100),
 		Weights:            constSeries(4, 1),
 		Mode:               Batteries,
 		BatteryCapacityKWh: 150,
 		BatteryEfficiency:  0.75,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Battery can hold at most 150 kWh, so epochs 1..3 get at most 150 kWh
-	// of discharge in total.
-	if res.BattDischargedKWh > 150+1e-9 {
-		t.Errorf("discharged %v exceeds capacity 150", res.BattDischargedKWh)
-	}
-	for i, lvl := range res.BatteryLevelKWh {
-		if lvl < -1e-9 || lvl > 150+1e-9 {
-			t.Errorf("battery level at epoch %d out of bounds: %v", i, lvl)
-		}
 	}
 	// Charging loses 25 %: storing 150 kWh needs 200 kWh of surplus, which
-	// is available (400 kWh surplus in epoch 0).
-	if res.BattChargeKW[0] <= 0 {
-		t.Error("battery should charge during the surplus epoch")
+	// is available (400 kWh surplus in epoch 0), so the full battery covers
+	// epoch 1 and half of epoch 2, and nothing is left for epoch 3.
+	for k, want := range []float64{0, 100, 150, 150} {
+		res, err := Totals(prefix(in, k+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(res.BattDischargedKWh-want) > 1e-9 {
+			t.Errorf("discharged %v kWh by epoch %d, want %v", res.BattDischargedKWh, k, want)
+		}
+	}
+	res, err := Totals(in)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if res.BrownKWh <= 0 {
 		t.Error("a 150 kWh battery cannot cover 300 kWh of night demand")
@@ -179,7 +186,7 @@ func TestBatteriesRespectCapacityAndEfficiency(t *testing.T) {
 
 func TestBatteryEfficiencyLoss(t *testing.T) {
 	// With 100 kWh of surplus and 75 % efficiency, only 75 kWh is available later.
-	res, err := balance(BalanceInput{
+	res, err := Totals(BalanceInput{
 		GreenKW:            []float64{200, 0},
 		DemandKW:           []float64{100, 100},
 		Weights:            []float64{1, 1},
@@ -198,70 +205,9 @@ func TestBatteryEfficiencyLoss(t *testing.T) {
 	}
 }
 
-func TestMaxBrownCapCausesUnmet(t *testing.T) {
-	res, err := balance(BalanceInput{
-		GreenKW:    constSeries(3, 0),
-		DemandKW:   constSeries(3, 100),
-		Weights:    constSeries(3, 1),
-		Mode:       NoStorage,
-		MaxBrownKW: 60,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.UnmetKWh < 1e-6 {
-		t.Error("capped brown power should make this infeasible")
-	}
-	if math.Abs(res.UnmetKWh-120) > 1e-9 {
-		t.Errorf("unmet = %v, want 120", res.UnmetKWh)
-	}
-	for i, b := range res.BrownKW {
-		if b > 60+1e-12 {
-			t.Errorf("epoch %d brown %v exceeds the cap", i, b)
-		}
-	}
-}
-
-func TestInitialBatteryCharge(t *testing.T) {
-	res, err := balance(BalanceInput{
-		GreenKW:            []float64{0},
-		DemandKW:           []float64{50},
-		Weights:            []float64{1},
-		Mode:               Batteries,
-		BatteryCapacityKWh: 100,
-		BatteryEfficiency:  1,
-		InitialBatteryKWh:  80,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.BrownKWh != 0 {
-		t.Errorf("initial charge should cover demand, brown = %v", res.BrownKWh)
-	}
-	if math.Abs(res.BatteryLevelKWh[0]-30) > 1e-9 {
-		t.Errorf("battery level = %v, want 30", res.BatteryLevelKWh[0])
-	}
-	// Initial charge above capacity is clamped.
-	res2, err := balance(BalanceInput{
-		GreenKW:            []float64{0},
-		DemandKW:           []float64{0},
-		Weights:            []float64{1},
-		Mode:               Batteries,
-		BatteryCapacityKWh: 10,
-		BatteryEfficiency:  1,
-		InitialBatteryKWh:  50,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.BatteryLevelKWh[0] > 10+1e-9 {
-		t.Errorf("initial charge not clamped to capacity: %v", res2.BatteryLevelKWh[0])
-	}
-}
-
 func TestEnergyConservationProperty(t *testing.T) {
-	// In every epoch: demand = greenUsed + battDischarge + netDischarge +
-	// brown + unmet (within tolerance), for arbitrary green/demand shapes.
+	// After every epoch: demand = greenUsed + battDischarge + netDischarge
+	// + brown (within tolerance), for arbitrary green/demand shapes.
 	f := func(seed int64) bool {
 		n := 24
 		green := make([]float64, n)
@@ -276,22 +222,22 @@ func TestEnergyConservationProperty(t *testing.T) {
 			demand[i] = next()
 		}
 		for _, mode := range []StorageMode{NoStorage, NetMetering, Batteries} {
-			res, err := balance(BalanceInput{
+			in := BalanceInput{
 				GreenKW: green, DemandKW: demand, Weights: constSeries(n, 1),
 				Mode: mode, BatteryCapacityKWh: 50, BatteryEfficiency: 0.75,
-			})
-			if err != nil {
-				return false
 			}
-			for i := 0; i < n; i++ {
-				got := res.GreenUsedKW[i] + res.BattDischargeKW[i] + res.NetDischargeKW[i] +
-					res.BrownKW[i] + res.UnmetKW[i]
-				if math.Abs(got-demand[i]) > 1e-6 {
+			for k := 1; k <= n; k++ {
+				res, err := Totals(prefix(in, k))
+				if err != nil {
 					return false
 				}
-			}
-			if res.GreenFraction() < 0 || res.GreenFraction() > 1 {
-				return false
+				got := res.GreenUsedKWh + res.BattDischargedKWh + res.NetDischargedKWh + res.BrownKWh
+				if math.Abs(got-res.DemandKWh) > 1e-6 {
+					return false
+				}
+				if res.GreenFraction() < 0 || res.GreenFraction() > 1 {
+					return false
+				}
 			}
 		}
 		return true
@@ -305,7 +251,7 @@ func TestEnergyConservationProperty(t *testing.T) {
 // plant's capacity must be scaled so that the balance reaches the target
 // green fraction, using bisection over scale.  greenPerKW is the per-epoch
 // production of one kW of installed plant; the other inputs are as in
-// Balance.  It returns the smallest scale in [0, maxScale] that reaches the
+// BalanceInput.  It returns the smallest scale in [0, maxScale] that reaches the
 // target, or maxScale if even that is insufficient (the caller then knows
 // the target is unreachable with this source mix).
 func requiredPlantScale(greenPerKW, demandKW, weights []float64, mode StorageMode,
@@ -319,7 +265,7 @@ func requiredPlantScale(greenPerKW, demandKW, weights []float64, mode StorageMod
 	green := make([]float64, len(greenPerKW))
 	eval := func(scale float64) (float64, error) {
 		series.Scale(green, scale, greenPerKW)
-		res, err := balance(BalanceInput{
+		res, err := Totals(BalanceInput{
 			GreenKW:            green,
 			DemandKW:           demandKW,
 			Weights:            weights,
@@ -419,17 +365,16 @@ func TestStorageModeString(t *testing.T) {
 	}
 }
 
-// TestTotalsMatchesBalanceBitwise pins the contract Totals documents: its
-// scalar accumulation must stay statement-for-statement identical to the
-// series-producing Balance, so every total (and the max brown draw) agrees
-// bit-for-bit across randomized horizons, storage modes and battery
-// parameters.  A future edit to one loop that is not mirrored in the other
-// fails here immediately.
-func TestTotalsMatchesBalanceBitwise(t *testing.T) {
+// TestTotalsOverPrefixes checks the chronological accounting over
+// randomized horizons, storage modes and battery parameters: every total
+// only grows from one prefix to the next (up to rounding: a storage level
+// drained to a rounding residue can give back an ulp), each epoch's brown draw (the
+// difference of consecutive prefixes) covers exactly the demand storage
+// and direct green use leave, and MaxBrownKW is the largest such draw.
+func TestTotalsOverPrefixes(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	var bl Balancer
-	for trial := 0; trial < 400; trial++ {
-		n := 1 + rng.Intn(96)
+	for trial := 0; trial < 100; trial++ {
+		n := 1 + rng.Intn(48)
 		in := BalanceInput{
 			GreenKW:  make([]float64, n),
 			DemandKW: make([]float64, n),
@@ -448,58 +393,39 @@ func TestTotalsMatchesBalanceBitwise(t *testing.T) {
 		if in.Mode == Batteries {
 			in.BatteryCapacityKWh = rng.Float64() * scale * 10
 			in.BatteryEfficiency = 0.5 + rng.Float64()*0.5
-			in.InitialBatteryKWh = rng.Float64() * scale * 20
-		}
-		if rng.Intn(2) == 0 {
-			in.MaxBrownKW = rng.Float64() * scale
 		}
 
-		res, err := bl.Balance(in)
-		if err != nil {
-			t.Fatalf("trial %d: Balance: %v", trial, err)
-		}
-		tot, err := Totals(in)
-		if err != nil {
-			t.Fatalf("trial %d: Totals: %v", trial, err)
-		}
+		var prev BalanceTotals
 		maxBrown := 0.0
-		for _, b := range res.BrownKW {
-			if b > maxBrown {
-				maxBrown = b
+		for k := 1; k <= n; k++ {
+			tot, err := Totals(prefix(in, k))
+			if err != nil {
+				t.Fatalf("trial %d: %v", trial, err)
 			}
+			tol := 1e-9 * scale * float64(k)
+			if tot.DemandKWh < prev.DemandKWh || tot.GreenUsedKWh < prev.GreenUsedKWh ||
+				tot.BrownKWh < prev.BrownKWh || tot.NetChargedKWh < prev.NetChargedKWh ||
+				tot.NetDischargedKWh < prev.NetDischargedKWh-tol || tot.BattDischargedKWh < prev.BattDischargedKWh-tol ||
+				tot.MaxBrownKW < prev.MaxBrownKW {
+				t.Fatalf("trial %d (mode %v): a total shrank after epoch %d: %+v then %+v", trial, in.Mode, k-1, prev, tot)
+			}
+			hours := in.Weights[k-1]
+			brown := (tot.BrownKWh - prev.BrownKWh) / hours
+			if brown > maxBrown {
+				maxBrown = brown
+			}
+			if math.Abs(tot.MaxBrownKW-maxBrown) > tol {
+				t.Fatalf("trial %d (mode %v): MaxBrownKW %v after epoch %d, largest epoch draw %v", trial, in.Mode, tot.MaxBrownKW, k-1, maxBrown)
+			}
+			covered := (tot.GreenUsedKWh - prev.GreenUsedKWh + tot.BattDischargedKWh - prev.BattDischargedKWh +
+				tot.NetDischargedKWh - prev.NetDischargedKWh) / hours
+			if demand := (tot.DemandKWh - prev.DemandKWh) / hours; math.Abs(covered+brown-demand) > tol {
+				t.Fatalf("trial %d (mode %v): epoch %d covers %v + %v brown of %v kW", trial, in.Mode, k-1, covered, brown, demand)
+			}
+			prev = tot
 		}
-		want := BalanceTotals{
-			DemandKWh:         res.DemandKWh,
-			GreenProducedKWh:  res.GreenProducedKWh,
-			GreenUsedKWh:      res.GreenUsedKWh,
-			BrownKWh:          res.BrownKWh,
-			NetChargedKWh:     res.NetChargedKWh,
-			NetDischargedKWh:  res.NetDischargedKWh,
-			BattDischargedKWh: res.BattDischargedKWh,
-			UnmetKWh:          res.UnmetKWh,
-			MaxBrownKW:        maxBrown,
+		if tot, err := Totals(in); err != nil || tot != prev {
+			t.Fatalf("trial %d: whole horizon %+v (%v) != last prefix %+v", trial, tot, err, prev)
 		}
-		if tot != want {
-			t.Fatalf("trial %d (mode %v, n=%d): Totals %+v != Balance totals %+v", trial, in.Mode, n, tot, want)
-		}
-		if tot.GreenFraction() != res.GreenFraction() {
-			t.Fatalf("trial %d: green fractions differ: %v vs %v", trial, tot.GreenFraction(), res.GreenFraction())
-		}
-	}
-
-	// Error paths must match too.
-	if _, err := Totals(BalanceInput{GreenKW: []float64{1}, DemandKW: []float64{1}, Weights: []float64{1, 2}}); err != ErrLengthMismatch {
-		t.Errorf("length mismatch: got %v", err)
-	}
-	if _, err := Totals(BalanceInput{GreenKW: []float64{1}, DemandKW: []float64{1}, Weights: []float64{1}}); err != ErrBadMode {
-		t.Errorf("bad mode: got %v", err)
-	}
-	if _, err := Totals(BalanceInput{GreenKW: []float64{1}, DemandKW: []float64{1}, Weights: []float64{1},
-		Mode: Batteries, BatteryEfficiency: 2}); err != ErrBadEfficiency {
-		t.Errorf("bad efficiency: got %v", err)
-	}
-	if _, err := Totals(BalanceInput{GreenKW: []float64{1}, DemandKW: []float64{1}, Weights: []float64{0},
-		Mode: NoStorage}); err == nil {
-		t.Error("non-positive weight should error")
 	}
 }

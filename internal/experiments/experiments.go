@@ -983,10 +983,12 @@ func (s *Suite) HeuristicVsExact() (*Table, error) {
 		Columns: []string{"solver", "monthly cost ($M)", "datacenters", "runtime (ms)"},
 	}
 	if s.cfg.Verbose {
-		t.Columns = append(t.Columns, "nodes", "lp pivots", "cold fallbacks")
+		t.Columns = append(t.Columns, "nodes", "proven", "gap (%)", "lp pivots", "cold fallbacks")
 	}
 	start := time.Now()
-	exact, err := core.SolveExact(cat, ids, spec, core.ExactOptions{MaxNodes: 50})
+	// The search is capped at 50 nodes; -v prints whether it closed within
+	// them, and the bound gap it left open.
+	exact, err := core.SolveExact(cat, ids, spec, core.ExactOptions{MaxNodes: 50, Ctx: s.cfg.Ctx})
 	if err != nil {
 		return nil, err
 	}
@@ -997,7 +999,7 @@ func (s *Suite) HeuristicVsExact() (*Table, error) {
 		return nil, err
 	}
 	start = time.Now()
-	heur, err := core.Solve(sub, spec, core.SolveOptions{FilterKeep: 3, Chains: 2, MaxIterations: 25, Seed: s.cfg.Seed})
+	heur, err := core.Solve(sub, spec, core.SolveOptions{FilterKeep: 3, Chains: 2, MaxIterations: 25, Seed: s.cfg.Seed, Ctx: s.cfg.Ctx})
 	if err != nil {
 		return nil, err
 	}
@@ -1009,9 +1011,11 @@ func (s *Suite) HeuristicVsExact() (*Table, error) {
 		st := exact.ExactLPStats
 		exactRow = append(exactRow,
 			strconv.Itoa(exact.ExactNodes),
+			strconv.FormatBool(exact.ExactProven),
+			f2(100*exact.ExactGap),
 			strconv.Itoa(st.Pivots),
 			strconv.Itoa(st.ColdFallbacks))
-		heurRow = append(heurRow, "-", "-", "-") // the heuristic path runs no LPs
+		heurRow = append(heurRow, "-", "-", "-", "-", "-") // the heuristic path runs no LPs
 	}
 	t.Rows = append(t.Rows, exactRow, heurRow)
 	return t, nil

@@ -17,7 +17,6 @@ import (
 	"math/bits"
 	"sort"
 	"sync"
-	"time"
 )
 
 // DefaultBlockSize is the block size used when a file is created without an
@@ -41,10 +40,8 @@ var (
 	ErrWorkerNotFound = errors.New("gdfs: worker not registered")
 )
 
-// BlockInfo is the master's metadata for one block.
+// BlockInfo is the master's replica state of one block.
 type BlockInfo struct {
-	ID   BlockID
-	Size int64
 	// Valid lists workers holding an up-to-date replica.
 	Valid []WorkerID
 	// Stale lists workers holding an invalidated replica.
@@ -57,7 +54,6 @@ type FileInfo struct {
 	Size      int64
 	BlockSize int64
 	Blocks    []BlockID
-	Modified  time.Time
 }
 
 // BlockSizeAt returns the size of block index i (the last block of a file
@@ -79,7 +75,6 @@ type Master struct {
 	files       map[string]*FileInfo
 	blocks      []blockMeta // indexed by BlockID-1
 	replication int
-	now         func() time.Time
 
 	// workers maps a worker index to its ID, index maps it back, and
 	// sorted lists the indices in worker-ID order, the order every replica
@@ -107,7 +102,6 @@ func NewMaster(replication int) *Master {
 		files:       make(map[string]*FileInfo),
 		index:       make(map[WorkerID]int),
 		replication: replication,
-		now:         time.Now,
 	}
 }
 
@@ -155,7 +149,7 @@ func (m *Master) Create(path string, size int64, primary WorkerID) (*FileInfo, e
 	}
 	blockSize := int64(DefaultBlockSize)
 	nBlocks := int((size + blockSize - 1) / blockSize)
-	fi := &FileInfo{Path: path, Size: size, BlockSize: blockSize, Modified: m.now()}
+	fi := &FileInfo{Path: path, Size: size, BlockSize: blockSize}
 	for i := 0; i < nBlocks; i++ {
 		bSize := blockSize
 		if i == nBlocks-1 && size%blockSize != 0 {
@@ -176,7 +170,7 @@ func (m *Master) BlockLocations(id BlockID) (*BlockInfo, error) {
 	if err != nil {
 		return nil, err
 	}
-	info := &BlockInfo{ID: id, Size: b.size}
+	info := &BlockInfo{}
 	for _, w := range m.sorted {
 		switch bit := uint64(1) << w; {
 		case b.valid&bit != 0:

@@ -31,8 +31,6 @@ type Site struct {
 	Name string
 	// Archetype is the climate class the site was generated from.
 	Archetype weather.Archetype
-	// LatitudeDeg is the signed latitude.
-	LatitudeDeg float64
 	// UTCOffsetHours is the site's time zone (0..23 hours east of UTC).
 	// The per-epoch profiles below are expressed on a shared UTC clock so
 	// that "follow the renewables" across longitudes behaves like the
@@ -304,10 +302,8 @@ func Generate(opts Options) (*Catalog, error) {
 					return
 				}
 				s := sites[i]
-				tr := weather.Generate(s.Archetype, s.seed)
-				s.LatitudeDeg = tr.LatitudeDeg
 				s.SolarCapacityFactor, s.WindCapacityFactor, s.AvgPUE, s.MaxPUE =
-					hourlyUTC(tr, s.UTCOffsetHours, year.Row(0), year.Row(1), year.Row(2))
+					hourlyUTC(weather.Generate(s.Archetype, s.seed), s.UTCOffsetHours, year.Row(0), year.Row(1), year.Row(2))
 				s.Alpha, s.Beta, s.PUE = alpha.Row(i), beta.Row(i), pueP.Row(i)
 				reduce(s.Alpha, year.Row(0))
 				reduce(s.Beta, year.Row(1))

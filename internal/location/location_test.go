@@ -199,7 +199,7 @@ type siteFingerprint struct {
 	id, offset int
 	name       string
 	arch       weather.Archetype
-	bits       [10]uint64
+	bits       [9]uint64
 	rows       [3]uint64
 }
 
@@ -208,7 +208,7 @@ func fingerprints(cat *Catalog) []siteFingerprint {
 	for _, s := range cat.Sites() {
 		fp := siteFingerprint{id: s.ID, offset: s.UTCOffsetHours, name: s.Name, arch: s.Archetype}
 		for i, v := range []float64{
-			s.LatitudeDeg, s.SolarCapacityFactor, s.WindCapacityFactor, s.AvgPUE, s.MaxPUE,
+			s.SolarCapacityFactor, s.WindCapacityFactor, s.AvgPUE, s.MaxPUE,
 			s.LandPriceUSDPerM2, s.GridPriceUSDPerKWh, s.DistPowerKm, s.DistNetworkKm, s.NearestPlantKW,
 		} {
 			fp.bits[i] = math.Float64bits(v)

@@ -152,7 +152,7 @@ const (
 	// internal-only outcomes; never stored in a Solution.
 	statusNumeric   // iteration limit / factorization failure
 	statusRetry     // warm start unusable: fall back to a cold solve
-	statusDeadline  // SolveOptions.Deadline expired mid-solve
+	statusDeadline  // SolveOptions.Deadline or Ctx's deadline expired mid-solve
 	statusCancelled // SolveOptions.Ctx was cancelled mid-solve
 )
 
@@ -401,11 +401,9 @@ type SolveOptions struct {
 	// solve stops and returns ErrDeadline.  The check runs between pivots, so
 	// a solve overruns by at most one iteration's work.
 	Deadline time.Time
-	// MaxIters, when positive, replaces the default per-phase iteration cap
-	// (30·(rows+cols), floor 2000).  Exceeding it returns ErrNumeric.
-	MaxIters int
 	// Ctx, when non-nil, is polled between pivots; cancellation stops the
-	// solve with ErrCancelled.
+	// solve with ErrCancelled, and a passed context deadline with
+	// ErrDeadline.
 	Ctx context.Context
 }
 
@@ -414,6 +412,9 @@ type SolveOptions struct {
 type solveControl struct {
 	deadline time.Time
 	ctx      context.Context
+	// maxIters, when positive and set only by tests, replaces the default
+	// per-phase iteration cap (30·(rows+cols), floor 2000); exceeding it
+	// fails the solve with ErrNumeric.
 	maxIters int
 	// ref, set only by tests, replaces devex with a reference pricing rule
 	// (pricing_ref_test.go).  It is deliberately not a budget: it changes
@@ -515,7 +516,7 @@ func (p *Problem) SolveFrom(warm *Basis) (*Solution, error) {
 // deadline or cancellation is final: there is no budget left to retry on);
 // recovery actions along the way are reported in the Solution's Stats.
 func (p *Problem) SolveFromWithOptions(warm *Basis, opts SolveOptions) (*Solution, error) {
-	return p.solveFrom(warm, &solveControl{deadline: opts.Deadline, ctx: opts.Ctx, maxIters: opts.MaxIters})
+	return p.solveFrom(warm, &solveControl{deadline: opts.Deadline, ctx: opts.Ctx})
 }
 
 func (p *Problem) solveFrom(warm *Basis, ctl *solveControl) (*Solution, error) {

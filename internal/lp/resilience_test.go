@@ -225,6 +225,17 @@ func TestRealDeadlineExpired(t *testing.T) {
 	}
 }
 
+// TestContextDeadlineExpired pins that a context whose deadline has passed
+// stops the solve as a deadline, not as a cancellation.
+func TestContextDeadlineExpired(t *testing.T) {
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	_, err := transportLP(t).SolveWithOptions(SolveOptions{Ctx: ctx})
+	if !errors.Is(err, ErrDeadline) || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want ErrDeadline wrapping context.DeadlineExceeded", err)
+	}
+}
+
 func TestContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -238,7 +249,7 @@ func TestContextCancellation(t *testing.T) {
 }
 
 func TestMaxItersBudget(t *testing.T) {
-	_, err := transportLP(t).SolveWithOptions(SolveOptions{MaxIters: 1})
+	_, err := transportLP(t).solveFrom(nil, &solveControl{maxIters: 1})
 	if !errors.Is(err, ErrNumeric) {
 		t.Fatalf("err = %v, want ErrNumeric from the iteration cap", err)
 	}

@@ -1,6 +1,8 @@
 package lp
 
 import (
+	"context"
+	"errors"
 	"math"
 	"time"
 )
@@ -455,6 +457,9 @@ func (s *solver) interrupted(iter int) Status {
 	if ctl.ctx != nil {
 		select {
 		case <-ctl.ctx.Done():
+			if errors.Is(ctl.ctx.Err(), context.DeadlineExceeded) {
+				return statusDeadline
+			}
 			return statusCancelled
 		default:
 		}

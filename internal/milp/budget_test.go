@@ -109,7 +109,7 @@ func TestNodeBudgetReturnsIncumbent(t *testing.T) {
 func TestDeadlineBeforeIncumbent(t *testing.T) {
 	t.Cleanup(lp.DisarmFaults)
 	lp.ArmFault(lp.FaultExpireDeadline, 0, 1)
-	_, err := budgetKnapsack(t).SolveWithOptions(Options{Deadline: time.Now().Add(time.Hour)})
+	_, err := budgetKnapsack(t).SolveWithOptions(Options{Ctx: hourDeadline(t)})
 	if !errors.Is(err, ErrDeadline) {
 		t.Fatalf("err = %v, want ErrDeadline", err)
 	}
@@ -128,7 +128,7 @@ func TestDeadlineAfterIncumbent(t *testing.T) {
 	// solves; 400 lands after the first incumbent (found near node 60) but
 	// before the search closes at node 139.
 	lp.ArmFault(lp.FaultExpireDeadline, 400, 1)
-	sol, err := budgetKnapsack(t).SolveWithOptions(Options{Deadline: time.Now().Add(time.Hour)})
+	sol, err := budgetKnapsack(t).SolveWithOptions(Options{Ctx: hourDeadline(t)})
 	if err != nil {
 		t.Fatalf("err = %v, want the incumbent with a nil error", err)
 	}
@@ -153,8 +153,18 @@ func TestContextCancelledBeforeStart(t *testing.T) {
 }
 
 func TestPastDeadlineBeforeStart(t *testing.T) {
-	_, err := budgetKnapsack(t).SolveWithOptions(Options{Deadline: time.Now().Add(-time.Second)})
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	_, err := budgetKnapsack(t).SolveWithOptions(Options{Ctx: ctx})
 	if !errors.Is(err, ErrDeadline) {
 		t.Fatalf("err = %v, want ErrDeadline", err)
 	}
+}
+
+// hourDeadline returns a context whose deadline is an hour away: it arms
+// the relaxations' budget polling, so an injected deadline fault fires.
+func hourDeadline(t *testing.T) context.Context {
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(time.Hour))
+	t.Cleanup(cancel)
+	return ctx
 }

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 
 	"greencloud/internal/lp"
 )
@@ -110,7 +109,6 @@ func (p *Problem) AddConstraint(name string, op lp.Op, rhs float64, terms ...lp.
 
 // Solution is the result of a MILP solve.
 type Solution struct {
-	Status    lp.Status
 	Objective float64
 	values    []float64
 	// Nodes is the number of branch-and-bound nodes explored.
@@ -157,12 +155,10 @@ type Options struct {
 	// MaxNodes caps the number of explored nodes (0 means a generous
 	// default).
 	MaxNodes int
-	// Deadline, when nonzero, bounds the wall-clock time of the search and
-	// of every node relaxation.  At the deadline the best incumbent is
-	// returned with its bound gap.
-	Deadline time.Time
 	// Ctx, when non-nil, cancels the search cooperatively between nodes and
-	// between simplex iterations inside a node.
+	// between simplex iterations inside a node.  A context deadline bounds
+	// the wall-clock time of the search: the best incumbent is returned with
+	// its bound gap, or ErrDeadline when there is none yet.
 	Ctx context.Context
 }
 
@@ -199,14 +195,14 @@ func (p *Problem) Solve() (*Solution, error) { return p.SolveWithOptions(Options
 // SolveWithOptions runs branch and bound.
 func (p *Problem) SolveWithOptions(opts Options) (*Solution, error) {
 	opts = opts.withDefaults()
-	lpOpts := lp.SolveOptions{Deadline: opts.Deadline, Ctx: opts.Ctx}
+	lpOpts := lp.SolveOptions{Ctx: opts.Ctx}
 
 	if len(p.integers) == 0 {
 		sol, err := p.solveRelaxation(nil, nil, lpOpts)
 		if err != nil {
-			return convertLPFailure(sol, err)
+			return nil, convertLPFailure(err)
 		}
-		return &Solution{Status: lp.Optimal, Objective: sol.Objective, values: sol.Values(),
+		return &Solution{Objective: sol.Objective, values: sol.Values(),
 			Nodes: 1, Proven: true, LPStats: sol.Stats}, nil
 	}
 
@@ -309,7 +305,7 @@ func (p *Problem) SolveWithOptions(opts Options) (*Solution, error) {
 				for v := range p.integers {
 					vals[v] = math.Round(vals[v])
 				}
-				best = &Solution{Status: lp.Optimal, Objective: relax.Objective, values: vals}
+				best = &Solution{Objective: relax.Objective, values: vals}
 				incumbent = relax.Objective
 			}
 			continue
@@ -353,9 +349,6 @@ func budgetStop(opts Options, nodesDone int) error {
 			return ErrCancelled
 		default:
 		}
-	}
-	if !opts.Deadline.IsZero() && !time.Now().Before(opts.Deadline) {
-		return ErrDeadline
 	}
 	return nil
 }
@@ -435,13 +428,13 @@ func (p *Problem) relaxation() (*lp.Problem, error) {
 	return prob, nil
 }
 
-func convertLPFailure(sol *lp.Solution, err error) (*Solution, error) {
+func convertLPFailure(err error) error {
 	switch {
 	case errors.Is(err, lp.ErrInfeasible):
-		return &Solution{Status: lp.Infeasible}, ErrInfeasible
+		return ErrInfeasible
 	case errors.Is(err, lp.ErrUnbounded):
-		return &Solution{Status: lp.Unbounded}, ErrUnbounded
+		return ErrUnbounded
 	default:
-		return nil, err
+		return err
 	}
 }

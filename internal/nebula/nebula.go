@@ -19,16 +19,11 @@ type Host struct {
 	// VCPUs and MemoryMB are the host's capacities.
 	VCPUs    int
 	MemoryMB int
-	// IdlePowerW and BusyPowerW bound the host's power draw; utilization
-	// interpolates between them.
-	IdlePowerW float64
-	BusyPowerW float64
 }
 
-// DefaultHost mirrors the paper's servers (Dell R610: 4 cores, 6 GB RAM,
-// 275 W peak, ~200 W at typical utilization).
+// DefaultHost mirrors the paper's servers (Dell R610: 4 cores, 6 GB RAM).
 func DefaultHost(id string) Host {
-	return Host{ID: id, VCPUs: 4, MemoryMB: 6 * 1024, IdlePowerW: 120, BusyPowerW: 275}
+	return Host{ID: id, VCPUs: 4, MemoryMB: 6 * 1024}
 }
 
 // Errors returned by the manager.

@@ -107,7 +107,7 @@ func spareCapacity(dc *Datacenter, sample vm.VM) int {
 
 func TestCustomHosts(t *testing.T) {
 	hosts := []Host{
-		{ID: "big", VCPUs: 64, MemoryMB: 256 * 1024, IdlePowerW: 200, BusyPowerW: 900},
+		{ID: "big", VCPUs: 64, MemoryMB: 256 * 1024},
 	}
 	dc := NewDatacenter("custom", hosts)
 	v := vm.NewHPCVM("vm-0")

@@ -106,11 +106,13 @@ func (p *Persistence) PredictInto(dst []float64, from int) error {
 }
 
 // Diurnal predicts each future hour as the average of the same hour of day
-// over the past `Days` days.
+// over the past diurnalDays days.
 type Diurnal struct {
 	Trace []float64
-	Days  int
 }
+
+// diurnalDays is the averaging window of Diurnal: one week.
+const diurnalDays = 7
 
 // Name implements Predictor.
 func (d *Diurnal) Name() string { return "diurnal" }
@@ -132,22 +134,17 @@ func (d *Diurnal) PredictInto(dst []float64, from int) error {
 	if err := checkArgs(len(d.Trace), from, len(dst)); err != nil {
 		return err
 	}
-	days := d.Days
-	if days <= 0 {
-		days = 7
-	}
 	for i := range dst {
 		target := from + i
-		sum, n := 0.0, 0
-		for day := 1; day <= days; day++ {
+		sum := 0.0
+		for day := 1; day <= diurnalDays; day++ {
 			idx := target - day*24
 			for idx < 0 {
 				idx += len(d.Trace)
 			}
 			sum += d.Trace[idx%len(d.Trace)]
-			n++
 		}
-		dst[i] = sum / float64(n)
+		dst[i] = sum / diurnalDays
 	}
 	return nil
 }

@@ -81,7 +81,7 @@ func TestPersistencePredictsYesterday(t *testing.T) {
 func TestDiurnalAveragesPastDays(t *testing.T) {
 	trace := diurnalTrace(24 * 10)
 	trace[24*5+12] = 999 // a single outlier should be diluted by averaging
-	d := &Diurnal{Trace: trace, Days: 5}
+	d := &Diurnal{Trace: trace}
 	got, err := d.Predict(24*7, 24)
 	if err != nil {
 		t.Fatal(err)
@@ -90,13 +90,12 @@ func TestDiurnalAveragesPastDays(t *testing.T) {
 	if got[12] <= normal || got[12] >= 999 {
 		t.Errorf("diurnal average %v should lie between the normal value %v and the outlier", got[12], normal)
 	}
+	// The window is one week: the outlier is one of seven samples.
+	if want := (6*normal + 999) / 7; math.Abs(got[12]-want) > 1e-9 {
+		t.Errorf("diurnal average %v, want %v (a 7-day window)", got[12], want)
+	}
 	if d.Name() != "diurnal" {
 		t.Errorf("Name = %s", d.Name())
-	}
-	// Default day count kicks in when Days is zero.
-	d2 := &Diurnal{Trace: trace}
-	if _, err := d2.Predict(24*8, 12); err != nil {
-		t.Errorf("default day count failed: %v", err)
 	}
 }
 

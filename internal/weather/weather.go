@@ -160,10 +160,6 @@ type Trace struct {
 	WindSpeedMs []float64
 	// PressureKPa is station pressure in kPa (used for air density).
 	PressureKPa []float64
-	// LatitudeDeg is the site latitude used for solar geometry (signed).
-	LatitudeDeg float64
-	// Archetype is the climate class the trace was generated from.
-	Archetype Archetype
 }
 
 // Generate builds the synthetic TMY for a site of the given archetype.  The
@@ -172,12 +168,7 @@ type Trace struct {
 // trace that the caller owns.
 func Generate(a Archetype, seed int64) *Trace {
 	p := archetypeParams(a)
-	rng := rand.New(rand.NewSource(seed*7919 + int64(a)*104729))
-
-	lat := p.latitudeAbs + (rng.Float64()*2-1)*p.latitudeSpread
-	if rng.Float64() < 0.25 { // a minority of sites in the southern hemisphere
-		lat = -lat
-	}
+	rng, lat := siteDraws(a, seed, p)
 
 	// Per-site perturbations so two sites of the same archetype differ.
 	meanTemp := p.meanTempC + rng.NormFloat64()*2.0
@@ -245,9 +236,19 @@ func Generate(a Archetype, seed int64) *Trace {
 		IrradianceWm2: irr,
 		WindSpeedMs:   wind,
 		PressureKPa:   press,
-		LatitudeDeg:   lat,
-		Archetype:     a,
 	}
+}
+
+// siteDraws seeds the generator of the (a, seed) trace and makes its first
+// draws: the site's signed latitude, which fixes its solar geometry and
+// seasons.  Generate goes on drawing from the returned generator.
+func siteDraws(a Archetype, seed int64, p params) (rng *rand.Rand, latitudeDeg float64) {
+	rng = rand.New(rand.NewSource(seed*7919 + int64(a)*104729))
+	lat := p.latitudeAbs + (rng.Float64()*2-1)*p.latitudeSpread
+	if rng.Float64() < 0.25 { // a minority of sites in the southern hemisphere
+		lat = -lat
+	}
+	return rng, lat
 }
 
 // The generator's trigonometry, tabulated once.  Every argument takes one

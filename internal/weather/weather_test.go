@@ -16,7 +16,7 @@ func TestGenerateDeterministic(t *testing.T) {
 	if a == b {
 		t.Fatal("two Generate calls returned the same *Trace")
 	}
-	if got, want := traceBits(b), traceBits(a); got != want {
+	if got, want := traceBits(b, Desert, 42), traceBits(a, Desert, 42); got != want {
 		t.Fatalf("identical seeds gave different traces:\n got  %#x\n want %#x", got, want)
 	}
 	c := Generate(Desert, 43)
@@ -25,14 +25,21 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 }
 
-// traceBits returns the series.Digest of a trace's temperature, irradiance,
-// wind and pressure series, then the math.Float64bits of its latitude.
-func traceBits(tr *Trace) [5]uint64 {
+// traceBits returns the series.Digest of the temperature, irradiance, wind
+// and pressure series of tr, the (a, seed) trace, then the
+// math.Float64bits of its site's latitude.
+func traceBits(tr *Trace, a Archetype, seed int64) [5]uint64 {
 	return [5]uint64{
 		series.Digest(tr.TemperatureC), series.Digest(tr.IrradianceWm2),
 		series.Digest(tr.WindSpeedMs), series.Digest(tr.PressureKPa),
-		math.Float64bits(tr.LatitudeDeg),
+		math.Float64bits(latitude(a, seed)),
 	}
+}
+
+// latitude returns the signed latitude of the (a, seed) trace's site.
+func latitude(a Archetype, seed int64) float64 {
+	_, lat := siteDraws(a, seed, archetypeParams(a))
+	return lat
 }
 
 func TestTraceLengthsAndBounds(t *testing.T) {
@@ -113,13 +120,13 @@ func TestArchetypeOrdering(t *testing.T) {
 }
 
 func TestSeasonalTemperatureSwing(t *testing.T) {
-	tr := Generate(Continental, 3)
-	if tr.LatitudeDeg == 0 {
-		t.Fatal("latitude not set")
+	tr, lat := Generate(Continental, 3), latitude(Continental, 3)
+	if lat == 0 {
+		t.Fatal("latitude not drawn")
 	}
 	// Compare mid-winter and mid-summer monthly means for the hemisphere.
 	winterDay, summerDay := 15, 196
-	if tr.LatitudeDeg < 0 {
+	if lat < 0 {
 		winterDay, summerDay = 196, 15
 	}
 	meanAround := func(center int) float64 {
@@ -242,7 +249,7 @@ var traceGolden = []struct {
 // every catalog with it, so never re-record it to make it pass.
 func TestTraceGolden(t *testing.T) {
 	for _, g := range traceGolden {
-		if got := traceBits(Generate(g.a, g.seed)); got != g.want {
+		if got := traceBits(Generate(g.a, g.seed), g.a, g.seed); got != g.want {
 			t.Errorf("%v seed %d:\n got  %#x\n want %#x", g.a, g.seed, got, g.want)
 		}
 	}
