@@ -171,8 +171,13 @@ cover:
 # 207-record tick journal — replaying every record's migrations and GDFS
 # re-replication round — so a slower restore shows up here.  Each restore
 # builds the trace's 60-site catalog from fresh weather years, as every
-# fresh-process restore does (~130 ms/op on 2 vCPUs).
-BENCH_SMOKE := ^(BenchmarkCalibration|BenchmarkCatalogGenerate|BenchmarkEvaluateSteadyState|BenchmarkEvaluateDeltaMove|BenchmarkLPResolve|BenchmarkLPBounded|BenchmarkLPSolve|BenchmarkEmulDay|BenchmarkEmulScale|BenchmarkPlannerTick|BenchmarkPlannerTickFleet|BenchmarkPlannerTickJournal|BenchmarkPlannerRestore)$$
+# fresh-process restore does (~130 ms/op on 2 vCPUs).  SolveSmallNetwork
+# is one heuristic solve (60-site catalog, 4 chains × 40 iterations), and
+# SolveSweep is the siting sweep in perfbench's shape: a 300-site catalog
+# filtered to 60, one warm-started 11-step green chain per storage mode at
+# 4 chains × 200 iterations, reporting sitings/op — so a slower evaluator,
+# per-site stage or sizing balance shows up here (~0.15 s/op on 2 vCPUs).
+BENCH_SMOKE := ^(BenchmarkCalibration|BenchmarkCatalogGenerate|BenchmarkEvaluateSteadyState|BenchmarkEvaluateDeltaMove|BenchmarkSolveSmallNetwork|BenchmarkSolveSweep|BenchmarkLPResolve|BenchmarkLPBounded|BenchmarkLPSolve|BenchmarkEmulDay|BenchmarkEmulScale|BenchmarkPlannerTick|BenchmarkPlannerTickFleet|BenchmarkPlannerTickJournal|BenchmarkPlannerRestore)$$
 
 bench-smoke:
 	$(GO) test -bench='$(BENCH_SMOKE)' -benchtime=1x -run '^$$' .

@@ -1,6 +1,7 @@
 package greencloud_test
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"os"
@@ -10,6 +11,7 @@ import (
 
 	"greencloud/internal/core"
 	"greencloud/internal/emul"
+	"greencloud/internal/energy"
 	"greencloud/internal/experiments"
 	"greencloud/internal/location"
 	"greencloud/internal/lp"
@@ -209,6 +211,52 @@ func BenchmarkSolveSmallNetwork(b *testing.B) {
 			b.Fatalf("solve: %v", err)
 		}
 	}
+}
+
+// BenchmarkSolveSweep times the siting sweep at the paper's search budget
+// in perfbench's siting shape: a 300-site, 2-representative-day catalog
+// filtered to 60 locations, then one 11-step green chain (0 %, 10 %, …,
+// 100 %) per storage mode, each point a 4-chain × 200-iteration Solve
+// warm-started from the previous point's siting.  The plant-sizing
+// bisection inside the evaluator's per-site stage is most of its time.
+// Catalog and filter are built once, outside the timer; an unreachable
+// point counts as a siting, as in perfbench.
+func BenchmarkSolveSweep(b *testing.B) {
+	cat, err := location.Generate(location.Options{Count: 300, Seed: 1, RepresentativeDays: 2})
+	if err != nil {
+		b.Fatalf("generate catalog: %v", err)
+	}
+	filtered, err := core.FilterSites(cat, core.DefaultSpec(), 60)
+	if err != nil {
+		b.Fatalf("filter sites: %v", err)
+	}
+	const greenSteps = 11
+	storages := []energy.StorageMode{energy.NoStorage, energy.NetMetering, energy.Batteries}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, storage := range storages {
+			var warm []core.Candidate
+			for g := 0; g < greenSteps; g++ {
+				spec := core.DefaultSpec()
+				spec.Storage = storage
+				spec.MinGreenFraction = float64(g) / (greenSteps - 1)
+				sol, err := core.Solve(cat, spec, core.SolveOptions{Candidates: filtered, InitialCandidates: warm,
+					FilterKeep: 60, Chains: 4, MaxIterations: 200, Seed: 1})
+				if err != nil {
+					if errors.Is(err, core.ErrInfeasible) {
+						continue
+					}
+					b.Fatalf("solve %v at %d%% green: %v", storage, 10*g, err)
+				}
+				warm = warm[:0]
+				for _, s := range sol.Sites {
+					warm = append(warm, core.Candidate{SiteID: s.Site.ID, CapacityKW: s.Provision.CapacityKW})
+				}
+			}
+		}
+	}
+	b.ReportMetric(float64(len(storages)*greenSteps), "sitings/op")
 }
 
 // BenchmarkFig3CapacityFactors regenerates the capacity-factor CDF (Fig. 3).
@@ -686,7 +734,7 @@ func BenchmarkLPBounded(b *testing.B) {
 // kernelEpochs is the row length of the series-kernel microbenchmarks: one
 // hourly year, the largest epoch grid the evaluator runs on.  The kernels
 // below are the hot inner loops of the schedule merge (WeightedSum), the
-// per-site stage (ScaledDrop, AddMul, DotWeighted) and the O(1) clean-site
+// per-site stage (ScaledDrop, AddMul, SumScaled) and the O(1) clean-site
 // revalidation (Digest); benchmarking them in isolation gives future
 // vectorization work a baseline that is not confounded by the pipeline
 // around them.
@@ -745,16 +793,16 @@ func BenchmarkSeriesSum(b *testing.B) {
 	_ = sink
 }
 
-// BenchmarkSeriesDotWeighted measures the energy-balance totals kernel
-// Σ x·w over one row.
-func BenchmarkSeriesDotWeighted(b *testing.B) {
-	x, w, _, _ := kernelRows(kernelEpochs)
-	b.SetBytes(2 * 8 * kernelEpochs)
+// BenchmarkSeriesSumScaled measures the epoch-weighted total kernel
+// Σ x·w (uniform weight w) over one row.
+func BenchmarkSeriesSumScaled(b *testing.B) {
+	x, _, _, _ := kernelRows(kernelEpochs)
+	b.SetBytes(8 * kernelEpochs)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var sink float64
 	for i := 0; i < b.N; i++ {
-		sink += series.DotWeighted(x, w)
+		sink += series.SumScaled(x, 182.5)
 	}
 	_ = sink
 }

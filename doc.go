@@ -75,17 +75,21 @@
 // All dense per-epoch arithmetic lives in internal/series: an epoch-major
 // Block type (rows × epochs float64, contiguous, row r at
 // data[r·E, (r+1)·E)) plus a small set of fused element-wise kernels
-// (WeightedSum, AddMul, AXPY, Scale, DotWeighted, Sum, SumPositive,
-// ScaledDrop, Zero and a per-row rolling Digest; Sum and DotWeighted are
+// (WeightedSum, AddMul, AXPY, Scale, SumScaled, Sum, SumPositive,
+// ScaledDrop, Zero and a per-row rolling Digest; Sum and SumScaled are
 // 4-way unrolled with a single accumulator, so their addition chains — and
 // therefore their bits — match the plain loops).  A location catalog's
 // per-epoch α/β/PUE profiles are rows of three Blocks written once when the
 // catalog is generated and read-only after; core.Evaluator's
 // scratch matrices (compute, migration, demand, green availability) are
-// single-owner scratch Blocks; internal/energy's balancer and
-// internal/sched's per-slot load math run through the same kernels.  One
-// loop dialect instead of four means every hot path improves at once when
-// a kernel does.
+// single-owner scratch Blocks; internal/sched's per-slot load math runs
+// through the same kernels.  One loop dialect means every hot path
+// improves at once when a kernel does.  internal/energy's balance is the
+// exception: it is a chronological recurrence (a storage level carried
+// from epoch to epoch), so it is not an element-wise kernel, and it reads
+// the α/β profile rows and the demand row directly, deriving each epoch's
+// green production (SolarKW·α + WindKW·β, WeightedSum's expression) inline
+// instead of through a scratch series.
 //
 // Aliasing/mutability contract: Block.Row clips the returned slice's
 // capacity at the row boundary, so writes through one row can never reach
@@ -120,6 +124,14 @@
 //     sizing by per-site bisection, battery sizing, storage balance and the
 //     monthly cost model — is a pure function of (site, capacity, schedule
 //     row, spec) and dominates the cost.  Its outputs are cached per site.
+//     Each bisection probe is one pass of energy.GreenAndDemand, a sizing
+//     kernel with one loop per storage mode that computes only the green
+//     and demand energy; the full balance (energy.Totals: brown energy,
+//     peak brown draw, net-metering flows) runs once, on the final plant.
+//     Both derive green production inline from the site's profiles and
+//     the plant, and both repeat the generic balance's operations in its
+//     order, so the kernels are bit-identical to it (pinned against a
+//     test-only copy by internal/energy's differential test).
 //   - A network-level top-up stage handles sitings whose green target is
 //     unreachable from individual sites alone by bisecting a common plant
 //     scale factor; it runs only in that case, on top of the cached

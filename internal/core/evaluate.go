@@ -75,14 +75,6 @@ func singleSiteSpec(spec Spec, capacityKW float64) Spec {
 	return spec
 }
 
-func epochWeights(cat *location.Catalog) []float64 {
-	out := make([]float64, cat.Epochs())
-	for i := range out {
-		out[i] = cat.EpochWeight()
-	}
-	return out
-}
-
 // unitGreenCost returns the monthly cost of one kW of installed plant of the
 // given technology at the site, divided by the kWh it produces per month —
 // i.e. dollars per monthly kWh of green energy.  Infinite when the
@@ -145,7 +137,7 @@ func techWeights(ucSolar, ucWind float64, spec Spec) (solarW, windW float64) {
 
 // batteryCapacityFor sizes a site's battery bank as BatteryHours hours of the
 // plant's average production (zero unless battery storage is selected).
-func batteryCapacityFor(solarKW, windKW float64, site *location.Site, spec Spec) float64 {
+func batteryCapacityFor(solarKW, windKW float64, site *location.Site, spec *Spec) float64 {
 	if spec.Storage != energy.Batteries {
 		return 0
 	}

@@ -37,7 +37,11 @@ type CostSummary struct {
 //   - The per-site stage (migration overhead, facility demand, plant sizing
 //     by per-site bisection, battery sizing, energy balance, monthly cost) is
 //     a pure function of (site, capacity, schedule row, spec).  Its outputs
-//     are cached per site; a site is re-run only when it is dirty.
+//     are cached per site; a site is re-run only when it is dirty.  The
+//     bisection probes with energy.GreenAndDemand, the mode-specialized
+//     sizing kernel; energy.Totals, the full balance, runs once on the
+//     final plant.  Both read the site's α/β rows and demand row through
+//     one reused energy.Site, so a probe copies nothing.
 //
 // Invalidation protocol: a site whose capacity the Move metadata says
 // changed is dirty by definition and re-runs without further checks; every
@@ -57,20 +61,7 @@ type CostSummary struct {
 // violation messages.  An Evaluator is NOT safe for concurrent use — create one per
 // goroutine (the annealing chains in Solve each own one).
 type Evaluator struct {
-	cat    *location.Catalog
-	all    []*location.Site // cat.Sites(): a site's position is its Catalog.Index
-	spec   Spec
-	epochs int
-	minDCs int
-
-	// Per-catalog static caches, indexed by catalog position.
-	weights  []float64 // epoch weights (hours represented)
-	brownKey []float64 // grid price × average PUE: the brown-rank key
-	ucSolar  []float64 // unit green cost of solar ($ per monthly kWh)
-	ucWind   []float64 // unit green cost of wind
-	solarTW  []float64 // tech-weight split between solar and wind
-	windTW   []float64
-	pueKWh   []float64 // Σ_t PUE[t]·w[t]: yearly facility kWh of 1 kW IT load
+	evalTables
 
 	// Per-call candidate state.
 	n          int
@@ -102,8 +93,10 @@ type Evaluator struct {
 	windKW    []float64
 	outs      []siteOutputs
 
-	// scratchSeries holds one epoch-length series for plant-sizing trials.
-	scratchSeries []float64
+	// bal is the energy balance input of the site being priced: Mode,
+	// EpochHours and BatteryEfficiency are fixed per evaluator, and
+	// balanceOf points the profiles and the demand row at one site.
+	bal energy.Site
 
 	// cache holds the memoized per-site stage results, keyed by site ID.
 	// noCache disables memoization for evaluators whose call pattern never
@@ -111,6 +104,28 @@ type Evaluator struct {
 	// where cache entries would be allocated but never hit.
 	cache   map[int]*siteEntry
 	noCache bool
+}
+
+// evalTables is the read-only part of an Evaluator: the catalog, the spec
+// and the per-catalog static caches, written once by NewEvaluator.  fork
+// shares one evalTables value (and so its slices' backing arrays) between
+// evaluators of the same (catalog, spec) pair, which may read it
+// concurrently.
+type evalTables struct {
+	cat    *location.Catalog
+	all    []*location.Site // cat.Sites(): a site's position is its Catalog.Index
+	spec   Spec
+	epochs int
+	minDCs int
+	hours  float64 // hours every epoch represents (the catalog's uniform epoch weight)
+
+	// Per-catalog static caches, indexed by catalog position.
+	brownKey []float64 // grid price × average PUE: the brown-rank key
+	ucSolar  []float64 // unit green cost of solar ($ per monthly kWh)
+	ucWind   []float64 // unit green cost of wind
+	solarTW  []float64 // tech-weight split between solar and wind
+	windTW   []float64
+	pueKWh   []float64 // Σ_t PUE[t]·hours: yearly facility kWh of 1 kW IT load
 }
 
 // siteOutputs is everything the per-site stage produces for one site: the
@@ -137,9 +152,9 @@ type siteEntry struct {
 }
 
 // NewEvaluator builds an evaluator for the catalog and spec, precomputing
-// the per-site static quantities the hot path needs: epoch weights, the
-// brown-cost rank key, unit green production costs, the solar/wind
-// technology split and the weighted PUE sum of every site.
+// the per-site static quantities the hot path needs: the brown-cost rank
+// key, unit green production costs, the solar/wind technology split and the
+// epoch-weighted PUE sum of every site.
 func NewEvaluator(cat *location.Catalog, spec Spec) (*Evaluator, error) {
 	spec = spec.withDefaults()
 	if err := spec.Validate(); err != nil {
@@ -149,30 +164,48 @@ func NewEvaluator(cat *location.Catalog, spec Spec) (*Evaluator, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &Evaluator{
+	t := evalTables{
 		cat:    cat,
 		spec:   spec,
 		epochs: cat.Epochs(),
 		minDCs: minDCs,
 		all:    cat.Sites(),
-		cache:  make(map[int]*siteEntry),
+		hours:  cat.EpochWeight(),
 	}
-	e.weights = epochWeights(cat)
 	nSites := cat.Len()
-	e.brownKey = make([]float64, nSites)
-	e.ucSolar = make([]float64, nSites)
-	e.ucWind = make([]float64, nSites)
-	e.solarTW = make([]float64, nSites)
-	e.windTW = make([]float64, nSites)
-	e.pueKWh = make([]float64, nSites)
-	for row, s := range e.all {
-		e.brownKey[row] = s.GridPriceUSDPerKWh * s.AvgPUE
-		e.ucSolar[row] = unitGreenCost(s, true, spec.Cost)
-		e.ucWind[row] = unitGreenCost(s, false, spec.Cost)
-		e.solarTW[row], e.windTW[row] = techWeights(e.ucSolar[row], e.ucWind[row], spec)
-		e.pueKWh[row] = series.DotWeighted(s.PUE, e.weights)
+	t.brownKey = make([]float64, nSites)
+	t.ucSolar = make([]float64, nSites)
+	t.ucWind = make([]float64, nSites)
+	t.solarTW = make([]float64, nSites)
+	t.windTW = make([]float64, nSites)
+	t.pueKWh = make([]float64, nSites)
+	for row, s := range t.all {
+		t.brownKey[row] = s.GridPriceUSDPerKWh * s.AvgPUE
+		t.ucSolar[row] = unitGreenCost(s, true, spec.Cost)
+		t.ucWind[row] = unitGreenCost(s, false, spec.Cost)
+		t.solarTW[row], t.windTW[row] = techWeights(t.ucSolar[row], t.ucWind[row], spec)
+		t.pueKWh[row] = series.SumScaled(s.PUE, t.hours)
 	}
-	return e, nil
+	return t.evaluator(), nil
+}
+
+// fork returns a fresh evaluator for e's catalog and spec — the same as
+// NewEvaluator would build — that shares e's read-only tables instead of
+// recomputing them, and owns its own scratch state and cache.  Solve's
+// annealing chains and FilterSites' workers fork one evaluator each.
+func (e *Evaluator) fork() *Evaluator { return e.evalTables.evaluator() }
+
+// evaluator wraps t in an evaluator with empty scratch state and cache.
+func (t evalTables) evaluator() *Evaluator {
+	return &Evaluator{
+		evalTables: t,
+		bal: energy.Site{
+			EpochHours:        t.hours,
+			Mode:              t.spec.Storage,
+			BatteryEfficiency: t.spec.Cost.BatteryEfficiency,
+		},
+		cache: make(map[int]*siteEntry),
+	}
 }
 
 // Evaluate provisions and prices the candidate siting, returning a full
@@ -368,7 +401,6 @@ func (e *Evaluator) prepare(candidates []Candidate) error {
 	e.compute.Reshape(n, E)
 	e.migration.Reshape(n, E)
 	e.demand.Reshape(n, E)
-	e.scratchSeries = growSlice(e.scratchSeries, E)
 
 	for i, c := range candidates {
 		row, err := e.cat.Index(c.SiteID)
@@ -507,7 +539,7 @@ func (e *Evaluator) scheduleLoad() {
 				}
 				i := idx[k]
 				greenSupportedIT := val[k] / e.sites[i].PUE[t]
-				take := math.Min(remaining, math.Min(e.capacities[i], greenSupportedIT))
+				take := min(remaining, min(e.capacities[i], greenSupportedIT))
 				if take > 0 {
 					compute[i*E+t] = take
 					remaining -= take
@@ -523,7 +555,7 @@ func (e *Evaluator) scheduleLoad() {
 			if room <= 0 {
 				continue
 			}
-			take := math.Min(remaining, room)
+			take := min(remaining, room)
 			compute[i*E+t] += take
 			remaining -= take
 		}
@@ -576,7 +608,7 @@ func (e *Evaluator) siteStage(i int, out *siteOutputs) error {
 	e.migrationRow(i)
 	e.demandRow(i)
 
-	demandKWh := series.DotWeighted(e.demand.Row(i), e.weights)
+	demandKWh := series.SumScaled(e.demand.Row(i), e.hours)
 
 	baseSolar, baseWind := 0.0, 0.0
 	if spec.MinGreenFraction > 0 && demandKWh > 0 {
@@ -592,7 +624,7 @@ func (e *Evaluator) siteStage(i int, out *siteOutputs) error {
 	}
 	out.SolarKW = baseSolar * scale
 	out.WindKW = baseWind * scale
-	out.BatteryKWh = batteryCapacityFor(out.SolarKW, out.WindKW, e.sites[i], *spec)
+	out.BatteryKWh = batteryCapacityFor(out.SolarKW, out.WindKW, e.sites[i], spec)
 	return e.accountSite(i, out)
 }
 
@@ -645,7 +677,9 @@ func (e *Evaluator) basePlant(i int, allocKWh float64) (solarKW, windKW float64)
 // loop uses: shrink within [0,1] when the base plant overshoots, otherwise
 // double up to the ceiling and bisect down.  The stop is a relative width of
 // 1e-4: the feasibility check tolerates 1e-3 on the green fraction, so
-// chasing more precision only burns balance calls.
+// chasing more precision only burns probes.  Each probe (siteFraction) is
+// one pass of energy.GreenAndDemand, the mode-specialized sizing kernel,
+// over the site's profiles and demand row.
 func (e *Evaluator) siteScale(i int, baseSolar, baseWind float64) (float64, error) {
 	target := e.spec.MinGreenFraction
 	f, err := e.siteFraction(i, baseSolar, baseWind, 1)
@@ -697,42 +731,39 @@ func (e *Evaluator) siteBisect(i int, baseSolar, baseWind, lo, hi float64) (floa
 // siteFraction returns site i's green fraction when its base plant is scaled
 // by the given factor, under the spec's real storage dynamics.
 func (e *Evaluator) siteFraction(i int, baseSolar, baseWind, scale float64) (float64, error) {
-	E := e.epochs
-	spec := &e.spec
 	solar := baseSolar * scale
 	wind := baseWind * scale
-	green := e.scratchSeries[:E]
-	series.WeightedSum(green, solar, e.sites[i].Alpha, wind, e.sites[i].Beta)
-	tot, err := energy.Totals(energy.BalanceInput{
-		GreenKW:            green,
-		DemandKW:           e.demand.Row(i),
-		Weights:            e.weights,
-		Mode:               spec.Storage,
-		BatteryCapacityKWh: batteryCapacityFor(solar, wind, e.sites[i], *spec),
-		BatteryEfficiency:  spec.Cost.BatteryEfficiency,
+	green, demand, err := energy.GreenAndDemand(e.balanceOf(i), energy.Plant{
+		SolarKW:    solar,
+		WindKW:     wind,
+		BatteryKWh: batteryCapacityFor(solar, wind, e.sites[i], &e.spec),
 	})
 	if err != nil {
 		return 0, fmt.Errorf("core: sizing balance for %s: %w", e.sites[i].Name, err)
 	}
-	return tot.GreenFraction(), nil
+	if demand <= 0 {
+		return 1, nil
+	}
+	return min(1, green/demand), nil
+}
+
+// balanceOf points the evaluator's balance input at site i's production
+// profiles and current demand row.
+func (e *Evaluator) balanceOf(i int) *energy.Site {
+	e.bal.Alpha, e.bal.Beta, e.bal.DemandKW = e.sites[i].Alpha, e.sites[i].Beta, e.demand.Row(i)
+	return &e.bal
 }
 
 // accountSite runs the final energy balance and cost model for site i with
 // the provisioning already stored in out, filling the energy totals and the
 // monthly cost breakdown.
 func (e *Evaluator) accountSite(i int, out *siteOutputs) error {
-	E := e.epochs
 	spec := &e.spec
 	site := e.sites[i]
-	green := e.scratchSeries[:E]
-	series.WeightedSum(green, out.SolarKW, e.sites[i].Alpha, out.WindKW, e.sites[i].Beta)
-	tot, err := energy.Totals(energy.BalanceInput{
-		GreenKW:            green,
-		DemandKW:           e.demand.Row(i),
-		Weights:            e.weights,
-		Mode:               spec.Storage,
-		BatteryCapacityKWh: out.BatteryKWh,
-		BatteryEfficiency:  spec.Cost.BatteryEfficiency,
+	tot, err := energy.Totals(e.balanceOf(i), energy.Plant{
+		SolarKW:    out.SolarKW,
+		WindKW:     out.WindKW,
+		BatteryKWh: out.BatteryKWh,
 	})
 	if err != nil {
 		return fmt.Errorf("core: balance for %s: %w", site.Name, err)
@@ -808,27 +839,20 @@ func (e *Evaluator) topUpScale(outs []siteOutputs) (float64, error) {
 // networkFraction returns the network green fraction achieved when every
 // site's plants are scaled by λ, under the spec's real storage dynamics.
 func (e *Evaluator) networkFraction(outs []siteOutputs, lambda float64) (float64, error) {
-	E := e.epochs
-	spec := &e.spec
 	greenTotal, demandTotal := 0.0, 0.0
-	green := e.scratchSeries[:E]
 	for i := 0; i < e.n; i++ {
 		solar := outs[i].SolarKW * lambda
 		wind := outs[i].WindKW * lambda
-		series.WeightedSum(green, solar, e.sites[i].Alpha, wind, e.sites[i].Beta)
-		tot, err := energy.Totals(energy.BalanceInput{
-			GreenKW:            green,
-			DemandKW:           e.demand.Row(i),
-			Weights:            e.weights,
-			Mode:               spec.Storage,
-			BatteryCapacityKWh: batteryCapacityFor(solar, wind, e.sites[i], *spec),
-			BatteryEfficiency:  spec.Cost.BatteryEfficiency,
+		green, demand, err := energy.GreenAndDemand(e.balanceOf(i), energy.Plant{
+			SolarKW:    solar,
+			WindKW:     wind,
+			BatteryKWh: batteryCapacityFor(solar, wind, e.sites[i], &e.spec),
 		})
 		if err != nil {
 			return 0, fmt.Errorf("core: top-up balance for %s: %w", e.sites[i].Name, err)
 		}
-		greenTotal += tot.GreenUsedKWh + tot.BattDischargedKWh + tot.NetDischargedKWh
-		demandTotal += tot.DemandKWh
+		greenTotal += green
+		demandTotal += demand
 	}
 	if demandTotal <= 0 {
 		return 1, nil
@@ -841,7 +865,7 @@ func (e *Evaluator) networkFraction(outs []siteOutputs, lambda float64) (float64
 func (e *Evaluator) reaccount(i int, lambda float64, out *siteOutputs) error {
 	out.SolarKW *= lambda
 	out.WindKW *= lambda
-	out.BatteryKWh = batteryCapacityFor(out.SolarKW, out.WindKW, e.sites[i], e.spec)
+	out.BatteryKWh = batteryCapacityFor(out.SolarKW, out.WindKW, e.sites[i], &e.spec)
 	return e.accountSite(i, out)
 }
 

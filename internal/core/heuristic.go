@@ -68,9 +68,10 @@ func (o SolveOptions) withDefaults() SolveOptions {
 // sites so the annealing stage can exploit them.
 //
 // The catalog is sharded across a GOMAXPROCS-sized worker pool; each worker
-// owns its pair of cached evaluators and every site writes its score into
-// its own slot, so the result is identical to pricing the catalog
-// sequentially.
+// owns its pair of evaluators, forked from one brown and one green
+// evaluator built here so the per-catalog tables are computed once, and
+// every site writes its score into its own slot, so the result is identical
+// to pricing the catalog sequentially.
 func FilterSites(cat *location.Catalog, spec Spec, keep int) ([]int, error) {
 	spec = spec.withDefaults()
 	if err := spec.Validate(); err != nil {
@@ -95,6 +96,16 @@ func FilterSites(cat *location.Catalog, spec Spec, keep int) ([]int, error) {
 	brownSpec.MinGreenFraction = 0
 	sites := cat.Sites()
 	scores := make([]float64, len(sites))
+	brownBase, err := NewEvaluator(cat, singleSiteSpec(brownSpec, refCapacity))
+	if err != nil {
+		return nil, fmt.Errorf("core: filter: %w", err)
+	}
+	var greenBase *Evaluator
+	if spec.MinGreenFraction > 0 {
+		if greenBase, err = NewEvaluator(cat, singleSiteSpec(spec, refCapacity)); err != nil {
+			return nil, fmt.Errorf("core: filter: %w", err)
+		}
+	}
 
 	// scoreRange prices its share of the catalog with its own reusable
 	// evaluators: pricing every location is the filter's hot loop, and a
@@ -102,17 +113,11 @@ func FilterSites(cat *location.Catalog, spec Spec, keep int) ([]int, error) {
 	// per-site memo cache is disabled — every site is priced exactly once,
 	// so entries could never be hit.
 	scoreRange := func(nextIdx *atomic.Int64) error {
-		brownEval, err := NewEvaluator(cat, singleSiteSpec(brownSpec, refCapacity))
-		if err != nil {
-			return fmt.Errorf("core: filter: %w", err)
-		}
+		brownEval := brownBase.fork()
 		brownEval.DisableCache()
 		var greenEval *Evaluator
-		if spec.MinGreenFraction > 0 {
-			greenEval, err = NewEvaluator(cat, singleSiteSpec(spec, refCapacity))
-			if err != nil {
-				return fmt.Errorf("core: filter: %w", err)
-			}
+		if greenBase != nil {
+			greenEval = greenBase.fork()
 			greenEval.DisableCache()
 		}
 		probe := make([]Candidate, 1)
@@ -331,7 +336,8 @@ func Solve(cat *location.Catalog, spec Spec, opts SolveOptions) (*Solution, erro
 
 	// The shared evaluator serves the single-threaded phases (initial-siting
 	// selection, the top-level initial energy, the final materialization);
-	// each annealing chain creates its own.
+	// each annealing chain owns a fork of it, sharing its per-catalog
+	// tables.
 	shared, err := NewEvaluator(cat, spec)
 	if err != nil {
 		return nil, err
@@ -351,17 +357,6 @@ func Solve(cat *location.Catalog, spec Spec, opts SolveOptions) (*Solution, erro
 	// Capacity-changing moves step by an eighth of the network's capacity.
 	quantum := spec.TotalCapacityKW / 8
 
-	// Per-chain evaluators are built up front so a constructor failure is an
-	// ordinary error return instead of a panic inside a chain goroutine.
-	chainEvals := make([]*Evaluator, opts.Chains)
-	for i := range chainEvals {
-		ev, err := NewEvaluator(cat, spec)
-		if err != nil {
-			return nil, err
-		}
-		chainEvals[i] = ev
-	}
-
 	result, runErr := anneal.Run(anneal.Config[siting]{
 		Initial: initial,
 		NewContext: func(chain int) any {
@@ -370,7 +365,7 @@ func Solve(cat *location.Catalog, spec Spec, opts SolveOptions) (*Solution, erro
 				// starts; it can share the single-threaded evaluator.
 				return shared
 			}
-			return chainEvals[chain]
+			return shared.fork()
 		},
 		NeighborMove: func(s siting, rng *rand.Rand) (siting, any) {
 			next, mv := proposeMove(s, rng, filtered, spec, minDCs, maxDCs, quantum)

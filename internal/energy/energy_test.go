@@ -2,18 +2,33 @@ package energy
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"greencloud/internal/series"
 )
 
-// prefix returns in cut to its first k epochs.  The simulation is
-// chronological, so the prefix's Totals are in's totals after epoch k-1,
+// profileSite returns an hourly-epoch site on which one kW of solar plant
+// produces green[t] kW and wind produces nothing, so a balance of unitPlant
+// (plus a battery bank) sees green as its production series.
+func profileSite(green, demand []float64, mode StorageMode) *Site {
+	return &Site{Alpha: green, Beta: make([]float64, len(green)), DemandKW: demand, EpochHours: 1, Mode: mode}
+}
+
+var unitPlant = Plant{SolarKW: 1}
+
+// prefix returns s cut to its first k epochs.  The simulation is
+// chronological, so the prefix's Totals are s's totals after epoch k-1,
 // and each epoch's flows are differences of consecutive prefixes.
-func prefix(in BalanceInput, k int) BalanceInput {
+func prefix(s *Site, k int) *Site {
+	c := *s
+	c.Alpha, c.Beta, c.DemandKW = c.Alpha[:k], c.Beta[:k], c.DemandKW[:k]
+	return &c
+}
+
+// refPrefix is prefix for the reference input.
+func refPrefix(in refInput, k int) refInput {
 	in.GreenKW, in.DemandKW, in.Weights = in.GreenKW[:k], in.DemandKW[:k], in.Weights[:k]
 	return in
 }
@@ -27,45 +42,51 @@ func constSeries(n int, v float64) []float64 {
 }
 
 func TestBalanceValidation(t *testing.T) {
-	if _, err := Totals(BalanceInput{GreenKW: []float64{1}, DemandKW: []float64{1, 2}, Weights: []float64{1}}); !errors.Is(err, ErrLengthMismatch) {
-		t.Errorf("length mismatch: got %v", err)
+	one := []float64{1}
+	kernels := map[string]func(*Site) error{
+		"Totals": func(s *Site) error {
+			_, err := Totals(s, unitPlant)
+			return err
+		},
+		"GreenAndDemand": func(s *Site) error {
+			_, _, err := GreenAndDemand(s, unitPlant)
+			return err
+		},
 	}
-	if _, err := Totals(BalanceInput{GreenKW: []float64{1}, DemandKW: []float64{1}, Weights: []float64{1, 2}}); !errors.Is(err, ErrLengthMismatch) {
-		t.Errorf("weight length mismatch: got %v", err)
-	}
-	if _, err := Totals(BalanceInput{GreenKW: []float64{1}, DemandKW: []float64{1}, Weights: []float64{1}, Mode: 0}); !errors.Is(err, ErrBadMode) {
-		t.Errorf("unknown mode: got %v", err)
-	}
-	for _, eff := range []float64{0, 2} {
-		if _, err := Totals(BalanceInput{
-			GreenKW: []float64{1}, DemandKW: []float64{1}, Weights: []float64{1},
-			Mode: Batteries, BatteryEfficiency: eff,
-		}); !errors.Is(err, ErrBadEfficiency) {
-			t.Errorf("battery efficiency %v: got %v", eff, err)
+	for name, balance := range kernels {
+		if err := balance(&Site{Alpha: one, Beta: one, DemandKW: []float64{1, 2}, EpochHours: 1, Mode: NoStorage}); !errors.Is(err, ErrLengthMismatch) {
+			t.Errorf("%s: length mismatch: got %v", name, err)
 		}
-	}
-	if _, err := Totals(BalanceInput{
-		GreenKW: []float64{1}, DemandKW: []float64{1}, Weights: []float64{0}, Mode: NoStorage,
-	}); err == nil {
-		t.Error("zero weight should error")
+		if err := balance(&Site{Alpha: one, Beta: []float64{1, 2}, DemandKW: one, EpochHours: 1, Mode: NoStorage}); !errors.Is(err, ErrLengthMismatch) {
+			t.Errorf("%s: wind profile length mismatch: got %v", name, err)
+		}
+		if err := balance(&Site{Alpha: one, Beta: one, DemandKW: one, EpochHours: 1, Mode: 0}); !errors.Is(err, ErrBadMode) {
+			t.Errorf("%s: unknown mode: got %v", name, err)
+		}
+		for _, eff := range []float64{0, 2} {
+			if err := balance(&Site{
+				Alpha: one, Beta: one, DemandKW: one, EpochHours: 1,
+				Mode: Batteries, BatteryEfficiency: eff,
+			}); !errors.Is(err, ErrBadEfficiency) {
+				t.Errorf("%s: battery efficiency %v: got %v", name, eff, err)
+			}
+		}
+		if err := balance(&Site{Alpha: one, Beta: one, DemandKW: one, EpochHours: 0, Mode: NoStorage}); err == nil {
+			t.Errorf("%s: zero epoch weight should error", name)
+		}
 	}
 }
 
 func TestBalanceAllBrown(t *testing.T) {
-	res, err := Totals(BalanceInput{
-		GreenKW:  constSeries(24, 0),
-		DemandKW: constSeries(24, 100),
-		Weights:  constSeries(24, 1),
-		Mode:     NoStorage,
-	})
+	res, err := Totals(profileSite(constSeries(24, 0), constSeries(24, 100), NoStorage), unitPlant)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, want := res.BrownKWh, 2400.0; math.Abs(got-want) > 1e-9 {
 		t.Errorf("BrownKWh = %v, want %v", got, want)
 	}
-	if res.GreenFraction() != 0 {
-		t.Errorf("green fraction = %v, want 0", res.GreenFraction())
+	if f := refGreenFraction(res); f != 0 {
+		t.Errorf("green fraction = %v, want 0", f)
 	}
 	if res.BrownKWh != res.DemandKWh || res.MaxBrownKW != 100 {
 		t.Errorf("brown %v kWh (max %v kW) should cover all %v kWh of demand", res.BrownKWh, res.MaxBrownKW, res.DemandKWh)
@@ -73,19 +94,14 @@ func TestBalanceAllBrown(t *testing.T) {
 }
 
 func TestBalanceAllGreen(t *testing.T) {
-	res, err := Totals(BalanceInput{
-		GreenKW:  constSeries(24, 150),
-		DemandKW: constSeries(24, 100),
-		Weights:  constSeries(24, 1),
-		Mode:     NoStorage,
-	})
+	res, err := Totals(profileSite(constSeries(24, 150), constSeries(24, 100), NoStorage), unitPlant)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.BrownKWh != 0 {
 		t.Errorf("BrownKWh = %v, want 0", res.BrownKWh)
 	}
-	if got := res.GreenFraction(); got != 1 {
+	if got := refGreenFraction(res); got != 1 {
 		t.Errorf("green fraction = %v, want 1", got)
 	}
 	// Surplus is curtailed under NoStorage.
@@ -101,20 +117,15 @@ func TestNetMeteringShiftsSurplusAcrossEpochs(t *testing.T) {
 	for h := 0; h < 12; h++ {
 		green[h] = 200
 	}
-	in := BalanceInput{
-		GreenKW:  green,
-		DemandKW: constSeries(24, 100),
-		Weights:  constSeries(24, 1),
-		Mode:     NetMetering,
-	}
-	res, err := Totals(in)
+	in := profileSite(green, constSeries(24, 100), NetMetering)
+	res, err := Totals(in, unitPlant)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.BrownKWh > 1e-9 {
 		t.Errorf("net metering should cover the whole day, brown = %v", res.BrownKWh)
 	}
-	if got := res.GreenFraction(); math.Abs(got-1) > 1e-9 {
+	if got := refGreenFraction(res); math.Abs(got-1) > 1e-9 {
 		t.Errorf("green fraction = %v, want 1", got)
 	}
 	if res.NetChargedKWh <= 0 || res.NetDischargedKWh <= 0 {
@@ -122,24 +133,19 @@ func TestNetMeteringShiftsSurplusAcrossEpochs(t *testing.T) {
 	}
 	// Same setup without storage covers only half the demand.
 	in.Mode = NoStorage
-	resNo, err := Totals(in)
+	resNo, err := Totals(in, unitPlant)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := resNo.GreenFraction(); math.Abs(got-0.5) > 1e-9 {
+	if got := refGreenFraction(resNo); math.Abs(got-0.5) > 1e-9 {
 		t.Errorf("no-storage green fraction = %v, want 0.5", got)
 	}
 }
 
 func TestNetLevelNeverNegative(t *testing.T) {
-	in := BalanceInput{
-		GreenKW:  []float64{0, 300, 0, 0},
-		DemandKW: constSeries(4, 100),
-		Weights:  constSeries(4, 1),
-		Mode:     NetMetering,
-	}
-	for k := 1; k <= len(in.GreenKW); k++ {
-		res, err := Totals(prefix(in, k))
+	in := profileSite([]float64{0, 300, 0, 0}, constSeries(4, 100), NetMetering)
+	for k := 1; k <= len(in.DemandKW); k++ {
+		res, err := Totals(prefix(in, k), unitPlant)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,19 +161,14 @@ func TestNetLevelNeverNegative(t *testing.T) {
 }
 
 func TestBatteriesRespectCapacityAndEfficiency(t *testing.T) {
-	in := BalanceInput{
-		GreenKW:            []float64{500, 0, 0, 0},
-		DemandKW:           constSeries(4, 100),
-		Weights:            constSeries(4, 1),
-		Mode:               Batteries,
-		BatteryCapacityKWh: 150,
-		BatteryEfficiency:  0.75,
-	}
+	in := profileSite([]float64{500, 0, 0, 0}, constSeries(4, 100), Batteries)
+	in.BatteryEfficiency = 0.75
+	plant := Plant{SolarKW: 1, BatteryKWh: 150}
 	// Charging loses 25 %: storing 150 kWh needs 200 kWh of surplus, which
 	// is available (400 kWh surplus in epoch 0), so the full battery covers
 	// epoch 1 and half of epoch 2, and nothing is left for epoch 3.
 	for k, want := range []float64{0, 100, 150, 150} {
-		res, err := Totals(prefix(in, k+1))
+		res, err := Totals(prefix(in, k+1), plant)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,7 +176,7 @@ func TestBatteriesRespectCapacityAndEfficiency(t *testing.T) {
 			t.Errorf("discharged %v kWh by epoch %d, want %v", res.BattDischargedKWh, k, want)
 		}
 	}
-	res, err := Totals(in)
+	res, err := Totals(in, plant)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,14 +187,9 @@ func TestBatteriesRespectCapacityAndEfficiency(t *testing.T) {
 
 func TestBatteryEfficiencyLoss(t *testing.T) {
 	// With 100 kWh of surplus and 75 % efficiency, only 75 kWh is available later.
-	res, err := Totals(BalanceInput{
-		GreenKW:            []float64{200, 0},
-		DemandKW:           []float64{100, 100},
-		Weights:            []float64{1, 1},
-		Mode:               Batteries,
-		BatteryCapacityKWh: 1000,
-		BatteryEfficiency:  0.75,
-	})
+	in := profileSite([]float64{200, 0}, []float64{100, 100}, Batteries)
+	in.BatteryEfficiency = 0.75
+	res, err := Totals(in, Plant{SolarKW: 1, BatteryKWh: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,12 +218,10 @@ func TestEnergyConservationProperty(t *testing.T) {
 			demand[i] = next()
 		}
 		for _, mode := range []StorageMode{NoStorage, NetMetering, Batteries} {
-			in := BalanceInput{
-				GreenKW: green, DemandKW: demand, Weights: constSeries(n, 1),
-				Mode: mode, BatteryCapacityKWh: 50, BatteryEfficiency: 0.75,
-			}
+			in := profileSite(green, demand, mode)
+			in.BatteryEfficiency = 0.75
 			for k := 1; k <= n; k++ {
-				res, err := Totals(prefix(in, k))
+				res, err := Totals(prefix(in, k), Plant{SolarKW: 1, BatteryKWh: 50})
 				if err != nil {
 					return false
 				}
@@ -235,7 +229,7 @@ func TestEnergyConservationProperty(t *testing.T) {
 				if math.Abs(got-res.DemandKWh) > 1e-6 {
 					return false
 				}
-				if res.GreenFraction() < 0 || res.GreenFraction() > 1 {
+				if f := refGreenFraction(res); f < 0 || f > 1 {
 					return false
 				}
 			}
@@ -249,12 +243,12 @@ func TestEnergyConservationProperty(t *testing.T) {
 
 // requiredPlantScale returns the multiplicative factor by which a green
 // plant's capacity must be scaled so that the balance reaches the target
-// green fraction, using bisection over scale.  greenPerKW is the per-epoch
-// production of one kW of installed plant; the other inputs are as in
-// BalanceInput.  It returns the smallest scale in [0, maxScale] that reaches the
-// target, or maxScale if even that is insufficient (the caller then knows
-// the target is unreachable with this source mix).
-func requiredPlantScale(greenPerKW, demandKW, weights []float64, mode StorageMode,
+// green fraction, using bisection over scale with the GreenAndDemand probe.
+// greenPerKW is the per-epoch production of one kW of installed plant, on
+// hourly epochs.  It returns the smallest scale in [0, maxScale] that
+// reaches the target, or maxScale if even that is insufficient (the caller
+// then knows the target is unreachable with this source mix).
+func requiredPlantScale(greenPerKW, demandKW []float64, mode StorageMode,
 	battCapKWhPerKW float64, battEff float64, target float64, maxScale float64) (float64, error) {
 	if target <= 0 {
 		return 0, nil
@@ -262,21 +256,17 @@ func requiredPlantScale(greenPerKW, demandKW, weights []float64, mode StorageMod
 	if maxScale <= 0 {
 		return 0, errors.New("energy: maxScale must be positive")
 	}
-	green := make([]float64, len(greenPerKW))
+	site := profileSite(greenPerKW, demandKW, mode)
+	site.BatteryEfficiency = battEff
 	eval := func(scale float64) (float64, error) {
-		series.Scale(green, scale, greenPerKW)
-		res, err := Totals(BalanceInput{
-			GreenKW:            green,
-			DemandKW:           demandKW,
-			Weights:            weights,
-			Mode:               mode,
-			BatteryCapacityKWh: battCapKWhPerKW * scale,
-			BatteryEfficiency:  battEff,
-		})
+		green, demand, err := GreenAndDemand(site, Plant{SolarKW: scale, BatteryKWh: battCapKWhPerKW * scale})
 		if err != nil {
 			return 0, err
 		}
-		return res.GreenFraction(), nil
+		if demand <= 0 {
+			return 1, nil
+		}
+		return min(1, green/demand), nil
 	}
 	hiFrac, err := eval(maxScale)
 	if err != nil {
@@ -307,8 +297,7 @@ func TestRequiredPlantScale(t *testing.T) {
 	// production were flat — and it is flat here, so the answer is ~200.
 	greenPerKW := constSeries(24, 0.25)
 	demand := constSeries(24, 100)
-	weights := constSeries(24, 1)
-	scale, err := requiredPlantScale(greenPerKW, demand, weights, NoStorage, 0, 1, 0.5, 10_000)
+	scale, err := requiredPlantScale(greenPerKW, demand, NoStorage, 0, 1, 0.5, 10_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +305,7 @@ func TestRequiredPlantScale(t *testing.T) {
 		t.Errorf("scale = %v, want ~200", scale)
 	}
 	// Unreachable target returns maxScale.
-	scale, err = requiredPlantScale(constSeries(24, 0), demand, weights, NoStorage, 0, 1, 0.5, 123)
+	scale, err = requiredPlantScale(constSeries(24, 0), demand, NoStorage, 0, 1, 0.5, 123)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,11 +313,11 @@ func TestRequiredPlantScale(t *testing.T) {
 		t.Errorf("unreachable target should return maxScale, got %v", scale)
 	}
 	// Zero target needs no plant.
-	scale, err = requiredPlantScale(greenPerKW, demand, weights, NoStorage, 0, 1, 0, 100)
+	scale, err = requiredPlantScale(greenPerKW, demand, NoStorage, 0, 1, 0, 100)
 	if err != nil || scale != 0 {
 		t.Errorf("zero target: scale=%v err=%v", scale, err)
 	}
-	if _, err := requiredPlantScale(greenPerKW, demand, weights, NoStorage, 0, 1, 0.5, 0); err == nil {
+	if _, err := requiredPlantScale(greenPerKW, demand, NoStorage, 0, 1, 0.5, 0); err == nil {
 		t.Error("non-positive maxScale should error")
 	}
 }
@@ -342,12 +331,11 @@ func TestRequiredPlantScaleStorageHelps(t *testing.T) {
 		greenPerKW[h] = 0.8
 	}
 	demand := constSeries(24, 100)
-	weights := constSeries(24, 1)
-	withNM, err := requiredPlantScale(greenPerKW, demand, weights, NetMetering, 0, 1, 0.6, 1e6)
+	withNM, err := requiredPlantScale(greenPerKW, demand, NetMetering, 0, 1, 0.6, 1e6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	without, err := requiredPlantScale(greenPerKW, demand, weights, NoStorage, 0, 1, 0.6, 1e6)
+	without, err := requiredPlantScale(greenPerKW, demand, NoStorage, 0, 1, 0.6, 1e6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,64 +356,82 @@ func TestStorageModeString(t *testing.T) {
 // TestTotalsOverPrefixes checks the chronological accounting over
 // randomized horizons, storage modes and battery parameters: every total
 // only grows from one prefix to the next (up to rounding: a storage level
-// drained to a rounding residue can give back an ulp), each epoch's brown draw (the
-// difference of consecutive prefixes) covers exactly the demand storage
-// and direct green use leave, and MaxBrownKW is the largest such draw.
+// drained to a rounding residue can give back an ulp), each epoch's brown
+// draw (the difference of consecutive prefixes) covers exactly the demand
+// storage and direct green use leave, and MaxBrownKW is the largest such
+// draw.  Each horizon is checked through Totals at a uniform epoch weight,
+// and through the reference balance with a weight that varies per epoch.
 func TestTotalsOverPrefixes(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 100; trial++ {
 		n := 1 + rng.Intn(48)
-		in := BalanceInput{
-			GreenKW:  make([]float64, n),
-			DemandKW: make([]float64, n),
-			Weights:  make([]float64, n),
-			Mode:     StorageMode(1 + rng.Intn(3)),
+		site := &Site{
+			Alpha:      make([]float64, n),
+			Beta:       make([]float64, n),
+			DemandKW:   make([]float64, n),
+			EpochHours: 1 + float64(rng.Intn(24)),
+			Mode:       StorageMode(1 + rng.Intn(3)),
 		}
+		weights := make([]float64, n)
 		scale := math.Pow(10, float64(rng.Intn(5)-1))
 		for i := 0; i < n; i++ {
-			in.GreenKW[i] = rng.Float64() * scale
-			in.DemandKW[i] = rng.Float64() * scale
-			in.Weights[i] = 1 + float64(rng.Intn(24))
+			site.Alpha[i] = rng.Float64() * scale
+			site.DemandKW[i] = rng.Float64() * scale
+			weights[i] = 1 + float64(rng.Intn(24))
 			if rng.Intn(12) == 0 {
-				in.GreenKW[i] = -in.GreenKW[i] // exercise the nonNegative clamp
+				site.Alpha[i] = -site.Alpha[i] // exercise the nonNegative clamp
 			}
 		}
-		if in.Mode == Batteries {
-			in.BatteryCapacityKWh = rng.Float64() * scale * 10
-			in.BatteryEfficiency = 0.5 + rng.Float64()*0.5
+		plant := unitPlant
+		if site.Mode == Batteries {
+			plant.BatteryKWh = rng.Float64() * scale * 10
+			site.BatteryEfficiency = 0.5 + rng.Float64()*0.5
 		}
+		ref := refInput{
+			GreenKW: site.Alpha, DemandKW: site.DemandKW, Weights: weights, Mode: site.Mode,
+			BatteryCapacityKWh: plant.BatteryKWh, BatteryEfficiency: site.BatteryEfficiency,
+		}
+		checkPrefixes(t, fmt.Sprintf("trial %d (mode %v, uniform weight)", trial, site.Mode), n, scale,
+			func(int) float64 { return site.EpochHours },
+			func(k int) (BalanceTotals, error) { return Totals(prefix(site, k), plant) })
+		checkPrefixes(t, fmt.Sprintf("trial %d (mode %v, reference, varying weights)", trial, site.Mode), n, scale,
+			func(i int) float64 { return weights[i] },
+			func(k int) (BalanceTotals, error) { return refTotals(refPrefix(ref, k)) })
+	}
+}
 
-		var prev BalanceTotals
-		maxBrown := 0.0
-		for k := 1; k <= n; k++ {
-			tot, err := Totals(prefix(in, k))
-			if err != nil {
-				t.Fatalf("trial %d: %v", trial, err)
-			}
-			tol := 1e-9 * scale * float64(k)
-			if tot.DemandKWh < prev.DemandKWh || tot.GreenUsedKWh < prev.GreenUsedKWh ||
-				tot.BrownKWh < prev.BrownKWh || tot.NetChargedKWh < prev.NetChargedKWh ||
-				tot.NetDischargedKWh < prev.NetDischargedKWh-tol || tot.BattDischargedKWh < prev.BattDischargedKWh-tol ||
-				tot.MaxBrownKW < prev.MaxBrownKW {
-				t.Fatalf("trial %d (mode %v): a total shrank after epoch %d: %+v then %+v", trial, in.Mode, k-1, prev, tot)
-			}
-			hours := in.Weights[k-1]
-			brown := (tot.BrownKWh - prev.BrownKWh) / hours
-			if brown > maxBrown {
-				maxBrown = brown
-			}
-			if math.Abs(tot.MaxBrownKW-maxBrown) > tol {
-				t.Fatalf("trial %d (mode %v): MaxBrownKW %v after epoch %d, largest epoch draw %v", trial, in.Mode, tot.MaxBrownKW, k-1, maxBrown)
-			}
-			covered := (tot.GreenUsedKWh - prev.GreenUsedKWh + tot.BattDischargedKWh - prev.BattDischargedKWh +
-				tot.NetDischargedKWh - prev.NetDischargedKWh) / hours
-			if demand := (tot.DemandKWh - prev.DemandKWh) / hours; math.Abs(covered+brown-demand) > tol {
-				t.Fatalf("trial %d (mode %v): epoch %d covers %v + %v brown of %v kW", trial, in.Mode, k-1, covered, brown, demand)
-			}
-			prev = tot
+// checkPrefixes runs TestTotalsOverPrefixes' checks on one n-epoch horizon
+// whose k-epoch prefix totals totalsOf returns; epoch i lasts hoursAt(i).
+func checkPrefixes(t *testing.T, name string, n int, scale float64,
+	hoursAt func(int) float64, totalsOf func(k int) (BalanceTotals, error)) {
+	t.Helper()
+	var prev BalanceTotals
+	maxBrown := 0.0
+	for k := 1; k <= n; k++ {
+		tot, err := totalsOf(k)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		if tot, err := Totals(in); err != nil || tot != prev {
-			t.Fatalf("trial %d: whole horizon %+v (%v) != last prefix %+v", trial, tot, err, prev)
+		tol := 1e-9 * scale * float64(k)
+		if tot.DemandKWh < prev.DemandKWh || tot.GreenUsedKWh < prev.GreenUsedKWh ||
+			tot.BrownKWh < prev.BrownKWh || tot.NetChargedKWh < prev.NetChargedKWh ||
+			tot.NetDischargedKWh < prev.NetDischargedKWh-tol || tot.BattDischargedKWh < prev.BattDischargedKWh-tol ||
+			tot.MaxBrownKW < prev.MaxBrownKW {
+			t.Fatalf("%s: a total shrank after epoch %d: %+v then %+v", name, k-1, prev, tot)
 		}
+		hours := hoursAt(k - 1)
+		brown := (tot.BrownKWh - prev.BrownKWh) / hours
+		if brown > maxBrown {
+			maxBrown = brown
+		}
+		if math.Abs(tot.MaxBrownKW-maxBrown) > tol {
+			t.Fatalf("%s: MaxBrownKW %v after epoch %d, largest epoch draw %v", name, tot.MaxBrownKW, k-1, maxBrown)
+		}
+		covered := (tot.GreenUsedKWh - prev.GreenUsedKWh + tot.BattDischargedKWh - prev.BattDischargedKWh +
+			tot.NetDischargedKWh - prev.NetDischargedKWh) / hours
+		if demand := (tot.DemandKWh - prev.DemandKWh) / hours; math.Abs(covered+brown-demand) > tol {
+			t.Fatalf("%s: epoch %d covers %v + %v brown of %v kW", name, k-1, covered, brown, demand)
+		}
+		prev = tot
 	}
 }

@@ -1,8 +1,8 @@
 // Package series is the dense numeric layer under the provisioning
 // pipeline: an epoch-major matrix type (Block) and a small set of fused
 // element-wise kernels that the catalog's site profiles, the siting
-// evaluator, the energy balancer and the scheduler all share, so the same
-// multiply-add dialect is written (and optimized) exactly once.
+// evaluator and the scheduler all share, so the same multiply-add dialect
+// is written (and optimized) exactly once.
 //
 // # Layout
 //

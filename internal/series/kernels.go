@@ -3,9 +3,8 @@ package series
 import "math"
 
 // The kernels below are the shared loop dialect of the provisioning
-// pipeline: every element-wise pass over a site's per-epoch profile rows,
-// internal/core, internal/energy and internal/sched goes through one of
-// them.  They all derive the trip count from dst (or the first operand) and
+// pipeline: every element-wise pass over a site's per-epoch profile rows in
+// internal/core and internal/sched goes through one of them.  They all derive the trip count from dst (or the first operand) and
 // pin every other slice with an explicit re-slice so the compiler hoists
 // the bounds checks out of the loop; a too-short operand panics at the
 // re-slice, which is the contract.  See the package comment for the rules
@@ -107,26 +106,25 @@ func SumPositive(acc float64, x []float64) float64 {
 	return acc
 }
 
-// DotWeighted returns Σ x[i]·w[i] in index order — the epoch-weighted
-// total (kW · hours-per-epoch) that turns a power series into energy.
+// SumScaled returns Σ x[i]·a in index order — the epoch-weighted total
+// (kW · hours-per-epoch) that turns a power series on a uniform epoch grid
+// into energy.
 //
 // Unrolled 4-wide with a single accumulator, like Sum: same sequence of
 // multiply-then-add operations as the plain loop, so the result stays
 // bit-identical while the loop control amortizes over four elements.
-func DotWeighted(x, w []float64) float64 {
-	w = w[:len(x)]
+func SumScaled(x []float64, a float64) float64 {
 	s := 0.0
 	i := 0
 	for ; i+4 <= len(x); i += 4 {
 		x4 := x[i : i+4 : i+4]
-		w4 := w[i : i+4 : i+4]
-		s += x4[0] * w4[0]
-		s += x4[1] * w4[1]
-		s += x4[2] * w4[2]
-		s += x4[3] * w4[3]
+		s += x4[0] * a
+		s += x4[1] * a
+		s += x4[2] * a
+		s += x4[3] * a
 	}
 	for ; i < len(x); i++ {
-		s += x[i] * w[i]
+		s += x[i] * a
 	}
 	return s
 }

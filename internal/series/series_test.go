@@ -53,10 +53,10 @@ func refSumPositive(acc float64, x []float64) float64 {
 	return acc
 }
 
-func refDotWeighted(x, w []float64) float64 {
+func refSumScaled(x []float64, a float64) float64 {
 	s := 0.0
 	for i := range x {
-		s += x[i] * w[i]
+		s += x[i] * a
 	}
 	return s
 }
@@ -153,8 +153,8 @@ func TestKernelsMatchScalarReference(t *testing.T) {
 		if g, w := SumPositive(a, x), refSumPositive(a, x); math.Float64bits(g) != math.Float64bits(w) {
 			t.Fatalf("SumPositive trial %d: got %v want %v", trial, g, w)
 		}
-		if g, w := DotWeighted(x, y), refDotWeighted(x, y); math.Float64bits(g) != math.Float64bits(w) {
-			t.Fatalf("DotWeighted trial %d: got %v want %v", trial, g, w)
+		if g, w := SumScaled(x, a), refSumScaled(x, a); math.Float64bits(g) != math.Float64bits(w) {
+			t.Fatalf("SumScaled trial %d: got %v want %v", trial, g, w)
 		}
 
 		copy(got, base)
