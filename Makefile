@@ -12,7 +12,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-.PHONY: ci vet lint fmt-check build perfbench-build test test-daemon test-mps test-faults census fuzz-smoke examples cover bench-smoke bench-check bench profile
+.PHONY: ci vet lint fmt-check build perfbench-build test test-daemon test-mps test-faults census golden fuzz-smoke examples cover bench-smoke bench-check bench profile
 
 ci: vet build perfbench-build test test-mps test-faults census fuzz-smoke examples bench-smoke
 
@@ -103,6 +103,14 @@ CENSUS_TESTS := ^(TestExportedSurfaceIsReached|TestOptionFieldsAreWritten|TestFi
 
 census:
 	$(GO) test -count=1 -run '$(CENSUS_TESTS)' .
+
+# Regenerate the reproduction's golden output: `cmd/experiments -exp all` at
+# the default budget for seeds 1-3, wall-clock cells masked, under
+# internal/experiments/testdata/.  TestGoldenAll compares against it in
+# `make test`; a change that moves a figure runs this target and lists every
+# moved cell, with its reason, in CHANGES.md.
+golden:
+	$(GO) test -count=1 -run '^TestGoldenAll$$' ./internal/experiments/ -update
 
 # A few seconds of coverage-guided fuzzing per target, seeded from real
 # journals, bases and request bodies: FuzzJournalResume feeds arbitrary bytes
