@@ -124,9 +124,9 @@
 //     sizing by per-site bisection, battery sizing, storage balance and the
 //     monthly cost model — is a pure function of (site, capacity, schedule
 //     row, spec) and dominates the cost.  Its outputs are cached per site.
-//     Each bisection probe is one pass of energy.GreenAndDemand, a sizing
+//     Each bisection probe is one pass of energy.Green, a sizing
 //     kernel with one loop per storage mode that computes only the green
-//     and demand energy; the full balance (energy.Totals: brown energy,
+//     energy; the full balance (energy.Totals: brown energy,
 //     peak brown draw, net-metering flows) runs once, on the final plant.
 //     Both derive green production inline from the site's profiles and
 //     the plant, and both repeat the generic balance's operations in its

@@ -38,7 +38,7 @@ type CostSummary struct {
 //     by per-site bisection, battery sizing, energy balance, monthly cost) is
 //     a pure function of (site, capacity, schedule row, spec).  Its outputs
 //     are cached per site; a site is re-run only when it is dirty.  The
-//     bisection probes with energy.GreenAndDemand, the mode-specialized
+//     bisection probes with energy.Green, the mode-specialized
 //     sizing kernel; energy.Totals, the full balance, runs once on the
 //     final plant.  Both read the site's α/β rows and demand row through
 //     one reused energy.Site, so a probe copies nothing.
@@ -617,7 +617,7 @@ func (e *Evaluator) siteStage(i int, out *siteOutputs) error {
 	scale := 0.0
 	if baseSolar > 0 || baseWind > 0 {
 		var err error
-		scale, err = e.siteScale(i, baseSolar, baseWind)
+		scale, err = e.siteScale(i, baseSolar, baseWind, demandKWh)
 		if err != nil {
 			return err
 		}
@@ -678,16 +678,16 @@ func (e *Evaluator) basePlant(i int, allocKWh float64) (solarKW, windKW float64)
 // double up to the ceiling and bisect down.  The stop is a relative width of
 // 1e-4: the feasibility check tolerates 1e-3 on the green fraction, so
 // chasing more precision only burns probes.  Each probe (siteFraction) is
-// one pass of energy.GreenAndDemand, the mode-specialized sizing kernel,
+// one pass of energy.Green, the mode-specialized sizing kernel,
 // over the site's profiles and demand row.
-func (e *Evaluator) siteScale(i int, baseSolar, baseWind float64) (float64, error) {
+func (e *Evaluator) siteScale(i int, baseSolar, baseWind, demandKWh float64) (float64, error) {
 	target := e.spec.MinGreenFraction
-	f, err := e.siteFraction(i, baseSolar, baseWind, 1)
+	f, err := e.siteFraction(i, baseSolar, baseWind, demandKWh, 1)
 	if err != nil {
 		return 0, err
 	}
 	if f >= target {
-		return e.siteBisect(i, baseSolar, baseWind, 0, 1)
+		return e.siteBisect(i, baseSolar, baseWind, demandKWh, 0, 1)
 	}
 	hi := 1.0
 	for hi < plantScaleCeiling {
@@ -695,11 +695,11 @@ func (e *Evaluator) siteScale(i int, baseSolar, baseWind float64) (float64, erro
 		if hi > plantScaleCeiling {
 			hi = plantScaleCeiling
 		}
-		if f, err = e.siteFraction(i, baseSolar, baseWind, hi); err != nil {
+		if f, err = e.siteFraction(i, baseSolar, baseWind, demandKWh, hi); err != nil {
 			return 0, err
 		}
 		if f >= target {
-			return e.siteBisect(i, baseSolar, baseWind, hi/2, hi)
+			return e.siteBisect(i, baseSolar, baseWind, demandKWh, hi/2, hi)
 		}
 	}
 	// Unreachable from this site's own demand even at the ceiling; return
@@ -711,11 +711,11 @@ func (e *Evaluator) siteScale(i int, baseSolar, baseWind float64) (float64, erro
 // siteBisect narrows [lo, hi] — where hi is known to reach the green target
 // and lo is not — and returns the hi side of the final bracket, so the
 // result always satisfies the target.
-func (e *Evaluator) siteBisect(i int, baseSolar, baseWind, lo, hi float64) (float64, error) {
+func (e *Evaluator) siteBisect(i int, baseSolar, baseWind, demandKWh, lo, hi float64) (float64, error) {
 	target := e.spec.MinGreenFraction
 	for iter := 0; iter < 40 && hi-lo > 1e-4*hi; iter++ {
 		mid := (lo + hi) / 2
-		f, err := e.siteFraction(i, baseSolar, baseWind, mid)
+		f, err := e.siteFraction(i, baseSolar, baseWind, demandKWh, mid)
 		if err != nil {
 			return 0, err
 		}
@@ -729,11 +729,12 @@ func (e *Evaluator) siteBisect(i int, baseSolar, baseWind, lo, hi float64) (floa
 }
 
 // siteFraction returns site i's green fraction when its base plant is scaled
-// by the given factor, under the spec's real storage dynamics.
-func (e *Evaluator) siteFraction(i int, baseSolar, baseWind, scale float64) (float64, error) {
+// by the given factor, under the spec's real storage dynamics.  demandKWh is
+// the site's positive demand energy, which siteStage sums once per stage.
+func (e *Evaluator) siteFraction(i int, baseSolar, baseWind, demandKWh, scale float64) (float64, error) {
 	solar := baseSolar * scale
 	wind := baseWind * scale
-	green, demand, err := energy.GreenAndDemand(e.balanceOf(i), energy.Plant{
+	green, err := energy.Green(e.balanceOf(i), energy.Plant{
 		SolarKW:    solar,
 		WindKW:     wind,
 		BatteryKWh: batteryCapacityFor(solar, wind, e.sites[i], &e.spec),
@@ -741,10 +742,7 @@ func (e *Evaluator) siteFraction(i int, baseSolar, baseWind, scale float64) (flo
 	if err != nil {
 		return 0, fmt.Errorf("core: sizing balance for %s: %w", e.sites[i].Name, err)
 	}
-	if demand <= 0 {
-		return 1, nil
-	}
-	return min(1, green/demand), nil
+	return min(1, green/demandKWh), nil
 }
 
 // balanceOf points the evaluator's balance input at site i's production
@@ -838,12 +836,14 @@ func (e *Evaluator) topUpScale(outs []siteOutputs) (float64, error) {
 
 // networkFraction returns the network green fraction achieved when every
 // site's plants are scaled by λ, under the spec's real storage dynamics.
+// Each site's demand energy is its per-site stage's DemandKWh: the demand
+// row does not depend on the plant.
 func (e *Evaluator) networkFraction(outs []siteOutputs, lambda float64) (float64, error) {
 	greenTotal, demandTotal := 0.0, 0.0
 	for i := 0; i < e.n; i++ {
 		solar := outs[i].SolarKW * lambda
 		wind := outs[i].WindKW * lambda
-		green, demand, err := energy.GreenAndDemand(e.balanceOf(i), energy.Plant{
+		green, err := energy.Green(e.balanceOf(i), energy.Plant{
 			SolarKW:    solar,
 			WindKW:     wind,
 			BatteryKWh: batteryCapacityFor(solar, wind, e.sites[i], &e.spec),
@@ -852,7 +852,7 @@ func (e *Evaluator) networkFraction(outs []siteOutputs, lambda float64) (float64
 			return 0, fmt.Errorf("core: top-up balance for %s: %w", e.sites[i].Name, err)
 		}
 		greenTotal += green
-		demandTotal += demand
+		demandTotal += outs[i].DemandKWh
 	}
 	if demandTotal <= 0 {
 		return 1, nil

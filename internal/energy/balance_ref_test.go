@@ -3,7 +3,7 @@ package energy
 // This file preserves the generic balance — a green series, a demand series
 // and a per-epoch weight series, with the storage mode switched inside the
 // epoch loop — as a test-only reference.  The fused production kernels
-// (Totals and GreenAndDemand in energy.go) are pinned against it bit for
+// (Totals and Green in energy.go) are pinned against it bit for
 // bit by TestFusedKernelsMatchReference.  It is a frozen copy of the
 // balancer that shipped before the kernels were fused — do not "improve"
 // it; its only job is to disagree loudly when a kernel drifts.
@@ -134,7 +134,7 @@ func refGreenFraction(t BalanceTotals) float64 {
 	return f
 }
 
-// TestFusedKernelsMatchReference pins Totals and GreenAndDemand bit for bit
+// TestFusedKernelsMatchReference pins Totals and Green bit for bit
 // against the reference over randomized horizons in every storage mode,
 // with negative production and demand (the clamps), all-zero and partly
 // zero demand, empty battery banks and lossless charging mixed in.  The
@@ -220,15 +220,13 @@ func TestFusedKernelsMatchReference(t *testing.T) {
 			}
 		}
 
-		greenKWh, demandKWh, err := GreenAndDemand(s, p)
+		greenKWh, err := Green(s, p)
 		if err != nil {
-			t.Fatalf("trial %d: GreenAndDemand: %v", trial, err)
+			t.Fatalf("trial %d: Green: %v", trial, err)
 		}
 		wantGreen := want.GreenUsedKWh + want.BattDischargedKWh + want.NetDischargedKWh
-		if math.Float64bits(greenKWh) != math.Float64bits(wantGreen) ||
-			math.Float64bits(demandKWh) != math.Float64bits(want.DemandKWh) {
-			t.Fatalf("trial %d (mode %v): GreenAndDemand = (%v, %v), reference (%v, %v)",
-				trial, s.Mode, greenKWh, demandKWh, wantGreen, want.DemandKWh)
+		if math.Float64bits(greenKWh) != math.Float64bits(wantGreen) {
+			t.Fatalf("trial %d (mode %v): Green = %v, reference %v", trial, s.Mode, greenKWh, wantGreen)
 		}
 	}
 }

@@ -18,9 +18,9 @@
 //   - Totals reports every yearly total, including the largest brown draw
 //     against which the optimizer checks the nearest-plant cap.  It runs
 //     once per priced site.
-//   - GreenAndDemand reports only green-covered and demand energy, with one
-//     loop per storage mode.  It is the plant-sizing bisection's probe,
-//     the hot loop of siting.
+//   - Green reports only green-covered energy, with one loop per storage
+//     mode.  It is the plant-sizing bisection's probe, the hot loop of
+//     siting.
 //
 // Both perform the same floating-point operations in the same order as a
 // generic per-epoch simulation, so their results agree bit for bit; the
@@ -91,7 +91,7 @@ type Plant struct {
 	BatteryKWh float64
 }
 
-// Errors returned by Totals and GreenAndDemand.
+// Errors returned by Totals and Green.
 var (
 	ErrLengthMismatch = errors.New("energy: alpha, beta and demand series must have equal length")
 	ErrBadEfficiency  = errors.New("energy: battery efficiency must be in (0,1]")
@@ -217,17 +217,17 @@ func Totals(s *Site, p Plant) (BalanceTotals, error) {
 	return r, nil
 }
 
-// GreenAndDemand runs the same simulation as Totals but returns only the
-// demand energy and the energy green sources covered (direct use plus
-// storage discharge), the two numbers a green-fraction probe needs.  Each
-// storage mode gets its own loop with the brown accounting left out; every
-// operation it keeps is Totals' own, in the same order, so greenKWh equals
-// GreenUsedKWh + BattDischargedKWh + NetDischargedKWh of Totals and
-// demandKWh its DemandKWh, bit for bit.
-func GreenAndDemand(s *Site, p Plant) (greenKWh, demandKWh float64, err error) {
+// Green runs the same simulation as Totals but returns only the energy
+// green sources covered (direct use plus storage discharge), the number a
+// green-fraction probe needs; the caller holds the demand energy, which
+// does not depend on the plant.  Each storage mode gets its own loop with
+// the demand and brown accounting left out; every operation it keeps is
+// Totals' own, in the same order, so the result equals GreenUsedKWh +
+// BattDischargedKWh + NetDischargedKWh of Totals bit for bit.
+func Green(s *Site, p Plant) (float64, error) {
 	n, eff, err := s.check()
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	alpha, beta, demandKW := s.Alpha[:n], s.Beta[:n], s.DemandKW[:n]
 	solar, wind, hours := p.SolarKW, p.WindKW, s.EpochHours
@@ -237,20 +237,18 @@ func GreenAndDemand(s *Site, p Plant) (greenKWh, demandKWh float64, err error) {
 		for i := range demandKW {
 			green := nonNegative(solar*alpha[i] + wind*beta[i])
 			demand := nonNegative(demandKW[i])
-			demandKWh += demand * hours
 			direct := green
 			if direct > demand {
 				direct = demand
 			}
 			used += direct * hours
 		}
-		return used, demandKWh, nil
+		return used, nil
 	case NetMetering:
 		netLevel, discharged := 0.0, 0.0
 		for i := range demandKW {
 			green := nonNegative(solar*alpha[i] + wind*beta[i])
 			demand := nonNegative(demandKW[i])
-			demandKWh += demand * hours
 			direct := green
 			if direct > demand {
 				direct = demand
@@ -268,14 +266,13 @@ func GreenAndDemand(s *Site, p Plant) (greenKWh, demandKWh float64, err error) {
 				discharged += dischargePow * hours
 			}
 		}
-		return used + discharged, demandKWh, nil
+		return used + discharged, nil
 	default: // Batteries
 		capKWh := p.BatteryKWh
 		battLevel, discharged := 0.0, 0.0
 		for i := range demandKW {
 			green := nonNegative(solar*alpha[i] + wind*beta[i])
 			demand := nonNegative(demandKW[i])
-			demandKWh += demand * hours
 			direct := green
 			if direct > demand {
 				direct = demand
@@ -298,7 +295,7 @@ func GreenAndDemand(s *Site, p Plant) (greenKWh, demandKWh float64, err error) {
 				discharged += dischargePow * hours
 			}
 		}
-		return used + discharged, demandKWh, nil
+		return used + discharged, nil
 	}
 }
 

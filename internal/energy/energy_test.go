@@ -48,8 +48,8 @@ func TestBalanceValidation(t *testing.T) {
 			_, err := Totals(s, unitPlant)
 			return err
 		},
-		"GreenAndDemand": func(s *Site) error {
-			_, _, err := GreenAndDemand(s, unitPlant)
+		"Green": func(s *Site) error {
+			_, err := Green(s, unitPlant)
 			return err
 		},
 	}
@@ -243,7 +243,7 @@ func TestEnergyConservationProperty(t *testing.T) {
 
 // requiredPlantScale returns the multiplicative factor by which a green
 // plant's capacity must be scaled so that the balance reaches the target
-// green fraction, using bisection over scale with the GreenAndDemand probe.
+// green fraction, using bisection over scale with the Green probe.
 // greenPerKW is the per-epoch production of one kW of installed plant, on
 // hourly epochs.  It returns the smallest scale in [0, maxScale] that
 // reaches the target, or maxScale if even that is insufficient (the caller
@@ -258,8 +258,12 @@ func requiredPlantScale(greenPerKW, demandKW []float64, mode StorageMode,
 	}
 	site := profileSite(greenPerKW, demandKW, mode)
 	site.BatteryEfficiency = battEff
+	demand := 0.0
+	for _, d := range demandKW {
+		demand += nonNegative(d)
+	}
 	eval := func(scale float64) (float64, error) {
-		green, demand, err := GreenAndDemand(site, Plant{SolarKW: scale, BatteryKWh: battCapKWhPerKW * scale})
+		green, err := Green(site, Plant{SolarKW: scale, BatteryKWh: battCapKWhPerKW * scale})
 		if err != nil {
 			return 0, err
 		}
