@@ -121,17 +121,27 @@
 //     by per-site reference plants that depend only on each site's own
 //     static profile and capacity.  It is cheap and always re-runs.
 //   - The per-site stage — migration overhead, facility demand, plant
-//     sizing by per-site bisection, battery sizing, storage balance and the
-//     monthly cost model — is a pure function of (site, capacity, schedule
-//     row, spec) and dominates the cost.  Its outputs are cached per site.
-//     Each bisection probe is one pass of energy.Green, a sizing
-//     kernel with one loop per storage mode that computes only the green
-//     energy; the full balance (energy.Totals: brown energy,
-//     peak brown draw, net-metering flows) runs once, on the final plant.
-//     Both derive green production inline from the site's profiles and
+//     sizing, battery sizing, storage balance and the monthly cost model —
+//     is a pure function of (site, capacity, schedule row, spec) and
+//     dominates the cost.  Its outputs are cached per site.  Plant sizing
+//     inverts the greedy balance instead of searching it
+//     (energy.ScaleBracket).  Without storage the green energy used is
+//     concave and piecewise linear in the plant scale, and Newton's
+//     method from zero reaches the smallest sufficient scale in a few
+//     passes.  With net metering the bank is a walk reflected at zero, so
+//     the smallest scale is one pass over prefix sums of demand and
+//     production.  With batteries the scale lies between those two, and a
+//     bisection narrows that bracket to 1e-4.  One pass of energy.Green,
+//     a sizing kernel with one loop per storage mode that computes only
+//     the green energy, confirms every result, stepping it up if rounding
+//     left it short.  The full balance (energy.Totals: brown energy, peak
+//     brown draw, net-metering flows) runs once, on the final plant.  Both
+//     kernels derive green production inline from the site's profiles and
 //     the plant, and both repeat the generic balance's operations in its
-//     order, so the kernels are bit-identical to it (pinned against a
-//     test-only copy by internal/energy's differential test).
+//     order, so they are bit-identical to it (pinned against a test-only
+//     copy by internal/energy's differential test); the exact sizing is
+//     pinned against the doubling-and-bisection search it replaced by
+//     internal/core's sizing_ref_test.go.
 //   - A network-level top-up stage handles sitings whose green target is
 //     unreachable from individual sites alone by bisecting a common plant
 //     scale factor; it runs only in that case, on top of the cached

@@ -34,13 +34,16 @@ type CostSummary struct {
 //     driven by per-site reference plants that depend only on each site's own
 //     static profile and capacity.  It always runs: any move can shift load
 //     between sites.
-//   - The per-site stage (migration overhead, facility demand, plant sizing
-//     by per-site bisection, battery sizing, energy balance, monthly cost) is
-//     a pure function of (site, capacity, schedule row, spec).  Its outputs
-//     are cached per site; a site is re-run only when it is dirty.  The
-//     bisection probes with energy.Green, the mode-specialized
-//     sizing kernel; energy.Totals, the full balance, runs once on the
-//     final plant.  Both read the site's α/β rows and demand row through
+//   - The per-site stage (migration overhead, facility demand, plant
+//     sizing, battery sizing, energy balance, monthly cost) is a pure
+//     function of (site, capacity, schedule row, spec).  Its outputs are
+//     cached per site; a site is re-run only when it is dirty.  Plant
+//     sizing is exact: energy.ScaleBracket's closed forms give the smallest
+//     plant without storage and with net metering, and bracket it for
+//     batteries, where a short bisection finishes; one probe of
+//     energy.Green, the mode-specialized sizing kernel, confirms the
+//     result.  energy.Totals, the full balance, runs once on the final
+//     plant.  All three read the site's α/β rows and demand row through
 //     one reused energy.Site, so a probe copies nothing.
 //
 // Invalidation protocol: a site whose capacity the Move metadata says
@@ -104,6 +107,10 @@ type Evaluator struct {
 	// where cache entries would be allocated but never hit.
 	cache   map[int]*siteEntry
 	noCache bool
+
+	// sizeRef, set only by tests, replaces siteScale with the frozen
+	// doubling-and-bisection search in sizing_ref_test.go.
+	sizeRef func(e *Evaluator, i int, baseSolar, baseWind, demandKWh float64) (float64, error)
 }
 
 // evalTables is the read-only part of an Evaluator: the catalog, the spec
@@ -599,10 +606,11 @@ func (e *Evaluator) siteOutputsInto(i int, mv Move, useCache bool, out *siteOutp
 }
 
 // siteStage runs the full per-site pipeline for site i: migration overhead
-// and facility demand from the schedule row, plant sizing by per-site
-// bisection against the site's own demand, battery sizing, and the final
-// energy/cost accounting.  Everything it reads is either static per site or
-// derived from (capacity, schedule row), which is the cache's validation key.
+// and facility demand from the schedule row, exact plant sizing against the
+// site's own demand (siteScale, given the demand energy summed here once),
+// battery sizing, and the final energy/cost accounting.  Everything it
+// reads is either static per site or derived from (capacity, schedule
+// row), which is the cache's validation key.
 func (e *Evaluator) siteStage(i int, out *siteOutputs) error {
 	spec := &e.spec
 	e.migrationRow(i)
@@ -616,8 +624,12 @@ func (e *Evaluator) siteStage(i int, out *siteOutputs) error {
 	}
 	scale := 0.0
 	if baseSolar > 0 || baseWind > 0 {
+		size := (*Evaluator).siteScale
+		if e.sizeRef != nil {
+			size = e.sizeRef
+		}
 		var err error
-		scale, err = e.siteScale(i, baseSolar, baseWind, demandKWh)
+		scale, err = size(e, i, baseSolar, baseWind, demandKWh)
 		if err != nil {
 			return err
 		}
@@ -671,55 +683,91 @@ func (e *Evaluator) basePlant(i int, allocKWh float64) (solarKW, windKW float64)
 	return solarKW, windKW
 }
 
-// siteScale finds the factor by which site i's base plant must be scaled so
-// the site reaches the spec's green fraction on its own demand, under the
-// real storage dynamics.  It mirrors the bisection the paper's provisioning
-// loop uses: shrink within [0,1] when the base plant overshoots, otherwise
-// double up to the ceiling and bisect down.  The stop is a relative width of
-// 1e-4: the feasibility check tolerates 1e-3 on the green fraction, so
-// chasing more precision only burns probes.  Each probe (siteFraction) is
-// one pass of energy.Green, the mode-specialized sizing kernel,
-// over the site's profiles and demand row.
+// siteScale returns the smallest factor by which site i's base plant must
+// be scaled so the site reaches the spec's green fraction on its own demand
+// (demandKWh, the energy of its demand row) under the real storage
+// dynamics, or plantScaleCeiling when no factor up to the ceiling does; the
+// network top-up (and, failing that, the green-fraction violation) then
+// takes over.  energy.ScaleBracket inverts the greedy balance: without
+// storage and with net metering it returns the factor itself, and with
+// batteries it brackets the factor between the net-metering and no-storage
+// ones, which siteBisect narrows.  One real energy.Green probe confirms the
+// result (confirmScale).  The result depends only on the site, its demand
+// row, the base plant and the spec.
 func (e *Evaluator) siteScale(i int, baseSolar, baseWind, demandKWh float64) (float64, error) {
-	target := e.spec.MinGreenFraction
-	f, err := e.siteFraction(i, baseSolar, baseWind, demandKWh, 1)
+	lo, hi, err := energy.ScaleBracket(e.balanceOf(i), energy.Plant{
+		SolarKW:    baseSolar,
+		WindKW:     baseWind,
+		BatteryKWh: batteryCapacityFor(baseSolar, baseWind, e.sites[i], &e.spec),
+	}, demandKWh, e.spec.MinGreenFraction)
 	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("core: sizing bracket for %s: %w", e.sites[i].Name, err)
 	}
-	if f >= target {
-		return e.siteBisect(i, baseSolar, baseWind, demandKWh, 0, 1)
+	if lo >= plantScaleCeiling {
+		return plantScaleCeiling, nil
 	}
-	hi := 1.0
-	for hi < plantScaleCeiling {
-		hi *= 2
-		if hi > plantScaleCeiling {
+	if lo < hi {
+		if hi >= plantScaleCeiling {
+			// No storage cannot reach the target below the ceiling, so
+			// only a probe tells whether the battery can.
 			hi = plantScaleCeiling
+			if ok, err := e.siteReaches(i, baseSolar, baseWind, demandKWh, hi); err != nil || !ok {
+				return hi, err
+			}
 		}
-		if f, err = e.siteFraction(i, baseSolar, baseWind, demandKWh, hi); err != nil {
+		if hi, err = e.siteBisect(i, baseSolar, baseWind, demandKWh, lo, hi); err != nil {
 			return 0, err
 		}
-		if f >= target {
-			return e.siteBisect(i, baseSolar, baseWind, demandKWh, hi/2, hi)
-		}
 	}
-	// Unreachable from this site's own demand even at the ceiling; return
-	// the ceiling so the network top-up (and, failing that, the
-	// green-fraction violation) takes over.
-	return hi, nil
+	return e.confirmScale(i, baseSolar, baseWind, demandKWh, hi)
+}
+
+// sizingSlack is how far below the green target a sizing probe's fraction
+// may fall and still count as reaching it.  A probe's green energy carries
+// rounding error, and at a 100% target every factor above the minimum
+// serves the whole demand in real arithmetic, so the exact test
+// green ≥ demand holds there only when the rounding happens to fall that
+// way: without the slack a 100% sizing lands at a random factor above the
+// minimum.  1e-12 is far above that rounding and far below the 1e-3 the
+// feasibility check tolerates.
+const sizingSlack = 1e-12
+
+// siteReaches reports whether site i reaches the green target, to within
+// sizingSlack, with its base plant scaled by k.
+func (e *Evaluator) siteReaches(i int, baseSolar, baseWind, demandKWh, k float64) (bool, error) {
+	f, err := e.siteFraction(i, baseSolar, baseWind, demandKWh, k)
+	return f >= e.spec.MinGreenFraction-sizingSlack, err
+}
+
+// confirmScale probes site i at factor k and, while the probe misses the
+// green target, steps k up by a relative 2⁻⁴⁰, then four times that, and so
+// on: a closed-form factor can miss by rounding, which one or two tiny
+// steps cover.  It returns the first factor that reaches the target, or
+// plantScaleCeiling when none up to the ceiling does.  It never reports a
+// missed probe as unreachable below the ceiling.
+func (e *Evaluator) confirmScale(i int, baseSolar, baseWind, demandKWh, k float64) (float64, error) {
+	k = min(k, plantScaleCeiling)
+	for step := 0x1p-40; ; step *= 4 {
+		ok, err := e.siteReaches(i, baseSolar, baseWind, demandKWh, k)
+		if err != nil || ok || k >= plantScaleCeiling {
+			return k, err
+		}
+		k = min(plantScaleCeiling, max(k*(1+step), step))
+	}
 }
 
 // siteBisect narrows [lo, hi] — where hi is known to reach the green target
-// and lo is not — and returns the hi side of the final bracket, so the
-// result always satisfies the target.
+// and lo is not — to a relative width of 1e-4 and returns the hi side of
+// the final bracket.  The feasibility check tolerates 1e-3 on the green
+// fraction, so chasing more precision only burns probes.
 func (e *Evaluator) siteBisect(i int, baseSolar, baseWind, demandKWh, lo, hi float64) (float64, error) {
-	target := e.spec.MinGreenFraction
 	for iter := 0; iter < 40 && hi-lo > 1e-4*hi; iter++ {
 		mid := (lo + hi) / 2
-		f, err := e.siteFraction(i, baseSolar, baseWind, demandKWh, mid)
+		ok, err := e.siteReaches(i, baseSolar, baseWind, demandKWh, mid)
 		if err != nil {
 			return 0, err
 		}
-		if f >= target {
+		if ok {
 			hi = mid
 		} else {
 			lo = mid

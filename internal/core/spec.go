@@ -9,7 +9,7 @@
 //
 //   - Evaluator (and the one-shot Evaluate wrapper): the fast evaluator
 //     that provisions a fixed siting (greedy follow-the-renewables load
-//     schedule, plant sizing by bisection, storage balance) — the inner
+//     schedule, exact plant sizing, storage balance) — the inner
 //     loop of the heuristic solver.  An Evaluator preallocates all scratch
 //     state for one (catalog, spec) pair; its EvaluateCost method is
 //     allocation-free in steady state.

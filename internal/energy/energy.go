@@ -12,25 +12,28 @@
 // epoch length and a storage mode) and a Plant (solar, wind and battery
 // sizes), and derives each epoch's green production inline as
 // SolarKW·α[t] + WindKW·β[t]; the placement optimizer's evaluator fills one
-// Site per candidate and probes many plants against it.  Two kernels share
-// one greedy rule:
+// Site per candidate and sizes a plant against it.  Two kernels share one
+// greedy rule:
 //
 //   - Totals reports every yearly total, including the largest brown draw
 //     against which the optimizer checks the nearest-plant cap.  It runs
 //     once per priced site.
 //   - Green reports only green-covered energy, with one loop per storage
-//     mode.  It is the plant-sizing bisection's probe, the hot loop of
-//     siting.
+//     mode.  It is the plant sizing's probe: it confirms a closed-form
+//     size and drives the battery bisection.
 //
 // Both perform the same floating-point operations in the same order as a
 // generic per-epoch simulation, so their results agree bit for bit; the
 // differential test in balance_ref_test.go pins that against such a
-// reference.
+// reference.  ScaleBracket inverts the same rule: it gives the smallest
+// plant scale that meets a green target in closed form without storage and
+// with net metering, and brackets it for batteries.
 package energy
 
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // StorageMode selects how surplus green energy can be carried across epochs.
@@ -297,6 +300,129 @@ func Green(s *Site, p Plant) (float64, error) {
 		}
 		return used + discharged, nil
 	}
+}
+
+// ScaleBracket brackets the smallest factor k at which the plant k·base
+// (k·SolarKW, k·WindKW, k·BatteryKWh) covers target·demandKWh of s's demand
+// from green sources under s.Mode, by inverting the greedy rule instead of
+// searching it.  demandKWh is s's demand energy, Σ max(d_t, 0)·EpochHours,
+// which Totals reports as DemandKWh; the caller sums it once.
+//
+//   - NoStorage: lo == hi == the smallest scale (noStorageScale).
+//   - NetMetering: lo == hi == the smallest scale (netMeteringScale).
+//   - Batteries: lo is the net-metering scale and hi the no-storage one: a
+//     finite, lossy battery serves at least what no storage serves and at
+//     most what the lossless, unbounded net-metering bank serves.  With
+//     base.BatteryKWh == 0 the battery is no storage, and lo == hi.
+//
+// +Inf marks a target no scale reaches: lo = +Inf means none does, hi =
+// +Inf alone (Batteries) that no storage does.  The bounds are exact in
+// real arithmetic but computed in floating point, so a caller that needs
+// the target met confirms the scale with a Green probe.
+func ScaleBracket(s *Site, base Plant, demandKWh, target float64) (lo, hi float64, err error) {
+	if _, _, err := s.check(); err != nil {
+		return 0, 0, err
+	}
+	needKWh := target * demandKWh
+	if needKWh <= 0 {
+		return 0, 0, nil
+	}
+	switch s.Mode {
+	case NoStorage:
+		k := noStorageScale(s, base, needKWh)
+		return k, k, nil
+	case NetMetering:
+		k := netMeteringScale(s, base, demandKWh, needKWh)
+		return k, k, nil
+	default: // Batteries
+		hi = noStorageScale(s, base, needKWh)
+		if base.BatteryKWh <= 0 {
+			return hi, hi, nil
+		}
+		// The two coincide when no epoch has surplus; rounding must not
+		// then leave the lower bound above the upper.
+		return min(netMeteringScale(s, base, demandKWh, needKWh), hi), hi, nil
+	}
+}
+
+// noStorageScale returns the smallest k at which green energy used without
+// storage, F(k) = Σ min(k·g_t, d_t)·h, reaches needKWh > 0, or +Inf when
+// no k does.  F is concave, nondecreasing and piecewise linear in k, with
+// breakpoints d_t/g_t.  Newton's method from k = 0 steps along the tangent
+// of F's piece right of k, which lies on or above F: a step lands on the
+// root when the root is in that piece and otherwise stops short of it, past
+// at least one breakpoint.  So k rises monotonically and the search ends
+// within one step per epoch, each step one pass; it stops early once the
+// shortfall is below 1e-13 of the target, the size of a pass's rounding,
+// so that a shortfall that is only rounding does not buy another step (and
+// an ulp of plant).  The target is unreachable exactly when the demand of
+// the epochs that produce anything, F's supremum, falls short of it.  s has
+// passed check.
+func noStorageScale(s *Site, base Plant, needKWh float64) float64 {
+	alpha, beta, demandKW := s.Alpha, s.Beta[:len(s.Alpha)], s.DemandKW[:len(s.Alpha)]
+	solar, wind, hours := base.SolarKW, base.WindKW, s.EpochHours
+	// At k = 0, F's slope is the production of every epoch with demand.
+	reach, slope := 0.0, 0.0
+	for i := range alpha {
+		if g, d := solar*alpha[i]+wind*beta[i], demandKW[i]; g > 0 && d > 0 {
+			reach += d * hours
+			slope += g * hours
+		}
+	}
+	if reach < needKWh {
+		return math.Inf(1)
+	}
+	k := needKWh / slope
+	for range alpha {
+		served := 0.0
+		slope = 0
+		for i := range alpha {
+			g := nonNegative(solar*alpha[i] + wind*beta[i])
+			d := nonNegative(demandKW[i])
+			if kg := k * g; kg < d {
+				served += kg * hours
+				slope += g * hours
+			} else {
+				served += d * hours
+			}
+		}
+		if served >= needKWh*(1-1e-13) || slope <= 0 {
+			break
+		}
+		next := k + (needKWh-served)/slope
+		if next <= k {
+			break // rounding: no further progress
+		}
+		k = next
+	}
+	return k
+}
+
+// netMeteringScale returns the smallest k at which the net-metering balance
+// serves needKWh of the demand energy demandKWh, or +Inf when no k does.
+// The bank starts empty and its level is a walk reflected at zero
+// (Lindley's recursion), so the energy it leaves unserved is
+// max(0, max_t (D_t − k·G_t)) over the prefix sums D_t of demand and G_t of
+// production.  That is at most demandKWh − needKWh exactly when
+// k·G_t ≥ D_t − demandKWh + needKWh for every t where the right side is
+// positive: one pass, and unreachable exactly when such a t has G_t = 0.
+// (D_t − demandKWh is formed first, so the last epoch's bound is needKWh
+// itself.)  s has passed check.
+func netMeteringScale(s *Site, base Plant, demandKWh, needKWh float64) float64 {
+	alpha, beta, demandKW := s.Alpha, s.Beta[:len(s.Alpha)], s.DemandKW[:len(s.Alpha)]
+	solar, wind, hours := base.SolarKW, base.WindKW, s.EpochHours
+	k, demand, green := 0.0, 0.0, 0.0
+	for i := range alpha {
+		demand += nonNegative(demandKW[i]) * hours
+		green += nonNegative(solar*alpha[i]+wind*beta[i]) * hours
+		if over := demand - demandKWh + needKWh; over > 0 {
+			if green <= 0 {
+				return math.Inf(1)
+			}
+			k = max(k, over/green)
+		}
+	}
+	return k
 }
 
 func nonNegative(v float64) float64 {

@@ -52,6 +52,10 @@ func TestBalanceValidation(t *testing.T) {
 			_, err := Green(s, unitPlant)
 			return err
 		},
+		"ScaleBracket": func(s *Site) error {
+			_, _, err := ScaleBracket(s, unitPlant, 1, 0.5)
+			return err
+		},
 	}
 	for name, balance := range kernels {
 		if err := balance(&Site{Alpha: one, Beta: one, DemandKW: []float64{1, 2}, EpochHours: 1, Mode: NoStorage}); !errors.Is(err, ErrLengthMismatch) {
