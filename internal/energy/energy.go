@@ -406,8 +406,8 @@ func noStorageScale(s *Site, base Plant, needKWh float64) float64 {
 // production.  That is at most demandKWh − needKWh exactly when
 // k·G_t ≥ D_t − demandKWh + needKWh for every t where the right side is
 // positive: one pass, and unreachable exactly when such a t has G_t = 0.
-// (D_t − demandKWh is formed first, so the last epoch's bound is needKWh
-// itself.)  s has passed check.
+// (D_t − demandKWh is formed first, so where D_t equals demandKWh the bound
+// is needKWh itself.)  s has passed check.
 func netMeteringScale(s *Site, base Plant, demandKWh, needKWh float64) float64 {
 	alpha, beta, demandKW := s.Alpha, s.Beta[:len(s.Alpha)], s.DemandKW[:len(s.Alpha)]
 	solar, wind, hours := base.SolarKW, base.WindKW, s.EpochHours

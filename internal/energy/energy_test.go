@@ -245,110 +245,37 @@ func TestEnergyConservationProperty(t *testing.T) {
 	}
 }
 
-// requiredPlantScale returns the multiplicative factor by which a green
-// plant's capacity must be scaled so that the balance reaches the target
-// green fraction, using bisection over scale with the Green probe.
-// greenPerKW is the per-epoch production of one kW of installed plant, on
-// hourly epochs.  It returns the smallest scale in [0, maxScale] that
-// reaches the target, or maxScale if even that is insufficient (the caller
-// then knows the target is unreachable with this source mix).
-func requiredPlantScale(greenPerKW, demandKW []float64, mode StorageMode,
-	battCapKWhPerKW float64, battEff float64, target float64, maxScale float64) (float64, error) {
-	if target <= 0 {
-		return 0, nil
-	}
-	if maxScale <= 0 {
-		return 0, errors.New("energy: maxScale must be positive")
-	}
-	site := profileSite(greenPerKW, demandKW, mode)
-	site.BatteryEfficiency = battEff
-	demand := 0.0
-	for _, d := range demandKW {
-		demand += nonNegative(d)
-	}
-	eval := func(scale float64) (float64, error) {
-		green, err := Green(site, Plant{SolarKW: scale, BatteryKWh: battCapKWhPerKW * scale})
-		if err != nil {
-			return 0, err
-		}
-		if demand <= 0 {
-			return 1, nil
-		}
-		return min(1, green/demand), nil
-	}
-	hiFrac, err := eval(maxScale)
-	if err != nil {
-		return 0, err
-	}
-	if hiFrac < target {
-		return maxScale, nil
-	}
-	lo, hi := 0.0, maxScale
-	for iter := 0; iter < 60; iter++ {
-		mid := (lo + hi) / 2
-		frac, err := eval(mid)
-		if err != nil {
-			return 0, err
-		}
-		if frac >= target {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return hi, nil
-}
-
+// TestRequiredPlantScale sizes a plant for a flat profile with
+// ScaleBracket: one kW of plant produces 0.25 kW around the clock against
+// 100 kW of demand, so reaching 50% green without storage takes 200 kW; no
+// plant reaches it without production, and a zero target needs none.
 func TestRequiredPlantScale(t *testing.T) {
-	// One kW of plant produces 0.25 kW around the clock; demand is 100 kW.
-	// Reaching 50 % green with no storage needs 200 kW of plant if
-	// production were flat — and it is flat here, so the answer is ~200.
-	greenPerKW := constSeries(24, 0.25)
 	demand := constSeries(24, 100)
-	scale, err := requiredPlantScale(greenPerKW, demand, NoStorage, 0, 1, 0.5, 10_000)
-	if err != nil {
-		t.Fatal(err)
+	s := profileSite(constSeries(24, 0.25), demand, NoStorage)
+	if lo, hi := bracket(t, s, unitPlant, 0.5); lo != 200 || hi != 200 {
+		t.Errorf("bracket [%v, %v], want [200, 200]", lo, hi)
 	}
-	if math.Abs(scale-200) > 1 {
-		t.Errorf("scale = %v, want ~200", scale)
+	if lo, _ := bracket(t, profileSite(constSeries(24, 0), demand, NoStorage), unitPlant, 0.5); !math.IsInf(lo, 1) {
+		t.Errorf("no production: scale %v, want +Inf", lo)
 	}
-	// Unreachable target returns maxScale.
-	scale, err = requiredPlantScale(constSeries(24, 0), demand, NoStorage, 0, 1, 0.5, 123)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scale != 123 {
-		t.Errorf("unreachable target should return maxScale, got %v", scale)
-	}
-	// Zero target needs no plant.
-	scale, err = requiredPlantScale(greenPerKW, demand, NoStorage, 0, 1, 0, 100)
-	if err != nil || scale != 0 {
-		t.Errorf("zero target: scale=%v err=%v", scale, err)
-	}
-	if _, err := requiredPlantScale(greenPerKW, demand, NoStorage, 0, 1, 0.5, 0); err == nil {
-		t.Error("non-positive maxScale should error")
+	if lo, hi := bracket(t, s, unitPlant, 0); lo != 0 || hi != 0 {
+		t.Errorf("zero target: bracket [%v, %v], want [0, 0]", lo, hi)
 	}
 }
 
+// TestRequiredPlantScaleStorageHelps: with production only during the day,
+// net metering reaches 60% green with a finite plant, while without
+// storage no plant gets past the 8 of 24 hours that produce.
 func TestRequiredPlantScaleStorageHelps(t *testing.T) {
-	// Production only during the day: with net metering the plant needed to
-	// reach 60 % green is smaller than without storage (which cannot get
-	// past the 8/24 hours of production no matter the plant size).
 	greenPerKW := make([]float64, 24)
 	for h := 8; h < 16; h++ {
 		greenPerKW[h] = 0.8
 	}
 	demand := constSeries(24, 100)
-	withNM, err := requiredPlantScale(greenPerKW, demand, NetMetering, 0, 1, 0.6, 1e6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	without, err := requiredPlantScale(greenPerKW, demand, NoStorage, 0, 1, 0.6, 1e6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if withNM >= without {
-		t.Errorf("net metering should need a smaller plant: %v vs %v", withNM, without)
+	withNM, _ := bracket(t, profileSite(greenPerKW, demand, NetMetering), unitPlant, 0.6)
+	without, _ := bracket(t, profileSite(greenPerKW, demand, NoStorage), unitPlant, 0.6)
+	if math.IsInf(withNM, 1) || !math.IsInf(without, 1) {
+		t.Errorf("net metering scale %v, no storage %v: want finite and +Inf", withNM, without)
 	}
 }
 
