@@ -184,7 +184,8 @@ cover:
 # SolveSweep is the siting sweep in perfbench's shape: a 300-site catalog
 # filtered to 60, one warm-started 11-step green chain per storage mode at
 # 4 chains × 200 iterations, reporting sitings/op — so a slower evaluator,
-# per-site stage or sizing balance shows up here (~0.09 s/op on 2 vCPUs).
+# per-site stage or sizing balance shows up here (~0.055 s/op, ~40k
+# allocs/op on 2 vCPUs).
 BENCH_SMOKE := ^(BenchmarkCalibration|BenchmarkCatalogGenerate|BenchmarkEvaluateSteadyState|BenchmarkEvaluateDeltaMove|BenchmarkSolveSmallNetwork|BenchmarkSolveSweep|BenchmarkLPResolve|BenchmarkLPBounded|BenchmarkLPSolve|BenchmarkEmulDay|BenchmarkEmulScale|BenchmarkPlannerTick|BenchmarkPlannerTickFleet|BenchmarkPlannerTickJournal|BenchmarkPlannerRestore)$$
 
 bench-smoke:

@@ -154,10 +154,11 @@ func BenchmarkEvaluateSteadyState(b *testing.B) {
 	}
 }
 
-// BenchmarkEvaluateDeltaMove measures the annealing inner loop as a chain
-// actually drives it: alternating single-site moves against a warm
-// evaluator, so each evaluation re-runs only the dirty site's pipeline plus
-// the shared schedule merge.  Must stay at 0 allocs/op.
+// BenchmarkEvaluateDeltaMove measures the evaluator's delta path: a grow
+// and a shrink of one site against a warm evaluator, so each evaluation
+// re-runs only the resized site's pipeline plus the shared schedule merge
+// (content validation serves the other sites from the per-site cache).
+// Must stay at 0 allocs/op.
 func BenchmarkEvaluateDeltaMove(b *testing.B) {
 	cat, err := location.Generate(location.Options{Count: 60, Seed: 1, RepresentativeDays: 2})
 	if err != nil {
@@ -171,8 +172,6 @@ func BenchmarkEvaluateDeltaMove(b *testing.B) {
 	}
 	base := []core.Candidate{{SiteID: 2, CapacityKW: 5_000}, {SiteID: 5, CapacityKW: 5_000}, {SiteID: 9, CapacityKW: 5_000}}
 	grown := []core.Candidate{{SiteID: 2, CapacityKW: 6_250}, {SiteID: 5, CapacityKW: 5_000}, {SiteID: 9, CapacityKW: 5_000}}
-	growMv := core.Move{Kind: core.MoveGrow, Site: 2, OldCap: 5_000, NewCap: 6_250}
-	shrinkMv := core.Move{Kind: core.MoveShrink, Site: 2, OldCap: 6_250, NewCap: 5_000}
 	for _, cands := range [][]core.Candidate{base, grown} {
 		if _, err := ev.EvaluateCost(cands); err != nil {
 			b.Fatalf("warm-up evaluation: %v", err)
@@ -181,10 +180,10 @@ func BenchmarkEvaluateDeltaMove(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ev.EvaluateCostMove(grown, growMv); err != nil {
+		if _, err := ev.EvaluateCost(grown); err != nil {
 			b.Fatalf("evaluate: %v", err)
 		}
-		if _, err := ev.EvaluateCostMove(base, shrinkMv); err != nil {
+		if _, err := ev.EvaluateCost(base); err != nil {
 			b.Fatalf("evaluate: %v", err)
 		}
 	}
@@ -217,8 +216,8 @@ func BenchmarkSolveSmallNetwork(b *testing.B) {
 // in perfbench's siting shape: a 300-site, 2-representative-day catalog
 // filtered to 60 locations, then one 11-step green chain (0 %, 10 %, …,
 // 100 %) per storage mode, each point a 4-chain × 200-iteration Solve
-// warm-started from the previous point's siting.  The plant-sizing
-// bisection inside the evaluator's per-site stage is most of its time.
+// warm-started from the previous point's siting.  The evaluator's run
+// over each chain's distinct sitings is most of its time.
 // Catalog and filter are built once, outside the timer; an unreachable
 // point counts as a siting, as in perfbench.
 func BenchmarkSolveSweep(b *testing.B) {

@@ -147,32 +147,41 @@
 //     scale factor; it runs only in that case, on top of the cached
 //     per-site sizings.
 //
-// Invalidation protocol: annealing moves carry structured metadata
-// (core.Move{Kind, Site, OldCap, NewCap}) from the neighbourhood function
-// through internal/anneal's move-aware hooks into the evaluator.  The moved
-// site is always re-run; every other site is revalidated by content — its
-// cached result is reused iff its capacity matches and its schedule-row
-// digest (series.Digest, computed once per merge) matches the cached key,
-// an O(1) check per clean site in place of the old O(epochs) full-row
-// compare.  Content validation makes the cache self-correcting: a missing
-// or wrong hint costs a recomputation, never correctness, and a delta
-// evaluation is bit-identical to evaluating the same candidates from
-// scratch up to a Digest collision on two distinct rows (≈2⁻⁶⁴ per
-// comparison, never observed; TestDeltaEvaluationMatchesFull pins the
-// bit-identity, plus the digest/row coherence invariants, over randomized
-// move sequences).
+// Invalidation protocol: every site is revalidated by content — its cached
+// result is reused iff its capacity matches and its schedule-row digest
+// (series.Digest, computed once per merge) matches the cached key, an O(1)
+// check per site in place of the old O(epochs) full-row compare.  Callers
+// pass no hint about what changed, so the cache cannot be told a wrong
+// thing: a cached evaluation is bit-identical to evaluating the same
+// candidates from scratch up to a Digest collision on two distinct rows
+// (≈2⁻⁶⁴ per comparison, never observed; TestDeltaEvaluationMatchesFull
+// pins the bit-identity, plus the digest/row coherence invariants, over
+// randomized move sequences).
+//
+// Chain memo: the per-site cache keeps one entry per site, so a rejected
+// move overwrites the entries its chain's current siting needs, and at low
+// temperature a chain keeps proposing the neighbours it has already priced.
+// Each annealing chain in core.Solve therefore also owns a memo from siting
+// to energy (its anneal.Config.NewContext value), keyed on the ordered
+// (SiteID, CapacityKW bits) list and compared in full.  Order stays in the
+// key because candidate order feeds the merge's stable sorts and the
+// evaluator's float sums.  Energy is a pure function of that list, so a hit
+// returns the bits a fresh evaluation would
+// (TestChainMemoMatchesFreshEvaluation pins it).  The memo lives for one
+// chain of one Solve and holds at most MaxIterations+1 sitings; it is not
+// in the Evaluator, whose lifetime in a what-if session is the daemon's.
 //
 // Reuse contract: scratch grows to the largest candidate set seen, cache
 // entries are allocated once per distinct site, and a steady-state
-// EvaluateCost/EvaluateCostMove call performs zero heap allocations
+// EvaluateCost call performs zero heap allocations
 // (BenchmarkEvaluateSteadyState and the core tests enforce exactly
 // 0 allocs/op); the full Evaluate method allocates only the returned
 // Solution.  An Evaluator is not safe for concurrent use — each annealing
 // chain owns one (anneal.Config.NewContext), which also keeps the per-site
 // cache warm along the chain's trajectory.  Chains are fully independent
-// with deterministic per-chain RNG seeds and a deterministic best-of merge,
-// so a fixed seed yields a bit-identical Solution whether the chains run
-// sequentially or in parallel.
+// with deterministic per-chain RNG seeds, chain-local memos and a
+// deterministic best-of merge, so a fixed seed yields a bit-identical
+// Solution whether the chains run sequentially or in parallel.
 //
 // Location filtering shards the catalog across a GOMAXPROCS worker pool
 // (per-worker evaluators, slot-indexed scores, deterministic merge), and

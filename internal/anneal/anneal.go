@@ -9,6 +9,11 @@
 // chain index).  Because no state is exchanged mid-run, the outcome of Run
 // is bit-identical for a fixed Seed regardless of how the goroutines are
 // scheduled — and identical to running the chains sequentially (Sequential).
+//
+// Each chain owns an evaluation context (Config.NewContext) that lives for
+// the chain's whole run, so a caller can keep chain-local state there — an
+// incremental evaluator, a memo of energies already computed — without
+// locks and without coupling the chains.
 package anneal
 
 import (
@@ -19,14 +24,14 @@ import (
 	"sync"
 )
 
-// Config describes one annealing run over states of type S, searched with
-// delta-evaluating hooks: NeighborMove proposes a modified copy of a state
-// together with metadata describing the move it applied, and EnergyMove
-// evaluates a state given that metadata and a chain-local context
-// (typically a reusable incremental evaluator) created once per chain by
+// Config describes one annealing run over states of type S: NeighborMove
+// proposes a modified copy of a state, and EnergyMove evaluates a state in
+// a chain-local context (typically a reusable incremental evaluator and a
+// memo of the chain's evaluated states) created once per chain by
 // NewContext.  EnergyMove must be a pure function of the state — the
-// context and metadata may only accelerate it, never change its value — so
-// results remain bit-identical regardless of parallelism or cache state.
+// context may only accelerate it, never change its value — so results
+// remain bit-identical regardless of parallelism or cache state, and a
+// context may return a remembered energy for a state it has seen.
 //
 // When Chains > 1, NeighborMove and EnergyMove are called concurrently from
 // multiple goroutines (each with its own chain context).
@@ -38,11 +43,10 @@ type Config[S any] struct {
 	NewContext func(chain int) any
 	// NeighborMove proposes a modified copy of the state using the chain's
 	// RNG and must not mutate its argument.
-	NeighborMove func(S, *rand.Rand) (S, any)
+	NeighborMove func(S, *rand.Rand) S
 	// EnergyMove evaluates a state using the chain's context; lower is
-	// better and infinite energy marks an infeasible state.  move is the
-	// metadata from NeighborMove, or nil when evaluating the initial state.
-	EnergyMove func(ctx any, s S, move any) float64
+	// better and infinite energy marks an infeasible state.
+	EnergyMove func(ctx any, s S) float64
 
 	// MaxIterations caps the iterations per chain (default 2000).
 	MaxIterations int
@@ -118,17 +122,17 @@ func Run[S any](cfg Config[S]) (Result[S], error) {
 	}
 	cfg = cfg.withDefaults()
 
-	initialEnergy := cfg.EnergyMove(cfg.NewContext(-1), cfg.Initial, nil)
+	initialEnergy := cfg.EnergyMove(cfg.NewContext(-1), cfg.Initial)
 	initialTemp := math.Max(1, math.Abs(initialEnergy)*0.05)
 	minTemp := initialTemp * minTempRatio
 
 	runChain := func(chainID int) chainResult[S] {
 		rng := rand.New(rand.NewSource(cfg.Seed*7919 + int64(chainID)*15485863 + 1))
 		// Each chain owns its context: consecutive evaluations on one chain
-		// share one incremental evaluator, which is what makes delta
-		// evaluation effective (the chain's trajectory keeps the per-site
-		// cache warm).  EnergyMove is a pure function of the state, so chains
-		// stay independent and the merged result deterministic.
+		// share its state, which is what makes incremental evaluation and
+		// memoization effective along the chain's trajectory.  EnergyMove is
+		// a pure function of the state, so chains stay independent and the
+		// merged result deterministic.
 		ctx := cfg.NewContext(chainID)
 		current := cfg.Initial
 		currentEnergy := initialEnergy
@@ -140,7 +144,7 @@ func Run[S any](cfg Config[S]) (Result[S], error) {
 		evals := 0
 		// Seed the chain's context with the initial state so the first
 		// neighbour evaluation is already a delta.
-		if got := cfg.EnergyMove(ctx, current, nil); got != currentEnergy {
+		if got := cfg.EnergyMove(ctx, current); got != currentEnergy {
 			// EnergyMove violated purity; trust the fresh value so the
 			// chain is at least self-consistent.
 			currentEnergy, bestEnergy = got, got
@@ -158,8 +162,8 @@ func Run[S any](cfg Config[S]) (Result[S], error) {
 				}
 			}
 			iters++
-			candidate, move := cfg.NeighborMove(current, rng)
-			candEnergy := cfg.EnergyMove(ctx, candidate, move)
+			candidate := cfg.NeighborMove(current, rng)
+			candEnergy := cfg.EnergyMove(ctx, candidate)
 			evals++
 
 			accept := false

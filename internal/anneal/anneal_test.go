@@ -9,11 +9,11 @@ import (
 )
 
 // plain builds a Config from a state-only energy and neighbour pair: the
-// move hooks ignore their chain context and move metadata.
+// hooks ignore their chain context.
 func plain[S any](cfg Config[S], energy func(S) float64, neighbor func(S, *rand.Rand) S) Config[S] {
 	cfg.NewContext = func(int) any { return nil }
-	cfg.NeighborMove = func(s S, rng *rand.Rand) (S, any) { return neighbor(s, rng), nil }
-	cfg.EnergyMove = func(_ any, s S, _ any) float64 { return energy(s) }
+	cfg.NeighborMove = neighbor
+	cfg.EnergyMove = func(_ any, s S) float64 { return energy(s) }
 	return cfg
 }
 
@@ -196,8 +196,8 @@ func TestParallelMatchesSequential(t *testing.T) {
 }
 
 func TestMoveAwareHooksRequireAllThree(t *testing.T) {
-	energy := func(ctx any, x float64, mv any) float64 { return x * x }
-	neighbor := func(x float64, rng *rand.Rand) (float64, any) { return x - 1, "left" }
+	energy := func(ctx any, x float64) float64 { return x * x }
+	neighbor := func(x float64, rng *rand.Rand) float64 { return x - 1 }
 	newCtx := func(chain int) any { return nil }
 	cases := []Config[float64]{
 		{EnergyMove: energy},
@@ -207,16 +207,15 @@ func TestMoveAwareHooksRequireAllThree(t *testing.T) {
 	}
 	for i, cfg := range cases {
 		if _, err := Run(cfg); !errors.Is(err, ErrBadConfig) {
-			t.Errorf("case %d: want ErrBadConfig for partial move hooks, got %v", i, err)
+			t.Errorf("case %d: want ErrBadConfig for partial hooks, got %v", i, err)
 		}
 	}
 }
 
 func TestMoveAwareParallelMatchesSequential(t *testing.T) {
-	// The move-aware path (per-chain contexts, move metadata) must keep the
-	// determinism contract: parallel and sequential runs are bit-identical,
-	// the context is delivered to every EnergyMove call, and the move
-	// metadata matches what NeighborMove produced.
+	// The per-chain contexts must keep the determinism contract: parallel
+	// and sequential runs are bit-identical, and the chain context is
+	// delivered to every EnergyMove call.
 	type ctxState struct {
 		chain int
 		calls int
@@ -227,21 +226,15 @@ func TestMoveAwareParallelMatchesSequential(t *testing.T) {
 			NewContext: func(chain int) any {
 				return &ctxState{chain: chain}
 			},
-			NeighborMove: func(x float64, rng *rand.Rand) (float64, any) {
-				step := rng.NormFloat64() * 3
-				return x + step, step
+			NeighborMove: func(x float64, rng *rand.Rand) float64 {
+				return x + rng.NormFloat64()*3
 			},
-			EnergyMove: func(ctx any, x float64, mv any) float64 {
+			EnergyMove: func(ctx any, x float64) float64 {
 				st, ok := ctx.(*ctxState)
 				if !ok {
 					t.Fatal("EnergyMove did not receive its chain context")
 				}
 				st.calls++
-				if mv != nil {
-					if _, ok := mv.(float64); !ok {
-						t.Fatalf("EnergyMove received unexpected move metadata %T", mv)
-					}
-				}
 				return 0.1*x*x + 5*math.Abs(math.Sin(x))
 			},
 			MaxIterations: 600,
@@ -259,10 +252,10 @@ func TestMoveAwareParallelMatchesSequential(t *testing.T) {
 	sequential := run(true)
 	if parallel.Best != sequential.Best || parallel.BestEnergy != sequential.BestEnergy ||
 		parallel.Iterations != sequential.Iterations || parallel.Evaluations != sequential.Evaluations {
-		t.Errorf("move-aware parallel %+v and sequential %+v runs differ", parallel, sequential)
+		t.Errorf("context-carrying parallel %+v and sequential %+v runs differ", parallel, sequential)
 	}
 	if parallel.BestEnergy > 5 {
-		t.Errorf("move-aware search did not optimize: best energy %v", parallel.BestEnergy)
+		t.Errorf("context-carrying search did not optimize: best energy %v", parallel.BestEnergy)
 	}
 }
 

@@ -32,8 +32,8 @@ func deltaSpecs() map[string]Spec {
 
 // TestDeltaEvaluationMatchesFull is the differential regression pinning the
 // delta engine's correctness: over randomized single-site move sequences,
-// the incremental evaluation (warm per-site cache, move metadata) must be
-// bit-identical to evaluating the same candidates from scratch.  Run under
+// the incremental evaluation (warm per-site cache, content validation) must
+// be bit-identical to evaluating the same candidates from scratch.  Run under
 // -race in CI, it also proves the evaluator's cache is free of shared state
 // across the chains that own separate evaluators.
 func TestDeltaEvaluationMatchesFull(t *testing.T) {
@@ -70,10 +70,10 @@ func TestDeltaEvaluationMatchesFull(t *testing.T) {
 			}
 
 			for step := 0; step < movesPerSpec; step++ {
-				next, mv := proposeMove(current, rng, filtered, spec, minDCs, minDCs+6, spec.TotalCapacityKW/8)
-				got, err := delta.EvaluateCostMove(next.candidates, mv)
+				next := proposeMove(current, rng, filtered, spec, minDCs, minDCs+6, spec.TotalCapacityKW/8)
+				got, err := delta.EvaluateCost(next.candidates)
 				if err != nil {
-					t.Fatalf("step %d (%v): delta: %v", step, mv.Kind, err)
+					t.Fatalf("step %d: delta: %v", step, err)
 				}
 				// The O(1) clean-site revalidation rides on the schedule-row
 				// digests run computes after the merge.  Pin the digest
@@ -102,11 +102,11 @@ func TestDeltaEvaluationMatchesFull(t *testing.T) {
 				}
 				want, err := full.EvaluateCost(next.candidates)
 				if err != nil {
-					t.Fatalf("step %d (%v): full: %v", step, mv.Kind, err)
+					t.Fatalf("step %d: full: %v", step, err)
 				}
 				if got != want {
-					t.Fatalf("step %d (%v, site %d): delta %+v != full %+v",
-						step, mv.Kind, mv.Site, got, want)
+					t.Fatalf("step %d (%+v): delta %+v != full %+v",
+						step, next.candidates, got, want)
 				}
 				// Every 50th step, cross-check against a cold evaluator and
 				// the full Solution path.
@@ -145,16 +145,14 @@ func TestDeltaEvaluationMatchesFull(t *testing.T) {
 
 // TestDeltaMoveZeroAllocSteadyState pins the allocation contract of the
 // delta path: once an evaluator has seen the sites a chain moves between,
-// further delta evaluations (cache hits and dirty-site recomputations alike)
-// must not allocate.
+// further delta evaluations (cache hits and changed-site recomputations
+// alike) must not allocate.
 func TestDeltaMoveZeroAllocSteadyState(t *testing.T) {
 	spec := smallSpec()
 	ev := newTestEvaluator(t, 40, spec)
 	base := []Candidate{{SiteID: 2, CapacityKW: 5_000}, {SiteID: 5, CapacityKW: 5_000}}
 	grown := []Candidate{{SiteID: 2, CapacityKW: 6_250}, {SiteID: 5, CapacityKW: 5_000}}
 	swapped := []Candidate{{SiteID: 2, CapacityKW: 5_000}, {SiteID: 9, CapacityKW: 5_000}}
-	growMv := Move{Kind: MoveGrow, Site: 2, OldCap: 5_000, NewCap: 6_250}
-	swapMv := Move{Kind: MoveSwap, Site: 9, OldCap: 5_000, NewCap: 5_000}
 
 	// Warm up every site the moves touch.
 	for _, cands := range [][]Candidate{base, grown, swapped} {
@@ -163,17 +161,10 @@ func TestDeltaMoveZeroAllocSteadyState(t *testing.T) {
 		}
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := ev.EvaluateCostMove(grown, growMv); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ev.EvaluateCostMove(base, growMv); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ev.EvaluateCostMove(swapped, swapMv); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ev.EvaluateCostMove(base, swapMv); err != nil {
-			t.Fatal(err)
+		for _, cands := range [][]Candidate{grown, base, swapped, base} {
+			if _, err := ev.EvaluateCost(cands); err != nil {
+				t.Fatal(err)
+			}
 		}
 	})
 	if allocs != 0 {
@@ -195,15 +186,12 @@ func TestProposeMoveNeverSilentlyNoOps(t *testing.T) {
 	}}
 	rng := rand.New(rand.NewSource(9))
 	for step := 0; step < 1000; step++ {
-		next, mv := proposeMove(base, rng, filtered, spec, 2, 6, 1_250)
-		if mv.Kind == MoveNone {
-			t.Fatalf("step %d: move has no metadata", step)
-		}
+		next := proposeMove(base, rng, filtered, spec, 2, 6, 1_250)
 		if sitingsEqual(base, next) {
-			t.Fatalf("step %d: %v move returned an unchanged siting", step, mv.Kind)
+			t.Fatalf("step %d: move returned an unchanged siting", step)
 		}
 		if len(next.candidates) < 2 {
-			t.Fatalf("step %d: %v move dropped below the availability floor", step, mv.Kind)
+			t.Fatalf("step %d: move dropped below the availability floor: %+v", step, next.candidates)
 		}
 	}
 
@@ -214,9 +202,9 @@ func TestProposeMoveNeverSilentlyNoOps(t *testing.T) {
 		{SiteID: 1, CapacityKW: 5_000},
 	}}
 	for step := 0; step < 200; step++ {
-		next, mv := proposeMove(tight, rng, []int{0, 1}, spec, 2, 6, 1_250)
-		if mv.Kind == MoveNone || sitingsEqual(tight, next) {
-			t.Fatalf("step %d: degenerate filtered list produced a no-op (%v)", step, mv.Kind)
+		next := proposeMove(tight, rng, []int{0, 1}, spec, 2, 6, 1_250)
+		if sitingsEqual(tight, next) {
+			t.Fatalf("step %d: degenerate filtered list produced a no-op", step)
 		}
 	}
 }

@@ -37,32 +37,32 @@ type CostSummary struct {
 //   - The per-site stage (migration overhead, facility demand, plant
 //     sizing, battery sizing, energy balance, monthly cost) is a pure
 //     function of (site, capacity, schedule row, spec).  Its outputs are
-//     cached per site; a site is re-run only when it is dirty.  Plant
-//     sizing is exact: energy.ScaleBracket's closed forms give the smallest
-//     plant without storage and with net metering, and bracket it for
-//     batteries, where a short bisection finishes; one probe of
-//     energy.Green, the mode-specialized sizing kernel, confirms the
-//     result.  energy.Totals, the full balance, runs once on the final
-//     plant.  All three read the site's α/β rows and demand row through
-//     one reused energy.Site, so a probe copies nothing.
+//     cached per site; a site is re-run only when its capacity or its
+//     schedule row changed.  Plant sizing is exact: energy.ScaleBracket's
+//     closed forms give the smallest plant without storage and with net
+//     metering, and bracket it for batteries, where a short bisection
+//     finishes; one probe of energy.Green, the mode-specialized sizing
+//     kernel, confirms the result.  energy.Totals, the full balance, runs
+//     once on the final plant.  All three read the site's α/β rows and
+//     demand row through one reused energy.Site, so a probe copies nothing.
 //
-// Invalidation protocol: a site whose capacity the Move metadata says
-// changed is dirty by definition and re-runs without further checks; every
-// other site is validated by content — its cache entry is reused iff the
-// entry's capacity matches and its schedule-row digest (series.Digest,
-// computed once per merge) matches the row's current digest.  Content
-// validation makes the cache self-correcting: a wrong or missing Move hint
-// can waste a recomputation but can never change a result, so a delta
+// Invalidation protocol: every site is validated by content — its cache
+// entry is reused iff the entry's capacity matches and its schedule-row
+// digest (series.Digest, computed once per merge) matches the row's current
+// digest.  The caller says nothing about what changed, so a cached
 // evaluation is bit-identical to evaluating from scratch up to a digest
 // collision on two distinct rows (≈2⁻⁶⁴ per comparison).
 //
 // Reuse contract: an Evaluator is bound to the catalog and spec it was
 // created with; scratch buffers grow to the largest candidate set seen and
 // cache entries are allocated once per distinct site, so a steady-state
-// EvaluateCost / EvaluateCostMove call is allocation-free.  The full
-// Evaluate method allocates only the returned *Solution, its sites and its
-// violation messages.  An Evaluator is NOT safe for concurrent use — create one per
-// goroutine (the annealing chains in Solve each own one).
+// EvaluateCost call is allocation-free.  The cache keeps one entry per
+// site, so an Evaluator that lives as long as a daemon stays bounded by its
+// catalog; Solve's annealing chains remember whole sitings in a chain-local
+// memo of their own (heuristic.go).  The full Evaluate method allocates
+// only the returned *Solution, its sites and its violation messages.  An
+// Evaluator is NOT safe for concurrent use — create one per goroutine (the
+// annealing chains in Solve each own one).
 type Evaluator struct {
 	evalTables
 
@@ -222,7 +222,7 @@ func (t evalTables) evaluator() *Evaluator {
 // same, so the Solution agrees bit-for-bit with EvaluateCost.
 func (e *Evaluator) Evaluate(candidates []Candidate) (*Solution, error) {
 	sol := &Solution{Feasible: true}
-	if _, err := e.run(candidates, Move{}, sol); err != nil {
+	if _, err := e.run(candidates, sol); err != nil {
 		return nil, err
 	}
 	return sol, nil
@@ -230,19 +230,11 @@ func (e *Evaluator) Evaluate(candidates []Candidate) (*Solution, error) {
 
 // EvaluateCost is the annealing inner loop: it provisions and prices the
 // candidate siting exactly like Evaluate but returns only the cost summary,
-// performing zero heap allocations in steady state.  Without move metadata
-// every site is validated against the per-site cache by content.
+// performing zero heap allocations in steady state.  Every site is
+// validated against the per-site cache by content, so a site whose capacity
+// and schedule row are unchanged reuses its memoized stage.
 func (e *Evaluator) EvaluateCost(candidates []Candidate) (CostSummary, error) {
-	return e.run(candidates, Move{}, nil)
-}
-
-// EvaluateCostMove is EvaluateCost with move metadata: the annealing chains
-// call it with the single-site move that produced the candidate siting, so
-// the evaluator re-runs the dirty site's pipeline and revalidates (rather
-// than recomputes) every clean site.  The result is bit-identical to a full
-// evaluation of the same candidates.
-func (e *Evaluator) EvaluateCostMove(candidates []Candidate, mv Move) (CostSummary, error) {
-	return e.run(candidates, mv, nil)
+	return e.run(candidates, nil)
 }
 
 // DisableCache turns off per-site memoization for this evaluator.  Probe
@@ -256,7 +248,7 @@ func (e *Evaluator) DisableCache() { e.noCache = true }
 // when per-site sizing cannot reach the target alone, and the final
 // aggregation.  When sol is non-nil the per-site results and violation
 // messages are materialized into it.
-func (e *Evaluator) run(candidates []Candidate, mv Move, sol *Solution) (CostSummary, error) {
+func (e *Evaluator) run(candidates []Candidate, sol *Solution) (CostSummary, error) {
 	if err := e.prepare(candidates); err != nil {
 		return CostSummary{}, err
 	}
@@ -309,7 +301,7 @@ func (e *Evaluator) run(candidates []Candidate, mv Move, sol *Solution) (CostSum
 	totalDemandKWh, totalGreenKWh := 0.0, 0.0
 	plantKW := 0.0
 	for i := 0; i < n; i++ {
-		if err := e.siteOutputsInto(i, mv, useCache, &outs[i]); err != nil {
+		if err := e.siteOutputsInto(i, useCache, &outs[i]); err != nil {
 			return CostSummary{}, err
 		}
 		totalDemandKWh += outs[i].DemandKWh
@@ -574,21 +566,15 @@ func (e *Evaluator) scheduleLoad() {
 // siteOutputsInto produces site i's per-site stage outputs, reusing the
 // memoized result when the site is clean: its capacity is identical and its
 // schedule-row digest matches the cache entry's (the O(1) stand-in for the
-// old full-row compare; run computed the digests right after the merge).  A
-// site whose capacity the move metadata says changed (OldCap ≠ NewCap:
-// grow, shrink, add) is dirty by definition, so even the digest check is
-// skipped; capacity-preserving moves (swap) fall through to content
-// validation, which lets a swap back to a recently-priced site reuse its
-// entry.
-func (e *Evaluator) siteOutputsInto(i int, mv Move, useCache bool, out *siteOutputs) error {
+// old full-row compare; run computed the digests right after the merge).
+func (e *Evaluator) siteOutputsInto(i int, useCache bool, out *siteOutputs) error {
 	if !useCache {
 		return e.siteStage(i, out)
 	}
 	id := e.sites[i].ID
 	cap := e.capacities[i]
 	ent := e.cache[id]
-	dirty := mv.Kind != MoveNone && mv.Site == id && mv.NewCap != mv.OldCap
-	if ent != nil && !dirty && ent.capacityKW == cap && ent.digest == e.rowDigest[i] {
+	if ent != nil && ent.capacityKW == cap && ent.digest == e.rowDigest[i] {
 		*out = ent.out
 		return nil
 	}

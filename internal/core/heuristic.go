@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -219,29 +220,62 @@ func (s siting) clone() siting {
 	return siting{candidates: out}
 }
 
+// chainContext is one annealing chain's evaluation state: its own forked
+// Evaluator and a memo from every siting the chain has priced to its
+// energy, so the chain prices each distinct siting once.  The key is the
+// ordered (SiteID, CapacityKW bits) list, compared in full: candidate order
+// feeds the merge's stable sorts and the evaluator's float sums, so it stays
+// in the key.  Energy is a pure function of that list, so a hit returns the
+// bits a fresh evaluation would (doc.go, "Chain memo").  A chain evaluates
+// at most MaxIterations+1 sitings.
+type chainContext struct {
+	ev   *Evaluator
+	memo map[string]float64
+	key  []byte // scratch for the lookup key
+}
+
+func newChainContext(ev *Evaluator, sitings int) *chainContext {
+	return &chainContext{ev: ev, memo: make(map[string]float64, sitings)}
+}
+
+// energy returns the siting's monthly cost, or +Inf when it is infeasible
+// or cannot be priced.
+func (c *chainContext) energy(s siting) float64 {
+	c.key = c.key[:0]
+	for _, cand := range s.candidates {
+		c.key = binary.LittleEndian.AppendUint64(c.key, uint64(cand.SiteID))
+		c.key = binary.LittleEndian.AppendUint64(c.key, math.Float64bits(cand.CapacityKW))
+	}
+	if e, ok := c.memo[string(c.key)]; ok {
+		return e
+	}
+	e := math.Inf(1)
+	if res, err := c.ev.EvaluateCost(s.candidates); err == nil && res.Feasible {
+		e = res.MonthlyUSD
+	}
+	c.memo[string(c.key)] = e
+	return e
+}
+
 // proposeMove draws one neighbourhood move: swap a site, add or remove one,
-// or resize one site's capacity.  It returns the modified siting together
-// with the move metadata the evaluator's delta path consumes.
+// or resize one site's capacity, and returns the modified copy.
 //
 // Moves that would silently do nothing (a swap or add whose sampled site is
 // already selected, a shrink below the survivable share, a removal at the
 // availability floor) resample or fall through to a capacity-grow move, so
 // annealing chains never burn an iteration re-evaluating an unchanged state.
 func proposeMove(s siting, rng *rand.Rand, filtered []int, spec Spec,
-	minDCs, maxDCs int, quantum float64) (siting, Move) {
+	minDCs, maxDCs int, quantum float64) siting {
 
 	out := s.clone()
 	cands := out.candidates
-	grow := func() (siting, Move) {
-		i := rng.Intn(len(cands))
-		mv := Move{Kind: MoveGrow, Site: cands[i].SiteID, OldCap: cands[i].CapacityKW}
-		cands[i].CapacityKW += quantum
-		mv.NewCap = cands[i].CapacityKW
+	grow := func() siting {
+		cands[rng.Intn(len(cands))].CapacityKW += quantum
 		out.candidates = cands
-		return out, mv
+		return out
 	}
 	if len(cands) == 0 {
-		return out, Move{}
+		return out
 	}
 
 	switch rng.Intn(5) {
@@ -253,10 +287,9 @@ func proposeMove(s siting, rng *rand.Rand, filtered []int, spec Spec,
 				if sitingContains(cands, replacement) {
 					continue
 				}
-				cap := cands[i].CapacityKW
 				cands[i].SiteID = replacement
 				out.candidates = cands
-				return out, Move{Kind: MoveSwap, Site: replacement, OldCap: cap, NewCap: cap}
+				return out
 			}
 		}
 	case 1: // add a site
@@ -271,17 +304,16 @@ func proposeMove(s siting, rng *rand.Rand, filtered []int, spec Spec,
 				// Rebalance to keep every site at the survivable share.
 				rebalance(cands, spec)
 				out.candidates = cands
-				return out, Move{Kind: MoveAdd, Site: id, NewCap: cands[len(cands)-1].CapacityKW}
+				return out
 			}
 		}
 	case 2: // remove a site
 		if len(cands) > minDCs {
 			i := rng.Intn(len(cands))
-			mv := Move{Kind: MoveRemove, Site: cands[i].SiteID, OldCap: cands[i].CapacityKW}
 			cands = append(cands[:i], cands[i+1:]...)
 			rebalance(cands, spec)
 			out.candidates = cands
-			return out, mv
+			return out
 		}
 	case 3:
 		return grow()
@@ -289,11 +321,9 @@ func proposeMove(s siting, rng *rand.Rand, filtered []int, spec Spec,
 		i := rng.Intn(len(cands))
 		minShare := spec.TotalCapacityKW / float64(len(cands))
 		if cands[i].CapacityKW-quantum >= minShare-1e-9 {
-			mv := Move{Kind: MoveShrink, Site: cands[i].SiteID, OldCap: cands[i].CapacityKW}
 			cands[i].CapacityKW -= quantum
-			mv.NewCap = cands[i].CapacityKW
 			out.candidates = cands
-			return out, mv
+			return out
 		}
 	}
 	// The sampled move was impossible (sites exhausted, at the availability
@@ -304,12 +334,11 @@ func proposeMove(s siting, rng *rand.Rand, filtered []int, spec Spec,
 
 // Solve runs the heuristic solver: filter locations, then search over
 // sitings and capacity splits with parallel simulated annealing, and return
-// the best feasible solution found.  Each chain owns an incremental
-// Evaluator whose delta path re-prices only the sites a move dirtied, and
-// move metadata flows from the neighbourhood function through the annealing
-// loop into the evaluator.  Delta evaluation is bit-identical to full
-// evaluation, so results remain reproducible for a fixed seed regardless of
-// parallelism.
+// the best feasible solution found.  Each chain owns a chainContext: an
+// incremental Evaluator whose per-site cache re-prices only the sites whose
+// capacity or schedule row changed, and a memo that prices each distinct
+// siting once.  Both are bit-identical to a fresh evaluation, so results
+// remain reproducible for a fixed seed regardless of parallelism.
 func Solve(cat *location.Catalog, spec Spec, opts SolveOptions) (*Solution, error) {
 	spec = spec.withDefaults()
 	if err := spec.Validate(); err != nil {
@@ -335,23 +364,15 @@ func Solve(cat *location.Catalog, spec Spec, opts SolveOptions) (*Solution, erro
 	}
 
 	// The shared evaluator serves the single-threaded phases (initial-siting
-	// selection, the top-level initial energy, the final materialization);
-	// each annealing chain owns a fork of it, sharing its per-catalog
-	// tables.
+	// selection and the top-level initial energy, which share one memo, and
+	// the final materialization); each annealing chain owns a fork of it,
+	// sharing its per-catalog tables.
 	shared, err := NewEvaluator(cat, spec)
 	if err != nil {
 		return nil, err
 	}
-	energyOf := func(ev *Evaluator, s siting, mv Move) float64 {
-		res, err := ev.EvaluateCostMove(s.candidates, mv)
-		if err != nil || !res.Feasible {
-			return math.Inf(1)
-		}
-		return res.MonthlyUSD
-	}
-
-	initial := buildInitialSiting(cat, filtered, minDCs, spec, opts.InitialCandidates,
-		func(s siting) float64 { return energyOf(shared, s, Move{}) })
+	top := newChainContext(shared, 0)
+	initial := buildInitialSiting(cat, filtered, minDCs, spec, opts.InitialCandidates, top.energy)
 
 	maxDCs := minDCs + 12
 	// Capacity-changing moves step by an eighth of the network's capacity.
@@ -362,18 +383,16 @@ func Solve(cat *location.Catalog, spec Spec, opts SolveOptions) (*Solution, erro
 		NewContext: func(chain int) any {
 			if chain < 0 {
 				// The top-level initial evaluation runs before any chain
-				// starts; it can share the single-threaded evaluator.
-				return shared
+				// starts; buildInitialSiting has already priced it.
+				return top
 			}
-			return shared.fork()
+			return newChainContext(shared.fork(), opts.MaxIterations+1)
 		},
-		NeighborMove: func(s siting, rng *rand.Rand) (siting, any) {
-			next, mv := proposeMove(s, rng, filtered, spec, minDCs, maxDCs, quantum)
-			return next, mv
+		NeighborMove: func(s siting, rng *rand.Rand) siting {
+			return proposeMove(s, rng, filtered, spec, minDCs, maxDCs, quantum)
 		},
-		EnergyMove: func(ctx any, s siting, move any) float64 {
-			mv, _ := move.(Move)
-			return energyOf(ctx.(*Evaluator), s, mv)
+		EnergyMove: func(ctx any, s siting) float64 {
+			return ctx.(*chainContext).energy(s)
 		},
 		MaxIterations: opts.MaxIterations,
 		MaxStale:      opts.MaxIterations / 2,

@@ -143,36 +143,64 @@ func (p Params) Validate() error {
 // interest rate (standard annuity), and the resulting total (principal plus
 // interest) is spread over amortYears of useful life.
 func MonthlyFinanced(principal, annualRate float64, financingYears, amortYears int) float64 {
-	if principal <= 0 {
-		return 0
-	}
-	total := financedTotal(principal, annualRate, financingYears)
-	return total / float64(amortYears*MonthsPerYear)
+	return newAnnuity(annualRate, financingYears).monthly(principal, amortYears)
 }
 
 // MonthlyInterestOnly returns the monthly cost of an asset that is fully
 // recoverable (the paper's treatment of land): only the financing interest
 // is a real cost, spread over the amortization period.
 func MonthlyInterestOnly(principal, annualRate float64, financingYears, amortYears int) float64 {
+	return newAnnuity(annualRate, financingYears).monthlyInterest(principal, amortYears)
+}
+
+// annuity is a standard annuity loan over one financing period.  It holds
+// the principal-independent part of the repayment, 1 − (1+r)^−months, so a
+// caller pricing several expenses over the same period pays for math.Pow
+// once.
+type annuity struct {
+	annualRate float64
+	r          float64 // monthly rate
+	months     float64
+	denom      float64 // 1 − (1+r)^−months
+}
+
+func newAnnuity(annualRate float64, years int) annuity {
+	a := annuity{annualRate: annualRate, months: float64(years * MonthsPerYear)}
+	if annualRate != 0 {
+		a.r = annualRate / MonthsPerYear
+		a.denom = 1 - math.Pow(1+a.r, -a.months)
+	}
+	return a
+}
+
+// total is the total amount repaid on principal.
+func (a annuity) total(principal float64) float64 {
+	if a.annualRate == 0 {
+		return principal
+	}
+	payment := principal * a.r / a.denom
+	return payment * a.months
+}
+
+// monthly is MonthlyFinanced over this annuity's financing period.
+func (a annuity) monthly(principal float64, amortYears int) float64 {
 	if principal <= 0 {
 		return 0
 	}
-	interest := financedTotal(principal, annualRate, financingYears) - principal
+	return a.total(principal) / float64(amortYears*MonthsPerYear)
+}
+
+// monthlyInterest is MonthlyInterestOnly over this annuity's financing
+// period.
+func (a annuity) monthlyInterest(principal float64, amortYears int) float64 {
+	if principal <= 0 {
+		return 0
+	}
+	interest := a.total(principal) - principal
 	if interest < 0 {
 		interest = 0
 	}
 	return interest / float64(amortYears*MonthsPerYear)
-}
-
-// financedTotal is the total amount repaid on an annuity loan.
-func financedTotal(principal, annualRate float64, years int) float64 {
-	months := float64(years * MonthsPerYear)
-	if annualRate == 0 {
-		return principal
-	}
-	r := annualRate / MonthsPerYear
-	payment := principal * r / (1 - math.Pow(1+r, -months))
-	return payment * months
 }
 
 // Provision describes how a site is built out: the IT capacity of the
@@ -269,50 +297,55 @@ func (b Breakdown) String() string {
 }
 
 // MonthlySite computes the monthly cost breakdown of one site given its
-// provisioning and a year of energy use.
+// provisioning and a year of energy use.  It computes the annuity factor of
+// each financing period (FinancingYears, ITAmortYears, BattAmortYears) once,
+// not once per cost component.
 func (p Params) MonthlySite(site *location.Site, prov Provision, use EnergyUse) Breakdown {
 	var b Breakdown
+	if prov.CapacityKW <= 0 && prov.SolarKW <= 0 && prov.WindKW <= 0 {
+		// Nothing is built: a site that is not selected costs nothing.
+		return b
+	}
 	maxPUE := prov.MaxPUE
 	if maxPUE <= 0 {
 		maxPUE = site.MaxPUE
 	}
+	fin := newAnnuity(p.AnnualInterestRate, p.FinancingYears)
+	it := fin
+	if p.ITAmortYears != p.FinancingYears {
+		it = newAnnuity(p.AnnualInterestRate, p.ITAmortYears)
+	}
+	batt := it
+	if p.BattAmortYears != p.ITAmortYears {
+		batt = newAnnuity(p.AnnualInterestRate, p.BattAmortYears)
+	}
 
 	// CAPEX independent of size: power line and fiber to the site.
-	b.ConnectionPower = MonthlyFinanced(site.DistPowerKm*p.CostLinePowPerKm,
-		p.AnnualInterestRate, p.FinancingYears, p.DCAmortYears)
-	b.ConnectionFiber = MonthlyFinanced(site.DistNetworkKm*p.CostLineNetPerKm,
-		p.AnnualInterestRate, p.FinancingYears, p.DCAmortYears)
-
-	if prov.CapacityKW <= 0 && prov.SolarKW <= 0 && prov.WindKW <= 0 {
-		// Nothing is built: a site that is not selected costs nothing.
-		return Breakdown{}
-	}
+	b.ConnectionPower = fin.monthly(site.DistPowerKm*p.CostLinePowPerKm, p.DCAmortYears)
+	b.ConnectionFiber = fin.monthly(site.DistNetworkKm*p.CostLineNetPerKm, p.DCAmortYears)
 
 	// Land (fully recoverable: financing interest only).
 	landDCUSD := site.LandPriceUSDPerM2 * prov.CapacityKW * p.AreaDCM2PerKW
 	landPlantUSD := site.LandPriceUSDPerM2 * (prov.SolarKW*p.AreaSolarM2PerKW + prov.WindKW*p.AreaWindM2PerKW)
-	b.LandDC = MonthlyInterestOnly(landDCUSD, p.AnnualInterestRate, p.FinancingYears, p.LandAmortYears)
-	b.LandPlant = MonthlyInterestOnly(landPlantUSD, p.AnnualInterestRate, p.FinancingYears, p.LandAmortYears)
+	b.LandDC = fin.monthlyInterest(landDCUSD, p.LandAmortYears)
+	b.LandPlant = fin.monthlyInterest(landPlantUSD, p.LandAmortYears)
 
 	// Datacenter construction, sized by total (IT × maxPUE) power.
 	totalKW := prov.CapacityKW * maxPUE
 	buildDCUSD := totalKW * 1000 * p.BuildDCPricePerW(totalKW)
-	b.BuildDC = MonthlyFinanced(buildDCUSD, p.AnnualInterestRate, p.FinancingYears, p.DCAmortYears)
+	b.BuildDC = fin.monthly(buildDCUSD, p.DCAmortYears)
 
 	// Green plants.
-	b.BuildSolar = MonthlyFinanced(prov.SolarKW*1000*p.PriceBuildSolarPerW,
-		p.AnnualInterestRate, p.FinancingYears, p.PlantAmortYears)
-	b.BuildWind = MonthlyFinanced(prov.WindKW*1000*p.PriceBuildWindPerW,
-		p.AnnualInterestRate, p.FinancingYears, p.PlantAmortYears)
+	b.BuildSolar = fin.monthly(prov.SolarKW*1000*p.PriceBuildSolarPerW, p.PlantAmortYears)
+	b.BuildWind = fin.monthly(prov.WindKW*1000*p.PriceBuildWindPerW, p.PlantAmortYears)
 
 	// IT equipment: servers plus switches, replaced every ITAmortYears.
 	servers := p.NumServers(prov.CapacityKW)
 	itUSD := servers*p.PriceServerUSD + (servers/p.ServersPerSwitch)*p.PriceSwitchUSD
-	b.ITEquipment = MonthlyFinanced(itUSD, p.AnnualInterestRate, p.ITAmortYears, p.ITAmortYears)
+	b.ITEquipment = it.monthly(itUSD, p.ITAmortYears)
 
 	// Batteries.
-	b.Battery = MonthlyFinanced(prov.BatteryKWh*p.PriceBattPerKWh,
-		p.AnnualInterestRate, p.BattAmortYears, p.BattAmortYears)
+	b.Battery = batt.monthly(prov.BatteryKWh*p.PriceBattPerKWh, p.BattAmortYears)
 
 	// OPEX: external bandwidth and the brown electricity bill.
 	b.NetworkBandwidth = servers * p.PriceBWPerServerMonth
