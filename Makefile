@@ -2,7 +2,8 @@
 # a full build, the test suite under the race detector (the annealing chains
 # and the sweep engine are concurrent), every example run end to end, and a
 # one-shot benchmark smoke that fails loudly if the zero-allocation evaluator
-# or an experiment regresses.
+# or an experiment regresses.  It checks gofmt first (fmt-check), so a green
+# local `make ci` is not refused by the hosted gofmt job.
 
 GO ?= go
 
@@ -14,7 +15,7 @@ SHELL := /bin/bash
 
 .PHONY: ci vet lint fmt-check build perfbench-build test test-daemon test-mps test-faults census golden fuzz-smoke examples cover bench-smoke bench-check bench profile
 
-ci: vet build perfbench-build test test-mps test-faults census fuzz-smoke examples bench-smoke
+ci: fmt-check vet build perfbench-build test test-mps test-faults census fuzz-smoke examples bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -36,8 +37,8 @@ lint:
 
 # The gofmt gate the hosted CI workflow runs as its own job (so formatting
 # failures are reported separately from build/test failures), reproducible
-# locally before pushing.  Deliberately not part of `make ci`: the workflow
-# runs `make ci`, `make fmt-check` and `make cover` as three separate gates.
+# locally before pushing.  `make ci` runs it too, first, so a local `make ci`
+# covers every gate the workflow's `make ci` and `make fmt-check` jobs run.
 fmt-check:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -144,10 +145,9 @@ cover:
 	$(GO) test -covermode=atomic -coverprofile=coverage.out ./...
 	$(GO) tool cover -func=coverage.out | tail -n 1
 
-# One-shot smoke of the contract-carrying benchmarks: the cached evaluator
-# (EvaluateSteadyState) and the delta-move path (EvaluateDeltaMove) print
-# allocs/op with their 0 allocs/op guarantee enforced by the accompanying
-# tests, LPResolve exercises the warm-started revised-simplex path
+# One-shot smoke of the contract-carrying benchmarks: the warm evaluator
+# (EvaluateSteadyState) prints allocs/op with its 0 allocs/op guarantee
+# enforced by the accompanying test, LPResolve exercises the warm-started revised-simplex path
 # (SetRHS + SolveFrom) end to end, and LPBounded exercises the
 # implicit-bound path (nonbasic-at-bound statuses, bound flips) on a
 # bound-heavy cold solve, LPSolve is the cold partition-LP solve with its
@@ -186,7 +186,7 @@ cover:
 # 4 chains × 200 iterations, reporting sitings/op — so a slower evaluator,
 # per-site stage or sizing balance shows up here (~0.055 s/op, ~40k
 # allocs/op on 2 vCPUs).
-BENCH_SMOKE := ^(BenchmarkCalibration|BenchmarkCatalogGenerate|BenchmarkEvaluateSteadyState|BenchmarkEvaluateDeltaMove|BenchmarkSolveSmallNetwork|BenchmarkSolveSweep|BenchmarkLPResolve|BenchmarkLPBounded|BenchmarkLPSolve|BenchmarkEmulDay|BenchmarkEmulScale|BenchmarkPlannerTick|BenchmarkPlannerTickFleet|BenchmarkPlannerTickJournal|BenchmarkPlannerRestore)$$
+BENCH_SMOKE := ^(BenchmarkCalibration|BenchmarkCatalogGenerate|BenchmarkEvaluateSteadyState|BenchmarkSolveSmallNetwork|BenchmarkSolveSweep|BenchmarkLPResolve|BenchmarkLPBounded|BenchmarkLPSolve|BenchmarkEmulDay|BenchmarkEmulScale|BenchmarkPlannerTick|BenchmarkPlannerTickFleet|BenchmarkPlannerTickJournal|BenchmarkPlannerRestore)$$
 
 bench-smoke:
 	$(GO) test -bench='$(BENCH_SMOKE)' -benchtime=1x -run '^$$' .

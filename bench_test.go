@@ -126,8 +126,9 @@ func runSweepExperiment(b *testing.B, id string) {
 	}
 }
 
-// BenchmarkEvaluateSteadyState measures one cached-evaluator cost evaluation
-// — the annealing inner loop.  The evaluator owns all scratch state, so the
+// BenchmarkEvaluateSteadyState measures one cost evaluation on a warm
+// evaluator — the annealing inner loop: schedule merge, every site's stage
+// and the top-up.  The evaluator owns all scratch state, so the
 // benchmark must report 0 allocs/op; a regression here puts garbage-collector
 // pressure back into Chains × MaxIterations × sweep-points of work.
 func BenchmarkEvaluateSteadyState(b *testing.B) {
@@ -154,43 +155,9 @@ func BenchmarkEvaluateSteadyState(b *testing.B) {
 	}
 }
 
-// BenchmarkEvaluateDeltaMove measures the evaluator's delta path: a grow
-// and a shrink of one site against a warm evaluator, so each evaluation
-// re-runs only the resized site's pipeline plus the shared schedule merge
-// (content validation serves the other sites from the per-site cache).
-// Must stay at 0 allocs/op.
-func BenchmarkEvaluateDeltaMove(b *testing.B) {
-	cat, err := location.Generate(location.Options{Count: 60, Seed: 1, RepresentativeDays: 2})
-	if err != nil {
-		b.Fatalf("generate catalog: %v", err)
-	}
-	spec := core.DefaultSpec()
-	spec.TotalCapacityKW = 10_000
-	ev, err := core.NewEvaluator(cat, spec)
-	if err != nil {
-		b.Fatalf("build evaluator: %v", err)
-	}
-	base := []core.Candidate{{SiteID: 2, CapacityKW: 5_000}, {SiteID: 5, CapacityKW: 5_000}, {SiteID: 9, CapacityKW: 5_000}}
-	grown := []core.Candidate{{SiteID: 2, CapacityKW: 6_250}, {SiteID: 5, CapacityKW: 5_000}, {SiteID: 9, CapacityKW: 5_000}}
-	for _, cands := range [][]core.Candidate{base, grown} {
-		if _, err := ev.EvaluateCost(cands); err != nil {
-			b.Fatalf("warm-up evaluation: %v", err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ev.EvaluateCost(grown); err != nil {
-			b.Fatalf("evaluate: %v", err)
-		}
-		if _, err := ev.EvaluateCost(base); err != nil {
-			b.Fatalf("evaluate: %v", err)
-		}
-	}
-}
-
 // BenchmarkSolveSmallNetwork measures a full heuristic solve (filtering
-// skipped, parallel annealing chains over the cached evaluator pool).
+// skipped, parallel annealing chains, each with its own evaluator and
+// siting memo).
 func BenchmarkSolveSmallNetwork(b *testing.B) {
 	cat, err := location.Generate(location.Options{Count: 60, Seed: 1, RepresentativeDays: 2})
 	if err != nil {

@@ -22,12 +22,13 @@ import (
 var censusAllow = map[string]string{
 	// Cross-package test hooks: the resilience suites in sched, milp and
 	// core arm lp's fault points, tests across the module build models
-	// with lp.MustVariable, and compare kernels bit for bit with
-	// series.Equal.
+	// with lp.MustVariable, compare kernels bit for bit with series.Equal
+	// and fingerprint golden rows with series.Digest.
 	"internal/lp.ArmFault":             "fault-injection hook armed by other packages' tests",
 	"internal/lp.DisarmFaults":         "fault-injection hook armed by other packages' tests",
 	"internal/lp.Problem.MustVariable": "model-building helper for other packages' tests",
 	"internal/series.Equal":            "bit-identity assertion used by other packages' tests",
+	"internal/series.Digest":           "row fingerprint the location, weather and core golden tests pin",
 	// Zero-option entry points: the natural call for a library user, even
 	// though production always passes options.
 	"internal/lp.Problem.Solve":     "zero-option entry point of SolveWithOptions",

@@ -102,7 +102,7 @@
 // internal/series/series_test.go; the package comment of internal/series
 // documents how to add a kernel without breaking either property.
 //
-// # The evaluator hot path: delta evaluation
+// # The evaluator hot path
 //
 // The heuristic solver evaluates Chains × MaxIterations candidate sitings
 // per solve, and every sweep experiment solves once per green-fraction
@@ -113,8 +113,7 @@
 // key, the unit green production costs, the solar/wind technology split and
 // the weighted PUE sum of every site.
 //
-// The evaluation pipeline is split so that most of its work is memoizable
-// across the single-site moves an annealing chain makes:
+// Every evaluation runs the same three stages, in order:
 //
 //   - The shared schedule merge assigns the network load per epoch (load
 //     follows the renewables first, then the cheapest brown power), driven
@@ -123,8 +122,8 @@
 //   - The per-site stage — migration overhead, facility demand, plant
 //     sizing, battery sizing, storage balance and the monthly cost model —
 //     is a pure function of (site, capacity, schedule row, spec) and
-//     dominates the cost.  Its outputs are cached per site.  Plant sizing
-//     inverts the greedy balance instead of searching it
+//     dominates the cost.  It runs for every site on every call.  Plant
+//     sizing inverts the greedy balance instead of searching it
 //     (energy.ScaleBracket).  Without storage the green energy used is
 //     concave and piecewise linear in the plant scale, and Newton's
 //     method from zero reaches the smallest sufficient scale in a few
@@ -144,41 +143,32 @@
 //     internal/core's sizing_ref_test.go.
 //   - A network-level top-up stage handles sitings whose green target is
 //     unreachable from individual sites alone by bisecting a common plant
-//     scale factor; it runs only in that case, on top of the cached
-//     per-site sizings.
+//     scale factor; it runs only in that case, on top of the per-site
+//     sizings, and reads the demand rows the per-site stages just wrote.
 //
-// Invalidation protocol: every site is revalidated by content — its cached
-// result is reused iff its capacity matches and its schedule-row digest
-// (series.Digest, computed once per merge) matches the cached key, an O(1)
-// check per site in place of the old O(epochs) full-row compare.  Callers
-// pass no hint about what changed, so the cache cannot be told a wrong
-// thing: a cached evaluation is bit-identical to evaluating the same
-// candidates from scratch up to a Digest collision on two distinct rows
-// (≈2⁻⁶⁴ per comparison, never observed; TestDeltaEvaluationMatchesFull
-// pins the bit-identity, plus the digest/row coherence invariants, over
-// randomized move sequences).
-//
-// Chain memo: the per-site cache keeps one entry per site, so a rejected
-// move overwrites the entries its chain's current siting needs, and at low
-// temperature a chain keeps proposing the neighbours it has already priced.
-// Each annealing chain in core.Solve therefore also owns a memo from siting
-// to energy (its anneal.Config.NewContext value), keyed on the ordered
-// (SiteID, CapacityKW bits) list and compared in full.  Order stays in the
-// key because candidate order feeds the merge's stable sorts and the
+// Chain memo: at low temperature an annealing chain keeps proposing the
+// neighbours it has already priced, so each chain in core.Solve owns a memo
+// from siting to energy (its anneal.Config.NewContext value), keyed on the
+// ordered (SiteID, CapacityKW bits) list and compared in full.  Order stays
+// in the key because candidate order feeds the merge's stable sorts and the
 // evaluator's float sums.  Energy is a pure function of that list, so a hit
 // returns the bits a fresh evaluation would
 // (TestChainMemoMatchesFreshEvaluation pins it).  The memo lives for one
 // chain of one Solve and holds at most MaxIterations+1 sitings; it is not
 // in the Evaluator, whose lifetime in a what-if session is the daemon's.
+// It is the only result memo on the siting path: the Evaluator remembers
+// nothing between calls.
 //
-// Reuse contract: scratch grows to the largest candidate set seen, cache
-// entries are allocated once per distinct site, and a steady-state
-// EvaluateCost call performs zero heap allocations
+// Reuse contract: scratch grows to the largest candidate set seen, every
+// call overwrites the scratch it reads, and a steady-state EvaluateCost
+// call performs zero heap allocations
 // (BenchmarkEvaluateSteadyState and the core tests enforce exactly
 // 0 allocs/op); the full Evaluate method allocates only the returned
-// Solution.  An Evaluator is not safe for concurrent use — each annealing
-// chain owns one (anneal.Config.NewContext), which also keeps the per-site
-// cache warm along the chain's trajectory.  Chains are fully independent
+// Solution.  A warm Evaluator returns the bits a fresh one would
+// (TestDeltaEvaluationMatchesFull drives one along randomized move
+// sequences against a fresh NewEvaluator at every step).  An Evaluator is
+// not safe for concurrent use — each annealing chain owns one
+// (anneal.Config.NewContext).  Chains are fully independent
 // with deterministic per-chain RNG seeds, chain-local memos and a
 // deterministic best-of merge, so a fixed seed yields a bit-identical
 // Solution whether the chains run sequentially or in parallel.
@@ -269,8 +259,8 @@
 // PlanView swapped behind an RWMutex, so GET /plan never waits on an
 // in-flight solve.  What-if queries run on per-session core.Evaluators —
 // distinct sessions price candidates in parallel, repeated queries within a
-// session reuse its memoized per-site stages, and an LRU cap bounds the
-// session table.  Shutdown is cooperative via context.Context: SIGTERM
+// session reuse its evaluator's per-catalog tables and scratch buffers
+// (no results are remembered), and an LRU cap bounds the session table.  Shutdown is cooperative via context.Context: SIGTERM
 // stops new work, in-flight requests finish.
 //
 // Durability: the -snapshot file is an append-only tick journal

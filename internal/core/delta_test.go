@@ -1,12 +1,10 @@
 package core
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
 	"greencloud/internal/energy"
-	"greencloud/internal/series"
 )
 
 // deltaSpecs are the spec variants the differential tests sweep: every
@@ -30,12 +28,12 @@ func deltaSpecs() map[string]Spec {
 	}
 }
 
-// TestDeltaEvaluationMatchesFull is the differential regression pinning the
-// delta engine's correctness: over randomized single-site move sequences,
-// the incremental evaluation (warm per-site cache, content validation) must
-// be bit-identical to evaluating the same candidates from scratch.  Run under
-// -race in CI, it also proves the evaluator's cache is free of shared state
-// across the chains that own separate evaluators.
+// TestDeltaEvaluationMatchesFull is the differential regression pinning
+// that a warm evaluator leaks no state between calls: over randomized
+// annealing move sequences, one Evaluator driven along the walk must be
+// bit-identical at every step to a fresh NewEvaluator pricing the same
+// candidates.  Run under -race in CI, it also proves the evaluators that
+// separate chains own share no mutable state.
 func TestDeltaEvaluationMatchesFull(t *testing.T) {
 	cat := testCatalog(t, 40)
 	var filtered []int
@@ -47,11 +45,7 @@ func TestDeltaEvaluationMatchesFull(t *testing.T) {
 	for name, spec := range deltaSpecs() {
 		t.Run(name, func(t *testing.T) {
 			spec := spec.withDefaults()
-			delta, err := NewEvaluator(cat, spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			full, err := NewEvaluator(cat, spec)
+			warm, err := NewEvaluator(cat, spec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -65,65 +59,31 @@ func TestDeltaEvaluationMatchesFull(t *testing.T) {
 				{SiteID: filtered[1], CapacityKW: spec.TotalCapacityKW / 2},
 				{SiteID: filtered[2], CapacityKW: spec.TotalCapacityKW / 2},
 			}}
-			if _, err := delta.EvaluateCost(current.candidates); err != nil {
+			if _, err := warm.EvaluateCost(current.candidates); err != nil {
 				t.Fatal(err)
 			}
 
 			for step := 0; step < movesPerSpec; step++ {
 				next := proposeMove(current, rng, filtered, spec, minDCs, minDCs+6, spec.TotalCapacityKW/8)
-				got, err := delta.EvaluateCost(next.candidates)
+				got, err := warm.EvaluateCost(next.candidates)
 				if err != nil {
-					t.Fatalf("step %d: delta: %v", step, err)
+					t.Fatalf("step %d: warm: %v", step, err)
 				}
-				// The O(1) clean-site revalidation rides on the schedule-row
-				// digests run computes after the merge.  Pin the digest
-				// invariants the cache depends on: each rowDigest is coherent
-				// with the row it summarizes, and after an evaluation every
-				// current site's entry (reused or freshly stored) carries
-				// exactly the current (capacity, digest) validation key.
-				for i := 0; i < delta.n; i++ {
-					if d := series.Digest(delta.compute.Row(i)); delta.rowDigest[i] != d {
-						t.Fatalf("step %d: site slot %d digest %#x out of sync with schedule row (%#x)",
-							step, i, delta.rowDigest[i], d)
-					}
-					ent := delta.cache[delta.sites[i].ID]
-					if ent == nil {
-						t.Fatalf("step %d: site %d has no cache entry after a delta evaluation", step, delta.sites[i].ID)
-					}
-					if ent.capacityKW != delta.capacities[i] || ent.digest != delta.rowDigest[i] {
-						t.Fatalf("step %d: site %d cache key (cap %v, digest %#x) != current (cap %v, digest %#x)",
-							step, delta.sites[i].ID, ent.capacityKW, ent.digest, delta.capacities[i], delta.rowDigest[i])
-					}
-				}
-				// Reference: the same evaluator pipeline with every memoized
-				// result invalidated, i.e. a full from-scratch evaluation.
-				for _, ent := range full.cache {
-					ent.capacityKW = math.Inf(-1)
-				}
-				want, err := full.EvaluateCost(next.candidates)
+				fresh, err := NewEvaluator(cat, spec)
 				if err != nil {
-					t.Fatalf("step %d: full: %v", step, err)
+					t.Fatal(err)
+				}
+				want, err := fresh.EvaluateCost(next.candidates)
+				if err != nil {
+					t.Fatalf("step %d: fresh: %v", step, err)
 				}
 				if got != want {
-					t.Fatalf("step %d (%+v): delta %+v != full %+v",
+					t.Fatalf("step %d (%+v): warm %+v != fresh %+v",
 						step, next.candidates, got, want)
 				}
-				// Every 50th step, cross-check against a cold evaluator and
-				// the full Solution path.
+				// Every 50th step, cross-check the full Solution path.
 				if step%50 == 0 {
-					cold, err := NewEvaluator(cat, spec)
-					if err != nil {
-						t.Fatal(err)
-					}
-					coldCost, err := cold.EvaluateCost(next.candidates)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if coldCost != want {
-						t.Fatalf("step %d: cold evaluator %+v != invalidated-cache full %+v",
-							step, coldCost, want)
-					}
-					sol, err := cold.Evaluate(next.candidates)
+					sol, err := fresh.Evaluate(next.candidates)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -134,41 +94,12 @@ func TestDeltaEvaluationMatchesFull(t *testing.T) {
 					}
 				}
 				// Accept about half the moves so the walk explores both
-				// accepted and rejected-trajectory cache states.
+				// accepted and rejected trajectories.
 				if rng.Intn(2) == 0 {
 					current = next
 				}
 			}
 		})
-	}
-}
-
-// TestDeltaMoveZeroAllocSteadyState pins the allocation contract of the
-// delta path: once an evaluator has seen the sites a chain moves between,
-// further delta evaluations (cache hits and changed-site recomputations
-// alike) must not allocate.
-func TestDeltaMoveZeroAllocSteadyState(t *testing.T) {
-	spec := smallSpec()
-	ev := newTestEvaluator(t, 40, spec)
-	base := []Candidate{{SiteID: 2, CapacityKW: 5_000}, {SiteID: 5, CapacityKW: 5_000}}
-	grown := []Candidate{{SiteID: 2, CapacityKW: 6_250}, {SiteID: 5, CapacityKW: 5_000}}
-	swapped := []Candidate{{SiteID: 2, CapacityKW: 5_000}, {SiteID: 9, CapacityKW: 5_000}}
-
-	// Warm up every site the moves touch.
-	for _, cands := range [][]Candidate{base, grown, swapped} {
-		if _, err := ev.EvaluateCost(cands); err != nil {
-			t.Fatal(err)
-		}
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		for _, cands := range [][]Candidate{grown, base, swapped, base} {
-			if _, err := ev.EvaluateCost(cands); err != nil {
-				t.Fatal(err)
-			}
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state delta moves allocate %v times per cycle, want 0", allocs)
 	}
 }
 

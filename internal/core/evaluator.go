@@ -26,8 +26,8 @@ type CostSummary struct {
 // state for one (catalog, spec) pair so that repeated evaluations of
 // candidate sitings perform no heap allocations in steady state.
 //
-// The evaluation pipeline is split into a cheap shared schedule merge and an
-// expensive per-site stage, and the per-site stage is memoized:
+// Every evaluation runs the same pipeline: a shared schedule merge, the
+// per-site stage for every candidate, then the network top-up:
 //
 //   - The schedule merge assigns the network load across the candidate sites
 //     per epoch (follow-the-renewables first, cheapest brown power second),
@@ -36,30 +36,24 @@ type CostSummary struct {
 //     between sites.
 //   - The per-site stage (migration overhead, facility demand, plant
 //     sizing, battery sizing, energy balance, monthly cost) is a pure
-//     function of (site, capacity, schedule row, spec).  Its outputs are
-//     cached per site; a site is re-run only when its capacity or its
-//     schedule row changed.  Plant sizing is exact: energy.ScaleBracket's
+//     function of (site, capacity, schedule row, spec).  Plant sizing is
+//     exact: energy.ScaleBracket's
 //     closed forms give the smallest plant without storage and with net
 //     metering, and bracket it for batteries, where a short bisection
 //     finishes; one probe of energy.Green, the mode-specialized sizing
 //     kernel, confirms the result.  energy.Totals, the full balance, runs
 //     once on the final plant.  All three read the site's α/β rows and
 //     demand row through one reused energy.Site, so a probe copies nothing.
-//
-// Invalidation protocol: every site is validated by content — its cache
-// entry is reused iff the entry's capacity matches and its schedule-row
-// digest (series.Digest, computed once per merge) matches the row's current
-// digest.  The caller says nothing about what changed, so a cached
-// evaluation is bit-identical to evaluating from scratch up to a digest
-// collision on two distinct rows (≈2⁻⁶⁴ per comparison).
+//   - The network top-up scales every site's plant by a common factor when
+//     the per-site sizings miss the network-wide green target.
 //
 // Reuse contract: an Evaluator is bound to the catalog and spec it was
-// created with; scratch buffers grow to the largest candidate set seen and
-// cache entries are allocated once per distinct site, so a steady-state
-// EvaluateCost call is allocation-free.  The cache keeps one entry per
-// site, so an Evaluator that lives as long as a daemon stays bounded by its
-// catalog; Solve's annealing chains remember whole sitings in a chain-local
-// memo of their own (heuristic.go).  The full Evaluate method allocates
+// created with, and scratch buffers grow to the largest candidate set seen,
+// so a steady-state EvaluateCost call is allocation-free.  Every call
+// overwrites the scratch it reads, so a warm evaluator returns the bits a
+// fresh one would; it remembers no results (Solve's annealing chains
+// remember whole sitings in a chain-local memo, heuristic.go).  The full
+// Evaluate method allocates
 // only the returned *Solution, its sites and its violation messages.  An
 // Evaluator is NOT safe for concurrent use — create one per goroutine (the
 // annealing chains in Solve each own one).
@@ -81,11 +75,6 @@ type Evaluator struct {
 	demand    series.Block // facility power demand
 	avail     series.Block // per-epoch green availability of the reference plants
 
-	// rowDigest[i] is the series.Digest of site i's current schedule row,
-	// computed once per merge; the per-site cache revalidates clean sites
-	// against it in O(1) instead of re-comparing full rows.
-	rowDigest []uint64
-
 	// Per-call scratch, length n.
 	brownRank []int
 	availIdx  []int
@@ -100,13 +89,6 @@ type Evaluator struct {
 	// EpochHours and BatteryEfficiency are fixed per evaluator, and
 	// balanceOf points the profiles and the demand row at one site.
 	bal energy.Site
-
-	// cache holds the memoized per-site stage results, keyed by site ID.
-	// noCache disables memoization for evaluators whose call pattern never
-	// revisits a site (the location-filter and per-location figure probes),
-	// where cache entries would be allocated but never hit.
-	cache   map[int]*siteEntry
-	noCache bool
 
 	// sizeRef, set only by tests, replaces siteScale with the frozen
 	// doubling-and-bisection search in sizing_ref_test.go.
@@ -137,7 +119,7 @@ type evalTables struct {
 
 // siteOutputs is everything the per-site stage produces for one site: the
 // provisioning, the yearly energy totals and the monthly cost.  It contains
-// only scalars, so cached results copy by assignment.
+// only scalars.
 type siteOutputs struct {
 	SolarKW    float64
 	WindKW     float64
@@ -146,16 +128,6 @@ type siteOutputs struct {
 	GreenKWh   float64
 	MaxBrownKW float64
 	Breakdown  cost.Breakdown
-}
-
-// siteEntry is one memoized per-site stage result together with the inputs
-// it was computed for (the validation key).  The schedule row itself is not
-// stored: its series.Digest stands in for it, which shrinks the entry to a
-// few scalars and makes clean-site revalidation O(1) instead of O(epochs).
-type siteEntry struct {
-	capacityKW float64
-	digest     uint64 // series.Digest of the schedule row the outputs correspond to
-	out        siteOutputs
 }
 
 // NewEvaluator builds an evaluator for the catalog and spec, precomputing
@@ -198,11 +170,11 @@ func NewEvaluator(cat *location.Catalog, spec Spec) (*Evaluator, error) {
 
 // fork returns a fresh evaluator for e's catalog and spec — the same as
 // NewEvaluator would build — that shares e's read-only tables instead of
-// recomputing them, and owns its own scratch state and cache.  Solve's
+// recomputing them, and owns its own scratch state.  Solve's
 // annealing chains and FilterSites' workers fork one evaluator each.
 func (e *Evaluator) fork() *Evaluator { return e.evalTables.evaluator() }
 
-// evaluator wraps t in an evaluator with empty scratch state and cache.
+// evaluator wraps t in an evaluator with empty scratch state.
 func (t evalTables) evaluator() *Evaluator {
 	return &Evaluator{
 		evalTables: t,
@@ -211,15 +183,13 @@ func (t evalTables) evaluator() *Evaluator {
 			Mode:              t.spec.Storage,
 			BatteryEfficiency: t.spec.Cost.BatteryEfficiency,
 		},
-		cache: make(map[int]*siteEntry),
 	}
 }
 
 // Evaluate provisions and prices the candidate siting, returning a full
 // Solution with per-site detail.  Only the returned Solution is allocated;
 // all intermediate state comes from the evaluator's scratch buffers.  The
-// per-site cache is bypassed (and left untouched), but the arithmetic is the
-// same, so the Solution agrees bit-for-bit with EvaluateCost.
+// arithmetic is EvaluateCost's, so the Solution agrees bit-for-bit with it.
 func (e *Evaluator) Evaluate(candidates []Candidate) (*Solution, error) {
 	sol := &Solution{Feasible: true}
 	if _, err := e.run(candidates, sol); err != nil {
@@ -230,21 +200,13 @@ func (e *Evaluator) Evaluate(candidates []Candidate) (*Solution, error) {
 
 // EvaluateCost is the annealing inner loop: it provisions and prices the
 // candidate siting exactly like Evaluate but returns only the cost summary,
-// performing zero heap allocations in steady state.  Every site is
-// validated against the per-site cache by content, so a site whose capacity
-// and schedule row are unchanged reuses its memoized stage.
+// performing zero heap allocations in steady state.
 func (e *Evaluator) EvaluateCost(candidates []Candidate) (CostSummary, error) {
 	return e.run(candidates, nil)
 }
 
-// DisableCache turns off per-site memoization for this evaluator.  Probe
-// loops that price every site exactly once (location filtering, the
-// per-location cost figures) disable it so they do not allocate cache
-// entries that can never be hit; the arithmetic is unchanged either way.
-func (e *Evaluator) DisableCache() { e.noCache = true }
-
 // run executes the evaluation pipeline: shared schedule merge, per-site
-// stages (memoized unless sol is requested), the network-level green top-up
+// stages, the network-level green top-up
 // when per-site sizing cannot reach the target alone, and the final
 // aggregation.  When sol is non-nil the per-site results and violation
 // messages are materialized into it.
@@ -254,7 +216,6 @@ func (e *Evaluator) run(candidates []Candidate, sol *Solution) (CostSummary, err
 	}
 	spec := &e.spec
 	n := e.n
-	useCache := sol == nil && !e.noCache
 	feasible := true
 
 	totalCap := series.Sum(e.capacities[:n])
@@ -288,20 +249,13 @@ func (e *Evaluator) run(candidates []Candidate, sol *Solution) (CostSummary, err
 	// follow-the-renewables assignment.
 	e.referencePlants()
 	e.scheduleLoad()
-	if useCache {
-		// One digest per schedule row; clean sites revalidate against it in
-		// O(1) below instead of re-comparing the full row.
-		for i := 0; i < n; i++ {
-			e.rowDigest[i] = series.Digest(e.compute.Row(i))
-		}
-	}
 
 	// Per-site stages.
 	outs := e.outs[:n]
 	totalDemandKWh, totalGreenKWh := 0.0, 0.0
 	plantKW := 0.0
 	for i := 0; i < n; i++ {
-		if err := e.siteOutputsInto(i, useCache, &outs[i]); err != nil {
+		if err := e.siteStage(i, &outs[i]); err != nil {
 			return CostSummary{}, err
 		}
 		totalDemandKWh += outs[i].DemandKWh
@@ -316,11 +270,9 @@ func (e *Evaluator) run(candidates []Candidate, sol *Solution) (CostSummary, err
 	// Network top-up: when some site cannot reach the green target from its
 	// own demand (capped plant scale, unviable technology), scale every
 	// site's plants by a common factor until the network-wide fraction
-	// reaches the target.  This stage is global, runs fresh every time, and
-	// consumes only the (cached or recomputed) per-site base sizings, so it
-	// preserves the bit-identity of delta and full evaluation.
+	// reaches the target.  It reads the demand rows the per-site stages
+	// just wrote.
 	if spec.MinGreenFraction > 0 && greenFraction+1e-3 < spec.MinGreenFraction && plantKW > 0 {
-		e.refreshDemandRows()
 		lambda, err := e.topUpScale(outs)
 		if err != nil {
 			return CostSummary{}, err
@@ -396,7 +348,6 @@ func (e *Evaluator) prepare(candidates []Candidate) error {
 	e.solarKW = growSlice(e.solarKW, n)
 	e.windKW = growSlice(e.windKW, n)
 	e.outs = growSlice(e.outs, n)
-	e.rowDigest = growSlice(e.rowDigest, n)
 	e.compute.Reshape(n, E)
 	e.migration.Reshape(n, E)
 	e.demand.Reshape(n, E)
@@ -563,40 +514,11 @@ func (e *Evaluator) scheduleLoad() {
 	}
 }
 
-// siteOutputsInto produces site i's per-site stage outputs, reusing the
-// memoized result when the site is clean: its capacity is identical and its
-// schedule-row digest matches the cache entry's (the O(1) stand-in for the
-// old full-row compare; run computed the digests right after the merge).
-func (e *Evaluator) siteOutputsInto(i int, useCache bool, out *siteOutputs) error {
-	if !useCache {
-		return e.siteStage(i, out)
-	}
-	id := e.sites[i].ID
-	cap := e.capacities[i]
-	ent := e.cache[id]
-	if ent != nil && ent.capacityKW == cap && ent.digest == e.rowDigest[i] {
-		*out = ent.out
-		return nil
-	}
-	if err := e.siteStage(i, out); err != nil {
-		return err
-	}
-	if ent == nil {
-		ent = &siteEntry{}
-		e.cache[id] = ent
-	}
-	ent.capacityKW = cap
-	ent.digest = e.rowDigest[i]
-	ent.out = *out
-	return nil
-}
-
 // siteStage runs the full per-site pipeline for site i: migration overhead
 // and facility demand from the schedule row, exact plant sizing against the
 // site's own demand (siteScale, given the demand energy summed here once),
 // battery sizing, and the final energy/cost accounting.  Everything it
-// reads is either static per site or derived from (capacity, schedule
-// row), which is the cache's validation key.
+// reads is either static per site or derived from (capacity, schedule row).
 func (e *Evaluator) siteStage(i int, out *siteOutputs) error {
 	spec := &e.spec
 	e.migrationRow(i)
@@ -640,16 +562,6 @@ func (e *Evaluator) migrationRow(i int) {
 // kernel).  It assumes migrationRow has run for the current schedule.
 func (e *Evaluator) demandRow(i int) {
 	series.AddMul(e.demand.Row(i), e.compute.Row(i), e.migration.Row(i), e.sites[i].PUE)
-}
-
-// refreshDemandRows recomputes every site's migration and demand rows from
-// the current schedule.  The top-up stage needs them for all sites, including
-// ones whose per-site stage was served from cache.
-func (e *Evaluator) refreshDemandRows() {
-	for i := 0; i < e.n; i++ {
-		e.migrationRow(i)
-		e.demandRow(i)
-	}
 }
 
 // basePlant converts allocKWh of yearly green energy into plant capacity at
@@ -820,7 +732,7 @@ func (e *Evaluator) accountSite(i int, out *siteOutputs) error {
 // topUpScale finds the common factor λ ≥ 1 by which every site's plants must
 // be scaled so the network-wide green fraction reaches the target, mirroring
 // the per-site search: double up to the ceiling, then bisect down.  It
-// assumes refreshDemandRows has run.
+// reads the demand rows the per-site stages wrote.
 func (e *Evaluator) topUpScale(outs []siteOutputs) (float64, error) {
 	target := e.spec.MinGreenFraction
 	f, err := e.networkFraction(outs, 1)

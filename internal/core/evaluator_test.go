@@ -17,7 +17,7 @@ func newTestEvaluator(t *testing.T, count int, spec Spec) *Evaluator {
 }
 
 func TestEvaluatorMatchesEvaluate(t *testing.T) {
-	// The cached evaluator and the one-shot Evaluate wrapper must price a
+	// A reused evaluator and the one-shot Evaluate wrapper must price a
 	// siting identically, and EvaluateCost must agree with the full path.
 	cat := testCatalog(t, 40)
 	spec := smallSpec()
@@ -57,35 +57,43 @@ func TestEvaluatorMatchesEvaluate(t *testing.T) {
 
 func TestEvaluateCostZeroAllocSteadyState(t *testing.T) {
 	// The zero-allocation contract of the annealing inner loop, enforced in
-	// the regular test run (the benchmark enforces it by numbers).
+	// the regular test run (the benchmark enforces it by numbers).  Each case
+	// prices a cycle of sitings on one warm evaluator.
 	spec := smallSpec()
 	ev := newTestEvaluator(t, 40, spec)
-	cands := []Candidate{{SiteID: 2}, {SiteID: 5}, {SiteID: 9}}
-	if _, err := ev.EvaluateCost(cands); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := ev.EvaluateCost(cands); err != nil {
-			t.Fatal(err)
+	base := []Candidate{{SiteID: 2, CapacityKW: 5_000}, {SiteID: 5, CapacityKW: 5_000}}
+	grown := []Candidate{{SiteID: 2, CapacityKW: 6_250}, {SiteID: 5, CapacityKW: 5_000}}
+	for _, tc := range []struct {
+		name       string
+		cycle      [][]Candidate
+		infeasible bool
+	}{
+		{name: "equal shares", cycle: [][]Candidate{{{SiteID: 2}, {SiteID: 5}, {SiteID: 9}}}},
+		// The annealing chains spend much of their time probing infeasible
+		// neighbours.
+		{name: "infeasible", cycle: [][]Candidate{{{SiteID: 2, CapacityKW: 100}, {SiteID: 5, CapacityKW: 100}}}, infeasible: true},
+		// A chain's grow move and the shrink back.
+		{name: "grow and shrink", cycle: [][]Candidate{grown, base}},
+	} {
+		for _, cands := range tc.cycle {
+			res, err := ev.EvaluateCost(cands)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			if res.Feasible == tc.infeasible {
+				t.Fatalf("%s: %+v has Feasible %v", tc.name, cands, res.Feasible)
+			}
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state EvaluateCost allocates %v times per call, want 0", allocs)
-	}
-
-	// An infeasible siting must also stay allocation-free: the annealing
-	// chains spend much of their time probing infeasible neighbours.
-	infeasible := []Candidate{{SiteID: 2, CapacityKW: 100}, {SiteID: 5, CapacityKW: 100}}
-	if res, err := ev.EvaluateCost(infeasible); err != nil || res.Feasible {
-		t.Fatalf("expected a feasible=false summary, got %+v, %v", res, err)
-	}
-	allocs = testing.AllocsPerRun(20, func() {
-		if _, err := ev.EvaluateCost(infeasible); err != nil {
-			t.Fatal(err)
+		allocs := testing.AllocsPerRun(20, func() {
+			for _, cands := range tc.cycle {
+				if _, err := ev.EvaluateCost(cands); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: steady-state EvaluateCost allocates %v times per cycle, want 0", tc.name, allocs)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("infeasible EvaluateCost allocates %v times per call, want 0", allocs)
 	}
 }
 

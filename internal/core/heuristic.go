@@ -110,16 +110,12 @@ func FilterSites(cat *location.Catalog, spec Spec, keep int) ([]int, error) {
 
 	// scoreRange prices its share of the catalog with its own reusable
 	// evaluators: pricing every location is the filter's hot loop, and a
-	// warm single-site evaluator makes each probe allocation-free.  The
-	// per-site memo cache is disabled — every site is priced exactly once,
-	// so entries could never be hit.
+	// warm single-site evaluator makes each probe allocation-free.
 	scoreRange := func(nextIdx *atomic.Int64) error {
 		brownEval := brownBase.fork()
-		brownEval.DisableCache()
 		var greenEval *Evaluator
 		if greenBase != nil {
 			greenEval = greenBase.fork()
-			greenEval.DisableCache()
 		}
 		probe := make([]Candidate, 1)
 		for {
@@ -334,11 +330,10 @@ func proposeMove(s siting, rng *rand.Rand, filtered []int, spec Spec,
 
 // Solve runs the heuristic solver: filter locations, then search over
 // sitings and capacity splits with parallel simulated annealing, and return
-// the best feasible solution found.  Each chain owns a chainContext: an
-// incremental Evaluator whose per-site cache re-prices only the sites whose
-// capacity or schedule row changed, and a memo that prices each distinct
-// siting once.  Both are bit-identical to a fresh evaluation, so results
-// remain reproducible for a fixed seed regardless of parallelism.
+// the best feasible solution found.  Each chain owns a chainContext: its own
+// Evaluator and a memo that prices each distinct siting once.  A memo hit
+// returns the bits a fresh evaluation would, so results remain reproducible
+// for a fixed seed regardless of parallelism.
 func Solve(cat *location.Catalog, spec Spec, opts SolveOptions) (*Solution, error) {
 	spec = spec.withDefaults()
 	if err := spec.Validate(); err != nil {

@@ -84,13 +84,10 @@ func newEvaluatorPool(cat *location.Catalog, capacityKW float64, spec core.Spec)
 	// here.  The pool deliberately has no New hook — a constructor failure
 	// inside sync.Pool could only panic across goroutines — so price()
 	// constructs on a miss and returns the error like any other call path.
-	// Per-site memoization is off: these probes price each location exactly
-	// once, so cache entries could never be hit.
 	first, err := core.NewSingleSiteEvaluator(cat, capacityKW, spec)
 	if err != nil {
 		return nil, err
 	}
-	first.DisableCache()
 	p := &evaluatorPool{cat: cat, spec: spec, capacityKW: capacityKW}
 	p.pool.Put(first)
 	return p, nil
@@ -101,12 +98,10 @@ func newEvaluatorPool(cat *location.Catalog, capacityKW float64, spec core.Spec)
 func (p *evaluatorPool) price(siteID int) (float64, error) {
 	ev, _ := p.pool.Get().(*core.Evaluator)
 	if ev == nil {
-		fresh, err := core.NewSingleSiteEvaluator(p.cat, p.capacityKW, p.spec)
-		if err != nil {
+		var err error
+		if ev, err = core.NewSingleSiteEvaluator(p.cat, p.capacityKW, p.spec); err != nil {
 			return 0, err
 		}
-		fresh.DisableCache()
-		ev = fresh
 	}
 	defer p.pool.Put(ev)
 	res, err := ev.EvaluateCost([]core.Candidate{{SiteID: siteID, CapacityKW: p.capacityKW}})

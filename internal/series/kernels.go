@@ -172,12 +172,10 @@ const (
 
 // Digest returns a 64-bit rolling digest of the series' raw float64 bits,
 // folding in the length, so two rows with equal digests are element-wise
-// bitwise identical up to hash collision (≈2⁻⁶⁴ per comparison).  The delta
-// evaluator stores one Digest per cached schedule row and revalidates a
-// clean site in O(1) instead of re-comparing the full row.  Note the
-// digest is computed from raw bits: -0 and 0 digest differently even
-// though they compare ==, which can only cost a spurious recomputation,
-// never a stale reuse.
+// bitwise identical up to hash collision (≈2⁻⁶⁴ per comparison).  The
+// golden tests (location, weather, core) pin rows by it.  Note the digest
+// is computed from raw bits: -0 and 0 digest differently even though they
+// compare ==.
 func Digest(x []float64) uint64 {
 	h := uint64(len(x))*digestMul + digestSeed
 	for _, v := range x {
