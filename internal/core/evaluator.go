@@ -734,50 +734,45 @@ func (e *Evaluator) accountSite(i int, out *siteOutputs) error {
 // the per-site search: double up to the ceiling, then bisect down.  It
 // reads the demand rows the per-site stages wrote.
 func (e *Evaluator) topUpScale(outs []siteOutputs) (float64, error) {
-	target := e.spec.MinGreenFraction
-	f, err := e.networkFraction(outs, 1)
-	if err != nil {
-		return 0, err
-	}
-	if f >= target {
-		return 1, nil
+	if ok, err := e.networkReaches(outs, 1); err != nil || ok {
+		return 1, err
 	}
 	hi := 1.0
 	reached := false
-	for hi < plantScaleCeiling {
-		hi *= 2
-		if hi > plantScaleCeiling {
-			hi = plantScaleCeiling
-		}
-		if f, err = e.networkFraction(outs, hi); err != nil {
+	for hi < plantScaleCeiling && !reached {
+		hi = min(2*hi, plantScaleCeiling)
+		ok, err := e.networkReaches(outs, hi)
+		if err != nil {
 			return 0, err
 		}
-		if f >= target {
-			reached = true
-			break
-		}
+		reached = ok
 	}
 	if !reached {
 		// Unreachable with this siting even at the ceiling; run records the
 		// green-fraction violation.
 		return hi, nil
 	}
-	lo := hi / 2
-	if lo < 1 {
-		lo = 1
-	}
+	lo := max(1, hi/2)
 	for iter := 0; iter < 40 && hi-lo > 1e-4*hi; iter++ {
 		mid := (lo + hi) / 2
-		if f, err = e.networkFraction(outs, mid); err != nil {
+		ok, err := e.networkReaches(outs, mid)
+		if err != nil {
 			return 0, err
 		}
-		if f >= target {
+		if ok {
 			hi = mid
 		} else {
 			lo = mid
 		}
 	}
 	return hi, nil
+}
+
+// networkReaches reports whether the network reaches the green target, to
+// within sizingSlack, with every site's plants scaled by λ.
+func (e *Evaluator) networkReaches(outs []siteOutputs, lambda float64) (bool, error) {
+	f, err := e.networkFraction(outs, lambda)
+	return f >= e.spec.MinGreenFraction-sizingSlack, err
 }
 
 // networkFraction returns the network green fraction achieved when every
