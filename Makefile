@@ -147,8 +147,8 @@ cover:
 
 # One-shot smoke of the contract-carrying benchmarks: the warm evaluator
 # (EvaluateSteadyState) prints allocs/op with its 0 allocs/op guarantee
-# enforced by the accompanying test, LPResolve exercises the warm-started revised-simplex path
-# (SetRHS + SolveFrom) end to end, and LPBounded exercises the
+# enforced by the accompanying test, LPResolve exercises the warm-started
+# revised-simplex path (SetRHS + SolveFrom) end to end, and LPBounded exercises the
 # implicit-bound path (nonbasic-at-bound statuses, bound flips) on a
 # bound-heavy cold solve, LPSolve is the cold partition-LP solve with its
 # pivots/op metric, and EmulDay runs one full emulation day on a
@@ -184,7 +184,7 @@ cover:
 # SolveSweep is the siting sweep in perfbench's shape: a 300-site catalog
 # filtered to 60, one warm-started 11-step green chain per storage mode at
 # 4 chains × 200 iterations, reporting sitings/op — so a slower evaluator,
-# per-site stage or sizing balance shows up here (~0.055 s/op, ~40k
+# per-site stage or sizing balance shows up here (~0.055 s/op, ~34k
 # allocs/op on 2 vCPUs).
 BENCH_SMOKE := ^(BenchmarkCalibration|BenchmarkCatalogGenerate|BenchmarkEvaluateSteadyState|BenchmarkSolveSmallNetwork|BenchmarkSolveSweep|BenchmarkLPResolve|BenchmarkLPBounded|BenchmarkLPSolve|BenchmarkEmulDay|BenchmarkEmulScale|BenchmarkPlannerTick|BenchmarkPlannerTickFleet|BenchmarkPlannerTickJournal|BenchmarkPlannerRestore)$$
 

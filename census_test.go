@@ -28,7 +28,7 @@ var censusAllow = map[string]string{
 	"internal/lp.DisarmFaults":         "fault-injection hook armed by other packages' tests",
 	"internal/lp.Problem.MustVariable": "model-building helper for other packages' tests",
 	"internal/series.Equal":            "bit-identity assertion used by other packages' tests",
-	"internal/series.Digest":           "row fingerprint the location, weather and core golden tests pin",
+	"internal/series.Digest":           "row fingerprint the location and weather golden tests pin",
 	// Zero-option entry points: the natural call for a library user, even
 	// though production always passes options.
 	"internal/lp.Problem.Solve":     "zero-option entry point of SolveWithOptions",

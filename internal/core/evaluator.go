@@ -37,13 +37,13 @@ type CostSummary struct {
 //   - The per-site stage (migration overhead, facility demand, plant
 //     sizing, battery sizing, energy balance, monthly cost) is a pure
 //     function of (site, capacity, schedule row, spec).  Plant sizing is
-//     exact: energy.ScaleBracket's
-//     closed forms give the smallest plant without storage and with net
-//     metering, and bracket it for batteries, where a short bisection
-//     finishes; one probe of energy.Green, the mode-specialized sizing
-//     kernel, confirms the result.  energy.Totals, the full balance, runs
-//     once on the final plant.  All three read the site's α/β rows and
-//     demand row through one reused energy.Site, so a probe copies nothing.
+//     exact: energy.ScaleBracket's closed forms give the smallest plant
+//     without storage and with net metering, and bracket it for batteries,
+//     where a short bisection finishes; one probe of energy.Green, the
+//     mode-specialized sizing kernel, confirms the result.  energy.Totals,
+//     the full balance, runs once on the final plant.  All three read the
+//     site's α/β rows and demand row through one reused energy.Site, so a
+//     probe copies nothing.
 //   - The network top-up scales every site's plant by a common factor when
 //     the per-site sizings miss the network-wide green target.
 //
@@ -53,10 +53,9 @@ type CostSummary struct {
 // overwrites the scratch it reads, so a warm evaluator returns the bits a
 // fresh one would; it remembers no results (Solve's annealing chains
 // remember whole sitings in a chain-local memo, heuristic.go).  The full
-// Evaluate method allocates
-// only the returned *Solution, its sites and its violation messages.  An
-// Evaluator is NOT safe for concurrent use — create one per goroutine (the
-// annealing chains in Solve each own one).
+// Evaluate method allocates only the returned *Solution, its sites and its
+// violation messages.  An Evaluator is NOT safe for concurrent use — create
+// one per goroutine (the annealing chains in Solve each own one).
 type Evaluator struct {
 	evalTables
 
@@ -170,8 +169,8 @@ func NewEvaluator(cat *location.Catalog, spec Spec) (*Evaluator, error) {
 
 // fork returns a fresh evaluator for e's catalog and spec — the same as
 // NewEvaluator would build — that shares e's read-only tables instead of
-// recomputing them, and owns its own scratch state.  Solve's
-// annealing chains and FilterSites' workers fork one evaluator each.
+// recomputing them, and owns its own scratch state.  Solve's annealing
+// chains and FilterSites' workers fork one evaluator each.
 func (e *Evaluator) fork() *Evaluator { return e.evalTables.evaluator() }
 
 // evaluator wraps t in an evaluator with empty scratch state.
@@ -206,10 +205,9 @@ func (e *Evaluator) EvaluateCost(candidates []Candidate) (CostSummary, error) {
 }
 
 // run executes the evaluation pipeline: shared schedule merge, per-site
-// stages, the network-level green top-up
-// when per-site sizing cannot reach the target alone, and the final
-// aggregation.  When sol is non-nil the per-site results and violation
-// messages are materialized into it.
+// stages, the network-level green top-up when per-site sizing cannot reach
+// the target alone, and the final aggregation.  When sol is non-nil the
+// per-site results and violation messages are materialized into it.
 func (e *Evaluator) run(candidates []Candidate, sol *Solution) (CostSummary, error) {
 	if err := e.prepare(candidates); err != nil {
 		return CostSummary{}, err
@@ -270,8 +268,7 @@ func (e *Evaluator) run(candidates []Candidate, sol *Solution) (CostSummary, err
 	// Network top-up: when some site cannot reach the green target from its
 	// own demand (capped plant scale, unviable technology), scale every
 	// site's plants by a common factor until the network-wide fraction
-	// reaches the target.  It reads the demand rows the per-site stages
-	// just wrote.
+	// reaches the target.
 	if spec.MinGreenFraction > 0 && greenFraction+1e-3 < spec.MinGreenFraction && plantKW > 0 {
 		lambda, err := e.topUpScale(outs)
 		if err != nil {

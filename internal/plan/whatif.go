@@ -23,9 +23,9 @@ var ErrNoSession = errors.New("plan: no such what-if session")
 // Sessions make repeated queries cheap: the first request naming a session
 // builds a per-session evaluator from the request's spec knobs, and later
 // requests with the same session name reuse its per-catalog tables and
-// scratch buffers instead of rebuilding them; every query is priced in full
-// (the spec knobs are then ignored).  Omitting Session prices the query against a
-// one-shot evaluator.  Set Close to tear a session down.
+// scratch buffers instead of rebuilding them (the spec knobs are then
+// ignored); every query is priced in full.  Omitting Session prices the
+// query against a one-shot evaluator.  Set Close to tear a session down.
 type WhatIfRequest struct {
 	Session string `json:"session,omitempty"`
 	Close   bool   `json:"close,omitempty"`

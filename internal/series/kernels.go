@@ -173,7 +173,7 @@ const (
 // Digest returns a 64-bit rolling digest of the series' raw float64 bits,
 // folding in the length, so two rows with equal digests are element-wise
 // bitwise identical up to hash collision (≈2⁻⁶⁴ per comparison).  The
-// golden tests (location, weather, core) pin rows by it.  Note the digest
+// location and weather golden tests pin rows by it.  Note the digest
 // is computed from raw bits: -0 and 0 digest differently even though they
 // compare ==.
 func Digest(x []float64) uint64 {
