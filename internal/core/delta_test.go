@@ -103,6 +103,34 @@ func TestDeltaEvaluationMatchesFull(t *testing.T) {
 	}
 }
 
+// TestDeltaMoveZeroAllocSteadyState pins the allocation contract of an
+// annealing chain's move sequence: once an evaluator has priced the sites a
+// chain moves between, its grow, shrink and swap moves must not allocate.
+func TestDeltaMoveZeroAllocSteadyState(t *testing.T) {
+	spec := smallSpec()
+	ev := newTestEvaluator(t, 40, spec)
+	base := []Candidate{{SiteID: 2, CapacityKW: 5_000}, {SiteID: 5, CapacityKW: 5_000}}
+	grown := []Candidate{{SiteID: 2, CapacityKW: 6_250}, {SiteID: 5, CapacityKW: 5_000}}
+	swapped := []Candidate{{SiteID: 2, CapacityKW: 5_000}, {SiteID: 9, CapacityKW: 5_000}}
+
+	// Warm up every site the moves touch.
+	for _, cands := range [][]Candidate{base, grown, swapped} {
+		if _, err := ev.EvaluateCost(cands); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		for _, cands := range [][]Candidate{grown, base, swapped, base} {
+			if _, err := ev.EvaluateCost(cands); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state delta moves allocate %v times per cycle, want 0", allocs)
+	}
+}
+
 // TestProposeMoveNeverSilentlyNoOps regresses the fixed swap move: as long
 // as the filtered list offers unselected sites, every proposed move must
 // change the siting (the old swap silently kept the state when it sampled an

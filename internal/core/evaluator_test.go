@@ -64,8 +64,6 @@ func TestEvaluateCostZeroAllocSteadyState(t *testing.T) {
 	// prices a cycle of sitings on one warm evaluator.
 	spec := smallSpec()
 	ev := newTestEvaluator(t, 40, spec)
-	base := []Candidate{{SiteID: 2, CapacityKW: 5_000}, {SiteID: 5, CapacityKW: 5_000}}
-	grown := []Candidate{{SiteID: 2, CapacityKW: 6_250}, {SiteID: 5, CapacityKW: 5_000}}
 	for _, tc := range []struct {
 		name       string
 		cycle      [][]Candidate
@@ -75,8 +73,6 @@ func TestEvaluateCostZeroAllocSteadyState(t *testing.T) {
 		// The annealing chains spend much of their time probing infeasible
 		// neighbours.
 		{name: "infeasible", cycle: [][]Candidate{{{SiteID: 2, CapacityKW: 100}, {SiteID: 5, CapacityKW: 100}}}, infeasible: true},
-		// A chain's grow move and the shrink back.
-		{name: "grow and shrink", cycle: [][]Candidate{grown, base}},
 	} {
 		for _, cands := range tc.cycle {
 			res, err := ev.EvaluateCost(cands)
