@@ -17,8 +17,6 @@ import (
 	"greencloud/internal/lp"
 	"greencloud/internal/plan"
 	"greencloud/internal/series"
-	"greencloud/internal/vm"
-	"greencloud/internal/wan"
 )
 
 // suite is shared across benchmarks: the synthetic catalog and the cached
@@ -275,66 +273,18 @@ func BenchmarkSchedulerComputeTime(b *testing.B) { runExperiment(b, "sched-timin
 // exact MILP on a small instance (Section III-D).
 func BenchmarkHeuristicVsExactSmall(b *testing.B) { runExperiment(b, "heuristic-vs-exact") }
 
-// emulBenchConfig builds an nDC-datacenter follow-the-renewables emulation
-// over the synthetic catalog's best solar sites (spread across time zones so
-// the sun is always up somewhere), with plants heavily overbuilt relative to
-// the nVMs-VM fleet so load actually chases the sun.  It mirrors
-// internal/emul's test configuration, parameterized for scale.
+// emulBenchConfig builds plannerd's follow-the-renewables trace
+// (plan.TraceSpec) at nDC datacenters and nVMs VMs, run batch-style for
+// hours hours with no LP deadline.
 func emulBenchConfig(b *testing.B, nDC, nVMs, hours int) emul.Config {
 	b.Helper()
-	cat, err := location.Generate(location.Options{Count: 60, Seed: 21, RepresentativeDays: 1})
+	cfg, _, err := plan.TraceSpec{Datacenters: nDC, VMs: nVMs}.Build()
 	if err != nil {
-		b.Fatalf("generate catalog: %v", err)
+		b.Fatalf("build trace: %v", err)
 	}
-	fleet := vm.NewHPCFleet("hpc", nVMs)
-	fleetKW := fleet.TotalPowerW() / 1000
-
-	solar := cat.TopBySolarCF(16)
-	picked := []*location.Site{solar[0]}
-	for _, cand := range solar[1:] {
-		distinct := true
-		for _, p := range picked {
-			d := cand.UTCOffsetHours - p.UTCOffsetHours
-			if d < 0 {
-				d = -d
-			}
-			if d > 12 {
-				d = 24 - d
-			}
-			if d < 5 {
-				distinct = false
-				break
-			}
-		}
-		if distinct {
-			picked = append(picked, cand)
-		}
-		if len(picked) == nDC {
-			break
-		}
-	}
-	for len(picked) < nDC {
-		picked = append(picked, solar[len(picked)])
-	}
-
-	dcs := make([]emul.DatacenterConfig, 0, nDC)
-	for _, site := range picked {
-		dcs = append(dcs, emul.DatacenterConfig{
-			Name:       site.Name,
-			Site:       site,
-			CapacityKW: fleetKW,
-			SolarKW:    fleetKW * 8 / site.SolarCapacityFactor * 0.25,
-			WindKW:     0.2,
-		})
-	}
-	return emul.Config{
-		Datacenters:  dcs,
-		VMs:          fleet,
-		StartHour:    24 * 172,
-		Hours:        hours,
-		HorizonHours: 12,
-		Link:         wan.Link{BandwidthMbps: 1000, LatencyMs: 90},
-	}
+	cfg.Hours = hours
+	cfg.LPTimeout = 0
+	return cfg
 }
 
 // BenchmarkEmulDay measures one 24-hour GreenNebula emulation day at the

@@ -154,7 +154,7 @@
 // evaluator's float sums.  Energy is a pure function of that list, so a hit
 // returns the bits a fresh evaluation would
 // (TestChainMemoMatchesFreshEvaluation pins it).  The memo lives for one
-// chain of one Solve and holds at most MaxIterations+1 sitings; it is not
+// chain of one Solve and holds at most MaxIterations sitings; it is not
 // in the Evaluator, whose lifetime in a what-if session is the daemon's.
 // It is the only result memo on the siting path: the Evaluator remembers
 // nothing between calls.
@@ -223,13 +223,13 @@
 //     caller-provided slices (predict.Predictor.PredictInto), fleets are
 //     maintained pre-sorted across hours so the scheduler skips re-sorting,
 //     and the scheduler's partition LP + basis persist across hours
-//     (internal/sched warm starts).  Migration execution is sharded by
-//     destination datacenter with a merge in destination order; a
-//     datacenter is never donor and receiver in the same round, so the
-//     GOMAXPROCS-sized worker pool is bit-identical to sequential
-//     execution (pinned under -race at GOMAXPROCS 1 and n).  A Runner's second Run is
-//     bit-identical to its first; the scratch-ownership rules are in
-//     internal/emul's package comment.
+//     (internal/sched warm starts).  Each hour's migrations execute in
+//     schedule order on the calling goroutine, adding straight into the
+//     per-datacenter accumulators; a schedule in which a datacenter both
+//     sends and receives is rejected (the scheduler never produces one).
+//     The output does not depend on GOMAXPROCS (pinned at 1 and n).  A
+//     Runner's second Run is bit-identical to its first; the
+//     scratch-ownership rules are in internal/emul's package comment.
 //
 // BenchmarkEmulDay runs one emulated day on a reused Runner (its bytes/op
 // is a contract, gated by benchjson alongside ns/op);  BenchmarkEmulScale

@@ -60,7 +60,8 @@ type Config[S any] struct {
 	Seed int64
 	// Sequential runs the chains one after another on the calling
 	// goroutine instead of in parallel.  The result is identical either
-	// way; the switch exists so tests can verify exactly that.
+	// way.  A caller that already runs many Runs on its own worker pool
+	// sets it so that pool is the only parallelism.
 	Sequential bool
 	// Ctx, when non-nil, cancels the run cooperatively: every chain checks
 	// it once per iteration (before consuming any randomness, so an
@@ -142,14 +143,6 @@ func Run[S any](cfg Config[S]) (Result[S], error) {
 		stale := 0
 		iters := 0
 		evals := 0
-		// Seed the chain's context with the initial state so the first
-		// neighbour evaluation is already a delta.
-		if got := cfg.EnergyMove(ctx, current); got != currentEnergy {
-			// EnergyMove violated purity; trust the fresh value so the
-			// chain is at least self-consistent.
-			currentEnergy, bestEnergy = got, got
-		}
-		evals++
 
 		for iters < cfg.MaxIterations && stale < cfg.MaxStale && temp > minTemp {
 			if cfg.Ctx != nil {

@@ -39,8 +39,9 @@ type SolveOptions struct {
 	Seed int64
 	// Sequential runs the annealing chains one after another instead of
 	// in parallel.  The solution is identical either way (chains are
-	// independent and merged deterministically); the switch exists so the
-	// determinism regression tests can verify exactly that.
+	// independent and merged deterministically).  A caller that runs many
+	// Solves on its own worker pool, as the experiments' sweeps do, sets it
+	// so that pool is the only parallelism.
 	Sequential bool
 	// Ctx, when non-nil, cancels the annealing search cooperatively.  A run
 	// cancelled mid-search returns the best solution found so far together
@@ -223,7 +224,7 @@ func (s siting) clone() siting {
 // feeds the merge's stable sorts and the evaluator's float sums, so it stays
 // in the key.  Energy is a pure function of that list, so a hit returns the
 // bits a fresh evaluation would (doc.go, "Chain memo").  A chain evaluates
-// at most MaxIterations+1 sitings.
+// at most MaxIterations sitings.
 type chainContext struct {
 	ev   *Evaluator
 	memo map[string]float64
@@ -381,7 +382,7 @@ func Solve(cat *location.Catalog, spec Spec, opts SolveOptions) (*Solution, erro
 				// starts; buildInitialSiting has already priced it.
 				return top
 			}
-			return newChainContext(shared.fork(), opts.MaxIterations+1)
+			return newChainContext(shared.fork(), opts.MaxIterations)
 		},
 		NeighborMove: func(s siting, rng *rand.Rand) siting {
 			return proposeMove(s, rng, filtered, spec, minDCs, maxDCs, quantum)

@@ -10,9 +10,9 @@
 //
 // A Runner owns every piece of reusable state an emulation needs — the
 // green/PUE year traces (series.Block rows), the per-hour scheduler view
-// (states, forecast and PUE horizon windows, placements), the migration
-// pipeline's shards and the per-datacenter fleets — so the hour loop does
-// not allocate.  The rules:
+// (states, forecast and PUE horizon windows, placements, migration
+// accumulators) and the per-datacenter fleets — so the hour loop does not
+// allocate.  The rules:
 //
 //   - Scratch is owned by the Runner and valid only within the Run call
 //     that is using it; nothing reachable from a returned Result aliases
@@ -29,9 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"greencloud/internal/gdfs"
@@ -147,23 +145,6 @@ func Run(cfg Config) (*Result, error) {
 	return r.Run()
 }
 
-// moveShard is the migration pipeline's unit of work: all of one hour's
-// moves into a single destination datacenter, executed in schedule order.
-// Shards run concurrently — a datacenter is never donor and receiver in
-// the same round, so no two shards place into or remove from a manager
-// whose packing another shard is reading — and their accumulators are
-// merged in destination order, making the pipeline's output independent of
-// goroutine interleaving.
-type moveShard struct {
-	moves    []int // indices into the hour's move list, schedule order
-	executed []int // moves actually placed (receiver had room)
-	failed   []int // moves rolled back sequentially after the join
-	energy   []float64
-	bytes    []int64
-	in, out  []int
-	err      error
-}
-
 // Runner owns the reusable state of an emulation (see the package comment
 // for the scratch-ownership rules).  Create one with NewRunner and call
 // Run; repeated Runs reuse the traces, predictors, scheduler LP structure
@@ -203,8 +184,6 @@ type Runner struct {
 	migBytes   []int64
 	migIn      []int
 	migOut     []int
-	shards     []moveShard
-	movedOut   map[string]struct{}
 
 	// Streaming state: the tick counter advanced by Step/Replay, the
 	// per-datacenter green-production scale (streamed weather updates;
@@ -231,8 +210,8 @@ type Tick struct {
 	// Moves is the migration schedule this tick executed — the replay log a
 	// snapshot needs to reconstruct fleet and disk state deterministically.
 	Moves []sched.Migration
-	// Migrations is how many scheduled moves actually executed (a receiver
-	// at capacity rolls the move back).
+	// Migrations is how many moves the tick executed: len(Moves), since a
+	// move that cannot execute fails the tick.
 	Migrations int
 	// LPStats is the partition LP's work for this round; ColdFallbacks
 	// stays 0 across healthy warm ticks.
@@ -337,14 +316,6 @@ func NewRunner(cfg Config) (*Runner, error) {
 	r.migBytes = make([]int64, n)
 	r.migIn = make([]int, n)
 	r.migOut = make([]int, n)
-	r.shards = make([]moveShard, n)
-	for i := range r.shards {
-		r.shards[i].energy = make([]float64, n)
-		r.shards[i].bytes = make([]int64, n)
-		r.shards[i].in = make([]int, n)
-		r.shards[i].out = make([]int, n)
-	}
-	r.movedOut = make(map[string]struct{}, len(cfg.VMs))
 	r.greenScale = make([]float64, n)
 	for i := range r.greenScale {
 		r.greenScale[i] = 1
@@ -663,155 +634,52 @@ func fillWrapped(dst, src []float64, from int) {
 	}
 }
 
-// executeMoves runs one hour's migration schedule: move VMs between
-// managers, ship the stale GDFS blocks, account the energy.  Moves are
-// sharded by destination datacenter and the shards run concurrently (up to
-// GOMAXPROCS workers); per-shard accumulators merged in destination order
-// make the result bit-identical to sequential execution.  It fills
-// r.migEnergy/migBytes/migIn/migOut, updates r.home and the per-datacenter
-// fleets, and returns the number of migrations performed.
+// executeMoves runs one hour's migration schedule in schedule order: move
+// each VM between managers, ship its stale GDFS blocks, account the
+// energy.  It fills r.migEnergy/migBytes/migIn/migOut, updates r.home and
+// the per-datacenter fleets, and returns the number of migrations
+// performed (every scheduled move executes, or the tick fails).
+//
+// A datacenter may not both send and receive VMs in one tick — a move
+// whose From == To, or a VM passing through a datacenter — since the fleet
+// update reads membership from r.home.  The scheduler never does either
+// (donors shed surplus, receivers have headroom); only a crafted Replay
+// schedule can.
 func (r *Runner) executeMoves(moves []sched.Migration) (int, error) {
-	n := len(r.cfg.Datacenters)
-	for i := 0; i < n; i++ {
+	for i := range r.migEnergy {
 		r.migEnergy[i] = 0
 		r.migBytes[i] = 0
 		r.migIn[i] = 0
 		r.migOut[i] = 0
-		sh := &r.shards[i]
-		sh.moves = sh.moves[:0]
-		sh.executed = sh.executed[:0]
-		sh.failed = sh.failed[:0]
-		sh.err = nil
 	}
-	if len(moves) == 0 {
-		return 0, nil
-	}
-	// Shard by destination, preserving schedule order within each shard.
-	for mi, mv := range moves {
+	for _, mv := range moves {
+		fromIdx, okF := r.dcIndex[mv.From]
 		toIdx, okT := r.dcIndex[mv.To]
-		_, okF := r.dcIndex[mv.From]
 		if !okF || !okT {
 			return 0, fmt.Errorf("emul: migration between unknown datacenters %s→%s", mv.From, mv.To)
 		}
-		r.shards[toIdx].moves = append(r.shards[toIdx].moves, mi)
+		r.migOut[fromIdx]++
+		r.migIn[toIdx]++
 	}
-
-	workers := runtime.GOMAXPROCS(0)
-	work := make(chan int, n)
-	active := 0
-	for i := 0; i < n; i++ {
-		if len(r.shards[i].moves) > 0 {
-			work <- i
-			active++
-		}
-	}
-	close(work)
-	if workers > active {
-		workers = active
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for si := range work {
-				r.runShard(si, moves)
-			}
-		}()
-	}
-	wg.Wait()
-
-	// Deterministic merge in destination order, then sequential rollback
-	// of the moves whose receiver was full.
-	migrated := 0
-	for si := 0; si < n; si++ {
-		sh := &r.shards[si]
-		if sh.err != nil {
-			return 0, sh.err
-		}
-		if len(sh.moves) == 0 {
-			continue
-		}
-		for d := 0; d < n; d++ {
-			r.migEnergy[d] += sh.energy[d]
-			r.migBytes[d] += sh.bytes[d]
-			r.migIn[d] += sh.in[d]
-			r.migOut[d] += sh.out[d]
-		}
-		migrated += len(sh.executed)
-		for _, mi := range sh.failed {
-			mv := &moves[mi]
-			fromIdx := r.dcIndex[mv.From]
-			if _, err := r.managers[fromIdx].Place(mv.VM); err != nil {
-				return 0, fmt.Errorf("emul: lost VM %s: %v", mv.VM.ID, err)
-			}
+	for i, name := range r.names {
+		if r.migIn[i] > 0 && r.migOut[i] > 0 {
+			return 0, fmt.Errorf("emul: datacenter %s both sends and receives VMs in one tick", name)
 		}
 	}
 
-	// Apply the executed moves to the maintained fleets: compact the
-	// donors first, then append-and-sort the receivers.
-	clear(r.movedOut)
-	for si := 0; si < n; si++ {
-		for _, mi := range r.shards[si].executed {
-			mv := &moves[mi]
-			r.movedOut[mv.VM.ID] = struct{}{}
-			r.home[r.vmIndex[mv.VM.ID]] = si
-		}
-	}
-	for d := 0; d < n; d++ {
-		if r.migOut[d] > 0 {
-			kept := r.fleets[d][:0]
-			for _, machine := range r.fleets[d] {
-				if _, gone := r.movedOut[machine.ID]; !gone {
-					kept = append(kept, machine)
-				}
-			}
-			r.fleets[d] = kept
-		}
-	}
-	for si := 0; si < n; si++ {
-		for _, mi := range r.shards[si].executed {
-			r.fleets[si] = append(r.fleets[si], moves[mi].VM)
-		}
-	}
-	for d := 0; d < n; d++ {
-		if r.migIn[d] > 0 {
-			sortFleet(r.fleets[d])
-		}
-	}
-	return migrated, nil
-}
-
-// runShard executes one destination's moves in schedule order.  It touches
-// only shard-owned accumulators, the destination's manager (owned by this
-// shard for the round), donor managers (Remove only, which is choice-free
-// and commutative) and read-only GDFS metadata, so shards are data-race
-// free and order-independent.
-func (r *Runner) runShard(si int, moves []sched.Migration) {
-	sh := &r.shards[si]
-	for d := range sh.energy {
-		sh.energy[d] = 0
-		sh.bytes[d] = 0
-		sh.in[d] = 0
-		sh.out[d] = 0
-	}
-	for _, mi := range sh.moves {
-		mv := &moves[mi]
-		fromIdx := r.dcIndex[mv.From]
+	for _, mv := range moves {
+		fromIdx, toIdx := r.dcIndex[mv.From], r.dcIndex[mv.To]
 		machine, err := r.managers[fromIdx].Remove(mv.VM.ID)
 		if err != nil {
-			sh.err = err
-			return
+			return 0, err
 		}
-		if _, err := r.managers[si].Place(machine); err != nil {
-			// Receiver full: roll the move back after the join.
-			sh.failed = append(sh.failed, mi)
-			continue
+		if _, err := r.managers[toIdx].Place(machine); err != nil {
+			return 0, fmt.Errorf("emul: receiver %s has no room for VM %s: %w", mv.To, machine.ID, err)
 		}
-		pendingBytes, err := r.clients[fromIdx].PendingMigrationBytes(r.vmPaths[r.vmIndex[machine.ID]], gdfs.WorkerID(mv.To))
+		vi := r.vmIndex[machine.ID]
+		pendingBytes, err := r.clients[fromIdx].PendingMigrationBytes(r.vmPaths[vi], gdfs.WorkerID(mv.To))
 		if err != nil {
-			sh.err = err
-			return
+			return 0, err
 		}
 		result, err := migrate.Simulate(migrate.Plan{
 			VM:          machine,
@@ -820,16 +688,37 @@ func (r *Runner) runShard(si int, moves []sched.Migration) {
 			DirtyDiskMB: float64(pendingBytes) / (1 << 20),
 		}, r.network)
 		if err != nil {
-			sh.err = err
-			return
+			return 0, err
 		}
 		// The conservative accounting charges the migration at both ends
 		// for the whole epoch.
-		sh.energy[fromIdx] += result.ConservativeEnergyKWh
-		sh.energy[si] += result.ConservativeEnergyKWh
-		sh.bytes[fromIdx] += int64(result.TransferredMB * (1 << 20))
-		sh.in[si]++
-		sh.out[fromIdx]++
-		sh.executed = append(sh.executed, mi)
+		r.migEnergy[fromIdx] += result.ConservativeEnergyKWh
+		r.migEnergy[toIdx] += result.ConservativeEnergyKWh
+		r.migBytes[fromIdx] += int64(result.TransferredMB * (1 << 20))
+		r.home[vi] = toIdx
 	}
+
+	// Apply the moves to the maintained fleets: compact the donors to the
+	// VMs still at home there, then append-and-sort the receivers.
+	for d := range r.fleets {
+		if r.migOut[d] > 0 {
+			kept := r.fleets[d][:0]
+			for _, machine := range r.fleets[d] {
+				if r.home[r.vmIndex[machine.ID]] == d {
+					kept = append(kept, machine)
+				}
+			}
+			r.fleets[d] = kept
+		}
+	}
+	for _, mv := range moves {
+		toIdx := r.dcIndex[mv.To]
+		r.fleets[toIdx] = append(r.fleets[toIdx], mv.VM)
+	}
+	for d := range r.fleets {
+		if r.migIn[d] > 0 {
+			sortFleet(r.fleets[d])
+		}
+	}
+	return len(moves), nil
 }

@@ -35,10 +35,9 @@ func sameResult(t *testing.T, label string, a, b *Result) {
 	}
 }
 
-// TestParallelPipelineMatchesSequential pins the migration-execution
-// pipeline's determinism: per-destination sharding with an ordered merge
-// must make any worker count (GOMAXPROCS) bit-identical to sequential
-// execution.  Run under -race by make test.
+// TestParallelPipelineMatchesSequential pins that the emulation's output
+// does not depend on GOMAXPROCS: a run at GOMAXPROCS 1 and one at the
+// datacenter count are bit-identical.
 func TestParallelPipelineMatchesSequential(t *testing.T) {
 	cfg := testConfig(t, 24)
 	n := runtime.GOMAXPROCS(1)

@@ -1,6 +1,7 @@
 package emul
 
 import (
+	"math"
 	"testing"
 
 	"greencloud/internal/lp"
@@ -199,5 +200,74 @@ func TestGreenScaleStreaming(t *testing.T) {
 	}
 	if err := r.SetGreenScale(name, -1); err == nil {
 		t.Error("negative scale accepted")
+	}
+}
+
+// TestReplayMultiDestinationTick drives the executor with hand-built
+// schedules the scheduler never produces: one tick whose moves go to two
+// destinations (every recorded workload has at most one per tick), and
+// schedules that make a datacenter both send and receive, which are
+// rejected before any VM moves.
+func TestReplayMultiDestinationTick(t *testing.T) {
+	cfg := testConfig(t, 4)
+	r, err := NewRunner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Start(); err != nil {
+		t.Fatal(err)
+	}
+	names := r.Datacenters()
+	moves := []sched.Migration{
+		{VM: cfg.VMs[0], From: names[0], To: names[1]},
+		{VM: cfg.VMs[1], From: names[0], To: names[2]},
+		{VM: cfg.VMs[2], From: names[0], To: names[1]},
+	}
+	tick, err := r.Replay(moves)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tick.Migrations != 3 {
+		t.Errorf("Migrations = %d, want 3", tick.Migrations)
+	}
+	wantOut, wantIn, wantVMs := []int{3, 0, 0}, []int{0, 2, 1}, []int{6, 2, 1}
+	for i, rec := range tick.Records {
+		if rec.MigrationsOut != wantOut[i] || rec.MigrationsIn != wantIn[i] || rec.VMCount != wantVMs[i] {
+			t.Errorf("datacenter %d: out/in/VMs = %d/%d/%d, want %d/%d/%d", i,
+				rec.MigrationsOut, rec.MigrationsIn, rec.VMCount, wantOut[i], wantIn[i], wantVMs[i])
+		}
+	}
+	// Every move is charged at both ends, so the donor's migration energy
+	// is the receivers' sum.
+	donor := tick.Records[0].MigrationKW
+	receivers := tick.Records[1].MigrationKW + tick.Records[2].MigrationKW
+	if donor <= 0 || math.Abs(donor-receivers) > 1e-12*donor {
+		t.Errorf("donor MigrationKW %v, receivers' sum %v", donor, receivers)
+	}
+	want := copyRecords(tick)
+	if _, err := r.Step(); err != nil {
+		t.Fatalf("Step after a multi-destination replay: %v", err)
+	}
+
+	for i, bad := range [][]sched.Migration{
+		{{VM: cfg.VMs[3], From: names[0], To: names[0]}},
+		{{VM: cfg.VMs[3], From: names[0], To: names[1]}, {VM: cfg.VMs[3], From: names[1], To: names[2]}},
+	} {
+		if err := r.Start(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Replay(bad); err == nil {
+			t.Errorf("bad schedule %d accepted", i)
+			continue
+		}
+		tick, err := r.Replay(moves)
+		if err != nil {
+			t.Fatalf("replay after bad schedule %d: %v", i, err)
+		}
+		for j, rec := range copyRecords(tick) {
+			if rec != want[j] {
+				t.Errorf("after bad schedule %d, record %d = %+v, want %+v", i, j, rec, want[j])
+			}
+		}
 	}
 }

@@ -258,8 +258,8 @@ func (m *Master) UnderReplicated() []ReplicationTask {
 
 // StaleBytesOn returns the bytes of a file whose replica on the given worker
 // is stale or missing — exactly the data a VM migration must ship.  It is
-// the allocation-free path behind Client.PendingMigrationBytes, safe to call
-// concurrently from the migration pipeline's shards.
+// the allocation-free path behind Client.PendingMigrationBytes, and safe to
+// call concurrently.
 func (m *Master) StaleBytesOn(path string, worker WorkerID) (int64, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
